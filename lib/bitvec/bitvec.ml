@@ -66,6 +66,17 @@ let set_bit limbs i b =
   if b then limbs.(j) <- limbs.(j) lor (1 lsl k)
   else limbs.(j) <- limbs.(j) land lnot (1 lsl k)
 
+(* The 16 bits of [limbs] starting at bit [pos], which may be negative or
+   past the end: bits outside the array read as zero. This is the one
+   primitive behind the word-level shifts, slices and concatenation. *)
+let window limbs pos =
+  let n = Array.length limbs in
+  let get j = if j < 0 || j >= n then 0 else limbs.(j) in
+  (* Floor division and remainder by [limb_bits] = 16, negatives included. *)
+  let q = pos asr 4 and r = pos land (limb_bits - 1) in
+  if r = 0 then get q
+  else ((get q lsr r) lor (get (q + 1) lsl (limb_bits - r))) land limb_mask
+
 let of_bin_string s =
   let w = String.length s in
   check_width "Bitvec.of_bin_string" w;
@@ -86,16 +97,17 @@ let hex_digit c =
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> invalid_arg "Bitvec.of_hex_string: not a hex digit"
 
+(* Digit [i] (least significant first) sits at bit [4 * i], which never
+   straddles a limb; digits past the width are still checked. *)
 let of_hex_string ~width:w s =
   check_width "Bitvec.of_hex_string" w;
   let limbs = Array.make (limbs_for w) 0 in
   let n = String.length s in
   for i = 0 to n - 1 do
     let d = hex_digit s.[n - 1 - i] in
-    for b = 0 to 3 do
-      let pos = (i * 4) + b in
-      if pos < w && d lsr b land 1 = 1 then set_bit limbs pos true
-    done
+    let pos = i * 4 in
+    if pos < w then
+      limbs.(pos / limb_bits) <- limbs.(pos / limb_bits) lor (d lsl (pos mod limb_bits))
   done;
   normalize w limbs
 
@@ -133,21 +145,19 @@ let to_int64 t =
 let is_zero t = Array.for_all (fun l -> l = 0) t.limbs
 
 let is_ones t =
-  let rec go i = i >= t.width || (bit t i && go (i + 1)) in
-  go 0
+  let n = Array.length t.limbs in
+  let top_bits = t.width - ((n - 1) * limb_bits) in
+  let rec full i = i >= n - 1 || (t.limbs.(i) = limb_mask && full (i + 1)) in
+  full 0 && t.limbs.(n - 1) = (1 lsl top_bits) - 1
 
 let to_bin_string t = String.init t.width (fun i -> if bit t (t.width - 1 - i) then '1' else '0')
 
+(* The top limb is masked, so the partial top digit reads only real bits. *)
 let to_hex_string t =
   let ndigits = (t.width + 3) / 4 in
   String.init ndigits (fun i ->
-      let pos = (ndigits - 1 - i) * 4 in
-      let d = ref 0 in
-      for b = 3 downto 0 do
-        d := !d lsl 1;
-        if pos + b < t.width && bit t (pos + b) then incr d
-      done;
-      "0123456789abcdef".[!d])
+      let j = ndigits - 1 - i in
+      "0123456789abcdef".[(t.limbs.(j / 4) lsr (4 * (j mod 4))) land 0xF])
 
 let popcount t =
   Array.fold_left
@@ -180,21 +190,21 @@ let logor a b = map2 "logor" ( lor ) a b
 let logxor a b = map2 "logxor" ( lxor ) a b
 let lognot a = normalize a.width (Array.map (fun l -> lnot l land limb_mask) a.limbs)
 
+(* Result limb [i] is the window of [t] at [i * limb_bits - k]; a shift by
+   the width or more leaves zero (and keeps the positions from overflowing). *)
 let shift_left t k =
   if k < 0 then invalid_arg "Bitvec.shift_left: negative shift";
-  let limbs = Array.make (Array.length t.limbs) 0 in
-  for i = t.width - 1 downto k do
-    if bit t (i - k) then set_bit limbs i true
-  done;
-  normalize t.width limbs
+  if k >= t.width then zero t.width
+  else
+    normalize t.width
+      (Array.init (Array.length t.limbs) (fun i -> window t.limbs ((i * limb_bits) - k)))
 
 let shift_right t k =
   if k < 0 then invalid_arg "Bitvec.shift_right: negative shift";
-  let limbs = Array.make (Array.length t.limbs) 0 in
-  for i = 0 to t.width - 1 - k do
-    if bit t (i + k) then set_bit limbs i true
-  done;
-  normalize t.width limbs
+  if k >= t.width then zero t.width
+  else
+    normalize t.width
+      (Array.init (Array.length t.limbs) (fun i -> window t.limbs ((i * limb_bits) + k)))
 
 let add a b =
   if a.width <> b.width then invalid_arg "Bitvec.add: width mismatch";
@@ -230,25 +240,17 @@ let mul a b =
   done;
   normalize a.width acc
 
+(* [lo]'s unused top bits are zero, so [hi] can be or-ed in above them. *)
 let concat hi lo =
   let w = hi.width + lo.width in
-  let limbs = Array.make (limbs_for w) 0 in
-  for i = 0 to lo.width - 1 do
-    if bit lo i then set_bit limbs i true
-  done;
-  for i = 0 to hi.width - 1 do
-    if bit hi i then set_bit limbs (lo.width + i) true
-  done;
-  normalize w limbs
+  normalize w
+    (Array.init (limbs_for w) (fun i ->
+         window lo.limbs (i * limb_bits) lor window hi.limbs ((i * limb_bits) - lo.width)))
 
 let extract ~hi ~lo t =
   if lo < 0 || hi >= t.width || hi < lo then invalid_arg "Bitvec.extract: bad range";
   let w = hi - lo + 1 in
-  let limbs = Array.make (limbs_for w) 0 in
-  for i = 0 to w - 1 do
-    if bit t (lo + i) then set_bit limbs i true
-  done;
-  normalize w limbs
+  normalize w (Array.init (limbs_for w) (fun i -> window t.limbs (lo + (i * limb_bits))))
 
 let zero_extend w t =
   if w < t.width then invalid_arg "Bitvec.zero_extend: narrower target";
@@ -268,11 +270,15 @@ let resize w t = if w >= t.width then zero_extend w t else truncate w t
 let prefix_mask ~width:w len =
   check_width "Bitvec.prefix_mask" w;
   if len < 0 || len > w then invalid_arg "Bitvec.prefix_mask: bad prefix length";
-  let limbs = Array.make (limbs_for w) 0 in
-  for i = w - len to w - 1 do
-    set_bit limbs i true
-  done;
-  normalize w limbs
+  (* Bits [w - len, w) are set: limbs wholly above the boundary are full,
+     the limb holding it is partly set, and normalize trims the top. *)
+  let start = w - len in
+  normalize w
+    (Array.init (limbs_for w) (fun i ->
+         let base = i * limb_bits in
+         if base >= start then limb_mask
+         else if base + limb_bits <= start then 0
+         else (limb_mask lsl (start - base)) land limb_mask))
 
 let fold_bits f t init =
   let acc = ref init in
@@ -292,23 +298,14 @@ let pp_bin fmt t = Format.fprintf fmt "0b%s#%d" (to_bin_string t) t.width
 let of_bytes_be s =
   let n = String.length s in
   if n = 0 then invalid_arg "Bitvec.of_bytes_be: empty";
-  let w = 8 * n in
-  let limbs = Array.make (limbs_for w) 0 in
-  for i = 0 to n - 1 do
-    let byte = Char.code s.[n - 1 - i] in
-    for b = 0 to 7 do
-      if byte lsr b land 1 = 1 then set_bit limbs ((i * 8) + b) true
-    done
-  done;
-  normalize w limbs
+  (* Byte [j] (least significant first) is half of limb [j / 2]. *)
+  let byte j = if j < n then Char.code s.[n - 1 - j] else 0 in
+  { width = 8 * n;
+    limbs = Array.init ((n + 1) / 2) (fun i -> byte (2 * i) lor (byte ((2 * i) + 1) lsl 8)) }
 
 let to_bytes_be t =
   if t.width mod 8 <> 0 then invalid_arg "Bitvec.to_bytes_be: width not a byte multiple";
   let n = t.width / 8 in
   String.init n (fun i ->
-      let lo = (n - 1 - i) * 8 in
-      let byte = ref 0 in
-      for b = 7 downto 0 do
-        byte := (!byte lsl 1) lor (if bit t (lo + b) then 1 else 0)
-      done;
-      Char.chr !byte)
+      let j = n - 1 - i in
+      Char.chr ((t.limbs.(j / 2) lsr (8 * (j mod 2))) land 0xFF))

@@ -166,14 +166,11 @@ type batch_ctx = {
       (* pending insert count per table, so one batch cannot overshoot a
          table's guaranteed capacity (which would make acceptance
          order-dependent) *)
-  mutable ref_index : (table:string -> key:string -> Bitvec.t -> bool) option;
-      (* memoised mirror reference index, valid for this batch *)
 }
 
 let fresh_ctx () =
   { taken = Hashtbl.create 64; tombstoned = Hashtbl.create 16;
-    batch_refs = ref []; batch_provides = ref []; batch_inserts = Hashtbl.create 16;
-    ref_index = None }
+    batch_refs = ref []; batch_provides = ref []; batch_inserts = Hashtbl.create 16 }
 
 let pending_inserts ctx table =
   Option.value ~default:0 (Hashtbl.find_opt ctx.batch_inserts table)
@@ -212,14 +209,13 @@ let claim ctx e =
 (* Values usable to satisfy a @refers_to (table, key) reference, excluding
    entries being deleted in this batch. *)
 let referable t ctx ~table ~key =
-  State.entries_of t.mirror_ table
-  |> List.filter (fun e ->
-         (not t.config.respect_dependencies)
-         || not (Hashtbl.mem ctx.tombstoned (Entry.match_key e)))
-  |> List.filter_map (fun e ->
-         match Entry.find_match e key with
-         | Some (Entry.M_exact v) | Some (Entry.M_optional (Some v)) -> Some v
-         | _ -> None)
+  State.entries_of_keyed t.mirror_ table
+  |> List.filter_map (fun (k, e) ->
+         if t.config.respect_dependencies && Hashtbl.mem ctx.tombstoned k then None
+         else
+           match Entry.find_match e key with
+           | Some (Entry.M_exact v) | Some (Entry.M_optional (Some v)) -> Some v
+           | _ -> None)
 
 (* A value guaranteed absent from the referable set (for Invalid Reference),
    including values pending insertion in this batch. *)
@@ -387,33 +383,28 @@ let rec gen_valid_insert t ctx attempts =
       | _ -> gen_valid_insert t ctx (attempts - 1)
   end
 
-let mirror_ref_index t ctx =
-  match ctx.ref_index with
-  | Some idx -> idx
-  | None ->
-      let idx = State.reference_index t.mirror_ t.info in
-      ctx.ref_index <- Some idx;
-      idx
+(* The mirror does not change while a batch is built (valid updates are
+   applied after it), so its live reference counts hold for the batch. *)
+let deletable t ctx ~respect (k, e) =
+  (not (Hashtbl.mem ctx.taken k))
+  && (not (State.provides_referenced t.mirror_ t.info e))
+  && ((not respect) || not (provides_batch_referenced ctx e))
 
 let gen_valid_delete t ctx =
-  let index = mirror_ref_index t ctx in
   let candidates =
-    State.all t.mirror_
-    |> List.filter (fun e ->
-           (not (Hashtbl.mem ctx.taken (Entry.match_key e)))
-           && (not (State.is_referenced_by index e))
-           && ((not t.config.respect_dependencies)
-              || not (provides_batch_referenced ctx e)))
+    State.all_keyed t.mirror_
+    |> List.filter (deletable t ctx ~respect:t.config.respect_dependencies)
+    |> List.map snd
   in
   match candidates with
   | [] -> None
   | _ -> Some (Rng.choose t.rng candidates)
 
+let untaken ctx entries =
+  List.filter_map (fun (k, e) -> if Hashtbl.mem ctx.taken k then None else Some e) entries
+
 let gen_valid_modify t ctx =
-  let candidates =
-    State.all t.mirror_
-    |> List.filter (fun e -> not (Hashtbl.mem ctx.taken (Entry.match_key e)))
-  in
+  let candidates = untaken ctx (State.all_keyed t.mirror_) in
   match candidates with
   | [] -> None
   | _ ->
@@ -553,6 +544,10 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
         let fix (ai : Entry.action_invocation) =
           match P4info.find_action ti ai.ai_name with
           | None -> None
+          | Some ar when List.compare_lengths ar.ar_params ai.ai_args <> 0 ->
+              (* A greybox corpus base can carry an earlier mutation's
+                 argument count; there is no argument to swap in place. *)
+              None
           | Some ar ->
               let changed = ref false in
               let args =
@@ -805,11 +800,7 @@ let sweep t =
       let ctx = fresh_ctx () in
       let updates = ref [] in
       let pending = ref [] in
-      (let candidates =
-         State.entries_of t.mirror_ ti.ti_name
-         |> List.filter (fun e -> not (Hashtbl.mem ctx.taken (Entry.match_key e)))
-       in
-       match candidates with
+      (match untaken ctx (State.entries_of_keyed t.mirror_ ti.ti_name) with
        | e :: _ when claim ctx e -> (
            match gen_action t ctx ti with
            | Some action ->
@@ -819,16 +810,11 @@ let sweep t =
                pending := (Request.Modify, e') :: !pending
            | None -> ())
        | _ -> ());
-      (let index = mirror_ref_index t ctx in
-       let deletable =
-         State.entries_of t.mirror_ ti.ti_name
-         |> List.filter (fun e ->
-                (not (Hashtbl.mem ctx.taken (Entry.match_key e)))
-                && (not (State.is_referenced_by index e))
-                && not (provides_batch_referenced ctx e))
-       in
-       match deletable with
-       | e :: _ when claim ctx e ->
+      (match
+         List.find_opt (deletable t ctx ~respect:true)
+           (State.entries_of_keyed t.mirror_ ti.ti_name)
+       with
+       | Some (_, e) when claim ctx e ->
            Hashtbl.add ctx.tombstoned (Entry.match_key e) ();
            updates := { update = Request.delete e; mutation = None } :: !updates;
            pending := (Request.Delete, e) :: !pending
@@ -855,10 +841,7 @@ let sweep t =
           let attempt =
             match m with
             | "duplicate_insert" -> (
-                match
-                  State.entries_of t.mirror_ ti.ti_name
-                  |> List.filter (fun e -> not (Hashtbl.mem ctx.taken (Entry.match_key e)))
-                with
+                match untaken ctx (State.entries_of_keyed t.mirror_ ti.ti_name) with
                 | e :: _ -> Some (Request.insert e, m)
                 | [] -> None)
             | "delete_nonexistent" -> (

@@ -33,7 +33,9 @@ let pp_incident fmt i =
   in
   Format.fprintf fmt "[%s] %s" kind i.inc_detail
 
-let classify_with t index (u : Request.update) =
+(* [t.state] does not change while a batch is judged, so the live
+   reference counts answer for the whole batch. *)
+let classify t (u : Request.update) =
   let e = u.entry in
   match Validate.check_entry t.info e with
   | Error s -> Must_reject (Format.asprintf "invalid request: %a" Status.pp s)
@@ -64,11 +66,10 @@ let classify_with t index (u : Request.update) =
             | Ok () -> Must_accept)
       | Request.Delete ->
           if not exists then Must_reject "delete of non-existent entry"
-          else if State.is_referenced_by index (Option.get (State.find t.state e)) then
+          else if State.provides_referenced t.state t.info (Option.get (State.find t.state e))
+          then
             Must_reject "delete of a referenced entry"
           else Must_accept)
-
-let classify t u = classify_with t (State.reference_index t.state t.info) u
 
 type detailed = {
   incidents : incident list;
@@ -113,12 +114,11 @@ let judge_batch_detailed t updates (resp : Request.write_response) ~read_back =
           (1 + Option.value ~default:0 (Hashtbl.find_opt batch_inserts u.entry.e_table)))
     updates;
   let implied = State.copy t.state in
-  let ref_index = State.reference_index t.state t.info in
   if List.length resp.statuses = List.length updates then
     List.iter2
       (fun (u : Request.update) (s : Status.t) ->
         let expectation =
-          match classify_with t ref_index u with
+          match classify t u with
           | Must_accept
             when u.op = Request.Insert
                  && (match P4info.find_table t.info u.entry.e_table with

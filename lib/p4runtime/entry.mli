@@ -49,5 +49,9 @@ val equal_key : t -> t -> bool
 val equal : t -> t -> bool
 (** Full structural equality including action and args. *)
 
+val equal_action : action_choice -> action_choice -> bool
+(** The action half of {!equal}: for two entries already known to share a
+    match key, [equal a b = equal_action a.e_action b.e_action]. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_match_value : Format.formatter -> match_value -> unit

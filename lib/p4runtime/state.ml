@@ -5,8 +5,9 @@ module Match = Switchv_match.Index
 module P4info = Switchv_p4ir.P4info
 
 (* Per-table association from match key to entry, plus a sequence number to
-   preserve insertion order. *)
-type slot = { entry : Entry.t; seq : int }
+   preserve insertion order. A slot keeps the match key it is filed under,
+   so views and comparisons never recompute it. *)
+type slot = { key : string; entry : Entry.t; seq : int }
 
 (* An evaluator (lib/bmv2/compile.ml) describes a table's keys with a
    [key_spec] array; the first [index_lookup] against a table builds an
@@ -18,14 +19,33 @@ type key_spec = { ks_name : string; ks_width : int; ks_kind : Match.kind }
 
 type table_index = { ti_keys : key_spec array; ti_ix : slot Match.t }
 
+(* Counts keyed by (table, match field, value). *)
+module Counts = Hashtbl.Make (struct
+  type t = string * string * Bitvec.t
+
+  let equal (t1, k1, v1) (t2, k2, v2) =
+    String.equal t1 t2 && String.equal k1 k2 && Bitvec.equal v1 v2
+
+  let hash (t, k, v) = Hashtbl.hash (Hashtbl.hash t, Hashtbl.hash k, Bitvec.hash v)
+end)
+
 type t = {
   tables : (string, (string, slot) Hashtbl.t) Hashtbl.t;
   mutable next_seq : int;
   indexes : (string, table_index) Hashtbl.t;
+  mutable values : int Counts.t option;
+      (* installed entries providing each (table, field, value) through an
+         exact or optional match: the [@refers_to] existence check *)
+  mutable refs : (P4info.t * int Counts.t) option;
+      (* @refers_to references to each (table, key, value) from installed
+         entries, as the P4info they were built with declares them *)
 }
+(* Both counts are built on their first query and maintained from then
+   on, so a state nobody asks (the ASIC's, a model's) never pays for them. *)
 
 let create () =
-  { tables = Hashtbl.create 16; next_seq = 0; indexes = Hashtbl.create 8 }
+  { tables = Hashtbl.create 16; next_seq = 0; indexes = Hashtbl.create 8; values = None;
+    refs = None }
 
 let table_tbl t name =
   match Hashtbl.find_opt t.tables name with
@@ -36,9 +56,11 @@ let table_tbl t name =
       tbl
 
 let copy t =
-  (* Indexes hold mutable structure; the copy rebuilds its own lazily. *)
+  (* Indexes and reference counts depend on the queries made; the copy
+     rebuilds its own lazily. *)
   let fresh =
-    { tables = Hashtbl.create 16; next_seq = t.next_seq; indexes = Hashtbl.create 8 }
+    { tables = Hashtbl.create 16; next_seq = t.next_seq; indexes = Hashtbl.create 8;
+      values = Option.map Counts.copy t.values; refs = None }
   in
   Hashtbl.iter (fun name tbl -> Hashtbl.add fresh.tables name (Hashtbl.copy tbl)) t.tables;
   fresh
@@ -46,7 +68,67 @@ let copy t =
 let clear t =
   Hashtbl.reset t.tables;
   Hashtbl.reset t.indexes;
+  t.values <- None;
+  t.refs <- None;
   t.next_seq <- 0
+
+(* --- maintained counts ----------------------------------------------------- *)
+
+let bump counts k delta =
+  let c = delta + Option.value ~default:0 (Counts.find_opt counts k) in
+  if c = 0 then Counts.remove counts k else Counts.replace counts k c
+
+(* What [exists_value] sees of an entry: per field name, the first match's
+   value when it is exact or a present optional. *)
+let provided (e : Entry.t) =
+  let rec go seen acc = function
+    | [] -> acc
+    | (fm : Entry.field_match) :: rest when List.mem fm.fm_field seen -> go seen acc rest
+    | fm :: rest -> (
+        let seen = fm.fm_field :: seen in
+        match fm.fm_value with
+        | Entry.M_exact v | Entry.M_optional (Some v) ->
+            go seen ((e.e_table, fm.fm_field, v) :: acc) rest
+        | _ -> go seen acc rest)
+  in
+  go [] [] e.e_matches
+
+let count_refs info counts e delta =
+  List.iter
+    (fun (r : Validate.reference) -> bump counts (r.ref_table, r.ref_key, r.ref_value) delta)
+    (Validate.references info e)
+
+let count_values counts e delta = List.iter (fun k -> bump counts k delta) (provided e)
+
+(* Every mutation funnels through here, once per entry gained or lost. *)
+let account t e delta =
+  Option.iter (fun counts -> count_values counts e delta) t.values;
+  Option.iter (fun (info, counts) -> count_refs info counts e delta) t.refs
+
+let build t count =
+  let counts = Counts.create 64 in
+  Hashtbl.iter
+    (fun _ tbl -> Hashtbl.iter (fun _ slot -> count counts slot.entry 1) tbl)
+    t.tables;
+  counts
+
+let value_counts t =
+  match t.values with
+  | Some counts -> counts
+  | None ->
+      let counts = build t count_values in
+      t.values <- Some counts;
+      counts
+
+(* Reference counts for [info], compared by physical equality: a query
+   with another P4info value rebuilds them from the installed entries. *)
+let ref_counts t info =
+  match t.refs with
+  | Some (info', counts) when info' == info -> counts
+  | _ ->
+      let counts = build t (count_refs info) in
+      t.refs <- Some (info, counts);
+      counts
 
 (* --- index maintenance --------------------------------------------------- *)
 
@@ -102,10 +184,11 @@ let insert t entry =
   if Hashtbl.mem tbl key then
     Error (Status.makef Status.Already_exists "entry already exists: %s" key)
   else begin
-    let slot = { entry; seq = t.next_seq } in
+    let slot = { key; entry; seq = t.next_seq } in
     Hashtbl.add tbl key slot;
     t.next_seq <- t.next_seq + 1;
     index_add t entry.Entry.e_table slot;
+    account t entry 1;
     Ok ()
   end
 
@@ -119,6 +202,8 @@ let modify t entry =
       Hashtbl.replace tbl key slot';
       index_drop t entry.Entry.e_table slot;
       index_add t entry.Entry.e_table slot';
+      account t slot.entry (-1);
+      account t entry 1;
       Ok ()
 
 let delete t entry =
@@ -128,6 +213,7 @@ let delete t entry =
   | Some slot ->
       Hashtbl.remove tbl key;
       index_drop t entry.Entry.e_table slot;
+      account t slot.entry (-1);
       Ok ()
   | None -> Error (Status.makef Status.Not_found "no such entry: %s" key)
 
@@ -135,113 +221,88 @@ let find t entry =
   let tbl = table_tbl t entry.Entry.e_table in
   Hashtbl.find_opt tbl (Entry.match_key entry) |> Option.map (fun s -> s.entry)
 
-let entries_of t name =
+let slots_of t name =
   match Hashtbl.find_opt t.tables name with
   | None -> []
-  | Some tbl ->
-      Hashtbl.fold (fun _ slot acc -> slot :: acc) tbl []
-      |> List.sort (fun a b -> Int.compare a.seq b.seq)
-      |> List.map (fun s -> s.entry)
+  | Some tbl -> Hashtbl.fold (fun _ slot acc -> slot :: acc) tbl []
 
-let all t =
+let all_slots t =
   Hashtbl.fold
     (fun _ tbl acc -> Hashtbl.fold (fun _ slot acc -> slot :: acc) tbl acc)
     t.tables []
-  |> List.sort (fun a b -> Int.compare a.seq b.seq)
-  |> List.map (fun s -> s.entry)
+
+let in_order view slots = List.sort (fun a b -> Int.compare a.seq b.seq) slots |> List.map view
+let entries_of t name = in_order (fun s -> s.entry) (slots_of t name)
+let all t = in_order (fun s -> s.entry) (all_slots t)
+let entries_of_keyed t name = in_order (fun s -> (s.key, s.entry)) (slots_of t name)
+let all_keyed t = in_order (fun s -> (s.key, s.entry)) (all_slots t)
 
 let count t name =
   match Hashtbl.find_opt t.tables name with None -> 0 | Some tbl -> Hashtbl.length tbl
 
 let total t = Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.tables 0
 
-let entry_has_key_value (e : Entry.t) ~key value =
-  match Entry.find_match e key with
-  | Some (Entry.M_exact v) | Some (Entry.M_optional (Some v)) -> Bitvec.equal v value
-  | _ -> false
+let exists_value t ~table ~key value = Counts.mem (value_counts t) (table, key, value)
 
-let exists_value t ~table ~key value =
-  List.exists (fun e -> entry_has_key_value e ~key value) (entries_of t table)
-
-let reference_index t info =
-  let tbl = Hashtbl.create 512 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (r : Validate.reference) ->
-          Hashtbl.replace tbl
-            (r.ref_table ^ "/" ^ r.ref_key ^ "/" ^ Bitvec.to_hex_string r.ref_value)
-            ())
-        (Validate.references info e))
-    (all t);
-  fun ~table ~key value ->
-    Hashtbl.mem tbl (table ^ "/" ^ key ^ "/" ^ Bitvec.to_hex_string value)
-
-let is_referenced_by index (entry : Entry.t) =
-  List.exists
+(* The values under which an entry can be referenced: its exact and
+   present optional match values, keyed by field name, in its own table. *)
+let targets (entry : Entry.t) =
+  List.filter_map
     (fun (fm : Entry.field_match) ->
       match fm.fm_value with
-      | Entry.M_exact v | Entry.M_optional (Some v) ->
-          index ~table:entry.e_table ~key:fm.fm_field v
-      | _ -> false)
+      | Entry.M_exact v | Entry.M_optional (Some v) -> Some (entry.e_table, fm.fm_field, v)
+      | _ -> None)
     entry.e_matches
 
-let is_referenced t info (entry : Entry.t) =
-  (* The values under which this entry can be referenced: its exact match
-     values keyed by name, in its own table. *)
-  let candidate_targets =
-    List.filter_map
-      (fun (fm : Entry.field_match) ->
-        match fm.fm_value with
-        | Entry.M_exact v | Entry.M_optional (Some v) -> Some (fm.fm_field, v)
-        | _ -> None)
-      entry.e_matches
-  in
-  candidate_targets <> []
-  && List.exists
-       (fun other ->
-         (not (Entry.equal_key other entry))
-         && List.exists
-              (fun (r : Validate.reference) ->
-                String.equal r.ref_table entry.e_table
-                && List.exists
-                     (fun (k, v) -> String.equal k r.ref_key && Bitvec.equal v r.ref_value)
-                     candidate_targets)
-              (Validate.references info other))
-       (all t)
+let provides_referenced t info entry =
+  let counts = ref_counts t info in
+  List.exists (Counts.mem counts) (targets entry)
 
+let is_referenced t info entry =
+  let counts = ref_counts t info in
+  (* The installed entry under this key does not count against itself. *)
+  let own = Counts.create 8 in
+  Option.iter (fun installed -> count_refs info own installed 1) (find t entry);
+  List.exists
+    (fun k ->
+      Option.value ~default:0 (Counts.find_opt counts k)
+      > Option.value ~default:0 (Counts.find_opt own k))
+    (targets entry)
+
+let find_keyed t table key =
+  Option.bind (Hashtbl.find_opt t.tables table) (fun tbl -> Hashtbl.find_opt tbl key)
+
+(* Keys are unique across tables (a key names its table), so two states
+   are equal when they hold as many entries and every entry of one has a
+   same-key, same-action counterpart in the other. *)
 let equal a b =
-  let keyset t =
-    all t
-    |> List.map (fun e -> (Entry.match_key e, e))
-    |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
-  in
-  let ka = keyset a and kb = keyset b in
-  List.length ka = List.length kb
-  && List.for_all2
-       (fun (k1, e1) (k2, e2) -> String.equal k1 k2 && Entry.equal e1 e2)
-       ka kb
+  total a = total b
+  && Hashtbl.fold
+       (fun table tbl ok ->
+         ok
+         && Hashtbl.fold
+              (fun key slot ok ->
+                ok
+                &&
+                match find_keyed b table key with
+                | Some s -> Entry.equal_action slot.entry.e_action s.entry.e_action
+                | None -> false)
+              tbl true)
+       a.tables true
 
 let diff a b =
-  let index t =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun e -> Hashtbl.replace tbl (Entry.match_key e) e) (all t);
-    tbl
-  in
-  let ia = index a and ib = index b in
   let out = ref [] in
-  Hashtbl.iter
-    (fun k e ->
-      match Hashtbl.find_opt ib k with
-      | None -> out := Format.asprintf "only in first: %a" Entry.pp e :: !out
-      | Some e' ->
-          if not (Entry.equal e e') then
+  let each t f =
+    Hashtbl.iter (fun table tbl -> Hashtbl.iter (fun key s -> f table key s) tbl) t.tables
+  in
+  each a (fun table key s ->
+      match find_keyed b table key with
+      | None -> out := Format.asprintf "only in first: %a" Entry.pp s.entry :: !out
+      | Some s' ->
+          if not (Entry.equal_action s.entry.e_action s'.entry.e_action) then
             out :=
-              Format.asprintf "differs: %a vs %a" Entry.pp e Entry.pp e' :: !out)
-    ia;
-  Hashtbl.iter
-    (fun k e ->
-      if not (Hashtbl.mem ia k) then
-        out := Format.asprintf "only in second: %a" Entry.pp e :: !out)
-    ib;
+              Format.asprintf "differs: %a vs %a" Entry.pp s.entry Entry.pp s'.entry :: !out);
+  each b (fun table key s ->
+      if find_keyed a table key = None then
+        out := Format.asprintf "only in second: %a" Entry.pp s.entry :: !out);
   List.sort String.compare !out

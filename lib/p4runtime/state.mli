@@ -30,27 +30,36 @@ val entries_of : t -> string -> Entry.t list
 (** Entries of a table, in insertion order. *)
 
 val all : t -> Entry.t list
+
+val entries_of_keyed : t -> string -> (string * Entry.t) list
+val all_keyed : t -> (string * Entry.t) list
+(** {!entries_of} and {!all} paired with each entry's {!Entry.match_key},
+    which the state stores rather than recomputes. *)
+
 val count : t -> string -> int
 val total : t -> int
 
 val exists_value : t -> table:string -> key:string -> Bitvec.t -> bool
 (** Does some installed entry of [table] match exactly [value] on [key]?
-    (The [@refers_to] existence check.) *)
+    (The [@refers_to] existence check.) O(1): the first query counts the
+    installed entries per (table, key, value), every later insert /
+    modify / delete maintains the counts, and {!copy} carries them. *)
 
 val is_referenced : t -> P4info.t -> Entry.t -> bool
 (** Is [entry] the target of a [@refers_to] reference from any other
-    installed entry? Used to refuse deletions that would dangle. *)
+    installed entry? The installed entry with [entry]'s match key does not
+    count. Used to refuse deletions that would dangle. *)
 
-val reference_index : t -> P4info.t -> table:string -> key:string -> Bitvec.t -> bool
-(** Precompute the set of referenced (table, key, value) targets and return
-    a membership test — an O(1)-per-query equivalent of the scan behind
-    {!is_referenced}, for callers that test many entries against one state
-    snapshot (fuzzer delete selection, oracle batch judgement). *)
+val provides_referenced : t -> P4info.t -> Entry.t -> bool
+(** Does [entry] provide a value (an exact or present optional match in
+    its own table) that some installed entry references — the installed
+    entry with [entry]'s match key included?
 
-val is_referenced_by :
-  (table:string -> key:string -> Bitvec.t -> bool) -> Entry.t -> bool
-(** [is_referenced_by index entry]: does [entry] provide any value the
-    index reports as referenced? *)
+    Both queries read reference counts that the first query for an
+    [info] builds from the installed entries and every later insert /
+    modify / delete maintains. The counts belong to one [P4info.t] value
+    (compared physically): querying with another rebuilds them. {!copy}
+    and {!clear} drop them. *)
 
 type key_spec = { ks_name : string; ks_width : int; ks_kind : Match.kind }
 (** An evaluator's description of one table key: the field-match name

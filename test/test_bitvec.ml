@@ -261,6 +261,223 @@ let props =
       prop_bin_roundtrip; prop_hex_roundtrip; prop_compare_total;
       prop_shift_add; prop_prefix_matches_canonical ]
 
+(* --- differential properties: word-level kernels vs bit-at-a-time ------- *)
+
+(* The bit-at-a-time definitions the word-level kernels replaced, written
+   against the public interface ([bit] to read, a binary string to build).
+   Each kernel must agree with its reference on every input, including
+   where the reference raises. *)
+module Reference = struct
+  let of_bits w f =
+    Bitvec.of_bin_string (String.init w (fun i -> if f (w - 1 - i) then '1' else '0'))
+
+  let extract ~hi ~lo t =
+    if lo < 0 || hi >= Bitvec.width t || hi < lo then invalid_arg "Bitvec.extract: bad range";
+    of_bits (hi - lo + 1) (fun i -> Bitvec.bit t (lo + i))
+
+  let concat hi lo =
+    let wl = Bitvec.width lo in
+    of_bits (Bitvec.width hi + wl) (fun i ->
+        if i < wl then Bitvec.bit lo i else Bitvec.bit hi (i - wl))
+
+  let shift_left t k =
+    if k < 0 then invalid_arg "Bitvec.shift_left: negative shift";
+    of_bits (Bitvec.width t) (fun i -> i >= k && Bitvec.bit t (i - k))
+
+  let shift_right t k =
+    if k < 0 then invalid_arg "Bitvec.shift_right: negative shift";
+    let w = Bitvec.width t in
+    of_bits w (fun i -> i < w - k && Bitvec.bit t (i + k))
+
+  let prefix_mask ~width:w len =
+    if w < 1 then invalid_arg "Bitvec.prefix_mask: width must be >= 1";
+    if len < 0 || len > w then invalid_arg "Bitvec.prefix_mask: bad prefix length";
+    of_bits w (fun i -> i >= w - len)
+
+  let of_bytes_be s =
+    let n = String.length s in
+    if n = 0 then invalid_arg "Bitvec.of_bytes_be: empty";
+    of_bits (8 * n) (fun i -> Char.code s.[n - 1 - (i / 8)] lsr (i mod 8) land 1 = 1)
+
+  let to_bytes_be t =
+    let w = Bitvec.width t in
+    if w mod 8 <> 0 then invalid_arg "Bitvec.to_bytes_be: width not a byte multiple";
+    let n = w / 8 in
+    String.init n (fun i ->
+        let lo = (n - 1 - i) * 8 in
+        let byte = ref 0 in
+        for b = 7 downto 0 do
+          byte := (!byte lsl 1) lor if Bitvec.bit t (lo + b) then 1 else 0
+        done;
+        Char.chr !byte)
+
+  let to_hex_string t =
+    let w = Bitvec.width t in
+    let ndigits = (w + 3) / 4 in
+    String.init ndigits (fun i ->
+        let pos = (ndigits - 1 - i) * 4 in
+        let d = ref 0 in
+        for b = 3 downto 0 do
+          d := !d lsl 1;
+          if pos + b < w && Bitvec.bit t (pos + b) then incr d
+        done;
+        "0123456789abcdef".[!d])
+
+  let hex_digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> invalid_arg "Bitvec.of_hex_string: not a hex digit"
+
+  let of_hex_string ~width:w s =
+    if w < 1 then invalid_arg "Bitvec.of_hex_string: width must be >= 1";
+    let n = String.length s in
+    let digits = Array.init n (fun i -> hex_digit s.[n - 1 - i]) in
+    of_bits w (fun pos -> pos / 4 < n && digits.(pos / 4) lsr (pos mod 4) land 1 = 1)
+
+  let is_ones t =
+    let rec go i = i >= Bitvec.width t || (Bitvec.bit t i && go (i + 1)) in
+    go 0
+end
+
+(* Both sides' results, exceptions included, as comparable values. *)
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let same_bv f g =
+  match (outcome f, outcome g) with
+  | Ok a, Ok b -> Bitvec.equal a b
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let same eq f g =
+  match (outcome f, outcome g) with
+  | Ok a, Ok b -> eq a b
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+(* Widths 1..200 cross every limb boundary; a third of the vectors are all
+   zeros or all ones, the edge cases of masking and [is_ones]. *)
+let gen_wide_width = QCheck.Gen.int_range 1 200
+
+let gen_wide_of w =
+  QCheck.Gen.(
+    int_bound 5 >>= fun shape ->
+    int_bound 0xFFFFFF >>= fun seed ->
+    return
+      (match shape with
+      | 0 -> Bitvec.zero w
+      | 1 -> Bitvec.ones w
+      | _ -> Rng.bitvec (Rng.create seed) w))
+
+let gen_wide = QCheck.Gen.(gen_wide_width >>= gen_wide_of)
+let print_bv = Format.asprintf "%a" Bitvec.pp
+let diff_count = 500
+
+let prop_diff_extract =
+  QCheck.Test.make ~name:"differential extract" ~count:diff_count
+    (QCheck.make
+       ~print:(fun (v, hi, lo) -> Printf.sprintf "%s hi=%d lo=%d" (print_bv v) hi lo)
+       QCheck.Gen.(
+         gen_wide >>= fun v ->
+         let w = Bitvec.width v in
+         int_range (-1) w >>= fun lo ->
+         int_range (lo - 1) w >>= fun hi -> return (v, hi, lo)))
+    (fun (v, hi, lo) ->
+      same_bv (fun () -> Bitvec.extract ~hi ~lo v) (fun () -> Reference.extract ~hi ~lo v))
+
+let prop_diff_concat =
+  QCheck.Test.make ~name:"differential concat" ~count:diff_count
+    (QCheck.make
+       ~print:(fun (a, b) -> print_bv a ^ " " ^ print_bv b)
+       (QCheck.Gen.pair gen_wide gen_wide))
+    (fun (a, b) -> same_bv (fun () -> Bitvec.concat a b) (fun () -> Reference.concat a b))
+
+let gen_shift =
+  QCheck.make
+    ~print:(fun (v, k) -> Printf.sprintf "%s by %d" (print_bv v) k)
+    QCheck.Gen.(
+      gen_wide >>= fun v ->
+      (* Past the width too, and now and then negative. *)
+      int_range (-2) (2 * Bitvec.width v + 2) >>= fun k -> return (v, k))
+
+let prop_diff_shift_left =
+  QCheck.Test.make ~name:"differential shift_left" ~count:diff_count gen_shift
+    (fun (v, k) ->
+      same_bv (fun () -> Bitvec.shift_left v k) (fun () -> Reference.shift_left v k))
+
+let prop_diff_shift_right =
+  QCheck.Test.make ~name:"differential shift_right" ~count:diff_count gen_shift
+    (fun (v, k) ->
+      same_bv (fun () -> Bitvec.shift_right v k) (fun () -> Reference.shift_right v k))
+
+let prop_diff_prefix_mask =
+  QCheck.Test.make ~name:"differential prefix_mask" ~count:diff_count
+    (QCheck.make
+       ~print:(fun (w, l) -> Printf.sprintf "width %d len %d" w l)
+       QCheck.Gen.(
+         gen_wide_width >>= fun w ->
+         (* Lengths 0 and [w] every few draws, and just outside the range. *)
+         frequency
+           [ (1, return 0); (1, return w); (1, oneofl [ -1; w + 1 ]); (5, int_bound w) ]
+         >>= fun l -> return (w, l)))
+    (fun (w, l) ->
+      same_bv
+        (fun () -> Bitvec.prefix_mask ~width:w l)
+        (fun () -> Reference.prefix_mask ~width:w l))
+
+let prop_diff_bytes =
+  QCheck.Test.make ~name:"differential of_bytes_be / to_bytes_be" ~count:diff_count
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(string_size ~gen:char (int_range 0 40)))
+    (fun s ->
+      same_bv (fun () -> Bitvec.of_bytes_be s) (fun () -> Reference.of_bytes_be s)
+      && (s = ""
+         ||
+         let v = Bitvec.of_bytes_be s in
+         String.equal (Bitvec.to_bytes_be v) (Reference.to_bytes_be v)
+         && String.equal (Bitvec.to_bytes_be v) s))
+
+let prop_diff_to_bytes_any_width =
+  QCheck.Test.make ~name:"differential to_bytes_be (any width)" ~count:diff_count
+    (QCheck.make ~print:print_bv gen_wide)
+    (fun v ->
+      same String.equal (fun () -> Bitvec.to_bytes_be v) (fun () -> Reference.to_bytes_be v))
+
+let prop_diff_hex =
+  QCheck.Test.make ~name:"differential hex strings" ~count:diff_count
+    (QCheck.make ~print:print_bv gen_wide)
+    (fun v ->
+      let w = Bitvec.width v in
+      let s = Bitvec.to_hex_string v in
+      String.equal s (Reference.to_hex_string v)
+      && Bitvec.equal (Bitvec.of_hex_string ~width:w s) v
+      && Bitvec.is_ones v = Reference.is_ones v)
+
+let prop_diff_of_hex =
+  QCheck.Test.make ~name:"differential of_hex_string" ~count:diff_count
+    (QCheck.make
+       ~print:(fun (w, s) -> Printf.sprintf "width %d %S" w s)
+       QCheck.Gen.(
+         gen_wide_width >>= fun w ->
+         (* Shorter and longer than the width, mixed case, and now and then
+            a character that is not a hex digit. *)
+         let digit =
+           let hex = List.init 22 (String.get "0123456789abcdefABCDEF") in
+           frequency [ (30, oneofl hex); (1, char) ]
+         in
+         string_size ~gen:digit (int_range 0 60) >>= fun s -> return (w, s)))
+    (fun (w, s) ->
+      same_bv
+        (fun () -> Bitvec.of_hex_string ~width:w s)
+        (fun () -> Reference.of_hex_string ~width:w s))
+
+let differential =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_diff_extract; prop_diff_concat; prop_diff_shift_left; prop_diff_shift_right;
+      prop_diff_prefix_mask; prop_diff_bytes; prop_diff_to_bytes_any_width; prop_diff_hex;
+      prop_diff_of_hex ]
+
 let () =
   Alcotest.run "bitvec"
     [ ("construction",
@@ -289,4 +506,5 @@ let () =
       ("rng",
        [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
          Alcotest.test_case "weighted" `Quick test_rng_weighted ]);
-      ("properties", props) ]
+      ("properties", props);
+      ("differential", differential) ]

@@ -10,6 +10,8 @@ module Validate = Switchv_p4runtime.Validate
 module P4info = Switchv_p4ir.P4info
 module Fuzzer = Switchv_fuzzer.Fuzzer
 module Middleblock = Switchv_sai.Middleblock
+module Stack = Switchv_switch.Stack
+module Control_campaign = Switchv_core.Control_campaign
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -274,6 +276,25 @@ let test_sweep_respects_dependency_order () =
          end))
     sweep
 
+(* --- greybox ------------------------------------------------------------------- *)
+
+let test_greybox_mutation_bases () =
+  (* Regression: "invalid_reference" paired an action's parameters with a
+     greybox corpus base's arguments, whose count an earlier mutation may
+     have changed, and raised [Invalid_argument "List.map2"]. Each of these
+     seeds raised within 100 batches on a clean middleblock stack. *)
+  List.iter
+    (fun seed ->
+      let stack = Stack.create Middleblock.program in
+      let incidents, stats =
+        Control_campaign.run stack
+          { Control_campaign.default_config with batches = 100; seed; greybox = true }
+      in
+      check_int (Printf.sprintf "seed %d: no incidents" seed) 0 (List.length incidents);
+      check_bool (Printf.sprintf "seed %d: campaign ran" seed) true
+        (stats.Switchv_core.Report.cs_batches > 100))
+    [ 5; 6; 7; 8; 14; 15; 21; 23; 99 ]
+
 let () =
   Alcotest.run "fuzzer"
     [ ("generation",
@@ -292,4 +313,6 @@ let () =
       ("sweep",
        [ Alcotest.test_case "covers all tables" `Quick test_sweep_covers_tables;
          Alcotest.test_case "covers mutations per table" `Quick test_sweep_covers_mutations_per_table;
-         Alcotest.test_case "dependency order" `Quick test_sweep_respects_dependency_order ]) ]
+         Alcotest.test_case "dependency order" `Quick test_sweep_respects_dependency_order ]);
+      ("greybox",
+       [ Alcotest.test_case "mutation bases of any shape" `Quick test_greybox_mutation_bases ]) ]

@@ -13,6 +13,8 @@ module Request = Switchv_p4runtime.Request
 module P4info = Switchv_p4ir.P4info
 module Figure2 = Switchv_sai.Figure2
 module Middleblock = Switchv_sai.Middleblock
+module Ast = Switchv_p4ir.Ast
+module Rng = Switchv_bitvec.Rng
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -126,6 +128,226 @@ let test_state_equal_diff () =
   check_bool "copy equal" true (State.equal b c);
   ignore (State.delete c (vrf 2));
   check_bool "copy independent" false (State.equal b c)
+
+(* --- state: maintained views vs scan-based definitions ----------------------- *)
+
+(* The scan-based definitions the maintained views replaced: each query
+   walks the installed entries. *)
+module Scan = struct
+  let exists_value s ~table ~key value =
+    List.exists
+      (fun e ->
+        match Entry.find_match e key with
+        | Some (Entry.M_exact v) | Some (Entry.M_optional (Some v)) -> Bitvec.equal v value
+        | _ -> false)
+      (State.entries_of s table)
+
+  let targets (entry : Entry.t) =
+    List.filter_map
+      (fun (fm : Entry.field_match) ->
+        match fm.fm_value with
+        | Entry.M_exact v | Entry.M_optional (Some v) -> Some (fm.fm_field, v)
+        | _ -> None)
+      entry.e_matches
+
+  (* Referenced by another installed entry (not the one under this key). *)
+  let is_referenced s info (entry : Entry.t) =
+    let candidate_targets = targets entry in
+    candidate_targets <> []
+    && List.exists
+         (fun other ->
+           (not (Entry.equal_key other entry))
+           && List.exists
+                (fun (r : Validate.reference) ->
+                  String.equal r.ref_table entry.e_table
+                  && List.exists
+                       (fun (k, v) -> String.equal k r.ref_key && Bitvec.equal v r.ref_value)
+                       candidate_targets)
+                (Validate.references info other))
+         (State.all s)
+
+  (* A snapshot of every referenced (table, key, value), self-references
+     included, probed with the entry's values. *)
+  let provides_referenced s info (entry : Entry.t) =
+    let slot table key v = table ^ "/" ^ key ^ "/" ^ Bitvec.to_hex_string v in
+    let referenced = Hashtbl.create 64 in
+    List.iter
+      (fun e ->
+        List.iter
+          (fun (r : Validate.reference) ->
+            Hashtbl.replace referenced (slot r.ref_table r.ref_key r.ref_value) ())
+          (Validate.references info e))
+      (State.all s);
+    List.exists (fun (k, v) -> Hashtbl.mem referenced (slot entry.e_table k v)) (targets entry)
+
+  let keyed entries = List.map (fun e -> (Entry.match_key e, e)) entries
+
+  let equal a b =
+    let keyset t =
+      keyed (State.all t) |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
+    in
+    let ka = keyset a and kb = keyset b in
+    List.length ka = List.length kb
+    && List.for_all2
+         (fun (k1, e1) (k2, e2) -> String.equal k1 k2 && Entry.equal e1 e2)
+         ka kb
+
+  let diff a b =
+    let index t =
+      let tbl = Hashtbl.create 64 in
+      List.iter (fun (k, e) -> Hashtbl.replace tbl k e) (keyed (State.all t));
+      tbl
+    in
+    let ia = index a and ib = index b in
+    let out = ref [] in
+    Hashtbl.iter
+      (fun k e ->
+        match Hashtbl.find_opt ib k with
+        | None -> out := Format.asprintf "only in first: %a" Entry.pp e :: !out
+        | Some e' ->
+            if not (Entry.equal e e') then
+              out := Format.asprintf "differs: %a vs %a" Entry.pp e Entry.pp e' :: !out)
+      ia;
+    Hashtbl.iter
+      (fun k e ->
+        if not (Hashtbl.mem ia k) then
+          out := Format.asprintf "only in second: %a" Entry.pp e :: !out)
+      ib;
+    List.sort String.compare !out
+end
+
+(* Middleblock plus two self-referencing tables: [chain_table] entries name
+   a next hop in their own table through an action argument, and
+   [loop_table] keys refer to the table's own key. *)
+let chain_info =
+  let table ti_name ti_id ti_match_fields ti_actions =
+    { P4info.ti_name; ti_id; ti_match_fields; ti_actions; ti_default_action = "no_action";
+      ti_size = 64; ti_restriction = None; ti_selector = false }
+  in
+  let key ?refers_to name =
+    { P4info.mf_name = name; mf_kind = Ast.Exact; mf_width = 16; mf_refers_to = refers_to }
+  in
+  { mb with
+    pi_tables =
+      table "chain_table" 9001 [ key "chain_id" ]
+        [ { ar_name = "link";
+            ar_params = [ Ast.param ~refers_to:("chain_table", "chain_id") "next" 16 ] } ]
+      :: table "loop_table" 9002 [ key ~refers_to:("loop_table", "loop_id") "loop_id" ]
+           [ { ar_name = "no_action"; ar_params = [] } ]
+      :: mb.pi_tables }
+
+(* Values from a tiny universe, so keys collide and references resolve. *)
+let small rng width = Bitvec.of_int ~width (1 + Rng.int rng 3)
+
+let random_invocation rng (ar : P4info.action_ref) =
+  { Entry.ai_name = ar.ar_name;
+    ai_args = List.map (fun (p : Ast.param) -> small rng p.p_width) ar.ar_params }
+
+let random_action rng (ti : P4info.table) =
+  let inv () = random_invocation rng (Rng.choose rng ti.ti_actions) in
+  if ti.ti_selector then
+    (* Often the same member twice: two references to one target. *)
+    let first = inv () in
+    let rest = List.init (Rng.int rng 3) (fun _ -> if Rng.bool rng then first else inv ()) in
+    Entry.Weighted (List.map (fun ai -> (ai, 1 + Rng.int rng 3)) (first :: rest))
+  else Entry.Single (inv ())
+
+let random_entry rng =
+  let ti = Rng.choose rng chain_info.pi_tables in
+  let matches =
+    List.filter_map
+      (fun (mf : P4info.match_field) ->
+        let v = small rng mf.mf_width in
+        match mf.mf_kind with
+        | Ast.Exact -> Some (fm mf.mf_name (Entry.M_exact v))
+        | _ when Rng.int rng 3 = 0 -> None
+        | Ast.Lpm ->
+            let len = 1 + Rng.int rng mf.mf_width in
+            Some (fm mf.mf_name (Entry.M_lpm (Prefix.make v len)))
+        | Ast.Ternary -> Some (fm mf.mf_name (Entry.M_ternary (Ternary.exact v)))
+        | Ast.Optional -> Some (fm mf.mf_name (Entry.M_optional (Some v))))
+      ti.ti_match_fields
+  in
+  (* Now and then a repeated field: lookups see only its first value. *)
+  let matches =
+    match matches with
+    | first :: _ when Rng.int rng 10 = 0 ->
+        matches @ [ { first with fm_value = Entry.M_exact (bv16 3) } ]
+    | _ -> matches
+  in
+  let priority = if P4info.requires_priority ti then 1 + Rng.int rng 2 else 0 in
+  Entry.make ~priority ~table:ti.ti_name ~matches (random_action rng ti)
+
+let check_views ~step s info rng =
+  let here what = Printf.sprintf "step %d: %s" step what in
+  let same_keyed what maintained scanned =
+    check_bool (here what) true
+      (List.length maintained = List.length scanned
+      && List.for_all2
+           (fun (k1, e1) (k2, e2) -> String.equal k1 k2 && Entry.equal e1 e2)
+           maintained scanned)
+  in
+  same_keyed "all_keyed" (State.all_keyed s) (Scan.keyed (State.all s));
+  List.iter
+    (fun (ti : P4info.table) ->
+      same_keyed ("entries_of_keyed " ^ ti.ti_name)
+        (State.entries_of_keyed s ti.ti_name)
+        (Scan.keyed (State.entries_of s ti.ti_name));
+      List.iter
+        (fun (mf : P4info.match_field) ->
+          for n = 0 to 4 do
+            let v = Bitvec.of_int ~width:mf.mf_width n in
+            check_bool
+              (here (Printf.sprintf "exists_value %s.%s=%d" ti.ti_name mf.mf_name n))
+              (Scan.exists_value s ~table:ti.ti_name ~key:mf.mf_name v)
+              (State.exists_value s ~table:ti.ti_name ~key:mf.mf_name v)
+          done)
+        ti.ti_match_fields)
+    chain_info.pi_tables;
+  (* Every installed entry, plus fresh entries that may share a key with an
+     installed one (whose own references then do not count). *)
+  List.iter
+    (fun e ->
+      let shown = Format.asprintf "%a" Entry.pp e in
+      check_bool (here ("is_referenced " ^ shown)) (Scan.is_referenced s info e)
+        (State.is_referenced s info e);
+      check_bool (here ("provides_referenced " ^ shown)) (Scan.provides_referenced s info e)
+        (State.provides_referenced s info e))
+    (State.all s @ List.init 4 (fun _ -> random_entry rng))
+
+let test_state_maintained_views () =
+  for seed = 1 to 30 do
+    let rng = Rng.create seed in
+    let s = ref (State.create ()) in
+    let earlier = ref (State.copy !s) in
+    for step = 1 to 60 do
+      let installed = State.all !s in
+      let pick () =
+        if installed <> [] && Rng.int rng 3 > 0 then Rng.choose rng installed
+        else random_entry rng
+      in
+      (match Rng.int rng 20 with
+      | 0 ->
+          let c = State.copy !s in
+          check_bool "copy equal" true (State.equal c !s);
+          (* Mutating one side leaves the other as it was. *)
+          if Rng.bool rng then s := c else earlier := c
+      | 1 when Rng.int rng 3 = 0 -> State.clear !s
+      | r when r < 9 -> ignore (State.insert !s (random_entry rng))
+      | r when r < 14 ->
+          let e = pick () in
+          let ti = Option.get (P4info.find_table chain_info e.e_table) in
+          ignore (State.modify !s { e with e_action = random_action rng ti })
+      | _ -> ignore (State.delete !s (pick ())));
+      (* Mostly one P4info, so the counts are maintained; now and then
+         another, which rebuilds them. *)
+      let info = if step mod 9 = 0 then mb else chain_info in
+      check_views ~step !s info rng;
+      check_bool "equal" (Scan.equal !earlier !s) (State.equal !earlier !s);
+      check_bool "diff" true (Scan.diff !earlier !s = State.diff !earlier !s);
+      if step mod 5 = 0 then earlier := State.copy !s
+    done
+  done
 
 (* --- syntactic validation (Figure 3 verdicts) -------------------------------- *)
 
@@ -248,7 +470,9 @@ let () =
          Alcotest.test_case "modify" `Quick test_state_modify;
          Alcotest.test_case "insertion order" `Quick test_state_insertion_order;
          Alcotest.test_case "references" `Quick test_state_references;
-         Alcotest.test_case "equality and diff" `Quick test_state_equal_diff ]);
+         Alcotest.test_case "equality and diff" `Quick test_state_equal_diff;
+         Alcotest.test_case "maintained views match scans" `Quick
+           test_state_maintained_views ]);
       ("validate",
        [ Alcotest.test_case "figure 3 valid entries" `Quick test_figure3_valid;
          Alcotest.test_case "figure 3 invalid entries" `Quick test_figure3_invalid;
