@@ -46,6 +46,16 @@ module Repro = Switchv_triage.Repro
 
 let quick = ref false
 
+(* The committed BENCH_*.json artifacts record full-mode runs. Quick mode
+   keeps every gate but leaves them alone, so a CI pass never overwrites a
+   full measurement with a reduced-scale one. *)
+let write_artifact path json =
+  if !quick then Printf.printf "quick mode: %s left unchanged\n" path
+  else begin
+    Out_channel.with_open_bin path (fun oc -> output_string oc json);
+    Printf.printf "wrote %s\n" path
+  end
+
 let banner title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
@@ -703,10 +713,7 @@ let smt_incremental_bench () =
       (String.concat ",\n" (List.map row rows))
       c_scr c_inc reduction all_identical
   in
-  let oc = open_out "BENCH_smt_incremental.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_smt_incremental.json\n";
+  write_artifact "BENCH_smt_incremental.json" json;
   if not all_identical then failwith "incremental/scratch packet mismatch";
   if not !quick && reduction < 30. then
     failwith
@@ -804,10 +811,7 @@ let taint_bench () =
       (String.concat ",\n" (List.map row rows))
       tainted skipped saved delta_pct all_clean
   in
-  let oc = open_out "BENCH_taint.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_taint.json\n";
+  write_artifact "BENCH_taint.json" json;
   if not all_clean then
     failwith "set-valued verdicts reported incidents a clean switch should not";
   if tainted = 0 then failwith "taint pass reclassified no goals on WCMP models";
@@ -1039,10 +1043,7 @@ let obs_overhead_bench () =
       (String.concat ",\n" (List.map row rows))
       max_pct
   in
-  let oc = open_out "BENCH_obs_overhead.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_obs_overhead.json\n";
+  write_artifact "BENCH_obs_overhead.json" json;
   if max_pct > budget_pct then
     failwith
       (Printf.sprintf "telemetry overhead %.2f%% exceeds the %.0f%% budget"
@@ -1167,10 +1168,7 @@ let fabric_bench () =
       (String.concat ",\n" (List.map lrow localization))
       accuracy
   in
-  let oc = open_out "BENCH_fabric.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_fabric.json\n";
+  write_artifact "BENCH_fabric.json" json;
   if accuracy < 1.0 then
     failwith "a seeded fabric fault was missed or localized to the wrong switch"
 
@@ -1313,10 +1311,7 @@ let greybox_bench () =
       (String.concat ",\n" (List.map det_row det_rows))
       n_guided n_blind t_guided t_blind
   in
-  let oc = open_out "BENCH_greybox.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_greybox.json\n";
+  write_artifact "BENCH_greybox.json" json;
   List.iter
     (fun (name, probes, g, b, _, _) ->
       if g <= b then
@@ -1480,10 +1475,7 @@ let scale_bench () =
       "{\n  \"artifact\": \"scale\",\n  \"tiers\": [\n%s\n  ]\n}\n"
       (String.concat ",\n" (List.map row rows))
   in
-  let oc = open_out "BENCH_scale.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_scale.json\n";
+  write_artifact "BENCH_scale.json" json;
   List.iter
     (fun (n, _, pc, pi, sp) ->
       if n = 100_000 && sp < 10.0 then

@@ -46,6 +46,8 @@ module Obs_trace = Switchv_obs.Trace
 
 open Cmdliner
 
+let ( let* ) = Result.bind
+
 (* --- shared arguments ---------------------------------------------------- *)
 
 let program_of_name = function
@@ -78,21 +80,23 @@ let model_file_arg =
   in
   Arg.(value & opt (some file) None & info [ "f"; "model-file" ] ~docv:"FILE" ~doc)
 
+(* A model file that fails to parse or typecheck is a user error, reported
+   in one line like every other bad input. *)
 let load_model builtin = function
-  | None -> builtin
+  | None -> Ok builtin
   | Some path ->
-      let ic = open_in path in
-      let source = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let program =
-        Switchv_p4ir.P4parser.parse_exn
-          ~name:(Filename.remove_extension (Filename.basename path))
-          source
-      in
-      Switchv_p4ir.Typecheck.check_exn program;
-      program
+      Result.map_error (Printf.sprintf "%s: %s" path)
+        (let* program =
+           Switchv_p4ir.P4parser.parse
+             ~name:(Filename.remove_extension (Filename.basename path))
+             (In_channel.with_open_bin path In_channel.input_all)
+         in
+         match Switchv_p4ir.Typecheck.check program with
+         | Ok () -> Ok program
+         | Error msgs -> Error (String.concat "; " msgs))
 
-let model_arg = Term.(const load_model $ builtin_model_arg $ model_file_arg)
+let model_arg =
+  Term.(term_result' ~usage:false (const load_model $ builtin_model_arg $ model_file_arg))
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic RNG seed.")
@@ -135,18 +139,12 @@ let with_trace file f =
 let workload program scale seed =
   Workload.generate ~seed program (Workload.scaled scale Workload.inst1)
 
-let resolve_faults program entries ids =
-  let catalogue =
-    Catalogue.pins program entries
-    @ Catalogue.cerberus program entries
-    @ Catalogue.topo program entries
+let save_corpus ~faults report path =
+  let records =
+    Report.corpus_records ~faults:(List.map (fun (f : Fault.t) -> f.id) faults) report
   in
-  List.map
-    (fun id ->
-      match List.find_opt (fun (f : Fault.t) -> String.equal f.id id) catalogue with
-      | Some f -> f
-      | None -> failwith (Printf.sprintf "no catalogue fault %S for this model" id))
-    ids
+  Corpus.save path records;
+  Printf.printf "archived %d reproducer(s) to %s\n" (List.length records) path
 
 (* --- validate ------------------------------------------------------------- *)
 
@@ -181,41 +179,15 @@ let shards_arg =
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Solve every coverage goal in a fresh SMT solver instead of the \
-     incremental pipeline (shared clause database, push/pop scopes, \
-     assumption deltas). Packets and verdicts are identical either way — \
-     this knob only trades solver work, and exists so the equivalence is \
-     checkable from the shell (see $(b,make check-smt))."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let no_greybox_arg =
   let doc =
     "Disable the coverage-guided greybox feedback loop: no probe packets \
      after control batches, no coverage-novel corpus, uniform (blind) \
      mutation scheduling, and no concretely-covered SMT goal skipping. \
      Reproduces the pre-feedback fuzzer byte-identically at any \
-     $(b,--jobs) (see $(b,make check-greybox))."
+     $(b,--jobs)."
   in
   Arg.(value & flag & info [ "no-greybox" ] ~doc)
-
-let no_compile_arg =
-  let doc =
-    "Disable the staged evaluator: run every model execution through the      tree-walking interpreter with linear-scan table lookups instead of      the compiled closures + indexed match structures. Much slower at      scale; incidents, clusters and corpus are byte-identical either way      (see $(b,make check-scale))."
-  in
-  Arg.(value & flag & info [ "no-compile" ] ~doc)
-
-let no_taint_arg =
-  let doc =
-    "Disable the static taint analysis: solve every branch goal (even \
-     those whose path condition crosses a hash/selector-tainted branch) \
-     and always enumerate hash rounds in the data-plane oracle instead \
-     of using set-valued verdicts. On hash-free models the report is \
-     byte-identical either way (see $(b,make check-taint))."
-  in
-  Arg.(value & flag & info [ "no-taint" ] ~doc)
 
 (* Live exposition for a running validate: the three HTTP routes every
    scraper/operator tool needs. Coverage is recomputed per request from
@@ -251,11 +223,10 @@ let exposition_routes tele program =
 
 let validate_cmd =
   let run program seed scale fault_ids batches cache_dir trace_file corpus_file
-      minimize jobs shards no_incremental no_taint no_greybox no_compile
-      metrics_port coverage_out progress =
+      minimize jobs shards no_greybox metrics_port coverage_out progress =
     let entries = workload program scale seed in
-    let faults = resolve_faults program entries fault_ids in
-    let mk () = Stack.create ~faults ~compile:(not no_compile) program in
+    let* faults = Catalogue.resolve program entries fault_ids in
+    let mk () = Stack.create ~faults program in
     let config =
       { (Harness.default_config entries) with
         control = { Control_campaign.default_config with batches; seed; shards };
@@ -263,10 +234,7 @@ let validate_cmd =
         triage = Some { Harness.default_triage with minimize };
         jobs;
         data_shards = shards;
-        incremental = not no_incremental;
-        taint = not no_taint;
-        greybox = not no_greybox;
-        compile = not no_compile }
+        greybox = not no_greybox }
     in
     let tele = Telemetry.get () in
     let server =
@@ -304,27 +272,8 @@ let validate_cmd =
     | Some path, None ->
         Printf.printf "no coverage map collected; %s not written\n" path
     | None, _ -> ());
-    (match corpus_file with
-    | None -> ()
-    | Some path ->
-        let fault_ids = List.map (fun (f : Fault.t) -> f.id) faults in
-        let records =
-          List.filter_map
-            (fun (i : Report.incident) ->
-              Option.map
-                (fun repro ->
-                  { Corpus.c_program = report.Report.program_name;
-                    c_detector = Report.detector_to_string i.detector;
-                    c_kind = i.kind;
-                    c_fingerprint = Report.fingerprint i;
-                    c_faults = fault_ids;
-                    c_repro = repro })
-                i.repro)
-            (Report.incidents report)
-        in
-        Corpus.save path records;
-        Printf.printf "archived %d reproducer(s) to %s\n" (List.length records) path);
-    if Report.clean report then Ok () else Error (false, "incidents reported")
+    Option.iter (save_corpus ~faults report) corpus_file;
+    if Report.clean report then Ok () else Error "incidents reported"
   in
   let metrics_port_arg =
     let doc =
@@ -355,49 +304,43 @@ let validate_cmd =
     (Cmd.info "validate" ~doc)
     Term.(
       term_result' ~usage:false
-        (const (fun p s sc f b c t cf mz j sh ni nt ng nc mp co pr ->
-             match run p s sc f b c t cf mz j sh ni nt ng nc mp co pr with
-             | Ok () -> Ok ()
-             | Error (_, m) -> Error m)
-        $ model_arg $ seed_arg $ scale_arg $ faults_arg $ batches_arg $ cache_dir_arg
-        $ trace_file_arg $ save_corpus_arg $ minimize_arg $ jobs_arg $ shards_arg
-        $ no_incremental_arg $ no_taint_arg $ no_greybox_arg $ no_compile_arg
-        $ metrics_port_arg $ coverage_out_arg $ progress_arg))
+        (const run $ model_arg $ seed_arg $ scale_arg $ faults_arg $ batches_arg
+        $ cache_dir_arg $ trace_file_arg $ save_corpus_arg $ minimize_arg $ jobs_arg
+        $ shards_arg $ no_greybox_arg $ metrics_port_arg $ coverage_out_arg
+        $ progress_arg))
 
 (* --- replay ---------------------------------------------------------------- *)
 
 let replay_cmd =
   let run program seed scale fault_ids corpus_path expect_reproduce =
     let entries = workload program scale seed in
-    let faults = resolve_faults program entries fault_ids in
+    let* faults = Catalogue.resolve program entries fault_ids in
     let mk () = Stack.create ~faults program in
-    match Corpus.load corpus_path with
-    | Error e -> Error e
-    | Ok records ->
-        let reproduced = ref 0 in
-        List.iteri
-          (fun idx (r : Corpus.record) ->
-            if not (String.equal r.c_program program.Ast.p_name) then
-              Printf.printf
-                "warning: record %d captured on model %s, replaying on %s\n"
-                (idx + 1) r.c_program program.Ast.p_name;
-            let o = Corpus.replay ~mk_stack:mk r in
-            if o.Corpus.o_reproduced then incr reproduced;
-            Printf.printf "%3d %-11s %-48s %s\n" (idx + 1)
-              (if o.Corpus.o_reproduced then "REPRODUCED" else "clean")
-              r.c_fingerprint
-              (if o.Corpus.o_reproduced then o.Corpus.o_detail else ""))
-          records;
-        let total = List.length records in
-        Printf.printf "%d/%d archived incident(s) reproduced\n" !reproduced total;
-        if expect_reproduce then
-          if !reproduced = total then Ok ()
-          else
-            Error
-              (Printf.sprintf "%d archived incident(s) did not reproduce"
-                 (total - !reproduced))
-        else if !reproduced = 0 then Ok ()
-        else Error (Printf.sprintf "%d regression(s) reproduced" !reproduced)
+    let* records = Corpus.load corpus_path in
+    let reproduced = ref 0 in
+    List.iteri
+      (fun idx (r : Corpus.record) ->
+        if not (String.equal r.c_program program.Ast.p_name) then
+          Printf.printf
+            "warning: record %d captured on model %s, replaying on %s\n"
+            (idx + 1) r.c_program program.Ast.p_name;
+        let o = Corpus.replay ~mk_stack:mk r in
+        if o.Corpus.o_reproduced then incr reproduced;
+        Printf.printf "%3d %-11s %-48s %s\n" (idx + 1)
+          (if o.Corpus.o_reproduced then "REPRODUCED" else "clean")
+          r.c_fingerprint
+          (if o.Corpus.o_reproduced then o.Corpus.o_detail else ""))
+      records;
+    let total = List.length records in
+    Printf.printf "%d/%d archived incident(s) reproduced\n" !reproduced total;
+    if expect_reproduce then
+      if !reproduced = total then Ok ()
+      else
+        Error
+          (Printf.sprintf "%d archived incident(s) did not reproduce"
+             (total - !reproduced))
+    else if !reproduced = 0 then Ok ()
+    else Error (Printf.sprintf "%d regression(s) reproduced" !reproduced)
   in
   let corpus_arg =
     let doc = "The JSONL regression corpus to replay." in
@@ -421,96 +364,55 @@ let replay_cmd =
     (Cmd.info "replay" ~doc)
     Term.(
       term_result' ~usage:false
-        (const (fun p s sc f c e ->
-             match run p s sc f c e with Ok () -> Ok () | Error m -> Error m)
-        $ model_arg $ seed_arg $ scale_arg $ faults_arg $ corpus_arg
+        (const run $ model_arg $ seed_arg $ scale_arg $ faults_arg $ corpus_arg
         $ expect_reproduce_arg))
 
 (* --- fabric ---------------------------------------------------------------- *)
 
 let fabric_cmd =
   let run program shape switches spines seed fault_ids fault_switch budget
-      no_packet_out jobs shards minimize no_compile trace_file corpus_file =
-    match
-      (try Ok (Topo.build ?spines shape switches)
-       with Invalid_argument m -> Error m)
-    with
-    | Error m -> Error m
-    | Ok topo ->
-        if fault_switch < 0 || fault_switch >= Topo.switches topo then
-          Error (Printf.sprintf "--fault-switch %d out of range" fault_switch)
-        else begin
-          (* Resolve fault ids against the seeded switch's own route plan
-             (catalogue constructors that need entries, e.g. table names,
-             see what that switch will be programmed with). *)
-          let entries = Routes.entries topo program ~switch:fault_switch in
-          let catalogue =
-            Catalogue.pins program entries
-            @ Catalogue.cerberus program entries
-            @ Catalogue.topo program entries
-          in
-          let faults =
-            List.map
-              (fun id ->
-                match
-                  List.find_opt
-                    (fun (f : Fault.t) -> String.equal f.id id)
-                    catalogue
-                with
-                | Some f -> f
-                | None ->
-                    failwith
-                      (Printf.sprintf "no catalogue fault %S for this model" id))
-              fault_ids
-          in
-          let cfg =
-            { (Fabric_campaign.default_config shape switches) with
-              Fabric_campaign.spines;
-              seed;
-              budget;
-              shards;
-              packet_out = not no_packet_out;
-              faults = (if faults = [] then [] else [ (fault_switch, faults) ]);
-              minimize;
-              compile = not no_compile }
-          in
-          let tele = Telemetry.get () in
-          let incidents, stats =
-            with_trace trace_file (fun () -> Fabric_campaign.run ~jobs program cfg)
-          in
-          let reps, clusters = Fabric_campaign.cluster incidents in
-          let report =
-            { (Report.empty program.Ast.p_name) with
-              Report.fabric_incidents = reps;
-              fabric_stats = Some stats;
-              clusters = Some clusters;
-              telemetry = Some (Telemetry.snapshot tele);
-              coverage = Some (Coverage.of_registry tele program) }
-          in
-          Format.printf "%a@." Report.pp report;
-          (match corpus_file with
-          | None -> ()
-          | Some path ->
-              let fault_ids = List.map (fun (f : Fault.t) -> f.id) faults in
-              let records =
-                List.filter_map
-                  (fun (i : Report.incident) ->
-                    Option.map
-                      (fun repro ->
-                        { Corpus.c_program = report.Report.program_name;
-                          c_detector = Report.detector_to_string i.detector;
-                          c_kind = i.kind;
-                          c_fingerprint = Report.fingerprint i;
-                          c_faults = fault_ids;
-                          c_repro = repro })
-                      i.repro)
-                  (Report.incidents report)
-              in
-              Corpus.save path records;
-              Printf.printf "archived %d reproducer(s) to %s\n"
-                (List.length records) path);
-          if Report.clean report then Ok () else Error "incidents reported"
-        end
+      no_packet_out jobs shards minimize trace_file corpus_file =
+    let* topo =
+      try Ok (Topo.build ?spines shape switches) with Invalid_argument m -> Error m
+    in
+    if fault_switch < 0 || fault_switch >= Topo.switches topo then
+      Error (Printf.sprintf "--fault-switch %d out of range" fault_switch)
+    else begin
+      (* Resolve fault ids against the seeded switch's own route plan
+         (catalogue constructors that need entries, e.g. table names, see
+         what that switch will be programmed with). *)
+      let* faults =
+        Catalogue.resolve program
+          (Routes.entries topo program ~switch:fault_switch)
+          fault_ids
+      in
+      let cfg =
+        { (Fabric_campaign.default_config shape switches) with
+          Fabric_campaign.spines;
+          seed;
+          budget;
+          shards;
+          packet_out = not no_packet_out;
+          faults = (if faults = [] then [] else [ (fault_switch, faults) ]);
+          minimize }
+      in
+      let tele = Telemetry.get () in
+      let incidents, stats =
+        with_trace trace_file (fun () -> Fabric_campaign.run ~jobs program cfg)
+      in
+      let reps, clusters = Fabric_campaign.cluster incidents in
+      let report =
+        { (Report.empty program.Ast.p_name) with
+          Report.fabric_incidents = reps;
+          fabric_stats = Some stats;
+          clusters = Some clusters;
+          telemetry = Some (Telemetry.snapshot tele);
+          coverage = Some (Coverage.of_registry tele program) }
+      in
+      Format.printf "%a@." Report.pp report;
+      Option.iter (save_corpus ~faults report) corpus_file;
+      if Report.clean report then Ok () else Error "incidents reported"
+    end
   in
   let shape_conv =
     let parse s = Result.map_error (fun m -> `Msg m) (Topo.shape_of_string s) in
@@ -558,22 +460,17 @@ let fabric_cmd =
     (Cmd.info "fabric" ~doc)
     Term.(
       term_result' ~usage:false
-        (const (fun p t sw sp s f fs b np j sh mz nc tr cf ->
-             match run p t sw sp s f fs b np j sh mz nc tr cf with
-             | Ok () -> Ok ()
-             | Error m -> Error m)
-        $ model_arg $ topo_arg $ switches_arg $ spines_arg $ seed_arg
-        $ faults_arg $ fault_switch_arg $ budget_arg $ no_packet_out_arg
-        $ jobs_arg $ shards_arg $ minimize_arg $ no_compile_arg
-        $ trace_file_arg $ save_corpus_arg))
+        (const run $ model_arg $ topo_arg $ switches_arg $ spines_arg $ seed_arg
+        $ faults_arg $ fault_switch_arg $ budget_arg $ no_packet_out_arg $ jobs_arg
+        $ shards_arg $ minimize_arg $ trace_file_arg $ save_corpus_arg))
 
 (* --- fuzz ------------------------------------------------------------------- *)
 
 let fuzz_cmd =
-  let run program seed fault_ids batches no_greybox no_compile =
+  let run program seed fault_ids batches no_greybox =
     let entries = workload program 0.1 seed in
-    let faults = resolve_faults program entries fault_ids in
-    let stack = Stack.create ~faults ~compile:(not no_compile) program in
+    let* faults = Catalogue.resolve program entries fault_ids in
+    let stack = Stack.create ~faults program in
     let incidents, stats =
       Control_campaign.run stack
         { Control_campaign.default_config with
@@ -586,20 +483,20 @@ let fuzz_cmd =
       Printf.printf "greybox: %d novel edges, %d corpus seeds\n"
         stats.cs_novel_edges stats.cs_corpus_seeds;
     List.iter (fun i -> Format.printf "%a@." Report.pp_incident i) incidents;
-    Printf.printf "%d incident(s)\n" (List.length incidents)
+    Printf.printf "%d incident(s)\n" (List.length incidents);
+    Ok ()
   in
   let doc = "Run the control-plane fuzzing campaign only (p4-fuzzer + oracle)." in
   Cmd.v
     (Cmd.info "fuzz" ~doc)
     Term.(
-      const run $ model_arg $ seed_arg $ faults_arg $ batches_arg
-      $ no_greybox_arg $ no_compile_arg)
+      term_result' ~usage:false
+        (const run $ model_arg $ seed_arg $ faults_arg $ batches_arg $ no_greybox_arg))
 
 (* --- genpackets ---------------------------------------------------------------- *)
 
 let genpackets_cmd =
-  let run program seed scale cache_dir verbose trace_tables no_prune
-      no_incremental =
+  let run program seed scale cache_dir verbose trace_tables =
     let entries = workload program scale seed in
     let t0 = Telemetry.Clock.now () in
     let encoding = Symexec.encode program entries in
@@ -609,16 +506,12 @@ let genpackets_cmd =
       | tables -> Packetgen.trace_coverage_goals encoding ~tables
     in
     let goals =
-      if no_prune then goals
-      else
-        let facts = Analysis.facts ~check_restrictions:false program in
-        Packetgen.prune_tainted_goals facts.Analysis.f_taint
-          (Packetgen.prune_goals facts goals)
+      let facts = Analysis.facts ~check_restrictions:false program in
+      Packetgen.prune_tainted_goals facts.Analysis.f_taint
+        (Packetgen.prune_goals facts goals)
     in
     let cache = Option.map Cache.on_disk cache_dir in
-    let result =
-      Packetgen.generate ?cache ~incremental:(not no_incremental) encoding goals
-    in
+    let result = Packetgen.generate ?cache encoding goals in
     Printf.printf "%d entries, %d goals: %d covered, %d uncoverable in %.2fs%s\n"
       (List.length entries) (List.length goals) result.covered result.uncoverable
       (Telemetry.Clock.duration ~since:t0)
@@ -645,21 +538,11 @@ let genpackets_cmd =
           ~doc:
             "Comma-separated table names: cover the cross-product of their              trace points instead of per-entry coverage (§5's selective              trace coverage).")
   in
-  let no_prune =
-    Arg.(
-      value & flag
-      & info [ "no-prune" ]
-          ~doc:
-            "Keep coverage goals the static analysis proved uncoverable \
-             (dead tables, statically-decided branches) or classified as \
-             hash/selector-tainted instead of pruning them before the SMT \
-             stage.")
-  in
   Cmd.v
     (Cmd.info "genpackets" ~doc)
     Term.(
       const run $ model_arg $ seed_arg $ scale_arg $ cache_dir_arg $ verbose
-      $ trace_tables $ no_prune $ no_incremental_arg)
+      $ trace_tables)
 
 (* --- lint ------------------------------------------------------------------------ *)
 
@@ -697,7 +580,7 @@ let lint_cmd =
       List.iter (fun d -> Format.printf "%a@." Diagnostics.pp d) shown;
       Format.printf "%s: %a@." program.Ast.p_name Diagnostics.pp_summary all
     end;
-    if Diagnostics.has_errors all then Error (false, "lint errors reported")
+    if Diagnostics.has_errors all then Error "lint errors reported"
     else Ok ()
   in
   let json_arg =
@@ -743,25 +626,25 @@ let lint_cmd =
     (Cmd.info "lint" ~doc)
     Term.(
       term_result' ~usage:false
-        (const (fun p sev nr j ->
-             match run p sev nr j with Ok () -> Ok () | Error (_, m) -> Error m)
-        $ model_arg $ severity_arg $ no_restrictions $ json_arg))
+        (const run $ model_arg $ severity_arg $ no_restrictions $ json_arg))
 
 (* --- trivial --------------------------------------------------------------------- *)
 
 let trivial_cmd =
   let run program seed fault_ids =
     let entries = workload program 0.1 seed in
-    let faults = resolve_faults program entries fault_ids in
+    let* faults = Catalogue.resolve program entries fault_ids in
     let results = Trivial_suite.run_all (Stack.create ~faults program) in
     List.iter
       (fun (t, ok) ->
         Printf.printf "%-28s %s\n" (Fault.trivial_test_to_string t)
           (if ok then "PASS" else "FAIL"))
-      results
+      results;
+    Ok ()
   in
   let doc = "Run the trivial integration-test suite of the paper's Table 2." in
-  Cmd.v (Cmd.info "trivial" ~doc) Term.(const run $ model_arg $ seed_arg $ faults_arg)
+  Cmd.v (Cmd.info "trivial" ~doc)
+    Term.(term_result' ~usage:false (const run $ model_arg $ seed_arg $ faults_arg))
 
 (* --- model ------------------------------------------------------------------------- *)
 
@@ -781,7 +664,7 @@ let model_cmd =
 let metrics_cmd =
   let run program seed fault_ids =
     let entries = workload program 0.1 seed in
-    let faults = resolve_faults program entries fault_ids in
+    let* faults = Catalogue.resolve program entries fault_ids in
     let metrics =
       Switchv_core.Metrics.collect (fun () -> Stack.create ~faults program) entries
     in
@@ -792,32 +675,37 @@ let metrics_cmd =
           [ "ipv4_table"; "ipv6_table"; "nexthop_table"; "wcmp_group_table";
             "router_interface_table"; "neighbor_table" ]
     in
-    Format.printf "%a@." Switchv_core.Metrics.pp [ routing ]
+    Format.printf "%a@." Switchv_core.Metrics.pp [ routing ];
+    Ok ()
   in
   let doc = "Per-table OKR coverage metrics (§7): fuzz handling and packet behaviour." in
-  Cmd.v (Cmd.info "metrics" ~doc) Term.(const run $ model_arg $ seed_arg $ faults_arg)
+  Cmd.v (Cmd.info "metrics" ~doc)
+    Term.(term_result' ~usage:false (const run $ model_arg $ seed_arg $ faults_arg))
 
 (* --- catalogue ----------------------------------------------------------------------- *)
 
 let catalogue_cmd =
   let run which =
     let entries p = Workload.generate ~seed:1 p Workload.small in
-    let faults =
+    let* faults =
       match which with
       | "pins" ->
-          Catalogue.pins Switchv_sai.Middleblock.program
-            (entries Switchv_sai.Middleblock.program)
+          Ok
+            (Catalogue.pins Switchv_sai.Middleblock.program
+               (entries Switchv_sai.Middleblock.program))
       | "cerberus" ->
-          Catalogue.cerberus Switchv_sai.Cerberus.program
-            (entries Switchv_sai.Cerberus.program)
+          Ok
+            (Catalogue.cerberus Switchv_sai.Cerberus.program
+               (entries Switchv_sai.Cerberus.program))
       | "topo" ->
-          Catalogue.topo Switchv_sai.Middleblock.program
-            (entries Switchv_sai.Middleblock.program)
-      | other ->
-          failwith (Printf.sprintf "unknown catalogue %S (pins|cerberus|topo)" other)
+          Ok
+            (Catalogue.topo Switchv_sai.Middleblock.program
+               (entries Switchv_sai.Middleblock.program))
+      | other -> Error (Printf.sprintf "unknown catalogue %S (pins|cerberus|topo)" other)
     in
     List.iter (fun f -> Format.printf "%a@." Fault.pp f) faults;
-    Printf.printf "%d faults\n" (List.length faults)
+    Printf.printf "%d faults\n" (List.length faults);
+    Ok ()
   in
   let which =
     Arg.(
@@ -825,7 +713,7 @@ let catalogue_cmd =
       & info [] ~docv:"STACK" ~doc:"pins, cerberus, or topo")
   in
   let doc = "List the seeded-bug catalogue (the paper's Table 1 population)." in
-  Cmd.v (Cmd.info "catalogue" ~doc) Term.(const run $ which)
+  Cmd.v (Cmd.info "catalogue" ~doc) Term.(term_result' ~usage:false (const run $ which))
 
 (* --- top ----------------------------------------------------------------------------- *)
 
@@ -961,9 +849,7 @@ let top_cmd =
     (Cmd.info "top" ~doc)
     Term.(
       term_result' ~usage:false
-        (const (fun h p i o f l ->
-             match run h p i o f l with Ok () -> Ok () | Error m -> Error m)
-        $ host_arg $ port_arg $ interval_arg $ once_arg $ fetch_arg $ lint_arg))
+        (const run $ host_arg $ port_arg $ interval_arg $ once_arg $ fetch_arg $ lint_arg))
 
 (* --- trace-export --------------------------------------------------------------------- *)
 
@@ -1027,9 +913,7 @@ let trace_export_cmd =
     (Cmd.info "trace-export" ~doc)
     Term.(
       term_result' ~usage:false
-        (const (fun i c o ->
-             match run i c o with Ok () -> Ok () | Error m -> Error m)
-        $ input_arg $ chrome_arg $ output_arg))
+        (const run $ input_arg $ chrome_arg $ output_arg))
 
 let () =
   (* Ctrl-C raises [Sys.Break] so in-flight work unwinds through its

@@ -21,9 +21,10 @@
      as [Interp.ordered_entries] + first-match — see that comment for the
      tie-break contract.
 
-   [Interp] stays the retained linear-scan reference: campaigns run with
-   [--no-compile] must be byte-identical (cmp-gated by `make check-scale`),
-   and test/test_match.ml drives both evaluators differentially. *)
+   [Interp] stays the retained linear-scan reference, as a test oracle:
+   campaigns run with [compile = false] must be byte-identical (a row of
+   the determinism matrix in test/test_parallel.ml), and
+   test/test_match.ml drives both evaluators differentially. *)
 
 module Bitvec = Switchv_bitvec.Bitvec
 module Packet = Switchv_packet.Packet

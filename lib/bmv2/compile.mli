@@ -8,9 +8,10 @@
     (trace included), same coverage-counter keys (branch ids baked with
     the interpreter's pre-order numbering), same hash-call accounting,
     same [Parse_failure] messages. [Interp] remains the retained
-    linear-scan reference — campaigns run with [--no-compile] must be
-    byte-identical (see `make check-scale`), and test/test_match.ml
-    drives both differentially.
+    linear-scan reference, as a test oracle — campaigns run with
+    [compile = false] must be byte-identical (a row of the determinism
+    matrix in test/test_parallel.ml), and test/test_match.ml drives both
+    differentially.
 
     Staged pipelines are memoized per program value (physical equality,
     bounded), so staging is a one-time cost per long-lived program. *)

@@ -9,7 +9,6 @@ module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
 module Shard = Switchv_parallel.Shard
 module Pool = Switchv_parallel.Pool
-module Jsonp = Switchv_triage.Jsonp
 
 type config = {
   batches : int;
@@ -201,80 +200,46 @@ let run ?push_p4info stack config =
 
 (* --- sharded execution ---------------------------------------------------- *)
 
-module Json = Telemetry.Json
+let shard_to_json (incidents, (s : Report.control_stats)) =
+  Report.shard_to_json incidents
+    (List.map float_of_int
+       [ s.cs_batches; s.cs_updates; s.cs_valid_updates; s.cs_invalid_updates;
+         s.cs_novel_edges; s.cs_corpus_seeds ]
+    @ [ s.cs_duration ])
 
-let serialize_shard (incidents, stats) =
-  Json.obj
-    [ ("incidents", Json.arr (List.map Report.incident_ipc_to_json incidents));
-      ("stats", Report.control_stats_to_json stats) ]
-
-let deserialize_shard payload =
-  let ( let* ) = Result.bind in
-  let* j = Jsonp.parse payload in
-  let* incidents =
-    match Jsonp.member "incidents" j with
-    | Some (Jsonp.Arr xs) ->
-        List.fold_left
-          (fun acc x ->
-            let* acc = acc in
-            let* i = Report.incident_of_ipc_json x in
-            Ok (i :: acc))
-          (Ok []) xs
-        |> Result.map List.rev
-    | _ -> Error "control shard payload: missing incidents"
-  in
-  let* stats =
-    match Jsonp.member "stats" j with
-    | Some sj -> Report.control_stats_of_json sj
-    | None -> Error "control shard payload: missing stats"
-  in
-  Ok (incidents, stats)
-
-let truncate n xs =
-  let rec go n = function
-    | x :: tl when n > 0 -> x :: go (n - 1) tl
-    | _ -> []
-  in
-  go n xs
+let shard_of_json payload =
+  match Report.shard_of_json payload with
+  | Ok (incidents, [ batches; updates; valid; invalid; novel; seeds; cs_duration ]) ->
+      Ok
+        ( incidents,
+          { Report.cs_batches = int_of_float batches;
+            cs_updates = int_of_float updates;
+            cs_valid_updates = int_of_float valid;
+            cs_invalid_updates = int_of_float invalid;
+            cs_novel_edges = int_of_float novel;
+            cs_corpus_seeds = int_of_float seeds;
+            cs_duration } )
+  | Ok _ -> Error "control shard payload: wrong totals"
+  | Error e -> Error e
 
 let run_sharded ?(push_p4info = true) ?(jobs = 1) ?stack0 mk_stack config =
   let shards = max 1 config.shards in
   let stack_for shard =
     match stack0 with Some s when shard = 0 -> s | _ -> mk_stack ()
   in
-  (* Merge in shard order: each shard ran with the full incident budget, so
-     truncating the concatenation to [max_incidents] yields the same prefix
-     whether shards ran sequentially or in any parallel interleaving. *)
-  let merge results =
-    let incidents = truncate config.max_incidents (List.concat_map fst results) in
-    (incidents, Report.merge_control_stats (List.map snd results))
+  let results =
+    Pool.map ~jobs ~shards
+      ~parent_shards:(if stack0 <> None then [ 0 ] else [])
+      ~encode:shard_to_json ~decode:shard_of_json
+      (fun shard -> run_shard ~push_p4info (stack_for shard) config ~shard)
   in
-  if shards = 1 && jobs <= 1 then run ~push_p4info (stack_for 0) config
-  else if jobs <= 1 then
-    merge
-      (List.init shards (fun shard ->
-           run_shard ~push_p4info (stack_for shard) config ~shard))
-  else begin
-    let parent_shards = if stack0 <> None then [ 0 ] else [] in
-    let task shard =
-      serialize_shard (run_shard ~push_p4info (stack_for shard) config ~shard)
-    in
-    let pool = Pool.run ~jobs ~shards ~parent_shards task in
-    let results =
-      List.filter_map
-        (function
-          | Pool.Done payload -> (
-              match deserialize_shard payload with
-              | Ok r -> Some r
-              | Error e ->
-                  (* Same degradation contract as a crashed worker: drop the
-                     shard, keep the campaign. *)
-                  Telemetry.incr (Telemetry.get ()) "parallel.workers_failed";
-                  Printf.eprintf
-                    "switchv: dropping undecodable control shard: %s\n%!" e;
-                  None)
-          | Pool.Lost _ -> None)
-        (Array.to_list pool.Pool.outcomes)
-    in
-    merge results
-  end
+  match results with
+  | [ single ] when shards = 1 -> single
+  | _ ->
+      (* Merge in shard order: each shard ran with the full incident
+         budget, so truncating the concatenation to [max_incidents] yields
+         the same prefix whether shards ran sequentially or in any
+         parallel interleaving. *)
+      ( List.filteri (fun i _ -> i < config.max_incidents)
+          (List.concat_map fst results),
+        Report.merge_control_stats (List.map snd results) )

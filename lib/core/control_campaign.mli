@@ -58,11 +58,13 @@ val run_sharded :
   (unit -> Stack.t) ->
   config ->
   Report.incident list * Report.control_stats
-(** Run every shard and merge in shard order (incident list truncated to
-    [max_incidents]; stats summed). [jobs <= 1] runs shards sequentially
-    in-process; [jobs > 1] fans the remaining shards out over a
-    {!Switchv_parallel.Pool}, streaming results back as JSON. When
-    [stack0] is given, shard 0 runs on it {e in this process} (parallel
-    runs included), so the caller can harvest the fuzzed switch state
-    afterwards. A lost worker drops its shards with a logged warning and
-    a [parallel.workers_failed] bump; the merge simply has less input. *)
+(** Run every shard through {!Switchv_parallel.Pool.map} and merge in
+    shard order (incident list truncated to [max_incidents]; stats
+    summed). With one shard the result is exactly {!run}'s, untruncated.
+    [jobs <= 1] runs shards sequentially in-process; [jobs > 1] fans the
+    remaining shards out over forked workers, streaming results back as
+    JSON. When [stack0] is given, shard 0 runs on it {e in this process}
+    (parallel runs included), so the caller can harvest the fuzzed switch
+    state afterwards. A lost worker drops its shards with a logged warning
+    and a [parallel.workers_failed] bump; the merge simply has less
+    input. *)

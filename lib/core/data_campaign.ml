@@ -18,7 +18,6 @@ module Dataplane = Switchv_oracle.Dataplane
 module Taint = Switchv_analysis.Taint
 module Shard = Switchv_parallel.Shard
 module Pool = Switchv_parallel.Pool
-module Jsonp = Switchv_triage.Jsonp
 
 type config = {
   entries : Entry.t list;
@@ -38,7 +37,7 @@ type config = {
   compile : bool;
       (* staged evaluator for every model execution (table lookups served
          from indexed match structures); [false] is the linear-scan
-         reference path ([--no-compile]), byte-identical by contract *)
+         reference path, byte-identical by contract *)
   covered_edges : string list;
       (* edges the caller already covered concretely (the harness passes
          the control campaign's delta): branch goals over them skip SMT.
@@ -160,6 +159,12 @@ let pp_behavior_set fmt bs =
        ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
        Interp.pp_behavior)
     bs
+
+let model_config program entries =
+  let state = State.create () in
+  List.iter (fun e -> ignore (State.insert state e)) entries;
+  { Interp.program; state; hash_mode = Interp.Fixed 0;
+    mirror_map = Workload.mirror_map entries }
 
 (* --- goal slices -----------------------------------------------------------
 
@@ -286,59 +291,23 @@ let run_slice stack config ~oracle ~encoding ~base_incidents (offset, goals) =
     sl_misses =
       (match config.cache with Some c -> Cache.misses c - misses_before | None -> 0) }
 
-module Json = Telemetry.Json
+let slice_to_json r =
+  Report.shard_to_json r.sl_incidents
+    [ float_of_int r.sl_covered; float_of_int r.sl_uncoverable;
+      float_of_int r.sl_tested; r.sl_gen_s; r.sl_test_s; float_of_int r.sl_hits;
+      float_of_int r.sl_misses ]
 
-let serialize_slice r =
-  Json.obj
-    [ ("incidents", Json.arr (List.map Report.incident_ipc_to_json r.sl_incidents));
-      ("covered", Json.int r.sl_covered);
-      ("uncoverable", Json.int r.sl_uncoverable);
-      ("tested", Json.int r.sl_tested);
-      ("gen_s", Json.num r.sl_gen_s); ("test_s", Json.num r.sl_test_s);
-      ("cache_hits", Json.int r.sl_hits); ("cache_misses", Json.int r.sl_misses) ]
-
-let deserialize_slice payload =
-  let ( let* ) = Result.bind in
-  let* j = Jsonp.parse payload in
-  let int name =
-    match Option.bind (Jsonp.member name j) Jsonp.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "data slice payload: missing field %S" name)
-  in
-  let num name =
-    match Option.bind (Jsonp.member name j) Jsonp.to_num with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "data slice payload: missing field %S" name)
-  in
-  let* sl_incidents =
-    match Jsonp.member "incidents" j with
-    | Some (Jsonp.Arr xs) ->
-        List.fold_left
-          (fun acc x ->
-            let* acc = acc in
-            let* i = Report.incident_of_ipc_json x in
-            Ok (i :: acc))
-          (Ok []) xs
-        |> Result.map List.rev
-    | _ -> Error "data slice payload: missing incidents"
-  in
-  let* sl_covered = int "covered" in
-  let* sl_uncoverable = int "uncoverable" in
-  let* sl_tested = int "tested" in
-  let* sl_gen_s = num "gen_s" in
-  let* sl_test_s = num "test_s" in
-  let* sl_hits = int "cache_hits" in
-  let* sl_misses = int "cache_misses" in
-  Ok
-    { sl_incidents; sl_covered; sl_uncoverable; sl_tested; sl_gen_s; sl_test_s;
-      sl_hits; sl_misses }
-
-let truncate n xs =
-  let rec go n = function
-    | x :: tl when n > 0 -> x :: go (n - 1) tl
-    | _ -> []
-  in
-  go n xs
+let slice_of_json payload =
+  match Report.shard_of_json payload with
+  | Ok (sl_incidents, [ covered; uncoverable; tested; sl_gen_s; sl_test_s; hits; misses ])
+    ->
+      Ok
+        { sl_incidents; sl_covered = int_of_float covered;
+          sl_uncoverable = int_of_float uncoverable; sl_tested = int_of_float tested;
+          sl_gen_s; sl_test_s; sl_hits = int_of_float hits;
+          sl_misses = int_of_float misses }
+  | Ok _ -> Error "data slice payload: wrong totals"
+  | Error e -> Error e
 
 let run ?(push_p4info = true) ?(jobs = 1) stack config =
   let tele = Telemetry.get () in
@@ -373,14 +342,7 @@ let run ?(push_p4info = true) ?(jobs = 1) stack config =
   (* The reference model runs over the intended entry set regardless of
      what the switch accepted: a rejected entry is already an incident, and
      the paper's simulator is configured with the full replay. *)
-  let model_state = State.create () in
-  List.iter (fun e -> ignore (State.insert model_state e)) config.entries;
-  let model_cfg =
-    { Interp.program = Stack.program stack;
-      state = model_state;
-      hash_mode = Interp.Fixed 0;
-      mirror_map = Workload.mirror_map config.entries }
-  in
+  let model_cfg = model_config (Stack.program stack) config.entries in
   (* Generation prelude — encoding, goal construction, static pruning — runs
      once in the parent; forked workers inherit the result copy-on-write. *)
   let prep_start = Telemetry.Clock.now () in
@@ -453,37 +415,13 @@ let run ?(push_p4info = true) ?(jobs = 1) stack config =
   let slices = Shard.partition ~shards goals in
   let base_incidents = !n_incidents in
   let slice_results =
-    if jobs <= 1 || shards = 1 then
-      (* Sequential path: the identical decomposition, run in shard order
-         in-process (no serialization round-trip). *)
-      Array.to_list
-        (Array.map (run_slice stack config ~oracle ~encoding ~base_incidents)
-           slices)
-    else begin
-      let task s =
-        serialize_slice
-          (run_slice stack config ~oracle ~encoding ~base_incidents slices.(s))
-      in
-      let pool = Pool.run ~jobs ~shards task in
-      List.filter_map
-        (function
-          | Pool.Done payload -> (
-              match deserialize_slice payload with
-              | Ok r -> Some r
-              | Error e ->
-                  (* Same degradation contract as a crashed worker: drop the
-                     slice, keep the campaign. *)
-                  Telemetry.incr tele "parallel.workers_failed";
-                  Printf.eprintf
-                    "switchv: dropping undecodable data slice: %s\n%!" e;
-                  None)
-          | Pool.Lost _ -> None)
-        (Array.to_list pool.Pool.outcomes)
-    end
+    Pool.map ~jobs ~shards ~encode:slice_to_json ~decode:slice_of_json (fun s ->
+        run_slice stack config ~oracle ~encoding ~base_incidents slices.(s))
   in
   (* Merge in slice order; see the budget rule above [run_slice]. *)
   let merged_incidents =
-    truncate (config.max_incidents - base_incidents)
+    List.filteri
+      (fun i _ -> i < config.max_incidents - base_incidents)
       (List.concat_map (fun r -> r.sl_incidents) slice_results)
   in
   n_incidents := base_incidents + List.length merged_incidents;

@@ -41,7 +41,8 @@ type config = {
       (** Use the incremental SMT pipeline for packet generation (on by
           default). Canonical model extraction makes the generated packets
           identical either way — see {!Packetgen.generate} — so this knob
-          only trades solver work, never results. *)
+          only trades solver work, never results; [false] (per-goal
+          scratch solving) is a test oracle. *)
   taint : bool;
       (** Use the static taint summary (on by default): branch goals whose
           path condition crosses a hash/selector-tainted branch are
@@ -50,7 +51,8 @@ type config = {
           set-valued {!Switchv_oracle.Dataplane} oracle instead of always
           enumerating hash rounds. Escalation makes the verdicts
           fault-equivalent; on hash-free programs, incidents and corpus
-          output are byte-identical either way. *)
+          output are byte-identical either way ([false] is a test
+          oracle). *)
   greybox : bool;
       (** Capture the coverage-counter delta of every injected test packet
           into a slice-local {!Switchv_fuzzer.Greybox} novelty map and
@@ -63,8 +65,9 @@ type config = {
           ({!Switchv_bmv2.Compile}: one-time closure compilation + indexed
           table lookups) instead of the tree-walking interpreter (on by
           default). Behaviour-identical by contract — incidents, clusters
-          and corpus are byte-identical either way (the [--no-compile]
-          escape hatch, cmp-gated by `make check-scale`). *)
+          and corpus are byte-identical either way; [false] is the
+          reference oracle the determinism matrix in
+          [test/test_parallel.ml] compares against. *)
   covered_edges : string list;
       (** Coverage edges ([cov.…] keys) the caller's earlier campaign
           already drove concretely; branch goals over them skip the SMT
@@ -83,14 +86,34 @@ val run :
   Stack.t ->
   config ->
   Report.incident list * Report.data_stats
-(** Install the entries, then generate + test each goal slice —
-    sequentially when [jobs <= 1] (the default), else over a forked
-    {!Switchv_parallel.Pool} whose workers inherit the installed stack
-    and symbolic encoding copy-on-write. Slice results merge in slice
+(** Install the entries, then generate + test each goal slice through
+    {!Switchv_parallel.Pool.map} — sequentially in-process when
+    [jobs <= 1] (the default) or [shards = 1], else over forked workers
+    that inherit the installed stack and symbolic encoding
+    copy-on-write. Slice results merge in slice
     order with the incident list truncated to [max_incidents]; the
     packet-I/O contract runs in the parent after the merge. A lost
     worker drops its slices (logged, [parallel.workers_failed]) without
     aborting the campaign. *)
+
+val install :
+  Stack.t ->
+  Entry.t list ->
+  (entry:Entry.t -> prior:Entry.t list -> string -> unit) ->
+  int
+(** [install stack entries reject] writes the (dependency-ordered)
+    entries batched by table, so no batch contains internal [@refers_to]
+    dependencies (§4.4). Each rejected entry is reported to [reject] with
+    the entries the switch had accepted before it (a reproducer prefix)
+    and a status message. Returns the number of entries installed. *)
+
+val model_config :
+  Switchv_p4ir.Ast.program -> Entry.t list -> Switchv_bmv2.Interp.config
+(** The reference model over the intended entry set (whatever the switch
+    accepted), hash outcome [Fixed 0], mirror sessions from the entries. *)
+
+val pp_behavior_set : Format.formatter -> Switchv_bmv2.Interp.behavior list -> unit
+(** [{b1; b2; …}], for divergence details. *)
 
 val exploratory_goals : Switchv_symbolic.Symexec.encoding -> Packetgen.goal list
 (** Canned tester assertions beyond entry coverage: unusual ether types

@@ -4,15 +4,12 @@ module Ast = Switchv_p4ir.Ast
 module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
-module State = Switchv_p4runtime.State
 module Interp = Switchv_bmv2.Interp
 module Compile = Switchv_bmv2.Compile
-module Workload = Switchv_sai.Workload
 module Packet = Switchv_packet.Packet
 module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
 module Fingerprint = Switchv_triage.Fingerprint
-module Jsonp = Switchv_triage.Jsonp
 module Dataplane = Switchv_oracle.Dataplane
 module Endtoend = Switchv_oracle.Endtoend
 module Topo = Switchv_topo.Topo
@@ -36,15 +33,12 @@ type config = {
   faults : (int * Fault.t list) list;
   minimize : bool;
   ddmin_probes : int;
-  compile : bool;
-      (* staged evaluator for every stack ASIC and model node; [false] is
-         the interpreted --no-compile reference path, byte-identical *)
 }
 
 let default_config shape switches =
   { shape; switches; spines = None; seed = 0; budget = None;
     max_incidents = 25; shards = 1; packet_out = true; faults = [];
-    minimize = false; ddmin_probes = 256; compile = true }
+    minimize = false; ddmin_probes = 256 }
 
 (* --- the flow suite --------------------------------------------------------
 
@@ -150,33 +144,10 @@ let flows topo cfg =
 
 (* --- setup -----------------------------------------------------------------
 
-   Same per-table batching as the data campaign (no batch contains
-   internal @refers_to dependencies); rejections become incidents carrying
-   the switch as their hop — there is no single-switch replay path for a
+   Every switch is programmed like the data campaign's stack
+   ([Data_campaign.install]); rejections become incidents carrying the
+   switch as their hop — there is no single-switch replay path for a
    fabric setup failure, so no reproducer. *)
-
-let install stack entries add_reject =
-  let batches =
-    List.fold_left
-      (fun acc (e : Entry.t) ->
-        match acc with
-        | (table, batch) :: rest when String.equal table e.e_table ->
-            (table, e :: batch) :: rest
-        | _ -> (e.e_table, [ e ]) :: acc)
-      [] entries
-    |> List.rev_map (fun (_, batch) -> List.rev batch)
-  in
-  List.iter
-    (fun batch ->
-      let updates = List.map Request.insert batch in
-      let resp = Stack.write stack { Request.updates } in
-      List.iter2
-        (fun (u : Request.update) (s : Status.t) ->
-          if not (Status.is_ok s) then
-            add_reject ~entry:u.entry
-              (Format.asprintf "%a: %a" Status.pp s Entry.pp u.entry))
-        updates resp.statuses)
-    batches
 
 type env = {
   e_topo : Topo.t;
@@ -190,13 +161,6 @@ type env = {
   e_budget : int;
   e_mk_stack : int -> unit -> Stack.t;
 }
-
-let pp_behavior_set fmt bs =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       Interp.pp_behavior)
-    bs
 
 (* One flow, both fabrics, both checks. [add] enforces the incident
    budget; at most one incident per flow (a localized hop divergence
@@ -218,9 +182,7 @@ let test_flow env ~tele
     | Po { in_switch; in_po } ->
         let bytes = Packet.to_bytes in_po.Request.po_payload in
         let model_b =
-          (if env.e_cfg.compile then Compile.run_packet_out
-           else Interp.run_packet_out)
-            env.e_model_cfgs.(in_switch)
+          Compile.run_packet_out env.e_model_cfgs.(in_switch)
             ~egress_port:in_po.Request.po_egress_port in_po.Request.po_payload
         in
         let switch_b = Stack.packet_out env.e_stacks.(in_switch) in_po in
@@ -317,7 +279,7 @@ let test_flow env ~tele
           (Format.asprintf
              "flow %s hop sw%d (ingress %d): switch behaved %a, model admits %a"
              fl.fl_id h.Fabric.h_switch h.Fabric.h_ingress Interp.pp_behavior
-             h.Fabric.h_behavior pp_behavior_set model_bs)
+             h.Fabric.h_behavior Data_campaign.pp_behavior_set model_bs)
       end
   | None -> (
       let expectation = Endtoend.of_trace model_trace in
@@ -421,50 +383,20 @@ let run_slice env ~base_incidents (_offset, slice_flows) =
     fc_hops = !hops;
     fc_localized = !localized }
 
-module Json = Telemetry.Json
+let slice_to_json r =
+  Report.shard_to_json r.fc_incidents
+    (List.map float_of_int
+       [ r.fc_flows; r.fc_delivered; r.fc_dropped; r.fc_hops; r.fc_localized ])
 
-let serialize_slice r =
-  Json.obj
-    [ ("incidents", Json.arr (List.map Report.incident_ipc_to_json r.fc_incidents));
-      ("flows", Json.int r.fc_flows);
-      ("delivered", Json.int r.fc_delivered);
-      ("dropped", Json.int r.fc_dropped);
-      ("hops", Json.int r.fc_hops);
-      ("localized", Json.int r.fc_localized) ]
-
-let deserialize_slice payload =
-  let ( let* ) = Result.bind in
-  let* j = Jsonp.parse payload in
-  let int name =
-    match Option.bind (Jsonp.member name j) Jsonp.to_int with
-    | Some n -> Ok n
-    | None -> Error (sp "fabric slice payload: missing field %S" name)
-  in
-  let* fc_incidents =
-    match Jsonp.member "incidents" j with
-    | Some (Jsonp.Arr xs) ->
-        List.fold_left
-          (fun acc x ->
-            let* acc = acc in
-            let* i = Report.incident_of_ipc_json x in
-            Ok (i :: acc))
-          (Ok []) xs
-        |> Result.map List.rev
-    | _ -> Error "fabric slice payload: missing incidents"
-  in
-  let* fc_flows = int "flows" in
-  let* fc_delivered = int "delivered" in
-  let* fc_dropped = int "dropped" in
-  let* fc_hops = int "hops" in
-  let* fc_localized = int "localized" in
-  Ok { fc_incidents; fc_flows; fc_delivered; fc_dropped; fc_hops; fc_localized }
-
-let truncate n xs =
-  let rec go n = function
-    | x :: tl when n > 0 -> x :: go (n - 1) tl
-    | _ -> []
-  in
-  go n xs
+let slice_of_json payload =
+  match Report.shard_of_json payload with
+  | Ok (fc_incidents, [ flows; delivered; dropped; hops; localized ]) ->
+      Ok
+        { fc_incidents; fc_flows = int_of_float flows;
+          fc_delivered = int_of_float delivered; fc_dropped = int_of_float dropped;
+          fc_hops = int_of_float hops; fc_localized = int_of_float localized }
+  | Ok _ -> Error "fabric slice payload: wrong totals"
+  | Error e -> Error e
 
 let run ?(jobs = 1) program cfg =
   let tele = Telemetry.get () in
@@ -491,7 +423,7 @@ let run ?(jobs = 1) program cfg =
   in
   let mk_stack s () =
     Stack.create ~faults:(faults_for s) ~hash_seed:(0x5EED + cfg.seed + s)
-      ~compile:cfg.compile program
+      program
   in
   (* Setup runs once in the parent; forked slice workers inherit the
      programmed stacks and model states copy-on-write. *)
@@ -503,41 +435,29 @@ let run ?(jobs = 1) program cfg =
           add "p4info rejected"
             ~context:(Report.context ~hop:(sp "sw%d" s) ())
             (Format.asprintf "sw%d: Set P4Info failed: %a" s Status.pp status);
-        install st entries_for.(s) (fun ~entry detail ->
-            add "entry rejected during fabric setup"
-              ~context:
-                (Report.context ~table:entry.Entry.e_table ~hop:(sp "sw%d" s)
-                   ())
-              (sp "sw%d: %s" s detail));
+        ignore
+          (Data_campaign.install st entries_for.(s) (fun ~entry ~prior:_ detail ->
+               add "entry rejected during fabric setup"
+                 ~context:
+                   (Report.context ~table:entry.Entry.e_table ~hop:(sp "sw%d" s)
+                      ())
+                 (sp "sw%d: %s" s detail)));
         st)
   in
   (* The reference fabric runs over the intended entry sets regardless of
      what each switch accepted — a rejection is already an incident. *)
-  let model_cfgs =
-    Array.init n (fun s ->
-        let state = State.create () in
-        List.iter (fun e -> ignore (State.insert state e)) entries_for.(s);
-        { Interp.program;
-          state;
-          hash_mode = Interp.Fixed 0;
-          mirror_map = Workload.mirror_map entries_for.(s) })
-  in
+  let model_cfgs = Array.map (Data_campaign.model_config program) entries_for in
   let taint =
     (Switchv_analysis.Analysis.facts ~check_restrictions:false program)
       .Switchv_analysis.Analysis.f_taint
   in
-  let oracles =
-    Array.map (fun c -> Dataplane.create ~compile:cfg.compile c ~taint)
-      model_cfgs
-  in
+  let oracles = Array.map (fun c -> Dataplane.create c ~taint) model_cfgs in
   let env =
     { e_topo = topo;
       e_cfg = cfg;
       e_stacks = stacks;
       e_stack_nodes = Array.init n (fun s -> Fabric.stack_node s stacks.(s));
-      e_model_nodes =
-        Array.init n (fun s ->
-            Fabric.model_node ~compile:cfg.compile s model_cfgs.(s));
+      e_model_nodes = Array.mapi Fabric.model_node model_cfgs;
       e_model_cfgs = model_cfgs;
       e_oracles = oracles;
       e_entries_for = entries_for;
@@ -552,28 +472,12 @@ let run ?(jobs = 1) program cfg =
   let slices = Shard.partition ~shards all_flows in
   let base_incidents = !n_incidents in
   let slice_results =
-    if jobs <= 1 || shards = 1 then
-      Array.to_list (Array.map (run_slice env ~base_incidents) slices)
-    else begin
-      let task s = serialize_slice (run_slice env ~base_incidents slices.(s)) in
-      let pool = Pool.run ~jobs ~shards task in
-      List.filter_map
-        (function
-          | Pool.Done payload -> (
-              match deserialize_slice payload with
-              | Ok r -> Some r
-              | Error e ->
-                  Telemetry.incr tele "parallel.workers_failed";
-                  Printf.eprintf
-                    "switchv: dropping undecodable fabric slice: %s\n%!" e;
-                  None)
-          | Pool.Lost _ -> None)
-        (Array.to_list pool.Pool.outcomes)
-    end
+    Pool.map ~jobs ~shards ~encode:slice_to_json ~decode:slice_of_json (fun s ->
+        run_slice env ~base_incidents slices.(s))
   in
   let merged =
-    truncate
-      (cfg.max_incidents - base_incidents)
+    List.filteri
+      (fun i _ -> i < cfg.max_incidents - base_incidents)
       (List.concat_map (fun r -> r.fc_incidents) slice_results)
   in
   n_incidents := base_incidents + List.length merged;

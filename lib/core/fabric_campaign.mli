@@ -26,10 +26,14 @@
       mismatch is admitted ([topo.nondet_admits]) like any set-valued
       verdict.
 
+    Every switch and model node runs the staged evaluator
+    ({!Switchv_bmv2.Compile}); the fabric has no interpreted mode.
+
     Determinism: topology, routes, and the flow suite are pure functions
-    of the config; flows are partitioned by {!Switchv_parallel.Shard} and
-    judged independently, so incidents (and corpus output) are
-    byte-identical at any [jobs] value for a fixed shard count. *)
+    of the config; flows are partitioned by {!Switchv_parallel.Shard},
+    judged independently, and run through {!Switchv_parallel.Pool.map}, so
+    incidents (and corpus output) are byte-identical at any [jobs] value
+    for a fixed shard count. *)
 
 module Topo = Switchv_topo.Topo
 module Fault = Switchv_switch.Fault
@@ -49,10 +53,6 @@ type config = {
           run clean *)
   minimize : bool;              (** ddmin localized reproducers in-slice *)
   ddmin_probes : int;
-  compile : bool;
-      (** staged evaluator for every stack ASIC and model node (default
-          [true]); [false] is the interpreted [--no-compile] reference
-          path — incidents and clusters are byte-identical either way *)
 }
 
 val default_config : Topo.shape -> int -> config

@@ -52,11 +52,12 @@ type config = {
   incremental : bool;
       (** Incremental SMT pipeline for packet generation (on by default;
           see {!Data_campaign.config}[.incremental]). Results are
-          identical either way. *)
+          identical either way; [false] is a test oracle. *)
   taint : bool;
       (** Taint-aware goal classification and set-valued data-plane
           verdicts (on by default; see {!Data_campaign.config}[.taint]).
-          Applies to the main and the fuzzed-entry data passes. *)
+          Applies to the main and the fuzzed-entry data passes; [false]
+          is a test oracle. *)
   greybox : bool;
       (** Coverage-guided feedback across both campaigns (on by default):
           the control fuzzer runs its probe/corpus/power-schedule loop
@@ -69,7 +70,7 @@ type config = {
       (** Staged-evaluator model execution in the data campaigns (on by
           default; see {!Data_campaign.config}[.compile]). The caller's
           stacks carry their own flag ({!Switchv_switch.Stack.create}).
-          [false] — the [--no-compile] escape hatch — is byte-identical. *)
+          [false] is the interpreted test oracle, byte-identical. *)
 }
 
 val default_config : Entry.t list -> config

@@ -1,6 +1,7 @@
 module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
 module Fingerprint = Switchv_triage.Fingerprint
+module Corpus = Switchv_triage.Corpus
 module Coverage = Switchv_obs.Coverage
 
 type detector = Fuzzer | Symbolic | Fabric
@@ -122,6 +123,20 @@ let empty program_name =
 let incidents t = t.control_incidents @ t.data_incidents @ t.fabric_incidents
 
 let clean t = incidents t = []
+
+let corpus_records ~faults t =
+  List.filter_map
+    (fun i ->
+      Option.map
+        (fun repro ->
+          { Corpus.c_program = t.program_name;
+            c_detector = detector_to_string i.detector;
+            c_kind = i.kind;
+            c_fingerprint = fingerprint i;
+            c_faults = faults;
+            c_repro = repro })
+        i.repro)
+    (incidents t)
 
 let detected_by t =
   if t.control_incidents <> [] then Some Fuzzer
@@ -266,7 +281,7 @@ let incident_to_json (origin, i) =
    value the campaigns produce, which is what makes a merged parallel report
    identical to the sequential one. *)
 
-module Jsonp = Switchv_triage.Jsonp
+module Jsonp = Switchv_telemetry.Jsonp
 
 let detector_of_string = function
   | "p4-fuzzer" -> Some Fuzzer
@@ -316,27 +331,32 @@ let incident_of_ipc_json j =
   in
   Ok { detector; kind; detail; context; repro }
 
-let control_stats_of_json j =
+(* A campaign shard's result as it crosses [Pool.map]: its incidents, then
+   its numeric totals in an order fixed by the campaign. [Json.num]
+   round-trips floats exactly, so counts and durations survive as-is. *)
+let shard_to_json incidents totals =
+  Json.obj
+    [ ("incidents", Json.arr (List.map incident_ipc_to_json incidents));
+      ("totals", Json.arr (List.map Json.num totals)) ]
+
+let shard_of_json payload =
   let ( let* ) = Result.bind in
-  let int name =
-    match Option.bind (Jsonp.member name j) Jsonp.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "control_stats: missing field %S" name)
+  let all f xs =
+    List.fold_right
+      (fun x acc ->
+        let* acc = acc in
+        let* y = f x in
+        Ok (y :: acc))
+      xs (Ok [])
   in
-  let num name =
-    match Option.bind (Jsonp.member name j) Jsonp.to_num with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "control_stats: missing field %S" name)
-  in
-  let* cs_batches = int "batches" in
-  let* cs_updates = int "updates" in
-  let* cs_valid_updates = int "valid_updates" in
-  let* cs_invalid_updates = int "invalid_updates" in
-  let* cs_novel_edges = int "novel_edges" in
-  let* cs_corpus_seeds = int "corpus_seeds" in
-  let* cs_duration = num "duration_s" in
-  Ok { cs_batches; cs_updates; cs_valid_updates; cs_invalid_updates;
-       cs_novel_edges; cs_corpus_seeds; cs_duration }
+  let num x = Option.to_result ~none:"shard payload: bad total" (Jsonp.to_num x) in
+  let* j = Jsonp.parse payload in
+  match (Jsonp.member "incidents" j, Jsonp.member "totals" j) with
+  | Some (Jsonp.Arr incidents), Some (Jsonp.Arr totals) ->
+      let* incidents = all incident_of_ipc_json incidents in
+      let* totals = all num totals in
+      Ok (incidents, totals)
+  | _ -> Error "shard payload: missing incidents or totals"
 
 let empty_control_stats =
   { cs_batches = 0; cs_updates = 0; cs_valid_updates = 0; cs_invalid_updates = 0;

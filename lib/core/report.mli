@@ -130,6 +130,11 @@ val incidents : t -> incident list
 val clean : t -> bool
 (** No incidents at all. *)
 
+val corpus_records : faults:string list -> t -> Switchv_triage.Corpus.record list
+(** One regression-corpus record per incident that carries a reproducer,
+    in report order, tagged with the seeded catalogue fault ids — exactly
+    what [--save-corpus] archives. *)
+
 val detected_by : t -> detector option
 (** The detector that found the first incident: control-plane incidents
     attribute to [Fuzzer], data-plane ones to [Symbolic], fabric ones to
@@ -140,17 +145,13 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 IPC (de)serialization}
 
-    Sharded campaigns ({!Control_campaign.run_sharded}, sharded
-    {!Data_campaign.run}) serialize per-shard results in forked workers and
-    deserialize them in the parent. The converters are exact inverses over
-    every value the campaigns produce — the merged parallel report is
-    byte-identical to the sequential one because nothing is lost in the
-    round-trip. *)
+    Sharded campaigns (control, data and fabric) serialize per-shard
+    results in forked workers and deserialize them in the parent. The
+    converters are exact inverses over every value the campaigns produce —
+    the merged parallel report is byte-identical to the sequential one
+    because nothing is lost in the round-trip. *)
 
 val detector_of_string : string -> detector option
-
-val context_of_json : Switchv_triage.Jsonp.t -> context
-(** Total: absent or ill-typed fields become [None]. *)
 
 val incident_ipc_to_json : incident -> string
 (** Full-fidelity incident (including the reproducer), unlike the
@@ -158,13 +159,14 @@ val incident_ipc_to_json : incident -> string
     fingerprints. *)
 
 val incident_of_ipc_json :
-  Switchv_triage.Jsonp.t -> (incident, string) result
+  Switchv_telemetry.Jsonp.t -> (incident, string) result
 
-val control_stats_to_json : control_stats -> string
+val shard_to_json : incident list -> float list -> string
+(** A campaign shard's result for {!Switchv_parallel.Pool.map}: its
+    incidents plus numeric totals in an order the campaign fixes. *)
 
-val control_stats_of_json :
-  Switchv_triage.Jsonp.t -> (control_stats, string) result
-(** Inverse of {!control_stats_to_json}. *)
+val shard_of_json : string -> (incident list * float list, string) result
+(** Inverse of {!shard_to_json}. *)
 
 val merge_control_stats : control_stats list -> control_stats
 (** Field-wise sums; each shard's duration is clamped at [>= 0] before

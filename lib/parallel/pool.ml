@@ -1,24 +1,22 @@
 (* Fork-based worker pool.
 
-   The parent forks one worker per [Shard.assignment] slot *after* all
-   expensive setup (parsed program, installed reference stack, symbolic
-   encoding) so children inherit it copy-on-write for free. Each worker
-   runs its assigned shards in order and streams one frame per shard back
-   over a pipe; the parent multiplexes the pipes with [select] and
-   reassembles results *by shard id*, so the merged array is independent
-   of scheduling.
+   When there is nothing to parallelize, [map] runs every shard in order in
+   this process. Otherwise the parent forks one worker per
+   [Shard.assignment] slot *after* all expensive setup (parsed program,
+   installed reference stack, symbolic encoding) so children inherit it
+   copy-on-write for free. Each worker runs its assigned shards in order
+   and streams one frame per shard back over a pipe; the parent
+   multiplexes the pipes with [select] and reassembles results *by shard
+   id*, so the merged list is independent of scheduling.
 
    Failure policy: a worker that crashes or goes silent past the deadline
    loses its remaining shards. Lost shards degrade coverage — they are
    logged and counted under [parallel.workers_failed] — but never abort
    the run. SIGINT tears the whole pool down. *)
 
-type outcome = Done of string | Lost of string
-
-type result = {
-  outcomes : outcome array;
-  workers_failed : int;
-}
+module T = Switchv_telemetry.Telemetry
+module Json = T.Json
+module Jsonp = Switchv_telemetry.Jsonp
 
 type worker = {
   pid : int;
@@ -30,119 +28,44 @@ type worker = {
   mutable open_ : bool;
 }
 
-(* Worker-side envelope: shard id, payload or error, and a telemetry
-   export so counters/histograms bumped inside the child survive the
-   process boundary. *)
+(* --- frames -----------------------------------------------------------------
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+   Three frame kinds share a worker's pipe, told apart by their key: a
+   batch of raw trace-event lines the parent re-emits into its own sink
+   ("trace"), a telemetry heartbeat ("hb"), and one result envelope per
+   shard ("shard", with "payload" or "error"). Telemetry travels as export
+   deltas — heartbeats, then a final delta on each envelope — so absorbing
+   every frame reproduces the worker's full export exactly. *)
 
-let telemetry_export_json (ex : Switchv_telemetry.Telemetry.export) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape name) v))
-    ex.Switchv_telemetry.Telemetry.ex_counters;
-  Buffer.add_string b "},\"histograms\":{";
-  List.iteri
-    (fun i (name, (hd : Switchv_telemetry.Telemetry.histogram_dump)) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":{\"buckets\":[" (json_escape name));
-      Array.iteri
-        (fun j n ->
-          if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int n))
-        hd.hd_buckets;
-      Buffer.add_string b
-        (Printf.sprintf "],\"count\":%d,\"sum\":%.17g,\"max\":%.17g}" hd.hd_count
-           hd.hd_sum hd.hd_max))
-    ex.Switchv_telemetry.Telemetry.ex_histograms;
-  Buffer.add_string b "}}";
-  Buffer.contents b
-
-let envelope_json ~shard ~payload ~error ~telemetry =
-  let b = Buffer.create 512 in
-  Buffer.add_string b (Printf.sprintf "{\"shard\":%d," shard);
-  (match payload with
-  | Some p -> Buffer.add_string b (Printf.sprintf "\"payload\":\"%s\"," (json_escape p))
-  | None -> ());
-  (match error with
-  | Some e -> Buffer.add_string b (Printf.sprintf "\"error\":\"%s\"," (json_escape e))
-  | None -> ());
-  Buffer.add_string b (Printf.sprintf "\"telemetry\":%s}" telemetry);
-  Buffer.contents b
-
-(* Mid-shard frames: a telemetry heartbeat (delta since the previous
-   heartbeat — absorbing the stream reproduces the full export exactly)
-   and a batch of raw trace-event lines the parent re-emits into its own
-   sink. Both are distinguished from result envelopes by their key. *)
-let heartbeat_json ~telemetry = Printf.sprintf "{\"hb\":1,\"telemetry\":%s}" telemetry
-
-let trace_json lines =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"trace\":[";
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '"';
-      Buffer.add_string b (json_escape line);
-      Buffer.add_char b '"')
-    lines;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-let absorb_telemetry_json tele j =
-  let module T = Switchv_telemetry.Telemetry in
-  let module J = Switchv_triage.Jsonp in
-  let counters =
-    match J.member "counters" j with
-    | Some (J.Obj kvs) ->
-        List.filter_map
-          (fun (k, v) ->
-            match J.to_int v with Some n -> Some (k, n) | None -> None)
-          kvs
-    | _ -> []
+let export_to_json (ex : T.export) =
+  let histogram (hd : T.histogram_dump) =
+    Json.obj
+      [ ("buckets", Json.arr (List.map Json.int (Array.to_list hd.hd_buckets)));
+        ("count", Json.int hd.hd_count); ("sum", Json.num hd.hd_sum);
+        ("max", Json.num hd.hd_max) ]
   in
-  let histograms =
-    match J.member "histograms" j with
-    | Some (J.Obj kvs) ->
-        List.filter_map
-          (fun (k, v) ->
-            let buckets =
-              match J.member "buckets" v with
-              | Some (J.Arr xs) ->
-                  Some
-                    (Array.of_list
-                       (List.map (fun x -> Option.value ~default:0 (J.to_int x)) xs))
-              | _ -> None
-            in
-            match (buckets, J.member "count" v, J.member "sum" v, J.member "max" v)
-            with
-            | Some hd_buckets, Some c, Some s, Some m -> (
-                match (J.to_int c, J.to_num s, J.to_num m) with
-                | Some hd_count, Some hd_sum, Some hd_max ->
-                    Some (k, { T.hd_buckets; hd_count; hd_sum; hd_max })
-                | _ -> None)
-            | _ -> None)
-          kvs
-    | _ -> []
+  Json.obj
+    [ ("counters", Json.obj (List.map (fun (k, n) -> (k, Json.int n)) ex.ex_counters));
+      ( "histograms",
+        Json.obj (List.map (fun (k, hd) -> (k, histogram hd)) ex.ex_histograms) ) ]
+
+let export_of_json j =
+  let fields name =
+    match Jsonp.member name j with Some (Jsonp.Obj kvs) -> kvs | _ -> []
   in
-  T.absorb tele { T.ex_counters = counters; ex_histograms = histograms }
+  let histogram v =
+    let get name conv = Option.bind (Jsonp.member name v) conv in
+    match (get "buckets" Jsonp.to_arr, get "count" Jsonp.to_int,
+           get "sum" Jsonp.to_num, get "max" Jsonp.to_num) with
+    | Some buckets, Some hd_count, Some hd_sum, Some hd_max ->
+        let bucket b = Option.value ~default:0 (Jsonp.to_int b) in
+        Some { T.hd_buckets = Array.of_list (List.map bucket buckets);
+               hd_count; hd_sum; hd_max }
+    | _ -> None
+  in
+  let keep conv (k, v) = Option.map (fun x -> (k, x)) (conv v) in
+  { T.ex_counters = List.filter_map (keep Jsonp.to_int) (fields "counters");
+    ex_histograms = List.filter_map (keep histogram) (fields "histograms") }
 
 (* --- child --------------------------------------------------------------- *)
 
@@ -151,14 +74,10 @@ let heartbeat_s = 0.5
 let run_child ~sid_base ~root_psid ~trace wfd shards task =
   (* One fresh registry per worker, seeded with its own span-id block so
      every span id in the campaign is globally unique, and with the
-     parent's span open at fork time as the parent of its depth-0 spans.
-     Telemetry leaves the worker only as deltas — periodic heartbeats plus
-     a final delta on each result envelope — so the parent can absorb
-     every frame additively and the merged totals are exactly the full
-     export, independent of flush cadence and of --jobs. *)
-  let module T = Switchv_telemetry.Telemetry in
+     parent's span open at fork time as the parent of its depth-0 spans. *)
   let reg = T.create () in
   T.seed_spans reg ~sid_base ~root_psid;
+  let send fields = Ipc.write_frame wfd (Json.obj fields) in
   let pending = ref [] in
   if trace then
     T.set_sink reg (Some (fun line -> pending := line :: !pending));
@@ -166,7 +85,7 @@ let run_child ~sid_base ~root_psid ~trace wfd shards task =
     if !pending <> [] then begin
       let lines = List.rev !pending in
       pending := [];
-      Ipc.write_frame wfd (trace_json lines)
+      send [ ("trace", Json.arr (List.map Json.str lines)) ]
     end
   in
   let absorbed = ref { T.ex_counters = []; ex_histograms = [] } in
@@ -188,28 +107,30 @@ let run_child ~sid_base ~root_psid ~trace wfd shards task =
            flush_trace ();
            let delta = take_delta () in
            if delta.T.ex_counters <> [] || delta.T.ex_histograms <> [] then
-             Ipc.write_frame wfd
-               (heartbeat_json ~telemetry:(telemetry_export_json delta))
+             send [ ("hb", Json.int 1); ("telemetry", export_to_json delta) ]
          end));
   List.iter
     (fun shard ->
-      let payload, error =
+      let result =
         match
           T.with_registry reg (fun () ->
               T.with_span reg "parallel.shard"
                 ~attrs:[ ("shard", string_of_int shard) ] (fun () -> task shard))
         with
-        | p -> (Some p, None)
-        | exception e -> (None, Some (Printexc.to_string e))
+        | p -> ("payload", Json.str p)
+        | exception e -> ("error", Json.str (Printexc.to_string e))
       in
       flush_trace ();
-      let telemetry = telemetry_export_json (take_delta ()) in
-      Ipc.write_frame wfd (envelope_json ~shard ~payload ~error ~telemetry))
+      let telemetry = export_to_json (take_delta ()) in
+      send [ ("shard", Json.int shard); result; ("telemetry", telemetry) ])
     shards
 
 (* --- parent -------------------------------------------------------------- *)
 
 let tick_s = 0.25
+
+(* A worker silent this long is assumed wedged and killed. *)
+let deadline_s = 300.
 
 let reap pid =
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
@@ -217,16 +138,20 @@ let reap pid =
 let kill_quietly pid signal =
   try Unix.kill pid signal with Unix.Unix_error _ -> ()
 
-let run ?(deadline_s = 300.) ?(parent_shards = []) ~jobs ~shards task =
-  let module T = Switchv_telemetry.Telemetry in
-  let module J = Switchv_triage.Jsonp in
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Fork the workers, run [parent_shards] here, and collect one payload per
+   shard: [None] for a shard that was lost (already counted and logged). *)
+let fork_run ~parent_shards ~jobs ~shards task =
   let tele = T.get () in
   (* The pool span is the stitching anchor: it is open when the workers
      fork, so every worker's [parallel.shard] root hangs off it in the
      campaign trace. *)
   T.with_span tele "parallel.pool" @@ fun () ->
-  let outcomes =
-    Array.init shards (fun s -> Lost (Printf.sprintf "shard %d not executed" s))
+  let payloads = Array.make shards None in
+  let lost fmt =
+    T.incr tele "parallel.workers_failed";
+    Printf.eprintf ("switchv: " ^^ fmt ^^ "\n%!")
   in
   let remote =
     List.filter (fun s -> not (List.mem s parent_shards)) (List.init shards Fun.id)
@@ -234,12 +159,13 @@ let run ?(deadline_s = 300.) ?(parent_shards = []) ~jobs ~shards task =
   let plan =
     Shard.assignment ~jobs ~shards:(List.length remote)
     |> Array.map (List.map (List.nth remote))
+    |> Array.to_list
+    |> List.filter (fun l -> l <> [])
   in
-  let plan = Array.to_list plan |> List.filter (fun l -> l <> []) in
-  (* Fork the workers. stdout/stderr are flushed first so buffered output
-     is not emitted twice; each write end is closed in the parent before
-     the next fork, so no child holds a copy of another worker's write end
-     and EOF on a pipe reliably means its worker is gone. *)
+  (* stdout/stderr are flushed first so buffered output is not emitted
+     twice; each write end is closed in the parent before the next fork,
+     so no child holds a copy of another worker's write end and EOF on a
+     pipe reliably means its worker is gone. *)
   flush stdout;
   flush stderr;
   let root_psid = T.current_sid tele in
@@ -252,51 +178,35 @@ let run ?(deadline_s = 300.) ?(parent_shards = []) ~jobs ~shards task =
         match Unix.fork () with
         | 0 ->
             Unix.close rfd;
-            (match run_child ~sid_base ~root_psid ~trace wfd shard_list task with
-            | () -> ()
-            | exception _ -> ());
-            (try Unix.close wfd with Unix.Unix_error _ -> ());
+            (try run_child ~sid_base ~root_psid ~trace wfd shard_list task
+             with _ -> ());
+            close_quietly wfd;
             Unix._exit 0
         | pid ->
             Unix.close wfd;
-            {
-              pid;
-              rfd;
-              dec = Ipc.decoder ();
-              shards = shard_list;
-              delivered = 0;
-              last_activity = Unix.gettimeofday ();
-              open_ = true;
-            })
+            { pid; rfd; dec = Ipc.decoder (); shards = shard_list; delivered = 0;
+              last_activity = Unix.gettimeofday (); open_ = true })
       plan
   in
-  let failed = ref 0 in
+  let close w =
+    if w.open_ then begin
+      close_quietly w.rfd;
+      w.open_ <- false
+    end
+  in
   let lose w reason =
     (* Any shard this worker had not yet delivered is gone; record why. *)
-    let missing = ref [] in
-    List.iteri
-      (fun i s ->
-        if i >= w.delivered then begin
-          outcomes.(s) <- Lost reason;
-          missing := s :: !missing
-        end)
-      w.shards;
-    if !missing <> [] then begin
-      incr failed;
-      T.incr tele "parallel.workers_failed";
-      Printf.eprintf "switchv: worker %d lost shard(s) %s: %s\n%!" w.pid
-        (String.concat ", " (List.rev_map string_of_int !missing))
+    let missing = List.filteri (fun i _ -> i >= w.delivered) w.shards in
+    if missing <> [] then
+      lost "worker %d lost shard(s) %s: %s" w.pid
+        (String.concat ", " (List.map string_of_int missing))
         reason
-    end
   in
   let teardown () =
     List.iter
       (fun w ->
         kill_quietly w.pid Sys.sigkill;
-        if w.open_ then begin
-          (try Unix.close w.rfd with Unix.Unix_error _ -> ());
-          w.open_ <- false
-        end)
+        close w)
       workers;
     List.iter (fun w -> reap w.pid) workers
   in
@@ -318,42 +228,31 @@ let run ?(deadline_s = 300.) ?(parent_shards = []) ~jobs ~shards task =
     | None -> ()
   in
   let handle_result w j =
-    let shard = Option.bind (J.member "shard" j) J.to_int in
-    let payload = Option.bind (J.member "payload" j) J.to_str in
-    let error = Option.bind (J.member "error" j) J.to_str in
-    (match J.member "telemetry" j with
-    | Some tj -> absorb_telemetry_json tele tj
-    | None -> ());
+    let get name conv = Option.bind (Jsonp.member name j) conv in
+    Option.iter (fun tj -> T.absorb tele (export_of_json tj)) (Jsonp.member "telemetry" j);
     w.delivered <- w.delivered + 1;
-    match shard with
-    | Some s when s >= 0 && s < shards -> (
-        match (payload, error) with
-        | Some p, _ -> outcomes.(s) <- Done p
-        | None, Some e -> outcomes.(s) <- Lost (Printf.sprintf "worker error: %s" e)
-        | None, None -> outcomes.(s) <- Lost "worker sent empty frame")
+    match (get "shard" Jsonp.to_int, get "payload" Jsonp.to_str) with
+    | Some s, payload when s >= 0 && s < shards -> (
+        payloads.(s) <- payload;
+        if payload = None then
+          match get "error" Jsonp.to_str with
+          | Some e -> lost "worker %d failed shard %d: %s" w.pid s e
+          | None -> lost "worker %d sent an empty frame for shard %d" w.pid s)
     | _ -> Printf.eprintf "switchv: worker %d sent frame with bad shard id\n%!" w.pid
   in
   let handle_frame w frame =
-    (* Three frame kinds share the pipe: trace-line batches and telemetry
-       heartbeats stream mid-shard; a result envelope ends a shard. Only
-       result envelopes count towards [delivered]. *)
-    match J.parse frame with
-    | Ok j when J.member "trace" j <> None ->
-        if T.tracing tele then (
-          match J.member "trace" j with
-          | Some (J.Arr lines) ->
-              List.iter
-                (fun l ->
-                  match J.to_str l with
-                  | Some line -> T.emit_raw tele line
-                  | None -> ())
-                lines
-          | _ -> ())
-    | Ok j when J.member "hb" j <> None -> (
-        match J.member "telemetry" j with
-        | Some tj -> absorb_telemetry_json tele tj
-        | None -> ())
-    | Ok j -> handle_result w j
+    (* Only result envelopes count towards [delivered]. *)
+    match Jsonp.parse frame with
+    | Ok j -> (
+        match (Jsonp.member "trace" j, Jsonp.member "hb" j) with
+        | Some (Jsonp.Arr lines), _ ->
+            if T.tracing tele then
+              List.iter (fun l -> Option.iter (T.emit_raw tele) (Jsonp.to_str l)) lines
+        | Some _, _ -> ()
+        | None, Some _ ->
+            Option.iter (fun tj -> T.absorb tele (export_of_json tj))
+              (Jsonp.member "telemetry" j)
+        | None, None -> handle_result w j)
     | Error _ ->
         w.delivered <- w.delivered + 1;
         Printf.eprintf "switchv: worker %d sent an unparseable frame\n%!" w.pid
@@ -361,38 +260,30 @@ let run ?(deadline_s = 300.) ?(parent_shards = []) ~jobs ~shards task =
   let buf = Bytes.create 65536 in
   let finish () =
     let rec drain w =
-      (* Parent shards run in-process, after the forks, so workers compute
-         concurrently with them. *)
       match Ipc.next w.dec with
       | Some frame ->
           handle_frame w frame;
           drain w
       | None -> ()
       | exception Ipc.Corrupt msg ->
-          (try Unix.close w.rfd with Unix.Unix_error _ -> ());
-          w.open_ <- false;
+          close w;
           kill_quietly w.pid Sys.sigkill;
           lose w (Printf.sprintf "corrupt stream: %s" msg)
     in
+    (* Parent shards run in-process, after the forks, so workers compute
+       concurrently with them. *)
     List.iter
       (fun s ->
         match task s with
-        | p -> outcomes.(s) <- Done p
-        | exception e ->
-            outcomes.(s) <- Lost (Printexc.to_string e);
-            incr failed;
-            T.incr tele "parallel.workers_failed";
-            Printf.eprintf "switchv: parent shard %d failed: %s\n%!" s
-              (Printexc.to_string e))
+        | p -> payloads.(s) <- Some p
+        | exception e -> lost "parent shard %d failed: %s" s (Printexc.to_string e))
       parent_shards;
-    let live () = List.filter (fun w -> w.open_) workers in
     let rec loop () =
-      match live () with
+      match List.filter (fun w -> w.open_) workers with
       | [] -> ()
       | ws ->
-          let fds = List.map (fun w -> w.rfd) ws in
           let readable =
-            match Unix.select fds [] [] tick_s with
+            match Unix.select (List.map (fun w -> w.rfd) ws) [] [] tick_s with
             | r, _, _ -> r
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
           in
@@ -403,11 +294,9 @@ let run ?(deadline_s = 300.) ?(parent_shards = []) ~jobs ~shards task =
                 match Unix.read w.rfd buf 0 (Bytes.length buf) with
                 | 0 ->
                     (* EOF: worker finished (all frames delivered) or died. *)
-                    (try Unix.close w.rfd with Unix.Unix_error _ -> ());
-                    w.open_ <- false;
+                    close w;
                     reap w.pid;
-                    if Ipc.pending w.dec then
-                      lose w "exited mid-frame"
+                    if Ipc.pending w.dec then lose w "exited mid-frame"
                     else if w.delivered < List.length w.shards then
                       lose w "worker exited early (crash?)"
                 | n ->
@@ -416,8 +305,7 @@ let run ?(deadline_s = 300.) ?(parent_shards = []) ~jobs ~shards task =
                     drain w
                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
                 | exception Unix.Unix_error (e, _, _) ->
-                    (try Unix.close w.rfd with Unix.Unix_error _ -> ());
-                    w.open_ <- false;
+                    close w;
                     kill_quietly w.pid Sys.sigkill;
                     reap w.pid;
                     lose w (Printf.sprintf "read error: %s" (Unix.error_message e))
@@ -425,11 +313,9 @@ let run ?(deadline_s = 300.) ?(parent_shards = []) ~jobs ~shards task =
               else if w.open_ && now -. w.last_activity > deadline_s then begin
                 (* Silent past the deadline: assume wedged and reclaim. *)
                 kill_quietly w.pid Sys.sigkill;
-                (try Unix.close w.rfd with Unix.Unix_error _ -> ());
-                w.open_ <- false;
+                close w;
                 reap w.pid;
-                lose w
-                  (Printf.sprintf "no output for %.0fs, killed" deadline_s)
+                lose w (Printf.sprintf "no output for %.0fs, killed" deadline_s)
               end)
             ws;
           loop ()
@@ -442,4 +328,22 @@ let run ?(deadline_s = 300.) ?(parent_shards = []) ~jobs ~shards task =
       teardown ();
       restore_int ();
       raise e);
-  { outcomes; workers_failed = !failed }
+  payloads
+
+let map ?(parent_shards = []) ~jobs ~shards ~encode ~decode task =
+  if jobs <= 1 || shards <= 1 then List.init shards task
+  else
+    fork_run ~parent_shards ~jobs ~shards (fun s -> encode (task s))
+    |> Array.to_list
+    |> List.mapi (fun s payload ->
+           Option.bind payload (fun p ->
+               match decode p with
+               | Ok r -> Some r
+               | Error e ->
+                   (* Same degradation contract as a crashed worker: drop
+                      the shard, keep the campaign. *)
+                   T.incr (T.get ()) "parallel.workers_failed";
+                   Printf.eprintf "switchv: dropping undecodable shard %d: %s\n%!"
+                     s e;
+                   None))
+    |> List.filter_map Fun.id

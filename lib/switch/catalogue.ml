@@ -361,5 +361,15 @@ let topo _program _entries =
     Fault.make ~id:"TOPO-003" ~component:Syncd (Forward_wrong_port_for_port 1)
       "fabric egress on link port 1 rewritten to the next port" ]
 
+let resolve program entries ids =
+  let all = pins program entries @ cerberus program entries @ topo program entries in
+  List.fold_right
+    (fun id acc ->
+      match (List.find_opt (fun (f : Fault.t) -> String.equal f.id id) all, acc) with
+      | None, _ -> Error (Printf.sprintf "no catalogue fault %S for this model" id)
+      | Some f, Ok fs -> Ok (f :: fs)
+      | Some _, (Error _ as e) -> e)
+    ids (Ok [])
+
 let expected_detector (f : Fault.t) =
   if Fault.is_control_plane f.kind then `Fuzzer else `Symbolic

@@ -25,6 +25,11 @@ val topo : Ast.program -> Entry.t list -> Fault.t list
     single-hop edge traffic. Kept separate so the PINS/Cerberus
     populations stay pinned to the paper's counts. *)
 
+val resolve :
+  Ast.program -> Entry.t list -> string list -> (Fault.t list, string) result
+(** Look fault ids up across all three catalogues (PINS, Cerberus, TOPO),
+    in order; an error names the first unknown id. *)
+
 val expected_detector : Fault.t -> [ `Fuzzer | `Symbolic ]
 (** Which SwitchV component the catalogue expects to find this fault
     (control-plane kinds → fuzzer, data-plane/sync kinds → symbolic). *)

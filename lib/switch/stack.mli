@@ -27,8 +27,9 @@ val create :
   ?faults:Fault.t list -> ?hash_seed:int -> ?compile:bool -> Ast.program -> t
 (** [compile] (default [true]) selects the staged evaluator
     ({!Switchv_bmv2.Compile}) for the ASIC data plane; [false] falls back
-    to the reference interpreter — behaviour is identical either way (the
-    [--no-compile] escape hatch, cmp-gated by `make check-scale`). *)
+    to the reference interpreter — behaviour is identical either way (a
+    test oracle, checked by the determinism matrix in
+    test/test_parallel.ml). *)
 
 val faults : t -> Fault.t list
 val program : t -> Ast.program

@@ -42,10 +42,9 @@ let stack_node ?(coverage = true) id stack =
   in
   { n_id = id; n_crashed = (fun () -> Stack.crashed stack); n_inject = inject }
 
-let model_node ?(compile = true) id cfg =
-  let run = if compile then Compile.run else Interp.run in
+let model_node id cfg =
   let inject ~ingress_port bytes =
-    try run cfg ~ingress_port bytes
+    try Compile.run cfg ~ingress_port bytes
     with Interp.Parse_failure _ -> drop_behavior bytes
   in
   { n_id = id; n_crashed = (fun () -> false); n_inject = inject }

@@ -29,10 +29,9 @@ val stack_node : ?coverage:bool -> int -> Stack.t -> node
     counter is re-emitted under [topo.sw.<id>.] — the per-switch coverage
     namespace folded into the obs report. *)
 
-val model_node : ?compile:bool -> int -> Interp.config -> node
-(** Wraps the evaluator; never crashed; a parse failure becomes a drop.
-    [compile] (default [true]) serves the node from the staged evaluator;
-    [false] is the interpreted reference path ([--no-compile]). *)
+val model_node : int -> Interp.config -> node
+(** Wraps the staged evaluator ({!Switchv_bmv2.Compile}); never crashed; a
+    parse failure becomes a drop. *)
 
 type hop = {
   h_switch : int;

@@ -8,6 +8,7 @@ module State = Switchv_p4runtime.State
 module Validate = Switchv_p4runtime.Validate
 module Workload = Switchv_sai.Workload
 module Json = Switchv_telemetry.Telemetry.Json
+module Jsonp = Switchv_telemetry.Jsonp
 
 type record = {
   c_program : string;

@@ -5,7 +5,7 @@
     detector and kind, the fingerprint, the catalogue fault ids that were
     seeded when it was found (provenance metadata), and the full
     {!Repro.t}. The format is hand-rolled JSON like [Report.to_json];
-    {!Jsonp} reads it back.
+    {!Switchv_telemetry.Jsonp} reads it back.
 
     Replay is the regression contract (after P4Testgen's deterministic
     test-artifact discipline): [replay] re-runs a record's reproducer

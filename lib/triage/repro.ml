@@ -4,6 +4,7 @@ module Ternary = Switchv_bitvec.Ternary
 module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
 module Json = Switchv_telemetry.Telemetry.Json
+module Jsonp = Switchv_telemetry.Jsonp
 
 type control = {
   cr_seed : int;

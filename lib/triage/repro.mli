@@ -45,7 +45,7 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> string
 (** JSON object fragment (see DESIGN.md "Triage" for the schema). *)
 
-val of_json : Jsonp.t -> (t, string) result
+val of_json : Switchv_telemetry.Jsonp.t -> (t, string) result
 
 (** {1 Wire-byte helpers} (shared with tests) *)
 

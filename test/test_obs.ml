@@ -253,16 +253,17 @@ let test_pool_trace_stitches () =
   let tele = Telemetry.create () in
   let buf = Buffer.create 4096 in
   Telemetry.set_sink tele (Some (fun line -> Buffer.add_string buf (line ^ "\n")));
-  let result =
+  let results =
     Telemetry.with_registry tele (fun () ->
-        Pool.run ~jobs:2 ~shards:4 (fun s ->
+        Pool.map ~jobs:2 ~shards:4 ~encode:Fun.id ~decode:Result.ok (fun s ->
             Telemetry.with_span (Telemetry.get ()) "work"
               ~attrs:[ ("shard", string_of_int s) ]
               (fun () -> ());
             Printf.sprintf "ok-%d" s))
   in
   Telemetry.set_sink tele None;
-  check_int "no failures" 0 result.Pool.workers_failed;
+  check_int "no failures" 0 (Telemetry.counter tele "parallel.workers_failed");
+  check_int "every shard delivered" 4 (List.length results);
   let lines = String.split_on_char '\n' (Buffer.contents buf) in
   let events = List.filter_map Trace.parse_line lines in
   check_bool "events captured" true (events <> []);

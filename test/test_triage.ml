@@ -5,7 +5,7 @@
 
 module Ddmin = Switchv_triage.Ddmin
 module Fingerprint = Switchv_triage.Fingerprint
-module Jsonp = Switchv_triage.Jsonp
+module Jsonp = Switchv_telemetry.Jsonp
 module Repro = Switchv_triage.Repro
 module Corpus = Switchv_triage.Corpus
 module Telemetry = Switchv_telemetry.Telemetry
