@@ -49,25 +49,28 @@ check-smt:
 	SWITCHV_QGEN_SEED=$$$$ SWITCHV_QGEN_SOAK_MS=2000 \
 	  dune exec test/test_smt_diff.exe -- -e soak
 
-# Observability gate, three legs. (1) Live exposition: a faulted sharded
-# campaign serves /metrics while running; poll (with switchv top, the
+# Observability gate, three legs. (1) Live exposition: a sharded campaign
+# serves /metrics while running; poll (with switchv top, the
 # dependency-free curl) until the live coverage gauge goes nonzero, lint
 # the Prometheus exposition format, fetch /snapshot.json and /healthz,
 # then interrupt the campaign with SIGINT and verify the --trace file was
-# still published atomically (exists, no torn final line). (2) Coverage
-# determinism: --coverage-out maps at --jobs 1 and --jobs 4 must be
-# byte-identical. (3) Trace stitching: a --jobs trace converts to Chrome
-# format with one root and zero orphan spans (trace-export exits non-zero
-# otherwise). The telemetry overhead budget is the obs_overhead bench gate
-# in `make check`.
+# still published atomically (exists, no torn final line). The campaign
+# fuzzes a million batches, minutes of work, so it outlasts every fetch
+# and only the SIGINT ends it; the leg fails if the process is already
+# gone. A failing fetch also sends SIGINT, so the pool reaps its workers.
+# (2) Coverage determinism: --coverage-out maps at --jobs 1 and --jobs 4
+# must be byte-identical. (3) Trace stitching: a --jobs trace converts to
+# Chrome format with one root and zero orphan spans (trace-export exits
+# non-zero otherwise). The telemetry overhead budget is the obs_overhead
+# bench gate in `make check`.
 OBS_PORT = 19473
 SWITCHV = ./_build/default/bin/switchv_cli.exe
 check-obs:
 	dune build @all
 	rm -f /tmp/swv_obs_cov1.txt /tmp/swv_obs_cov4.txt /tmp/swv_obs_trace.jsonl \
 	  /tmp/swv_obs_live.jsonl /tmp/swv_obs_chrome.json
-	$(SWITCHV) validate -m middleblock --fault PINS-019 --scale 0.2 \
-	  --batches 4 --shards 4 --jobs 4 --metrics-port $(OBS_PORT) \
+	$(SWITCHV) validate -m middleblock --scale 0.2 \
+	  --batches 1000000 --shards 4 --jobs 4 --metrics-port $(OBS_PORT) \
 	  --trace /tmp/swv_obs_live.jsonl >/dev/null 2>&1 & \
 	pid=$$!; \
 	up=0; \
@@ -77,13 +80,13 @@ check-obs:
 	  if [ -n "$$cov" ]; then up=1; break; fi; \
 	  sleep 0.2; \
 	done; \
-	if [ $$up -ne 1 ]; then echo "check-obs: live coverage gauge never went nonzero"; kill $$pid 2>/dev/null; exit 1; fi; \
+	if [ $$up -ne 1 ]; then echo "check-obs: live coverage gauge never went nonzero"; kill -INT $$pid 2>/dev/null; exit 1; fi; \
 	echo "check-obs: live switchv_edges_covered=$$cov"; \
-	$(SWITCHV) top --port $(OBS_PORT) --lint || { kill $$pid 2>/dev/null; exit 1; }; \
-	$(SWITCHV) top --port $(OBS_PORT) --once || { kill $$pid 2>/dev/null; exit 1; }; \
-	$(SWITCHV) top --port $(OBS_PORT) --fetch /snapshot.json >/dev/null || { kill $$pid 2>/dev/null; exit 1; }; \
-	$(SWITCHV) top --port $(OBS_PORT) --fetch /healthz | grep -q ok || { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -INT $$pid 2>/dev/null; \
+	$(SWITCHV) top --port $(OBS_PORT) --lint || { kill -INT $$pid 2>/dev/null; exit 1; }; \
+	$(SWITCHV) top --port $(OBS_PORT) --once || { kill -INT $$pid 2>/dev/null; exit 1; }; \
+	$(SWITCHV) top --port $(OBS_PORT) --fetch /snapshot.json >/dev/null || { kill -INT $$pid 2>/dev/null; exit 1; }; \
+	$(SWITCHV) top --port $(OBS_PORT) --fetch /healthz | grep -q ok || { kill -INT $$pid 2>/dev/null; exit 1; }; \
+	kill -INT $$pid || { echo "check-obs: the campaign ended before its SIGINT"; exit 1; }; \
 	wait $$pid; true
 	test -s /tmp/swv_obs_live.jsonl
 	test -z "$$(tail -c 1 /tmp/swv_obs_live.jsonl)"

@@ -952,15 +952,17 @@ let parallel_bench () =
 
 let obs_overhead_bench () =
   banner "Obs: telemetry + coverage accounting overhead on hot paths";
-  let reps = if !quick then 3 else 9 in
+  let reps = 9 in
   let budget_pct = if !quick then 10. else 5. in
   Printf.printf
     "Each hot path runs under an enabled registry (counters, histograms,\n\
      spans, per-edge coverage accounting — the always-on configuration)\n\
      and a disabled one (every telemetry call short-circuits on one bool).\n\
      The two configurations are interleaved rep-by-rep so cache and\n\
-     scheduler drift lands on both sides; best-of-%d per configuration.\n\
+     scheduler drift lands on both sides; %s over %d reps.\n\
      Budget: <= %.0f%%.\n\n"
+    (if !quick then "median overhead of the back-to-back pairs"
+     else "best-of per configuration")
     reps budget_pct;
   let profile =
     if !quick then Workload.small else Workload.scaled 0.1 Workload.inst1
@@ -977,18 +979,33 @@ let obs_overhead_bench () =
     in
     ignore (run ~enabled:false);
     ignore (run ~enabled:true);
-    let best_off = ref infinity and best_on = ref infinity in
-    for _ = 1 to reps do
-      best_off := Float.min !best_off (run ~enabled:false);
-      best_on := Float.min !best_on (run ~enabled:true)
-    done;
-    (!best_off, !best_on)
+    let pairs =
+      List.init reps (fun _ ->
+          let off = run ~enabled:false in
+          (off, run ~enabled:true))
+    in
+    let best side = List.fold_left (fun acc p -> Float.min acc (side p)) infinity pairs in
+    let off = best fst and on = best snd in
+    let overhead (off, on) = if off > 0. then 100. *. (on -. off) /. off else 0. in
+    (* The machine drifts between fast and slow phases lasting seconds, so
+       a quick run's best-of can catch one configuration in a fast phase
+       only. The quick gate compares each back-to-back pair instead: a
+       phase change spoils one pair, not the median. *)
+    let pct =
+      if !quick then List.nth (List.sort Float.compare (List.map overhead pairs)) (reps / 2)
+      else overhead (off, on)
+    in
+    (off, on, pct)
   in
   (* genpackets: encoding + SMT goal solving, validate's "Generation"
-     phase (telemetry here is spans + per-check counter deltas). *)
+     phase (telemetry here is spans + per-check counter deltas). Quick
+     mode's small entry set solves in about 0.05 s, so a rep runs it five
+     times to last at least 0.2 s. *)
   let genpackets () =
-    let enc = Symexec.encode Middleblock.program entries in
-    Packetgen.generate enc (Packetgen.entry_coverage_goals enc)
+    for _ = 1 to if !quick then 5 else 1 do
+      let enc = Symexec.encode Middleblock.program entries in
+      ignore (Packetgen.generate enc (Packetgen.entry_coverage_goals enc))
+    done
   in
   (* inject: the bmv2 interpreter loop, validate's "Testing" phase —
      where the per-edge coverage counters were added. *)
@@ -1006,20 +1023,22 @@ let obs_overhead_bench () =
                ~dst:(Printf.sprintf "10.%d.%d.%d" (i mod 200) (i / 8) (succ i mod 251))
                ()))
     in
-    let rounds = if !quick then 20 else 60 in
+    (* Quick mode's smaller state makes a round cheap, so it runs more of
+       them: a rep of at least 0.2 s keeps one scheduler hiccup from
+       reading as overhead. *)
+    let rounds = if !quick then 300 else 60 in
     fun () ->
       for _ = 1 to rounds do
         List.iter (fun p -> ignore (Interp.run cfg ~ingress_port:1 p)) packets
       done
   in
   let paths =
-    [ ("genpackets", fun () -> ignore (genpackets ())); ("inject", inject) ]
+    [ ("genpackets", genpackets); ("inject", inject) ]
   in
   let rows =
     List.map
       (fun (name, f) ->
-        let off, on = time_pair f in
-        let pct = if off > 0. then 100. *. (on -. off) /. off else 0. in
+        let off, on, pct = time_pair f in
         Printf.printf
           "%-12s disabled %8.3fs   enabled %8.3fs   overhead %+6.2f%%\n%!" name
           off on pct;

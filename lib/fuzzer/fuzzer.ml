@@ -38,11 +38,17 @@ type t = {
       (* coverage feedback: energy-weighted table choice and corpus-seeded
          mutation bases. [None] draws uniformly from [rng] only, exactly
          the pre-greybox stream. *)
+  keyed_slots : (string, int) Hashtbl.t;
+  deletable_slots : (string, int) Hashtbl.t;
+      (* the slot tables of the current batch's two views (see [batch_ctx]),
+         cleared and refilled once per batch: a batch reuses their bucket
+         arrays instead of leaving a mirror-sized one in the major heap *)
 }
 
 let create ?(config = default_config) ?greybox info rng =
   { info; rng; config; mirror_ = State.create (); bdds = Hashtbl.create 8;
-    dead = Hashtbl.create 8; greybox }
+    dead = Hashtbl.create 8; greybox; keyed_slots = Hashtbl.create 64;
+    deletable_slots = Hashtbl.create 64 }
 
 (* Compile a table's entry restriction to a BDD over the bits of the keys
    it references (§7). Unsupported shapes (LPM keys, ::prefix_length)
@@ -152,10 +158,41 @@ let mutations =
 
 (* --- batch-local context ----------------------------------------------------- *)
 
+(* (table, key, value) triples: the references pending updates make. *)
+module Refs = Hashtbl.Make (struct
+  type t = string * string * Bitvec.t
+
+  let equal (t1, k1, v1) (t2, k2, v2) =
+    String.equal t1 t2 && String.equal k1 k2 && Bitvec.equal v1 v2
+
+  let hash (t, k, v) = Hashtbl.hash (Hashtbl.hash t, Hashtbl.hash k, Bitvec.hash v)
+end)
+
+(* Some of the mirror's entries in insertion order, how many, and each
+   one's slot (its position) by match key. *)
+type view = {
+  slots : (string * Entry.t) list;
+  size : int;
+  slot_of : (string, int) Hashtbl.t;
+}
+
+let view_of slot_of keyed =
+  Hashtbl.clear slot_of;
+  List.iteri (fun i (k, _) -> Hashtbl.add slot_of k i) keyed;
+  { slots = keyed; size = Hashtbl.length slot_of; slot_of }
+
+(* The mirror does not change while a batch is built (valid updates are
+   applied after it), so facts about its installed entries are derived at
+   most once per batch, on first use. The views keep the mirror's
+   insertion order, because the RNG draws from them: a draw must pick
+   what it would from a scan of the mirror. What changes as the batch
+   fills (claimed keys, tombstones, pending references) is applied per
+   call, by looking up what it excludes. *)
 type batch_ctx = {
   taken : (string, unit) Hashtbl.t;           (* match keys claimed this batch *)
-  tombstoned : (string, unit) Hashtbl.t;       (* match keys being deleted *)
-  batch_refs : (string * string * Bitvec.t) list ref;
+  tombstoned : (string, string) Hashtbl.t;
+      (* match keys being deleted, with their table *)
+  batch_refs : unit Refs.t;
       (* (table, key, value) references made by updates pending in this
          batch: entries providing these values must not be deleted in the
          same batch, or validity would depend on execution order (§4.4) *)
@@ -166,11 +203,32 @@ type batch_ctx = {
       (* pending insert count per table, so one batch cannot overshoot a
          table's guaranteed capacity (which would make acceptance
          order-dependent) *)
+  keyed : view Lazy.t;                        (* every installed entry *)
+  deletable : view Lazy.t;
+      (* the entries providing no value an installed entry references *)
+  referables : (string * string, (string * Bitvec.t) list * Bitvec.t list) Hashtbl.t;
+      (* per @refers_to (table, key): the value each entry provides under
+         the key's first match, with and without its match key *)
+  providers : int list Refs.t;
+      (* per pending reference looked up so far: the slots of the
+         deletable entries providing it *)
 }
 
-let fresh_ctx () =
+(* One context per batch, dropped when the batch is built: a new one
+   refills the fuzzer's slot tables. *)
+let fresh_ctx t =
+  let keyed = lazy (view_of t.keyed_slots (State.all_keyed t.mirror_)) in
   { taken = Hashtbl.create 64; tombstoned = Hashtbl.create 16;
-    batch_refs = ref []; batch_provides = ref []; batch_inserts = Hashtbl.create 16 }
+    batch_refs = Refs.create 16; batch_provides = ref []; batch_inserts = Hashtbl.create 16;
+    keyed;
+    deletable =
+      lazy
+        (view_of t.deletable_slots
+           (List.filter
+              (fun (_, e) -> not (State.provides_referenced t.mirror_ t.info e))
+              (Lazy.force keyed).slots));
+    referables = Hashtbl.create 8;
+    providers = Refs.create 16 }
 
 let pending_inserts ctx table =
   Option.value ~default:0 (Hashtbl.find_opt ctx.batch_inserts table)
@@ -178,7 +236,7 @@ let pending_inserts ctx table =
 let note_pending t ctx (e : Entry.t) =
   List.iter
     (fun (r : Validate.reference) ->
-      ctx.batch_refs := (r.ref_table, r.ref_key, r.ref_value) :: !(ctx.batch_refs))
+      Refs.replace ctx.batch_refs (r.ref_table, r.ref_key, r.ref_value) ())
     (Validate.references t.info e);
   List.iter
     (fun (fm : Entry.field_match) ->
@@ -188,16 +246,6 @@ let note_pending t ctx (e : Entry.t) =
       | _ -> ())
     e.e_matches
 
-let provides_batch_referenced ctx (e : Entry.t) =
-  List.exists
-    (fun (table, key, value) ->
-      String.equal table e.e_table
-      &&
-      match Entry.find_match e key with
-      | Some (Entry.M_exact v) | Some (Entry.M_optional (Some v)) -> Bitvec.equal v value
-      | _ -> false)
-    !(ctx.batch_refs)
-
 let claim ctx e =
   let k = Entry.match_key e in
   if Hashtbl.mem ctx.taken k then false
@@ -206,16 +254,55 @@ let claim ctx e =
     true
   end
 
+let tombstone ctx (e : Entry.t) = Hashtbl.replace ctx.tombstoned (Entry.match_key e) e.e_table
+
+(* Slots of [view] whose entries an earlier update of this batch claimed. *)
+let claimed ctx view =
+  Hashtbl.fold
+    (fun k () acc ->
+      match Hashtbl.find_opt view.slot_of k with Some i -> i :: acc | None -> acc)
+    ctx.taken []
+
+(* [Rng.choose] over [view]'s entries minus the [excluded] slots: the same
+   draw from the same candidates, found by counting past the excluded
+   slots instead of building the list. *)
+let choose_except t view excluded =
+  let excluded = List.sort_uniq Int.compare excluded in
+  match view.size - List.length excluded with
+  | 0 -> None
+  | n ->
+      let k = Rng.int t.rng n in
+      let slot = List.fold_left (fun i x -> if x <= i then i + 1 else i) k excluded in
+      Some (List.nth view.slots slot)
+
+let referables t ctx ~table ~key =
+  match Hashtbl.find_opt ctx.referables (table, key) with
+  | Some provided -> provided
+  | None ->
+      let keyed =
+        List.filter_map
+          (fun (k, e) ->
+            match Entry.find_match e key with
+            | Some (Entry.M_exact v) | Some (Entry.M_optional (Some v)) -> Some (k, v)
+            | _ -> None)
+          (State.entries_of_keyed t.mirror_ table)
+      in
+      let provided = (keyed, List.map snd keyed) in
+      Hashtbl.add ctx.referables (table, key) provided;
+      provided
+
 (* Values usable to satisfy a @refers_to (table, key) reference, excluding
    entries being deleted in this batch. *)
 let referable t ctx ~table ~key =
-  State.entries_of_keyed t.mirror_ table
-  |> List.filter_map (fun (k, e) ->
-         if t.config.respect_dependencies && Hashtbl.mem ctx.tombstoned k then None
-         else
-           match Entry.find_match e key with
-           | Some (Entry.M_exact v) | Some (Entry.M_optional (Some v)) -> Some v
-           | _ -> None)
+  let keyed, values = referables t ctx ~table ~key in
+  if
+    t.config.respect_dependencies
+    && Hashtbl.fold (fun _ tbl acc -> acc || String.equal tbl table) ctx.tombstoned false
+  then
+    List.filter_map
+      (fun (k, v) -> if Hashtbl.mem ctx.tombstoned k then None else Some v)
+      keyed
+  else values
 
 (* A value guaranteed absent from the referable set (for Invalid Reference),
    including values pending insertion in this batch. *)
@@ -383,33 +470,47 @@ let rec gen_valid_insert t ctx attempts =
       | _ -> gen_valid_insert t ctx (attempts - 1)
   end
 
-(* The mirror does not change while a batch is built (valid updates are
-   applied after it), so its live reference counts hold for the batch. *)
-let deletable t ctx ~respect (k, e) =
-  (not (Hashtbl.mem ctx.taken k))
-  && (not (State.provides_referenced t.mirror_ t.info e))
-  && ((not respect) || not (provides_batch_referenced ctx e))
+(* Slots of the deletable view whose entries provide [value] under
+   [key]'s first match in [table]. *)
+let providers t ctx ((table, key, value) as r) =
+  match Refs.find_opt ctx.providers r with
+  | Some slots -> slots
+  | None ->
+      let view = Lazy.force ctx.deletable in
+      let slots =
+        List.filter_map
+          (fun (k, v) ->
+            if Bitvec.equal v value then Hashtbl.find_opt view.slot_of k else None)
+          (fst (referables t ctx ~table ~key))
+      in
+      Refs.add ctx.providers r slots;
+      slots
+
+(* The deletable view, and the slots of it a valid delete may not target:
+   claimed by an earlier update of this batch or, when [respect],
+   providing a value a pending update references. *)
+let undeletable t ctx ~respect =
+  let view = Lazy.force ctx.deletable in
+  let referenced =
+    if respect then
+      Refs.fold (fun r () acc -> List.rev_append (providers t ctx r) acc) ctx.batch_refs []
+    else []
+  in
+  (view, claimed ctx view @ referenced)
 
 let gen_valid_delete t ctx =
-  let candidates =
-    State.all_keyed t.mirror_
-    |> List.filter (deletable t ctx ~respect:t.config.respect_dependencies)
-    |> List.map snd
-  in
-  match candidates with
-  | [] -> None
-  | _ -> Some (Rng.choose t.rng candidates)
+  let view, excluded = undeletable t ctx ~respect:t.config.respect_dependencies in
+  Option.map snd (choose_except t view excluded)
 
 let untaken ctx entries =
   List.filter_map (fun (k, e) -> if Hashtbl.mem ctx.taken k then None else Some e) entries
 
 let gen_valid_modify t ctx =
-  let candidates = untaken ctx (State.all_keyed t.mirror_) in
-  match candidates with
-  | [] -> None
-  | _ ->
-      let e = Rng.choose t.rng candidates in
-      (match P4info.find_table t.info e.e_table with
+  let view = Lazy.force ctx.keyed in
+  match choose_except t view (claimed ctx view) with
+  | None -> None
+  | Some (_, e) -> (
+      match P4info.find_table t.info e.e_table with
       | None -> None
       | Some ti ->
           gen_action t ctx ti
@@ -667,20 +768,15 @@ let gen_base t ctx =
   | None -> (
       match gen_valid_insert t ctx 10 with
       | Some e -> Some e
-      | None -> (
-          match State.all t.mirror_ with
-          | [] -> None
-          | es -> Some (Rng.choose t.rng es)))
+      | None -> Option.map snd (choose_except t (Lazy.force ctx.keyed) []))
 
 let try_mutation t ctx mutation =
   match mutation with
   | "duplicate_insert" -> (
-      match State.all t.mirror_ with
-      | [] -> None
-      | es ->
-          let victim = Rng.choose t.rng es in
-          if Hashtbl.mem ctx.taken (Entry.match_key victim) then None
-          else Some (Request.insert victim, "duplicate_insert"))
+      match choose_except t (Lazy.force ctx.keyed) [] with
+      | Some (k, victim) when not (Hashtbl.mem ctx.taken k) ->
+          Some (Request.insert victim, "duplicate_insert")
+      | _ -> None)
   | "delete_nonexistent" -> (
       match gen_valid_insert t ctx 10 with
       | Some ghost when State.find t.mirror_ ghost = None ->
@@ -774,7 +870,7 @@ let sweep t =
   List.iter
     (fun (ti : P4info.table) ->
       if not (skip_dead t ti) then begin
-      let ctx = fresh_ctx () in
+      let ctx = fresh_ctx t in
       let updates = ref [] in
       let pending = ref [] in
       for _ = 1 to 3 do
@@ -797,7 +893,7 @@ let sweep t =
   (* Phase 2: one valid modify and one valid delete per table. *)
   List.iter
     (fun (ti : P4info.table) ->
-      let ctx = fresh_ctx () in
+      let ctx = fresh_ctx t in
       let updates = ref [] in
       let pending = ref [] in
       (match untaken ctx (State.entries_of_keyed t.mirror_ ti.ti_name) with
@@ -810,12 +906,15 @@ let sweep t =
                pending := (Request.Modify, e') :: !pending
            | None -> ())
        | _ -> ());
-      (match
-         List.find_opt (deletable t ctx ~respect:true)
-           (State.entries_of_keyed t.mirror_ ti.ti_name)
+      (let view, excluded = undeletable t ctx ~respect:true in
+       match
+         List.filteri
+           (fun i (_, (e : Entry.t)) ->
+             String.equal e.e_table ti.ti_name && not (List.mem i excluded))
+           view.slots
        with
-       | Some (_, e) when claim ctx e ->
-           Hashtbl.add ctx.tombstoned (Entry.match_key e) ();
+       | (_, e) :: _ when claim ctx e ->
+           tombstone ctx e;
            updates := { update = Request.delete e; mutation = None } :: !updates;
            pending := (Request.Delete, e) :: !pending
        | _ -> ());
@@ -827,7 +926,7 @@ let sweep t =
      spurious rejection of the valid update. *)
   List.iter
     (fun (ti : P4info.table) ->
-      let ctx = fresh_ctx () in
+      let ctx = fresh_ctx t in
       let updates = ref [] in
       let pending = ref [] in
       (match gen_valid_insert t ctx 10 with
@@ -874,7 +973,7 @@ let sweep t =
   List.rev !batches
 
 let next_batch t =
-  let ctx = fresh_ctx () in
+  let ctx = fresh_ctx t in
   let updates = ref [] in
   let pending_valid = ref [] in
   let n = t.config.updates_per_batch in
@@ -882,20 +981,16 @@ let next_batch t =
     let r = Rng.int t.rng 100 in
     if r < t.config.invalid_percent then begin
       match gen_invalid_update t ctx with
-      | Some (u, m) ->
-          (match Hashtbl.mem ctx.taken (Entry.match_key u.entry) with
-          | true -> ()
-          | false ->
-              ignore (claim ctx u.entry);
-              updates := { update = u; mutation = Some m } :: !updates)
-      | None -> ()
+      | Some (u, m) when claim ctx u.entry ->
+          updates := { update = u; mutation = Some m } :: !updates
+      | _ -> ()
     end
     else begin
       let r' = Rng.int t.rng 100 in
       if r' < t.config.delete_percent then begin
         match gen_valid_delete t ctx with
         | Some e when claim ctx e ->
-            Hashtbl.add ctx.tombstoned (Entry.match_key e) ();
+            tombstone ctx e;
             updates := { update = Request.delete e; mutation = None } :: !updates;
             pending_valid := (Request.Delete, e) :: !pending_valid
         | _ -> ()

@@ -33,8 +33,9 @@ let pp_incident fmt i =
   in
   Format.fprintf fmt "[%s] %s" kind i.inc_detail
 
-(* [t.state] does not change while a batch is judged, so the live
-   reference counts answer for the whole batch. *)
+(* A batch is classified in full before any of it is applied, so
+   [t.state] is the pre-batch state throughout and its live reference
+   counts answer for the whole batch. *)
 let classify t (u : Request.update) =
   let e = u.entry in
   match Validate.check_entry t.info e with
@@ -82,6 +83,13 @@ let incident_counter = function
   | `Unresponsive -> "oracle.incidents.unresponsive"
   | `P4info_rejected -> "oracle.incidents.p4info_rejected"
 
+(* Does [entries] list exactly [state]'s entry values, in its insertion
+   order, as the same (physically equal) records? Then a state rebuilt
+   from [entries] would hold the same entries in the same order. *)
+let lists_state state entries =
+  List.compare_length_with entries (State.total state) = 0
+  && List.for_all2 ( == ) (State.all state) entries
+
 let judge_batch_detailed t updates (resp : Request.write_response) ~read_back =
   let tele = Telemetry.get () in
   Telemetry.incr tele "oracle.batches_judged";
@@ -113,8 +121,7 @@ let judge_batch_detailed t updates (resp : Request.write_response) ~read_back =
         Hashtbl.replace batch_inserts u.entry.e_table
           (1 + Option.value ~default:0 (Hashtbl.find_opt batch_inserts u.entry.e_table)))
     updates;
-  let implied = State.copy t.state in
-  if List.length resp.statuses = List.length updates then
+  if List.length resp.statuses = List.length updates then begin
     List.iter2
       (fun (u : Request.update) (s : Status.t) ->
         let expectation =
@@ -131,7 +138,7 @@ let judge_batch_detailed t updates (resp : Request.write_response) ~read_back =
               May_either "batch may exceed guaranteed capacity"
           | e -> e
         in
-        (match (expectation, Status.is_ok s) with
+        match (expectation, Status.is_ok s) with
         | Must_accept, false ->
             verdicts := false :: !verdicts;
             add `Status_violation
@@ -142,32 +149,38 @@ let judge_batch_detailed t updates (resp : Request.write_response) ~read_back =
             add `Status_violation
               (Format.asprintf "invalid update accepted (%s): %a" why Request.pp_update u)
         | Must_accept, true | Must_reject _, false | May_either _, _ ->
-            verdicts := true :: !verdicts);
-        (* Build the state implied by the switch's own statuses. Apply only
-           updates that make sense; contradictory accepts were already
-           reported above. *)
-        if Status.is_ok s then begin
-          match u.op with
-          | Request.Insert -> ignore (State.insert implied u.entry)
-          | Request.Modify -> ignore (State.modify implied u.entry)
-          | Request.Delete -> ignore (State.delete implied u.entry)
-        end)
+            verdicts := true :: !verdicts)
       updates resp.statuses;
-  (* Read-back must equal the implied state. *)
-  let actual = State.create () in
-  List.iter
-    (fun e -> ignore (State.insert actual e))
-    read_back.Request.entries;
-  if not (State.equal implied actual) then begin
-    let diffs = State.diff implied actual in
-    let shown = List.filteri (fun i _ -> i < 5) diffs in
-    add `State_divergence
-      (Printf.sprintf "switch state does not match reported statuses (%d differences): %s"
-         (List.length diffs) (String.concat " | " shown))
+    (* With every update judged against the pre-batch state, turn the
+       state into the one implied by the switch's own statuses. Apply only
+       updates that make sense; contradictory accepts were already
+       reported above. *)
+    List.iter2
+      (fun (u : Request.update) (s : Status.t) ->
+        if Status.is_ok s then
+          match u.op with
+          | Request.Insert -> ignore (State.insert t.state u.entry)
+          | Request.Modify -> ignore (State.modify t.state u.entry)
+          | Request.Delete -> ignore (State.delete t.state u.entry))
+      updates resp.statuses
   end;
-  (* Adopt the switch's claimed state as the new baseline (§4.3: forget the
-     prior state). *)
-  t.state <- actual;
+  (* Read-back must equal the implied state. A read-back that lists the
+     implied state's own entry values in its own order is that state, so
+     the oracle keeps it along with its maintained counts. Otherwise it
+     rebuilds the switch's claimed state, compares, and adopts it as the
+     new baseline (§4.3: forget the prior state). *)
+  if not (lists_state t.state read_back.Request.entries) then begin
+    let actual = State.create () in
+    List.iter (fun e -> ignore (State.insert actual e)) read_back.entries;
+    if not (State.equal t.state actual) then begin
+      let diffs = State.diff t.state actual in
+      let shown = List.filteri (fun i _ -> i < 5) diffs in
+      add `State_divergence
+        (Printf.sprintf "switch state does not match reported statuses (%d differences): %s"
+           (List.length diffs) (String.concat " | " shown))
+    end;
+    t.state <- actual
+  end;
   { incidents = List.rev !incidents; per_update_ok = List.rev !verdicts }
 
 let judge_batch t updates resp ~read_back =

@@ -22,8 +22,11 @@ type t
 val create : P4info.t -> t
 
 val observed : t -> State.t
-(** The oracle's current model of the switch state (updated after every
-    judged batch). *)
+(** The oracle's current model of the switch state. This is the live
+    state, not a snapshot: the next judged batch applies its accepted
+    updates to it in place, keeps it when the read-back lists exactly its
+    entries in its order, and otherwise replaces it with a state rebuilt
+    from the read-back. Copy it ({!State.copy}) to keep a snapshot. *)
 
 type expectation = Must_accept | Must_reject of string | May_either of string
 

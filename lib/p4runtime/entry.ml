@@ -30,26 +30,49 @@ let find_match t name =
   List.find_opt (fun fm -> String.equal fm.fm_field name) t.e_matches
   |> Option.map (fun fm -> fm.fm_value)
 
-let match_value_to_string = function
-  | M_exact v -> Printf.sprintf "exact:%s" (Bitvec.to_hex_string v)
-  | M_lpm p -> Printf.sprintf "lpm:%s/%d" (Bitvec.to_hex_string (Prefix.value p)) (Prefix.len p)
+let add_match_value b mv =
+  let hex v = Buffer.add_string b (Bitvec.to_hex_string v) in
+  match mv with
+  | M_exact v ->
+      Buffer.add_string b "exact:";
+      hex v
+  | M_lpm p ->
+      Buffer.add_string b "lpm:";
+      hex (Prefix.value p);
+      Buffer.add_char b '/';
+      Buffer.add_string b (Int.to_string (Prefix.len p))
   | M_ternary tn ->
-      Printf.sprintf "ternary:%s&%s"
-        (Bitvec.to_hex_string (Ternary.value tn))
-        (Bitvec.to_hex_string (Ternary.mask tn))
-  | M_optional (Some v) -> Printf.sprintf "optional:%s" (Bitvec.to_hex_string v)
-  | M_optional None -> "optional:*"
+      Buffer.add_string b "ternary:";
+      hex (Ternary.value tn);
+      Buffer.add_char b '&';
+      hex (Ternary.mask tn)
+  | M_optional (Some v) ->
+      Buffer.add_string b "optional:";
+      hex v
+  | M_optional None -> Buffer.add_string b "optional:*"
 
+let match_value_to_string mv =
+  let b = Buffer.create 32 in
+  add_match_value b mv;
+  Buffer.contents b
+
+(* [table[priority]{field=value;...}], matches sorted by field name. Every
+   state lookup builds one, so it is written straight into one buffer. *)
 let match_key t =
-  let matches =
-    List.sort (fun a b -> String.compare a.fm_field b.fm_field) t.e_matches
-  in
-  let parts =
-    List.map
-      (fun fm -> Printf.sprintf "%s=%s" fm.fm_field (match_value_to_string fm.fm_value))
-      matches
-  in
-  Printf.sprintf "%s[%d]{%s}" t.e_table t.e_priority (String.concat ";" parts)
+  let b = Buffer.create 96 in
+  Buffer.add_string b t.e_table;
+  Buffer.add_char b '[';
+  Buffer.add_string b (Int.to_string t.e_priority);
+  Buffer.add_string b "]{";
+  List.iteri
+    (fun i fm ->
+      if i > 0 then Buffer.add_char b ';';
+      Buffer.add_string b fm.fm_field;
+      Buffer.add_char b '=';
+      add_match_value b fm.fm_value)
+    (List.sort (fun a b -> String.compare a.fm_field b.fm_field) t.e_matches);
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let equal_key a b = String.equal (match_key a) (match_key b)
 

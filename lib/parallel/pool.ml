@@ -271,11 +271,13 @@ let fork_run ~parent_shards ~jobs ~shards task =
           lose w (Printf.sprintf "corrupt stream: %s" msg)
     in
     (* Parent shards run in-process, after the forks, so workers compute
-       concurrently with them. *)
+       concurrently with them. A Ctrl-C while one runs ends the pool like
+       one anywhere else; any other failure loses only that shard. *)
     List.iter
       (fun s ->
         match task s with
         | p -> payloads.(s) <- Some p
+        | exception Sys.Break -> raise Sys.Break
         | exception e -> lost "parent shard %d failed: %s" s (Printexc.to_string e))
       parent_shards;
     let rec loop () =

@@ -38,7 +38,61 @@ let test_deterministic () =
       (batches f 5)
   in
   check_bool "same seed, same stream" true (run 11 = run 11);
-  check_bool "different seeds differ" true (run 11 <> run 12)
+  check_bool "different seeds differ" true (run 11 <> run 12);
+  (* Deep into a campaign: every candidate list the fuzzer draws from must
+     keep its contents and order, or the RNG draws (and so every corpus)
+     shift. The digests were recorded before the fuzzer built per-batch
+     views of its mirror. *)
+  let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+  let stream seed ~respect =
+    let f =
+      make_fuzzer
+        ~config:{ Fuzzer.default_config with respect_dependencies = respect }
+        seed
+    in
+    let print batch =
+      "--"
+      :: List.map
+           (fun (a : Fuzzer.annotated_update) ->
+             Format.asprintf "%a %s" Request.pp_update a.update
+               (Option.value ~default:"-" a.mutation))
+           batch
+    in
+    digest (List.concat_map print (Fuzzer.sweep f @ batches f 100))
+  in
+  let read_back seed ~greybox =
+    let stack = Stack.create Middleblock.program in
+    ignore
+      (Control_campaign.run stack
+         { Control_campaign.default_config with batches = 100; seed; greybox });
+    digest (List.map (Format.asprintf "%a" Entry.pp) (Stack.read stack).entries)
+  in
+  List.iter
+    (fun (seed, respecting, ignoring, grey, blind) ->
+      let pin what expected actual =
+        Alcotest.(check string) (Printf.sprintf "seed %d: %s" seed what) expected actual
+      in
+      pin "sweep + 100 batches, dependencies respected" respecting
+        (stream seed ~respect:true);
+      pin "sweep + 100 batches, dependencies ignored" ignoring
+        (stream seed ~respect:false);
+      pin "read-back after 100 greybox batches" grey (read_back seed ~greybox:true);
+      pin "read-back after 100 blind batches" blind (read_back seed ~greybox:false))
+    [ ( 3,
+        "d7743c35444133624aeecddabe807b38",
+        "3f8b1f0e46dcfb5aba8117d9c3d24693",
+        "48b4f772b5ca045525e0d72ae6c3aa13",
+        "6e1458ce866748d781a4232585f97b61" );
+      ( 7,
+        "7f1dd4103bba1750ffeb09721e1d2389",
+        "1bb3d5d9d7f55d1e3901da6affff3029",
+        "82e84ca8ddd3aa523b71c4c1e609f3fc",
+        "26f3065c5e1c7fe9e2894b1421ea1f90" );
+      ( 23,
+        "f1f839a9f3683a45fa88dbe2bc071135",
+        "53326491cde1c0895e59992307fe8088",
+        "00d4da6a673fccf7ba749c3bbf9c0486",
+        "2d867a28fb9f8cfd38054195e8f0a596" ) ]
 
 let test_unmutated_updates_syntactic () =
   (* Un-mutated updates must be syntactically valid (§4.1: the fuzzer

@@ -285,6 +285,197 @@ let prop_readback_corruption_detected =
       in
       List.exists (fun (i : Oracle.incident) -> i.inc_kind = `State_divergence) incidents)
 
+(* --- differential: the in-place judge against copy-and-rebuild ----------------- *)
+
+module P4info = Switchv_p4ir.P4info
+module Rng = Switchv_bitvec.Rng
+module Fuzzer = Switchv_fuzzer.Fuzzer
+module Stack = Switchv_switch.Stack
+module Fault = Switchv_switch.Fault
+module Catalogue = Switchv_switch.Catalogue
+module Workload = Switchv_sai.Workload
+module Mb = Switchv_sai.Middleblock
+
+(* The judge as it was before it updated its state in place: statuses
+   against expectations, the implied state built on a copy, the read-back
+   rebuilt into a fresh state and compared, and that state adopted.
+   [oracle] classifies against its live state, which this judge resets to
+   the read-back after every batch. *)
+let reference_judge oracle updates (resp : Request.write_response) ~read_back =
+  let state = Oracle.observed oracle in
+  let incidents = ref [] in
+  let verdicts = ref [] in
+  let add kind detail =
+    incidents := { Oracle.inc_kind = kind; inc_detail = detail } :: !incidents
+  in
+  if List.length resp.statuses <> List.length updates then
+    add `Status_violation
+      (Printf.sprintf "response has %d statuses for %d updates"
+         (List.length resp.statuses) (List.length updates));
+  let n_unavailable =
+    List.length
+      (List.filter (fun (s : Status.t) -> s.code = Status.Unavailable) resp.statuses)
+  in
+  if n_unavailable > 0 && n_unavailable = List.length resp.statuses then
+    add `Unresponsive "switch returned UNAVAILABLE for the entire batch";
+  let batch_inserts = Hashtbl.create 8 in
+  List.iter
+    (fun (u : Request.update) ->
+      if u.op = Request.Insert then
+        Hashtbl.replace batch_inserts u.entry.e_table
+          (1 + Option.value ~default:0 (Hashtbl.find_opt batch_inserts u.entry.e_table)))
+    updates;
+  let implied = State.copy state in
+  if List.length resp.statuses = List.length updates then
+    List.iter2
+      (fun (u : Request.update) (s : Status.t) ->
+        let expectation =
+          match Oracle.classify oracle u with
+          | Oracle.Must_accept
+            when u.op = Request.Insert
+                 && (match P4info.find_table Mb.info u.entry.e_table with
+                    | Some ti ->
+                        State.count state u.entry.e_table
+                        + Option.value ~default:0
+                            (Hashtbl.find_opt batch_inserts u.entry.e_table)
+                        > ti.ti_size
+                    | None -> false) ->
+              Oracle.May_either "batch may exceed guaranteed capacity"
+          | e -> e
+        in
+        (match (expectation, Status.is_ok s) with
+        | Oracle.Must_accept, false ->
+            verdicts := false :: !verdicts;
+            add `Status_violation
+              (Format.asprintf "valid update rejected (%a): %a" Status.pp s
+                 Request.pp_update u)
+        | Oracle.Must_reject why, true ->
+            verdicts := false :: !verdicts;
+            add `Status_violation
+              (Format.asprintf "invalid update accepted (%s): %a" why Request.pp_update u)
+        | Oracle.(Must_accept, true | Must_reject _, false | May_either _, _) ->
+            verdicts := true :: !verdicts);
+        if Status.is_ok s then
+          match u.op with
+          | Request.Insert -> ignore (State.insert implied u.entry)
+          | Request.Modify -> ignore (State.modify implied u.entry)
+          | Request.Delete -> ignore (State.delete implied u.entry))
+      updates resp.statuses;
+  let actual = State.create () in
+  List.iter (fun e -> ignore (State.insert actual e)) read_back.Request.entries;
+  if not (State.equal implied actual) then begin
+    let diffs = State.diff implied actual in
+    let shown = List.filteri (fun i _ -> i < 5) diffs in
+    add `State_divergence
+      (Printf.sprintf "switch state does not match reported statuses (%d differences): %s"
+         (List.length diffs) (String.concat " | " shown))
+  end;
+  State.clear state;
+  List.iter (fun e -> ignore (State.insert state e)) read_back.entries;
+  { Oracle.incidents = List.rev !incidents; per_update_ok = List.rev !verdicts }
+
+type perturbation = Unchanged | Dropped | Extra | Swapped | Zeroed_priority | Copied
+
+let perturbations = [ Dropped; Extra; Swapped; Zeroed_priority; Copied ]
+
+let perturb rng entries =
+  let n = List.length entries in
+  let p =
+    if n < 2 || Rng.bool rng then Unchanged else Rng.choose rng perturbations
+  in
+  let k = if n < 2 then 0 else Rng.int rng (n - 1) in
+  let entries =
+    match p with
+    | Unchanged -> entries
+    | Dropped -> List.filteri (fun i _ -> i <> k) entries
+    | Extra ->
+        (* A key no installed entry has: same matches, another priority. *)
+        let (e : Entry.t) = List.nth entries k in
+        entries @ [ { e with e_priority = e.e_priority + 1000 } ]
+    | Swapped ->
+        let a = Array.of_list entries in
+        let x = a.(k) in
+        a.(k) <- a.(k + 1);
+        a.(k + 1) <- x;
+        Array.to_list a
+    | Zeroed_priority ->
+        List.mapi (fun i (e : Entry.t) -> if i = k then { e with e_priority = 0 } else e)
+          entries
+    | Copied -> List.map (fun (e : Entry.t) -> { e with e_priority = e.e_priority }) entries
+  in
+  (p, entries)
+
+let test_differential () =
+  let entries = Workload.generate ~seed:3 Mb.program Workload.small in
+  let catalogue = Catalogue.pins Mb.program entries in
+  let control_faults =
+    List.filter
+      (fun (f : Fault.t) ->
+        String.equal f.id "PINS-019"
+        ||
+        match f.kind with
+        | Fault.Read_drops_table _ | Fault.Read_zeroes_priority | Fault.Modify_keeps_old_args _
+        | Fault.Delete_leaves_entry _ | Fault.Delete_nonexistent_fails_batch
+        | Fault.Reject_vrf_delete_with_any_routes | Fault.Crash_on_delete_sequence _ ->
+            true
+        | _ -> false)
+      catalogue
+  in
+  check_bool "PINS-019 and the read, modify and delete faults" true
+    (List.length control_faults >= 8);
+  let kept = ref 0 and rebuilt = ref 0 and copies_kept = ref 0 in
+  let seen = Hashtbl.create 8 in
+  List.iteri
+    (fun i faults ->
+      let what = match faults with [] -> "clean" | f :: _ -> f.Fault.id in
+      let stack = Stack.create ~faults Mb.program in
+      ignore (Stack.push_p4info stack);
+      (* Every other stack's fuzzer ignores dependencies, so its batches
+         delete entries that other updates of the same batch reference:
+         there, judging an update against a partly applied batch would
+         change its verdict. *)
+      let fuzzer =
+        Fuzzer.create
+          ~config:{ Fuzzer.default_config with respect_dependencies = i mod 2 = 0 }
+          Mb.info (Rng.create (11 + i))
+      in
+      let rng = Rng.create (101 + i) in
+      let oracle = Oracle.create Mb.info in
+      let reference = Oracle.create Mb.info in
+      List.iteri
+        (fun b annotated ->
+          let here fact = Printf.sprintf "%s, batch %d: %s" what b fact in
+          let updates = List.map (fun (a : Fuzzer.annotated_update) -> a.update) annotated in
+          let resp = Stack.write stack { Request.updates } in
+          let p, listed = perturb rng (Stack.read stack).entries in
+          Hashtbl.replace seen p ();
+          let read_back = { Request.entries = listed } in
+          let before = Oracle.observed oracle in
+          let got = Oracle.judge_batch_detailed oracle updates resp ~read_back in
+          let want = reference_judge reference updates resp ~read_back in
+          if Oracle.observed oracle == before then begin
+            incr kept;
+            if p = Copied then incr copies_kept
+          end
+          else incr rebuilt;
+          let shown (i : Oracle.incident) = Format.asprintf "%a" Oracle.pp_incident i in
+          Alcotest.(check (list string)) (here "incidents")
+            (List.map shown want.incidents) (List.map shown got.incidents);
+          Alcotest.(check (list bool)) (here "per-update verdicts") want.per_update_ok
+            got.per_update_ok;
+          let observed = Oracle.observed oracle and expected = Oracle.observed reference in
+          check_bool (here "observed state equal") true (State.equal expected observed);
+          check_bool (here "observed state order") true
+            (List.equal Entry.equal (State.all expected) (State.all observed)))
+        (Fuzzer.sweep fuzzer @ List.init 25 (fun _ -> Fuzzer.next_batch fuzzer)))
+    ([] :: List.map (fun f -> [ f ]) control_faults);
+  check_bool "kept-state branch ran" true (!kept > 0);
+  check_bool "rebuild branch ran" true (!rebuilt > 0);
+  check_int "structurally equal copies are never kept" 0 !copies_kept;
+  List.iter
+    (fun p -> check_bool "every perturbation applied" true (Hashtbl.mem seen p))
+    (Unchanged :: perturbations)
+
 (* --- the set-valued data-plane oracle (taint-driven) --------------------------- *)
 
 module Dataplane = Switchv_oracle.Dataplane
@@ -470,7 +661,8 @@ let () =
          Alcotest.test_case "capacity rejection ok" `Quick
            test_resource_rejection_at_capacity_ok;
          Alcotest.test_case "mid-batch capacity" `Quick test_mid_batch_capacity_tolerated;
-         Alcotest.test_case "adopts switch state" `Quick test_oracle_adopts_switch_state ]);
+         Alcotest.test_case "adopts switch state" `Quick test_oracle_adopts_switch_state;
+         Alcotest.test_case "in-place judge = copy-and-rebuild" `Quick test_differential ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_single_corruption_detected;
          QCheck_alcotest.to_alcotest prop_readback_corruption_detected ]);

@@ -349,6 +349,102 @@ let test_state_maintained_views () =
     done
   done
 
+(* --- match keys against their Printf definition ------------------------------ *)
+
+(* The definition [Entry.match_key] had before it was built in one
+   buffer. Keys appear in status messages, incident details and corpora,
+   so the two must agree byte for byte on every entry, malformed ones
+   included. *)
+module Printf_key = struct
+  let match_value_to_string = function
+    | Entry.M_exact v -> Printf.sprintf "exact:%s" (Bitvec.to_hex_string v)
+    | Entry.M_lpm p ->
+        Printf.sprintf "lpm:%s/%d" (Bitvec.to_hex_string (Prefix.value p)) (Prefix.len p)
+    | Entry.M_ternary tn ->
+        Printf.sprintf "ternary:%s&%s"
+          (Bitvec.to_hex_string (Ternary.value tn))
+          (Bitvec.to_hex_string (Ternary.mask tn))
+    | Entry.M_optional (Some v) -> Printf.sprintf "optional:%s" (Bitvec.to_hex_string v)
+    | Entry.M_optional None -> "optional:*"
+
+  let match_key (t : Entry.t) =
+    let matches =
+      List.sort
+        (fun (a : Entry.field_match) b -> String.compare a.fm_field b.fm_field)
+        t.e_matches
+    in
+    let parts =
+      List.map
+        (fun (fm : Entry.field_match) ->
+          Printf.sprintf "%s=%s" fm.fm_field (match_value_to_string fm.fm_value))
+        matches
+    in
+    Printf.sprintf "%s[%d]{%s}" t.e_table t.e_priority (String.concat ";" parts)
+end
+
+module Workload = Switchv_sai.Workload
+module Wan = Switchv_sai.Wan
+module Fuzzer = Switchv_fuzzer.Fuzzer
+
+let same_key what (e : Entry.t) =
+  let expected = Printf_key.match_key e in
+  let actual = Entry.match_key e in
+  if not (String.equal expected actual) then
+    Alcotest.failf "%s: match key %S, Printf definition %S" what actual expected
+
+let test_match_key_printf_reference () =
+  (* Production-shaped entry sets for both role models. *)
+  let generated =
+    Workload.generate Middleblock.program Workload.inst1
+    @ Workload.generate Wan.program Workload.inst2
+  in
+  check_int "generated entries" 2112 (List.length generated);
+  List.iter (same_key "generated") generated;
+  (* Fuzzer output, mutated updates included: the sweep applies every
+     mutation to every table, and the random batches add more. *)
+  let mutations = Hashtbl.create 16 in
+  List.iter
+    (fun (pi : P4info.t) ->
+      List.iter
+        (fun seed ->
+          let f = Fuzzer.create pi (Rng.create seed) in
+          List.iter
+            (List.iter (fun (a : Fuzzer.annotated_update) ->
+                 Option.iter (fun m -> Hashtbl.replace mutations m ()) a.mutation;
+                 same_key (Option.value ~default:"fuzzed" a.mutation) a.update.entry))
+            (Fuzzer.sweep f @ List.init 30 (fun _ -> Fuzzer.next_batch f)))
+        [ 1; 2; 3 ])
+    [ mb; Wan.info ];
+  List.iter
+    (fun m -> check_bool ("fuzzer applied " ^ m) true (Hashtbl.mem mutations m))
+    [ "duplicate_match_field"; "invalid_match_field_id"; "zero_priority";
+      "wrong_action_arg_width"; "invalid_match_type"; "invalid_table_id" ];
+  (* Hand-made corner cases: no matches, repeated and unknown fields,
+     zero and negative priorities, omitted optionals, empty prefixes,
+     wide and odd-width values. *)
+  let wide = Bitvec.of_int ~width:128 0x1234 in
+  let odd = Bitvec.of_int ~width:9 0x1ff in
+  List.iter (same_key "corner case")
+    [ Entry.make ~table:"t" ~matches:[] (single "a" []);
+      Entry.make ~priority:(-3) ~table:"" ~matches:[] (single "a" []);
+      Entry.make ~table:"t"
+        ~matches:
+          [ fm "x" (Entry.M_exact (bv16 1)); fm "x" (Entry.M_exact (bv16 2));
+            fm "ghost_field" (Entry.M_optional None) ]
+        (single "a" []);
+      Entry.make ~priority:0 ~table:"acl"
+        ~matches:
+          [ fm "z" (Entry.M_ternary (Ternary.make ~value:wide ~mask:wide));
+            fm "a" (Entry.M_lpm (Prefix.make odd 0));
+            fm "m" (Entry.M_optional (Some odd));
+            fm "b" (Entry.M_lpm (Prefix.full wide)) ]
+        (single "a" [ Bitvec.zero 24 ]) ];
+  (* Random entries over the self-referencing test tables. *)
+  let rng = Rng.create 42 in
+  for _ = 1 to 500 do
+    same_key "random" (random_entry rng)
+  done
+
 (* --- syntactic validation (Figure 3 verdicts) -------------------------------- *)
 
 let test_figure3_valid () =
@@ -464,7 +560,9 @@ let () =
   Alcotest.run "p4runtime"
     [ ("entry",
        [ Alcotest.test_case "match key order" `Quick test_match_key_order_insensitive;
-         Alcotest.test_case "priority in key" `Quick test_priority_in_key ]);
+         Alcotest.test_case "priority in key" `Quick test_priority_in_key;
+         Alcotest.test_case "match key = Printf definition" `Quick
+           test_match_key_printf_reference ]);
       ("state",
        [ Alcotest.test_case "insert/delete" `Quick test_state_insert_delete;
          Alcotest.test_case "modify" `Quick test_state_modify;

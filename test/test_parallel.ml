@@ -190,8 +190,8 @@ let test_cache_atomic_store () =
 
 (* --- pool -------------------------------------------------------------------- *)
 
-let map_strings ~jobs ~shards task =
-  Pool.map ~jobs ~shards ~encode:Fun.id ~decode:Result.ok task
+let map_strings ?parent_shards ~jobs ~shards task =
+  Pool.map ?parent_shards ~jobs ~shards ~encode:Fun.id ~decode:Result.ok task
 
 let workers_failed tele = Telemetry.counter tele "parallel.workers_failed"
 
@@ -238,6 +238,24 @@ let test_pool_in_process_skips_encoding () =
     (Pool.map ~jobs:1 ~shards:3 ~encode ~decode Fun.id);
   check_int_list "shards=1 runs in this process" [ Unix.getpid () ]
     (Pool.map ~jobs:4 ~shards:1 ~encode ~decode (fun _ -> Unix.getpid ()))
+
+let test_pool_parent_shard_interrupted () =
+  (* Ctrl-C while a parent shard runs ends the whole pool: the workers are
+     killed and reaped rather than waited for, and [Sys.Break] reaches the
+     caller instead of costing one shard. *)
+  let tele = Telemetry.create () in
+  let t0 = Unix.gettimeofday () in
+  match
+    Telemetry.with_registry tele (fun () ->
+        map_strings ~parent_shards:[ 0 ] ~jobs:2 ~shards:3 (fun s ->
+            if s = 0 then raise Sys.Break;
+            Unix.sleepf 2.;
+            "late"))
+  with
+  | _ -> Alcotest.fail "the parent shard's Sys.Break was swallowed"
+  | exception Sys.Break ->
+      check_int "no shard counted as lost" 0 (workers_failed tele);
+      check_bool "workers not waited for" true (Unix.gettimeofday () -. t0 < 1.5)
 
 let test_pool_merges_histogram_buckets () =
   (* Sharded quantiles must match single-process: workers export full
@@ -521,6 +539,8 @@ let () =
             test_pool_drops_undecodable;
           Alcotest.test_case "in-process path skips encoding" `Quick
             test_pool_in_process_skips_encoding;
+          Alcotest.test_case "interrupted parent shard ends the pool" `Quick
+            test_pool_parent_shard_interrupted;
           Alcotest.test_case "worker telemetry absorbed" `Quick
             test_pool_merges_worker_telemetry;
           Alcotest.test_case "sharded quantiles match single-process" `Quick
