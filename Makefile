@@ -15,7 +15,8 @@ build:
 # byte-identical across --jobs and against every reference path), and
 # every shipped model is lint-clean at severity error. The last step runs
 # the quick bench artifacts for their built-in gates: telemetry overhead
-# within budget, taint reclassifying goals on a clean switch, 100% fabric
+# within budget, incremental and scratch SMT solving yielding identical
+# packets, taint reclassifying goals on a clean switch, 100% fabric
 # localization, guided greybox out-covering blind without losing a fault,
 # and the compiled evaluator >= 10x at 100k entries. Quick mode never
 # rewrites the committed BENCH_*.json artifacts.
@@ -29,7 +30,7 @@ check:
 	$(MAKE) check-obs
 	$(MAKE) check-taint
 	$(MAKE) check-topo
-	dune exec bench/main.exe -- quick obs_overhead taint fabric greybox scale
+	dune exec bench/main.exe -- quick obs_overhead smt_incremental taint fabric greybox scale
 
 # Regression-corpus gate: every archived incident in the golden corpus must
 # still reproduce on a stack seeded with the fault it was captured under

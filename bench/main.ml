@@ -998,11 +998,13 @@ let obs_overhead_bench () =
     (off, on, pct)
   in
   (* genpackets: encoding + SMT goal solving, validate's "Generation"
-     phase (telemetry here is spans + per-check counter deltas). Quick
-     mode's small entry set solves in about 0.05 s, so a rep runs it five
-     times to last at least 0.2 s. *)
+     phase (telemetry here is spans + per-check counter deltas). One
+     encode-and-solve takes about 0.013 s on quick mode's small entry set
+     and 0.02 s on full mode's inst1 x0.1 (shared 2-core Xeon), so a rep
+     loops 30 and 20 times to last at least 0.2 s on a machine up to 1.5x
+     faster. *)
   let genpackets () =
-    for _ = 1 to if !quick then 5 else 1 do
+    for _ = 1 to if !quick then 30 else 20 do
       let enc = Symexec.encode Middleblock.program entries in
       ignore (Packetgen.generate enc (Packetgen.entry_coverage_goals enc))
     done

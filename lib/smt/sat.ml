@@ -1,5 +1,10 @@
 (* A MiniSat-style CDCL solver. Literal encoding: literal = 2*var for the
-   positive phase, 2*var+1 for the negative phase. *)
+   positive phase, 2*var+1 for the negative phase.
+
+   The search loops allocate nothing: clauses are bare literal arrays,
+   "no reason" is the [no_reason] sentinel rather than an option, the
+   activity heap compares unboxed floats, and watch lists and the trail
+   are int-typed arrays. *)
 
 module Lit = struct
   type t = int
@@ -11,28 +16,11 @@ module Lit = struct
   let pp fmt l = Format.fprintf fmt "%s%d" (if sign l then "" else "-") (var l)
 end
 
-(* Growable int/float vectors; OCaml arrays with doubling. *)
-module Vec = struct
-  type 'a t = { mutable data : 'a array; mutable size : int; dummy : 'a }
+(* A clause is its literal array; [lits.(0)] and [lits.(1)] are watched. *)
+type clause = int array
 
-  let create dummy = { data = Array.make 16 dummy; size = 0; dummy }
-
-  let push t x =
-    if t.size = Array.length t.data then begin
-      let data = Array.make (2 * Array.length t.data) t.dummy in
-      Array.blit t.data 0 data 0 t.size;
-      t.data <- data
-    end;
-    t.data.(t.size) <- x;
-    t.size <- t.size + 1
-
-  let get t i = t.data.(i)
-  let set t i x = t.data.(i) <- x
-  let size t = t.size
-  let shrink t n = t.size <- n
-end
-
-type clause = { lits : int array; learned : bool; mutable activity : float }
+(* The reason of decisions and of facts without one. *)
+let no_reason : clause = [||]
 
 (* Variable order: binary max-heap on activity, with position index. *)
 module Heap = struct
@@ -58,7 +46,7 @@ module Heap = struct
     t.heap.(i) <- vj; t.heap.(j) <- vi;
     t.pos.(vj) <- i; t.pos.(vi) <- j
 
-  let rec up t act i =
+  let rec up t (act : float array) i =
     if i > 0 then begin
       let p = (i - 1) / 2 in
       if act.(t.heap.(i)) > act.(t.heap.(p)) then begin
@@ -66,14 +54,13 @@ module Heap = struct
       end
     end
 
-  let rec down t act i =
+  let rec down t (act : float array) i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let best = ref i in
-    if l < t.size && act.(t.heap.(l)) > act.(t.heap.(!best)) then best := l;
-    if r < t.size && act.(t.heap.(r)) > act.(t.heap.(!best)) then best := r;
-    if !best <> i then begin swap t i !best; down t act !best end
+    let best = if l < t.size && act.(t.heap.(l)) > act.(t.heap.(i)) then l else i in
+    let best = if r < t.size && act.(t.heap.(r)) > act.(t.heap.(best)) then r else best in
+    if best <> i then begin swap t i best; down t act best end
 
-  let insert t act v =
+  let insert t (act : float array) v =
     ensure_var t v;
     if not (in_heap t v) then begin
       if t.size = Array.length t.heap then begin
@@ -87,9 +74,9 @@ module Heap = struct
       up t act t.pos.(v)
     end
 
-  let decrease t act v = if in_heap t v then up t act t.pos.(v)
+  let decrease t (act : float array) v = if in_heap t v then up t act t.pos.(v)
 
-  let pop_max t act =
+  let pop_max t (act : float array) =
     let v = t.heap.(0) in
     t.size <- t.size - 1;
     t.pos.(v) <- -1;
@@ -108,18 +95,22 @@ type t = {
   mutable nvars : int;
   mutable assigns : int array;      (* -1 unassigned / 0 false / 1 true *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : clause array;    (* [no_reason] for decisions *)
   mutable phase : bool array;       (* saved phase *)
   mutable activity : float array;
-  mutable watches : clause Vec.t array;  (* indexed by literal *)
-  clauses : clause Vec.t;
-  trail : int Vec.t;                (* literal trail *)
-  trail_lim : int Vec.t;            (* decision level boundaries *)
+  mutable seen : bool array;
+  mutable mark : int array;         (* [add_clause] scratch: lit + 1 per var *)
+  mutable watches : clause array array;  (* indexed by literal *)
+  mutable nwatches : int array;     (* live prefix of each watch list *)
+  mutable trail : int array;        (* literal trail *)
+  mutable trail_size : int;
+  mutable trail_lim : int array;    (* decision level boundaries *)
+  mutable nlevels : int;
   mutable qhead : int;
+  mutable cursor : int;             (* [order] positions below are assigned *)
+  mutable scratch : int array;      (* [add_clause] literal buffer *)
   order : Heap.t;
   mutable var_inc : float;
-  mutable cla_inc : float;
-  mutable seen : bool array;
   mutable ok : bool;                (* false once a top-level conflict found *)
   (* statistics *)
   mutable n_conflicts : int;
@@ -129,24 +120,26 @@ type t = {
   mutable n_learned : int;
 }
 
-let dummy_clause = { lits = [||]; learned = false; activity = 0.0 }
-
 let create () =
   { nvars = 0;
     assigns = Array.make 16 (-1);
     level = Array.make 16 0;
-    reason = Array.make 16 None;
+    reason = Array.make 16 no_reason;
     phase = Array.make 16 false;
     activity = Array.make 16 0.0;
-    watches = Array.init 32 (fun _ -> Vec.create dummy_clause);
-    clauses = Vec.create dummy_clause;
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    seen = Array.make 16 false;
+    mark = Array.make 16 0;
+    watches = Array.make 32 [||];
+    nwatches = Array.make 32 0;
+    trail = Array.make 16 0;
+    trail_size = 0;
+    trail_lim = Array.make 16 0;
+    nlevels = 0;
     qhead = 0;
+    cursor = 0;
+    scratch = Array.make 16 0;
     order = Heap.create ();
     var_inc = 1.0;
-    cla_inc = 1.0;
-    seen = Array.make 16 false;
     ok = true;
     n_conflicts = 0;
     n_decisions = 0;
@@ -156,41 +149,40 @@ let create () =
 
 let num_vars t = t.nvars
 
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let new_var t =
   let v = t.nvars in
   t.nvars <- v + 1;
-  let n = Array.length t.assigns in
-  if v >= n then begin
-    let grow a fill =
-      let b = Array.make (2 * n) fill in
-      Array.blit a 0 b 0 n; b
-    in
+  if v >= Array.length t.assigns then begin
     t.assigns <- grow t.assigns (-1);
     t.level <- grow t.level 0;
-    t.reason <- grow t.reason None;
+    t.reason <- grow t.reason no_reason;
     t.phase <- grow t.phase false;
     t.activity <- grow t.activity 0.0;
     t.seen <- grow t.seen false;
-    let w = Array.init (4 * n) (fun _ -> Vec.create dummy_clause) in
-    Array.blit t.watches 0 w 0 (2 * n);
-    t.watches <- w
+    t.mark <- grow t.mark 0;
+    t.trail <- grow t.trail 0;
+    t.watches <- grow t.watches [||];
+    t.nwatches <- grow t.nwatches 0
   end;
   Heap.insert t.order t.activity v;
   v
 
 let lit_value t l =
-  let a = t.assigns.(Lit.var l) in
-  if a < 0 then -1
-  else if Lit.sign l then a
-  else 1 - a
-
-let decision_level t = Vec.size t.trail_lim
+  let a = t.assigns.(l lsr 1) in
+  if a < 0 then -1 else if l land 1 = 0 then a else 1 - a
 
 let enqueue t l reason =
-  t.assigns.(Lit.var l) <- (if Lit.sign l then 1 else 0);
-  t.level.(Lit.var l) <- decision_level t;
-  t.reason.(Lit.var l) <- reason;
-  Vec.push t.trail l
+  let v = l lsr 1 in
+  t.assigns.(v) <- 1 - (l land 1);
+  t.level.(v) <- t.nlevels;
+  t.reason.(v) <- reason;
+  t.trail.(t.trail_size) <- l;
+  t.trail_size <- t.trail_size + 1
 
 let var_bump t v =
   t.activity.(v) <- t.activity.(v) +. t.var_inc;
@@ -204,114 +196,128 @@ let var_bump t v =
 
 let var_decay t = t.var_inc <- t.var_inc /. 0.95
 
-let watch t l c = Vec.push t.watches.(l) c
+let watch t l (c : clause) =
+  let n = t.nwatches.(l) in
+  let ws = t.watches.(l) in
+  let ws =
+    if n < Array.length ws then ws
+    else begin
+      let bigger = Array.make (max 4 (2 * n)) no_reason in
+      Array.blit ws 0 bigger 0 n;
+      t.watches.(l) <- bigger;
+      bigger
+    end
+  in
+  ws.(n) <- c;
+  t.nwatches.(l) <- n + 1
 
-let attach_clause t c =
+let attach_clause t (c : clause) =
   (* Watch the first two literals. *)
-  watch t (Lit.neg c.lits.(0)) c;
-  watch t (Lit.neg c.lits.(1)) c
+  watch t (Lit.neg c.(0)) c;
+  watch t (Lit.neg c.(1)) c
 
-let add_clause t lits =
+(* Copy [lits] into [t.scratch] from position [n] on, dropping duplicates
+   and, at level 0, false literals; returns the count kept, or -1 when the
+   clause is a tautology or already true at level 0. [t.mark] remembers
+   the literal seen per variable (plus one); the caller clears it. *)
+let rec collect t at_top n = function
+  | [] -> n
+  | l :: rest ->
+      let v = l lsr 1 in
+      let m = t.mark.(v) in
+      if m = l + 1 then collect t at_top n rest
+      else if m <> 0 then -1
+      else begin
+        t.mark.(v) <- l + 1;
+        let value = if at_top then lit_value t l else -1 in
+        if value = 1 then -1
+        else if value = 0 then collect t at_top n rest
+        else begin
+          if n = Array.length t.scratch then t.scratch <- grow t.scratch 0;
+          t.scratch.(n) <- l;
+          collect t at_top (n + 1) rest
+        end
+      end
+
+let rec clear_marks mark = function
+  | [] -> ()
+  | l :: rest -> mark.(l lsr 1) <- 0; clear_marks mark rest
+
+let add_clause t (lits : Lit.t list) =
   if t.ok then begin
     (* Simplify: drop duplicate/false literals, detect tautologies. Only
        sound at level 0; callers add clauses before/between solves, where we
        restart from level 0 anyway, but literal values at level > 0 must be
        ignored. *)
-    let at_top = decision_level t = 0 in
-    let tbl = Hashtbl.create 8 in
-    let taut = ref false in
-    let lits =
-      List.filter
-        (fun l ->
-          if Hashtbl.mem tbl (Lit.neg l) then taut := true;
-          if Hashtbl.mem tbl l then false
-          else begin
-            Hashtbl.add tbl l ();
-            not (at_top && lit_value t l = 0)
-          end)
-        (lits :> int list)
-    in
-    if not !taut then begin
-      let already_sat = at_top && List.exists (fun l -> lit_value t l = 1) lits in
-      if not already_sat then
-        match lits with
-        | [] -> t.ok <- false
-        | [ l ] ->
-            if at_top then begin
-              match lit_value t l with
-              | 1 -> ()
-              | 0 -> t.ok <- false
-              | _ -> enqueue t l None
-            end
-            else begin
-              (* Shouldn't happen in our usage; store as a clause with a
-                 duplicated watch to stay safe. *)
-              let c = { lits = [| l; l |]; learned = false; activity = 0.0 } in
-              Vec.push t.clauses c;
-              attach_clause t c
-            end
-        | l1 :: l2 :: _ ->
-            let c = { lits = Array.of_list lits; learned = false; activity = 0.0 } in
-            ignore l1; ignore l2;
-            Vec.push t.clauses c;
-            attach_clause t c
+    let at_top = t.nlevels = 0 in
+    let lits = (lits :> int list) in
+    let n = collect t at_top 0 lits in
+    clear_marks t.mark lits;
+    if n = 0 then t.ok <- false
+    else if n = 1 && at_top then enqueue t t.scratch.(0) no_reason
+    else if n >= 1 then begin
+      (* A unit above level 0 shouldn't happen in our usage; store it as a
+         clause with a duplicated watch to stay safe. *)
+      let c = if n = 1 then [| t.scratch.(0); t.scratch.(0) |] else Array.sub t.scratch 0 n in
+      attach_clause t c
     end
   end
 
-(* Propagate all enqueued facts. Returns the conflicting clause if any. *)
+(* Propagate all enqueued facts. Returns the conflicting clause, or
+   [no_reason] when there is none. *)
 let propagate t =
-  let conflict = ref None in
-  while !conflict = None && t.qhead < Vec.size t.trail do
-    let p = Vec.get t.trail t.qhead in
+  let conflict = ref no_reason in
+  while !conflict == no_reason && t.qhead < t.trail_size do
+    let p = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.n_propagations <- t.n_propagations + 1;
+    (* Clauses moved to another watch list never land on [p]'s own: their
+       new watch is a literal that is not false, and [neg p] is. *)
     let ws = t.watches.(p) in
-    let n = Vec.size ws in
-    let j = ref 0 in
-    (let i = ref 0 in
-     while !i < n do
-       let c = Vec.get ws !i in
-       incr i;
-       if !conflict <> None then begin
-         (* Copy the remaining watchers unchanged. *)
-         Vec.set ws !j c;
-         incr j
-       end
-       else begin
-         (* Make sure the false literal is lits.(1). *)
-         let falsel = Lit.neg p in
-         if c.lits.(0) = falsel then begin
-           c.lits.(0) <- c.lits.(1);
-           c.lits.(1) <- falsel
-         end;
-         if lit_value t c.lits.(0) = 1 then begin
-           (* Clause already satisfied; keep watching. *)
-           Vec.set ws !j c;
-           incr j
-         end
-         else begin
-           (* Look for a new literal to watch. *)
-           let len = Array.length c.lits in
-           let rec find k =
-             if k >= len then None
-             else if lit_value t c.lits.(k) <> 0 then Some k
-             else find (k + 1)
-           in
-           match find 2 with
-           | Some k ->
-               c.lits.(1) <- c.lits.(k);
-               c.lits.(k) <- falsel;
-               watch t (Lit.neg c.lits.(1)) c
-           | None ->
-               (* Unit or conflicting. *)
-               Vec.set ws !j c;
-               incr j;
-               if lit_value t c.lits.(0) = 0 then conflict := Some c
-               else enqueue t c.lits.(0) (Some c)
-         end
-       end
-     done);
-    Vec.shrink ws !j
+    let n = t.nwatches.(p) in
+    let falsel = Lit.neg p in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let c = ws.(!i) in
+      incr i;
+      if !conflict != no_reason then begin
+        (* Copy the remaining watchers unchanged. *)
+        ws.(!j) <- c;
+        incr j
+      end
+      else begin
+        (* Make sure the false literal is c.(1). *)
+        if c.(0) = falsel then begin
+          c.(0) <- c.(1);
+          c.(1) <- falsel
+        end;
+        if lit_value t c.(0) = 1 then begin
+          (* Clause already satisfied; keep watching. *)
+          ws.(!j) <- c;
+          incr j
+        end
+        else begin
+          (* Look for a new literal to watch. *)
+          let len = Array.length c in
+          let k = ref 2 in
+          while !k < len && lit_value t c.(!k) = 0 do incr k done;
+          if !k < len then begin
+            let l = c.(!k) in
+            c.(1) <- l;
+            c.(!k) <- falsel;
+            watch t (Lit.neg l) c
+          end
+          else begin
+            (* Unit or conflicting. *)
+            ws.(!j) <- c;
+            incr j;
+            if lit_value t c.(0) = 0 then conflict := c
+            else enqueue t c.(0) c
+          end
+        end
+      end
+    done;
+    t.nwatches.(p) <- !j
   done;
   !conflict
 
@@ -322,36 +328,30 @@ let analyze t confl =
   let seen = t.seen in
   let path = ref 0 in
   let p = ref (-1) in
-  let confl = ref (Some confl) in
-  let idx = ref (Vec.size t.trail - 1) in
+  let confl = ref confl in
+  let idx = ref (t.trail_size - 1) in
   let btlevel = ref 0 in
   let continue = ref true in
   while !continue do
-    (match !confl with
-    | None -> assert false
-    | Some c ->
-        if c.learned then c.activity <- c.activity +. t.cla_inc;
-        let start = if !p = -1 then 0 else 1 in
-        for k = start to Array.length c.lits - 1 do
-          let q = c.lits.(k) in
-          let v = Lit.var q in
-          if (not seen.(v)) && t.level.(v) > 0 then begin
-            var_bump t v;
-            seen.(v) <- true;
-            if t.level.(v) >= decision_level t then incr path
-            else begin
-              learnt := q :: !learnt;
-              if t.level.(v) > !btlevel then btlevel := t.level.(v)
-            end
-          end
-        done);
+    let c = !confl in
+    let start = if !p = -1 then 0 else 1 in
+    for k = start to Array.length c - 1 do
+      let q = c.(k) in
+      let v = Lit.var q in
+      if (not seen.(v)) && t.level.(v) > 0 then begin
+        var_bump t v;
+        seen.(v) <- true;
+        if t.level.(v) >= t.nlevels then incr path
+        else begin
+          learnt := q :: !learnt;
+          if t.level.(v) > !btlevel then btlevel := t.level.(v)
+        end
+      end
+    done;
     (* Select next literal to look at. *)
-    let rec next () =
-      let l = Vec.get t.trail !idx in
-      decr idx;
-      if seen.(Lit.var l) then l else next ()
-    in
-    let l = next () in
+    while not seen.(Lit.var t.trail.(!idx)) do decr idx done;
+    let l = t.trail.(!idx) in
+    decr idx;
     p := l;
     confl := t.reason.(Lit.var l);
     seen.(Lit.var l) <- false;
@@ -364,32 +364,37 @@ let analyze t confl =
   (Array.of_list learnt, !btlevel)
 
 let cancel_until t lvl =
-  if decision_level t > lvl then begin
-    let bound = Vec.get t.trail_lim lvl in
-    for i = Vec.size t.trail - 1 downto bound do
-      let l = Vec.get t.trail i in
+  if t.nlevels > lvl then begin
+    let bound = t.trail_lim.(lvl) in
+    for i = t.trail_size - 1 downto bound do
+      let l = t.trail.(i) in
       let v = Lit.var l in
       t.phase.(v) <- Lit.sign l;
       t.assigns.(v) <- -1;
-      t.reason.(v) <- None;
+      t.reason.(v) <- no_reason;
       Heap.insert t.order t.activity v
     done;
-    Vec.shrink t.trail bound;
-    Vec.shrink t.trail_lim lvl;
-    t.qhead <- Vec.size t.trail
+    t.trail_size <- bound;
+    t.nlevels <- lvl;
+    t.qhead <- bound;
+    t.cursor <- 0
   end
 
-let new_decision_level t = Vec.push t.trail_lim (Vec.size t.trail)
+let new_decision_level t =
+  (* Assumptions already true open a level without assigning a variable,
+     so levels can outnumber variables. *)
+  if t.nlevels = Array.length t.trail_lim then t.trail_lim <- grow t.trail_lim 0;
+  t.trail_lim.(t.nlevels) <- t.trail_size;
+  t.nlevels <- t.nlevels + 1
 
-let pick_branch_var t =
-  let rec go () =
-    if Heap.is_empty t.order then None
-    else begin
-      let v = Heap.pop_max t.order t.activity in
-      if t.assigns.(v) < 0 then Some v else go ()
-    end
-  in
-  go ()
+(* The unassigned variable of highest activity, or -1 when all are
+   assigned. *)
+let rec pick_branch_var t =
+  if Heap.is_empty t.order then -1
+  else begin
+    let v = Heap.pop_max t.order t.activity in
+    if t.assigns.(v) < 0 then v else pick_branch_var t
+  end
 
 (* Luby sequence (1 1 2 1 1 2 4 ...): luby i with i >= 1. *)
 let rec luby i =
@@ -413,24 +418,24 @@ exception Restart
    Must run before [cancel_until]: it reads the live trail. *)
 let analyze_final t p =
   let core = ref [ p ] in
-  if decision_level t > 0 then begin
+  if t.nlevels > 0 then begin
     let seen = t.seen in
     seen.(Lit.var p) <- true;
-    let bound = Vec.get t.trail_lim 0 in
-    for i = Vec.size t.trail - 1 downto bound do
-      let l = Vec.get t.trail i in
+    let bound = t.trail_lim.(0) in
+    for i = t.trail_size - 1 downto bound do
+      let l = t.trail.(i) in
       let v = Lit.var l in
       if seen.(v) then begin
-        (match t.reason.(v) with
-        | None ->
-            (* A decision above level 0: an assumption literal (possibly the
-               negation of [p] itself when assumptions directly conflict). *)
-            if l <> p then core := l :: !core
-        | Some c ->
-            Array.iter
-              (fun q ->
-                if t.level.(Lit.var q) > 0 then seen.(Lit.var q) <- true)
-              c.lits);
+        let r = t.reason.(v) in
+        if r == no_reason then begin
+          (* A decision above level 0: an assumption literal (possibly the
+             negation of [p] itself when assumptions directly conflict). *)
+          if l <> p then core := l :: !core
+        end
+        else
+          Array.iter
+            (fun q -> if t.level.(Lit.var q) > 0 then seen.(Lit.var q) <- true)
+            r;
         seen.(v) <- false
       end
     done;
@@ -438,33 +443,38 @@ let analyze_final t p =
   end;
   !core
 
-(* Find the first literal in [order] whose variable is still unassigned.
+(* The first literal of [order] whose variable is still unassigned, or -1.
    Decisions taken from [order] always use the literal's own polarity (no
    saved-phase override): together with the fixed scan order this makes the
    model found a pure function of the clause set's meaning — the
    lexicographically preferred model w.r.t. [order] — independent of learned
-   clauses, VSIDS state, and restart timing. *)
-let pick_ordered t order =
+   clauses, VSIDS state, and restart timing. Positions before [t.cursor]
+   are known to be assigned; only backtracking unassigns, and
+   [cancel_until] resets the cursor. *)
+let pick_ordered t (order : int array) =
   let n = Array.length order in
-  let rec go i =
-    if i >= n then None
-    else
-      let l = order.(i) in
-      if t.assigns.(Lit.var l) < 0 then Some l else go (i + 1)
-  in
-  go 0
+  let i = ref t.cursor in
+  while !i < n && t.assigns.(Lit.var order.(!i)) >= 0 do incr i done;
+  t.cursor <- !i;
+  if !i < n then order.(!i) else -1
 
-let solve_with_assumptions ?order t assumptions =
+let decide t l =
+  t.n_decisions <- t.n_decisions + 1;
+  new_decision_level t;
+  enqueue t l no_reason
+
+let solve_with_assumptions ?(order = [||]) t assumptions =
   if not t.ok then A_unsat []
   else begin
     cancel_until t 0;
+    t.cursor <- 0;
     let assumptions = Array.of_list (assumptions :> int list) in
-    let order = match order with None -> [||] | Some o -> (o : Lit.t array) in
     let core = ref [] in
     try
-      (match propagate t with
-      | Some _ -> t.ok <- false; raise Unsat_exn
-      | None -> ());
+      if propagate t != no_reason then begin
+        t.ok <- false;
+        raise Unsat_exn
+      end;
       let restart_n = ref 0 in
       let rec search_forever () =
         incr restart_n;
@@ -472,60 +482,50 @@ let solve_with_assumptions ?order t assumptions =
         let conflicts_here = ref 0 in
         (try
            while true do
-             match propagate t with
-             | Some confl ->
-                 t.n_conflicts <- t.n_conflicts + 1;
-                 incr conflicts_here;
-                 if decision_level t = 0 then begin
-                   t.ok <- false;
+             let confl = propagate t in
+             if confl != no_reason then begin
+               t.n_conflicts <- t.n_conflicts + 1;
+               incr conflicts_here;
+               if t.nlevels = 0 then begin
+                 t.ok <- false;
+                 raise Unsat_exn
+               end;
+               let learnt, btlevel = analyze t confl in
+               cancel_until t btlevel;
+               (if Array.length learnt = 1 then enqueue t learnt.(0) no_reason
+                else begin
+                  t.n_learned <- t.n_learned + 1;
+                  attach_clause t learnt;
+                  enqueue t learnt.(0) learnt
+                end);
+               var_decay t;
+               if !conflicts_here >= budget then begin
+                 t.n_restarts <- t.n_restarts + 1;
+                 cancel_until t 0;
+                 raise Restart
+               end
+             end
+             else if t.nlevels < Array.length assumptions then begin
+               (* Decide next: assumptions first, then the canonical order
+                  if given, then VSIDS. *)
+               let p = assumptions.(t.nlevels) in
+               match lit_value t p with
+               | 1 -> new_decision_level t
+               | 0 ->
+                   (* Conflicts with the assumptions: report which. *)
+                   core := analyze_final t p;
                    raise Unsat_exn
-                 end;
-                 let learnt, btlevel = analyze t confl in
-                 cancel_until t btlevel;
-                 (if Array.length learnt = 1 then enqueue t learnt.(0) None
-                  else begin
-                    let c = { lits = learnt; learned = true; activity = t.cla_inc } in
-                    Vec.push t.clauses c;
-                    t.n_learned <- t.n_learned + 1;
-                    attach_clause t c;
-                    enqueue t learnt.(0) (Some c)
-                  end);
-                 var_decay t;
-                 if !conflicts_here >= budget then begin
-                   t.n_restarts <- t.n_restarts + 1;
-                   cancel_until t 0;
-                   raise Restart
-                 end
-             | None ->
-                 (* Decide next: assumptions first, then the canonical order
-                    if given, then VSIDS. *)
-                 if decision_level t < Array.length assumptions then begin
-                   let p = assumptions.(decision_level t) in
-                   match lit_value t p with
-                   | 1 -> new_decision_level t
-                   | 0 ->
-                       (* Conflicts with the assumptions: report which. *)
-                       core := analyze_final t p;
-                       raise Unsat_exn
-                   | _ ->
-                       t.n_decisions <- t.n_decisions + 1;
-                       new_decision_level t;
-                       enqueue t p None
-                 end
-                 else begin
-                   match pick_ordered t order with
-                   | Some l ->
-                       t.n_decisions <- t.n_decisions + 1;
-                       new_decision_level t;
-                       enqueue t l None
-                   | None -> (
-                       match pick_branch_var t with
-                       | None -> raise Exit (* all assigned: SAT *)
-                       | Some v ->
-                           t.n_decisions <- t.n_decisions + 1;
-                           new_decision_level t;
-                           enqueue t (Lit.make v t.phase.(v)) None)
-                 end
+               | _ -> decide t p
+             end
+             else begin
+               let l = pick_ordered t order in
+               if l >= 0 then decide t l
+               else begin
+                 let v = pick_branch_var t in
+                 if v < 0 then raise Exit (* all assigned: SAT *)
+                 else decide t (Lit.make v t.phase.(v))
+               end
+             end
            done
          with Restart -> ());
         search_forever ()

@@ -2,7 +2,8 @@
 
     A MiniSat-style conflict-driven clause-learning solver with two-watched
     literals, 1-UIP conflict analysis, VSIDS branching, phase saving, and
-    Luby restarts. It supports solving under unit {e assumptions}, which the
+    Luby restarts. Its search loops (propagation, decisions, backtracking)
+    allocate nothing. It supports solving under unit {e assumptions}, which the
     bitvector layer uses to pose many coverage queries against a single
     clause database (one query per coverage goal, as in p4-symbolic).
 
@@ -65,7 +66,9 @@ val solve_with_assumptions :
     function of the formula's meaning, independent of learned clauses,
     restart timing, and heuristic state, which is what lets incremental and
     from-scratch solving produce bit-identical witnesses. Variables not in
-    [order] are decided by VSIDS afterwards as usual. *)
+    [order] are decided by VSIDS afterwards as usual. The ordered search is
+    still complete, so it returns the verdict an unordered one would: one
+    call gives both the verdict and the canonical model. *)
 
 val value : t -> int -> bool
 (** Model value of a variable after a [Sat] answer. Unconstrained variables

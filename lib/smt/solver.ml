@@ -2,9 +2,23 @@ module Bitvec = Switchv_bitvec.Bitvec
 module Telemetry = Switchv_telemetry.Telemetry
 module Lit = Sat.Lit
 
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
-  let equal = ( == )
+module Id_tbl = Term.Id_tbl
+
+(* Gate memo keys: two literals packed into one int ([fresh] keeps
+   literals below 2^31); the mux memo pairs its condition with such a key. *)
+let pack x y = (x lsl 31) lor y
+
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+module Triple_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a : int), (b : int)) (c, d) = a = c && b = d
   let hash = Hashtbl.hash
 end)
 
@@ -13,10 +27,10 @@ end)
    selectors of all active scopes. [pop] retires the scope by asserting the
    unit [~sel], which permanently satisfies the guarded clauses — and any
    clauses learned from them, since those must mention [~sel] too. The
-   Tseitin environment (variable maps, structural memos, gate table) is
-   never rolled back: shared subterms bit-blast exactly once for the life of
-   the solver. [originals] keeps the pre-preprocessing source formulas for
-   the self-check mode. *)
+   Tseitin environment (variable maps, term memos keyed by node id, gate
+   memos keyed by literals) is never rolled back: shared subterms
+   bit-blast exactly once for the life of the solver. [originals] keeps
+   the pre-preprocessing source formulas for the self-check mode. *)
 type scope = { sel : Lit.t; mutable originals : Term.boolean list }
 
 type t = {
@@ -24,9 +38,11 @@ type t = {
   true_lit : Lit.t;
   bv_vars : (string, Lit.t array) Hashtbl.t;
   bool_vars : (string, Lit.t) Hashtbl.t;
-  bv_memo : Lit.t array Phys.t;
-  bool_memo : Lit.t Phys.t;
-  gate_memo : (string * int * int * int, Lit.t) Hashtbl.t;
+  bv_memo : Lit.t array Id_tbl.t;
+  bool_memo : Lit.t Id_tbl.t;
+  and_memo : Lit.t Pair_tbl.t;
+  xor_memo : Lit.t Pair_tbl.t;
+  mux_memo : Lit.t Triple_tbl.t;
   mutable n_gates : int;
   mutable scopes : scope list;           (* innermost first *)
   mutable root_originals : Term.boolean list;
@@ -44,9 +60,11 @@ let create () =
   { sat; true_lit;
     bv_vars = Hashtbl.create 64;
     bool_vars = Hashtbl.create 16;
-    bv_memo = Phys.create 1024;
-    bool_memo = Phys.create 1024;
-    gate_memo = Hashtbl.create 4096;
+    bv_memo = Id_tbl.create 1024;
+    bool_memo = Id_tbl.create 1024;
+    and_memo = Pair_tbl.create 4096;
+    xor_memo = Pair_tbl.create 1024;
+    mux_memo = Triple_tbl.create 1024;
     n_gates = 0;
     scopes = [];
     root_originals = [] }
@@ -57,18 +75,16 @@ let is_true t l = l = lit_true t
 let is_false t l = l = lit_false t
 let of_bool t b = if b then lit_true t else lit_false t
 
-let fresh t = Lit.make (Sat.new_var t.sat) true
-
-let gate t key mk =
-  match Hashtbl.find_opt t.gate_memo key with
-  | Some l -> l
-  | None ->
-      let l = mk () in
-      t.n_gates <- t.n_gates + 1;
-      Hashtbl.add t.gate_memo key l;
-      l
+let fresh t =
+  let v = Sat.new_var t.sat in
+  if v >= 1 lsl 30 then failwith "Solver: more than 2^30 variables";
+  Lit.make v true
 
 let li l = (l : Lit.t :> int)
+
+let new_gate t =
+  t.n_gates <- t.n_gates + 1;
+  fresh t
 
 let and_gate t a b =
   if is_false t a || is_false t b then lit_false t
@@ -78,12 +94,16 @@ let and_gate t a b =
   else if a = Lit.neg b then lit_false t
   else begin
     let x, y = if li a < li b then (a, b) else (b, a) in
-    gate t ("and", li x, li y, 0) (fun () ->
-        let o = fresh t in
+    let key = pack (li x) (li y) in
+    match Pair_tbl.find_opt t.and_memo key with
+    | Some o -> o
+    | None ->
+        let o = new_gate t in
         Sat.add_clause t.sat [ Lit.neg o; x ];
         Sat.add_clause t.sat [ Lit.neg o; y ];
         Sat.add_clause t.sat [ o; Lit.neg x; Lit.neg y ];
-        o)
+        Pair_tbl.add t.and_memo key o;
+        o
   end
 
 let or_gate t a b = Lit.neg (and_gate t (Lit.neg a) (Lit.neg b))
@@ -97,13 +117,17 @@ let xor_gate t a b =
   else if a = Lit.neg b then lit_true t
   else begin
     let x, y = if li a < li b then (a, b) else (b, a) in
-    gate t ("xor", li x, li y, 0) (fun () ->
-        let o = fresh t in
+    let key = pack (li x) (li y) in
+    match Pair_tbl.find_opt t.xor_memo key with
+    | Some o -> o
+    | None ->
+        let o = new_gate t in
         Sat.add_clause t.sat [ Lit.neg o; x; y ];
         Sat.add_clause t.sat [ Lit.neg o; Lit.neg x; Lit.neg y ];
         Sat.add_clause t.sat [ o; Lit.neg x; y ];
         Sat.add_clause t.sat [ o; x; Lit.neg y ];
-        o)
+        Pair_tbl.add t.xor_memo key o;
+        o
   end
 
 let xnor_gate t a b = Lit.neg (xor_gate t a b)
@@ -116,8 +140,11 @@ let mux_gate t c a b =
   else if is_true t a && is_false t b then c
   else if is_false t a && is_true t b then Lit.neg c
   else
-    gate t ("mux", li c, li a, li b) (fun () ->
-        let o = fresh t in
+    let key = (li c, pack (li a) (li b)) in
+    match Triple_tbl.find_opt t.mux_memo key with
+    | Some o -> o
+    | None ->
+        let o = new_gate t in
         Sat.add_clause t.sat [ Lit.neg c; Lit.neg a; o ];
         Sat.add_clause t.sat [ Lit.neg c; a; Lit.neg o ];
         Sat.add_clause t.sat [ c; Lit.neg b; o ];
@@ -125,7 +152,8 @@ let mux_gate t c a b =
         (* Redundant but propagation-strengthening clauses. *)
         Sat.add_clause t.sat [ Lit.neg a; Lit.neg b; o ];
         Sat.add_clause t.sat [ a; b; Lit.neg o ];
-        o)
+        Triple_tbl.add t.mux_memo key o;
+        o
 
 let and_reduce t lits = Array.fold_left (and_gate t) (lit_true t) lits
 
@@ -202,69 +230,69 @@ let mux_lits t c a b = Array.init (Array.length a) (fun i -> mux_gate t c a.(i) 
 
 let rec blast_bv t (term : Term.bv) : Lit.t array =
   match term with
-  | Term.Bv_const c -> const_lits t c
-  | Term.Bv_var (name, w) -> bv_var_lits t name w
+  | Term.Bv_const (_, c) -> const_lits t c
+  | Term.Bv_var (_, name, w) -> bv_var_lits t name w
   | _ ->
-      let key = Obj.repr term in
-      (match Phys.find_opt t.bv_memo key with
+      let id = Term.bv_id term in
+      (match Id_tbl.find_opt t.bv_memo id with
       | Some lits -> lits
       | None ->
           let lits =
             match term with
             | Term.Bv_const _ | Term.Bv_var _ -> assert false
-            | Term.Bv_not a -> not_lits (blast_bv t a)
-            | Term.Bv_neg a -> neg_lits t (blast_bv t a)
-            | Term.Bv_and (a, b) ->
+            | Term.Bv_not (_, a) -> not_lits (blast_bv t a)
+            | Term.Bv_neg (_, a) -> neg_lits t (blast_bv t a)
+            | Term.Bv_and (_, a, b) ->
                 let a = blast_bv t a and b = blast_bv t b in
                 Array.init (Array.length a) (fun i -> and_gate t a.(i) b.(i))
-            | Term.Bv_or (a, b) ->
+            | Term.Bv_or (_, a, b) ->
                 let a = blast_bv t a and b = blast_bv t b in
                 Array.init (Array.length a) (fun i -> or_gate t a.(i) b.(i))
-            | Term.Bv_xor (a, b) ->
+            | Term.Bv_xor (_, a, b) ->
                 let a = blast_bv t a and b = blast_bv t b in
                 Array.init (Array.length a) (fun i -> xor_gate t a.(i) b.(i))
-            | Term.Bv_add (a, b) -> add_lits t (blast_bv t a) (blast_bv t b)
-            | Term.Bv_sub (a, b) -> sub_lits t (blast_bv t a) (blast_bv t b)
-            | Term.Bv_mul (a, b) -> mul_lits t (blast_bv t a) (blast_bv t b)
-            | Term.Bv_concat (hi, lo) ->
+            | Term.Bv_add (_, a, b) -> add_lits t (blast_bv t a) (blast_bv t b)
+            | Term.Bv_sub (_, a, b) -> sub_lits t (blast_bv t a) (blast_bv t b)
+            | Term.Bv_mul (_, a, b) -> mul_lits t (blast_bv t a) (blast_bv t b)
+            | Term.Bv_concat (_, hi, lo) ->
                 let hi = blast_bv t hi and lo = blast_bv t lo in
                 Array.append lo hi
-            | Term.Bv_extract (hi, lo, a) ->
+            | Term.Bv_extract (_, hi, lo, a) ->
                 let a = blast_bv t a in
                 Array.sub a lo (hi - lo + 1)
-            | Term.Bv_zero_ext (w, a) ->
+            | Term.Bv_zero_ext (_, w, a) ->
                 let a = blast_bv t a in
                 Array.init w (fun i -> if i < Array.length a then a.(i) else lit_false t)
-            | Term.Bv_ite (c, a, b) ->
+            | Term.Bv_ite (_, c, a, b) ->
                 let c = blast_bool t c in
                 mux_lits t c (blast_bv t a) (blast_bv t b)
           in
-          Phys.add t.bv_memo key lits;
+          Id_tbl.add t.bv_memo id lits;
           lits)
 
 and blast_bool t (term : Term.boolean) : Lit.t =
   match term with
   | Term.B_true -> lit_true t
   | Term.B_false -> lit_false t
-  | Term.B_var name -> bool_var_lit t name
+  | Term.B_var (_, name) -> bool_var_lit t name
   | _ ->
-      let key = Obj.repr term in
-      (match Phys.find_opt t.bool_memo key with
+      let id = Term.bool_id term in
+      (match Id_tbl.find_opt t.bool_memo id with
       | Some l -> l
       | None ->
           let l =
             match term with
             | Term.B_true | Term.B_false | Term.B_var _ -> assert false
-            | Term.B_eq (a, b) -> eq_lits t (blast_bv t a) (blast_bv t b)
-            | Term.B_ult (a, b) -> ult_lits t (blast_bv t a) (blast_bv t b)
-            | Term.B_ule (a, b) -> Lit.neg (ult_lits t (blast_bv t b) (blast_bv t a))
-            | Term.B_not a -> Lit.neg (blast_bool t a)
-            | Term.B_and (a, b) -> and_gate t (blast_bool t a) (blast_bool t b)
-            | Term.B_or (a, b) -> or_gate t (blast_bool t a) (blast_bool t b)
-            | Term.B_ite (c, a, b) ->
+            | Term.B_eq (_, a, b) -> eq_lits t (blast_bv t a) (blast_bv t b)
+            | Term.B_ult (_, a, b) -> ult_lits t (blast_bv t a) (blast_bv t b)
+            | Term.B_ule (_, a, b) -> Lit.neg (ult_lits t (blast_bv t b) (blast_bv t a))
+            | Term.B_not (_, a) -> Lit.neg (blast_bool t a)
+            | Term.B_and (_, a, b) -> and_gate t (blast_bool t a) (blast_bool t b)
+            | Term.B_or (_, a, b) -> or_gate t (blast_bool t a) (blast_bool t b)
+            | Term.B_ite (_, c, a, b) ->
                 mux_gate t (blast_bool t c) (blast_bool t a) (blast_bool t b)
           in
-          Phys.add t.bool_memo key l;
+          Id_tbl.add t.bool_memo id l;
           l)
 
 let preprocess_counted formula =
@@ -316,14 +344,12 @@ let extract_model t =
   let bvs = Hashtbl.create 64 in
   Hashtbl.iter
     (fun name lits ->
+      (* Bit 0 is the least significant: the last digit of the string. *)
       let w = Array.length lits in
-      let v = ref (Bitvec.zero w) in
-      Array.iteri
-        (fun i l ->
-          if lit_model_value t l then
-            v := Bitvec.logor !v (Bitvec.shift_left (Bitvec.of_int ~width:w 1) i))
-        lits;
-      Hashtbl.replace bvs name !v)
+      let digits =
+        String.init w (fun i -> if lit_model_value t lits.(w - 1 - i) then '1' else '0')
+      in
+      Hashtbl.replace bvs name (Bitvec.of_bin_string digits))
     t.bv_vars;
   let bools = Hashtbl.create 16 in
   Hashtbl.iter (fun name l -> Hashtbl.replace bools name (lit_model_value t l)) t.bool_vars;
@@ -408,31 +434,24 @@ let check_verdict ?(assumptions = []) ?canonical t =
       Telemetry.incr ~n:(Sat.num_learned t.sat) tele "smt.clauses_reused";
       let vars_before = Sat.num_vars t.sat in
       (* Assumptions are blasted as-is, without the preprocessing pass:
-         the Tseitin environment memoizes by physical identity, so a
-         conjunct already seen by an earlier check (or by an asserted
-         formula) costs a hash lookup here, while preprocessing would
-         re-walk its whole DAG on every query. Folding only ever pays
-         off on the big asserted formulas. *)
+         the Tseitin environment memoizes by node id, so a conjunct
+         already seen by an earlier check (or by an asserted formula)
+         costs a hash lookup here, while preprocessing would re-walk its
+         whole DAG on every query. Folding only ever pays off on the big
+         asserted formulas. *)
       let assumption_lits = List.map (fun a -> blast_bool t a) assumptions in
       if Sat.num_vars t.sat = vars_before then
         Telemetry.incr tele "smt.incremental_hits";
       let selector_lits = List.rev_map (fun s -> s.sel) t.scopes in
       let sat_assumptions = List.rev_append selector_lits assumption_lits in
+      (* A canonical check is one ordered search: it is complete, so it
+         gives the verdict a plain search would, and on [Sat] its model is
+         already the lexicographic minimum (see [Sat.solve_with_assumptions]). *)
+      let order = Option.map (canonical_order t) canonical in
       let before = Sat.stats t.sat in
       let result =
-        match Sat.solve_with_assumptions t.sat sat_assumptions with
+        match Sat.solve_with_assumptions ?order t.sat sat_assumptions with
         | Sat.A_sat ->
-            (match canonical with
-            | None -> ()
-            | Some canonical ->
-                let order = canonical_order t canonical in
-                (match
-                   Sat.solve_with_assumptions ~order t.sat sat_assumptions
-                 with
-                | Sat.A_sat -> ()
-                | Sat.A_unsat _ ->
-                    (* The same assumptions just solved SAT. *)
-                    assert false));
             let model = extract_model t in
             if !check_models then self_check t model assumptions;
             V_sat model

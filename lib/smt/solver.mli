@@ -66,7 +66,10 @@ val check :
     canonical model depends only on the {e meaning} of the constraints —
     not on learned clauses, heuristic state, or how the constraints were
     split into assertions and assumptions — which is what makes incremental
-    and from-scratch solving produce identical witnesses. *)
+    and from-scratch solving produce identical witnesses. A canonical check
+    is a single search that decides the named variables first, in order
+    ({!Sat.solve_with_assumptions}[ ~order]); it costs about what a plain
+    check does. *)
 
 val check_verdict :
   ?assumptions:Term.boolean list -> ?canonical:canonical_var list -> t -> verdict

@@ -1,50 +1,79 @@
 module Bitvec = Switchv_bitvec.Bitvec
 module Prefix = Switchv_bitvec.Prefix
 
+(* Every node except the two boolean constants carries a unique id as its
+   first field. Ids only name nodes: nothing may iterate an id-keyed table
+   or otherwise let id values order output, since they depend on how many
+   terms the process built before. *)
 type bv =
-  | Bv_const of Bitvec.t
-  | Bv_var of string * int
-  | Bv_not of bv
-  | Bv_neg of bv
-  | Bv_and of bv * bv
-  | Bv_or of bv * bv
-  | Bv_xor of bv * bv
-  | Bv_add of bv * bv
-  | Bv_sub of bv * bv
-  | Bv_mul of bv * bv
-  | Bv_concat of bv * bv
-  | Bv_extract of int * int * bv
-  | Bv_zero_ext of int * bv
-  | Bv_ite of boolean * bv * bv
+  | Bv_const of int * Bitvec.t
+  | Bv_var of int * string * int
+  | Bv_not of int * bv
+  | Bv_neg of int * bv
+  | Bv_and of int * bv * bv
+  | Bv_or of int * bv * bv
+  | Bv_xor of int * bv * bv
+  | Bv_add of int * bv * bv
+  | Bv_sub of int * bv * bv
+  | Bv_mul of int * bv * bv
+  | Bv_concat of int * bv * bv
+  | Bv_extract of int * int * int * bv
+  | Bv_zero_ext of int * int * bv
+  | Bv_ite of int * boolean * bv * bv
 
 and boolean =
   | B_true
   | B_false
-  | B_var of string
-  | B_eq of bv * bv
-  | B_ult of bv * bv
-  | B_ule of bv * bv
-  | B_not of boolean
-  | B_and of boolean * boolean
-  | B_or of boolean * boolean
-  | B_ite of boolean * boolean * boolean
+  | B_var of int * string
+  | B_eq of int * bv * bv
+  | B_ult of int * bv * bv
+  | B_ule of int * bv * bv
+  | B_not of int * boolean
+  | B_and of int * boolean * boolean
+  | B_or of int * boolean * boolean
+  | B_ite of int * boolean * boolean * boolean
+
+(* Ids 0 and 1 name [B_true] and [B_false]. *)
+let counter = Atomic.make 2
+let fresh () = Atomic.fetch_and_add counter 1
+
+let bv_id = function
+  | Bv_const (i, _) | Bv_var (i, _, _) | Bv_not (i, _) | Bv_neg (i, _)
+  | Bv_and (i, _, _) | Bv_or (i, _, _) | Bv_xor (i, _, _) | Bv_add (i, _, _)
+  | Bv_sub (i, _, _) | Bv_mul (i, _, _) | Bv_concat (i, _, _)
+  | Bv_extract (i, _, _, _) | Bv_zero_ext (i, _, _) | Bv_ite (i, _, _, _) -> i
+
+let bool_id = function
+  | B_true -> 0
+  | B_false -> 1
+  | B_var (i, _) | B_eq (i, _, _) | B_ult (i, _, _) | B_ule (i, _, _)
+  | B_not (i, _) | B_and (i, _, _) | B_or (i, _, _) | B_ite (i, _, _, _) -> i
+
+(* Ids are dense and sequential, so the identity spreads them evenly over
+   a power-of-two bucket array. *)
+module Id_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
 
 let rec bv_width = function
-  | Bv_const c -> Bitvec.width c
-  | Bv_var (_, w) -> w
-  | Bv_not a | Bv_neg a -> bv_width a
-  | Bv_and (a, _) | Bv_or (a, _) | Bv_xor (a, _)
-  | Bv_add (a, _) | Bv_sub (a, _) | Bv_mul (a, _) -> bv_width a
-  | Bv_concat (a, b) -> bv_width a + bv_width b
-  | Bv_extract (hi, lo, _) -> hi - lo + 1
-  | Bv_zero_ext (w, _) -> w
-  | Bv_ite (_, a, _) -> bv_width a
+  | Bv_const (_, c) -> Bitvec.width c
+  | Bv_var (_, _, w) -> w
+  | Bv_not (_, a) | Bv_neg (_, a) -> bv_width a
+  | Bv_and (_, a, _) | Bv_or (_, a, _) | Bv_xor (_, a, _)
+  | Bv_add (_, a, _) | Bv_sub (_, a, _) | Bv_mul (_, a, _) -> bv_width a
+  | Bv_concat (_, a, b) -> bv_width a + bv_width b
+  | Bv_extract (_, hi, lo, _) -> hi - lo + 1
+  | Bv_zero_ext (_, w, _) -> w
+  | Bv_ite (_, _, a, _) -> bv_width a
 
-let const c = Bv_const c
+let const c = Bv_const (fresh (), c)
 let var name w =
   if w < 1 then invalid_arg "Term.var: width must be >= 1";
-  Bv_var (name, w)
-let of_int ~width n = Bv_const (Bitvec.of_int ~width n)
+  Bv_var (fresh (), name, w)
+let of_int ~width n = const (Bitvec.of_int ~width n)
 
 let check2 name a b =
   if bv_width a <> bv_width b then
@@ -52,112 +81,109 @@ let check2 name a b =
                    (bv_width a) (bv_width b))
 
 let bvnot = function
-  | Bv_const c -> Bv_const (Bitvec.lognot c)
-  | Bv_not a -> a
-  | a -> Bv_not a
+  | Bv_const (_, c) -> const (Bitvec.lognot c)
+  | Bv_not (_, a) -> a
+  | a -> Bv_not (fresh (), a)
 
 let bvneg = function
-  | Bv_const c -> Bv_const (Bitvec.neg c)
-  | a -> Bv_neg a
+  | Bv_const (_, c) -> const (Bitvec.neg c)
+  | a -> Bv_neg (fresh (), a)
 
 let bvand a b =
   check2 "bvand" a b;
   match (a, b) with
-  | Bv_const x, Bv_const y -> Bv_const (Bitvec.logand x y)
-  | (Bv_const c, o | o, Bv_const c) when Bitvec.is_zero c ->
-      ignore o; Bv_const c
-  | (Bv_const c, o | o, Bv_const c) when Bitvec.is_ones c -> o
-  | _ -> Bv_and (a, b)
+  | Bv_const (_, x), Bv_const (_, y) -> const (Bitvec.logand x y)
+  | ((Bv_const (_, c) as k), _ | _, (Bv_const (_, c) as k)) when Bitvec.is_zero c -> k
+  | (Bv_const (_, c), o | o, Bv_const (_, c)) when Bitvec.is_ones c -> o
+  | _ -> Bv_and (fresh (), a, b)
 
 let bvor a b =
   check2 "bvor" a b;
   match (a, b) with
-  | Bv_const x, Bv_const y -> Bv_const (Bitvec.logor x y)
-  | (Bv_const c, o | o, Bv_const c) when Bitvec.is_zero c -> o
-  | (Bv_const c, o | o, Bv_const c) when Bitvec.is_ones c ->
-      ignore o; Bv_const c
-  | _ -> Bv_or (a, b)
+  | Bv_const (_, x), Bv_const (_, y) -> const (Bitvec.logor x y)
+  | (Bv_const (_, c), o | o, Bv_const (_, c)) when Bitvec.is_zero c -> o
+  | ((Bv_const (_, c) as k), _ | _, (Bv_const (_, c) as k)) when Bitvec.is_ones c -> k
+  | _ -> Bv_or (fresh (), a, b)
 
 let bvxor a b =
   check2 "bvxor" a b;
   match (a, b) with
-  | Bv_const x, Bv_const y -> Bv_const (Bitvec.logxor x y)
-  | (Bv_const c, o | o, Bv_const c) when Bitvec.is_zero c -> o
-  | _ -> Bv_xor (a, b)
+  | Bv_const (_, x), Bv_const (_, y) -> const (Bitvec.logxor x y)
+  | (Bv_const (_, c), o | o, Bv_const (_, c)) when Bitvec.is_zero c -> o
+  | _ -> Bv_xor (fresh (), a, b)
 
 let bvadd a b =
   check2 "bvadd" a b;
   match (a, b) with
-  | Bv_const x, Bv_const y -> Bv_const (Bitvec.add x y)
-  | (Bv_const c, o | o, Bv_const c) when Bitvec.is_zero c -> o
-  | _ -> Bv_add (a, b)
+  | Bv_const (_, x), Bv_const (_, y) -> const (Bitvec.add x y)
+  | (Bv_const (_, c), o | o, Bv_const (_, c)) when Bitvec.is_zero c -> o
+  | _ -> Bv_add (fresh (), a, b)
 
 let bvsub a b =
   check2 "bvsub" a b;
   match (a, b) with
-  | Bv_const x, Bv_const y -> Bv_const (Bitvec.sub x y)
-  | o, Bv_const c when Bitvec.is_zero c -> o
-  | _ -> Bv_sub (a, b)
+  | Bv_const (_, x), Bv_const (_, y) -> const (Bitvec.sub x y)
+  | o, Bv_const (_, c) when Bitvec.is_zero c -> o
+  | _ -> Bv_sub (fresh (), a, b)
 
 let bvmul a b =
   check2 "bvmul" a b;
   match (a, b) with
-  | Bv_const x, Bv_const y -> Bv_const (Bitvec.mul x y)
-  | (Bv_const c, o | o, Bv_const c) when Bitvec.is_zero c ->
-      ignore o; Bv_const c
-  | (Bv_const c, o | o, Bv_const c)
+  | Bv_const (_, x), Bv_const (_, y) -> const (Bitvec.mul x y)
+  | ((Bv_const (_, c) as k), _ | _, (Bv_const (_, c) as k)) when Bitvec.is_zero c -> k
+  | (Bv_const (_, c), o | o, Bv_const (_, c))
     when Bitvec.equal c (Bitvec.of_int ~width:(Bitvec.width c) 1) -> o
-  | _ -> Bv_mul (a, b)
+  | _ -> Bv_mul (fresh (), a, b)
 
 let concat a b =
   match (a, b) with
-  | Bv_const x, Bv_const y -> Bv_const (Bitvec.concat x y)
-  | _ -> Bv_concat (a, b)
+  | Bv_const (_, x), Bv_const (_, y) -> const (Bitvec.concat x y)
+  | _ -> Bv_concat (fresh (), a, b)
 
 let extract ~hi ~lo a =
   let w = bv_width a in
   if lo < 0 || hi >= w || hi < lo then invalid_arg "Term.extract: bad range";
   if lo = 0 && hi = w - 1 then a
   else match a with
-    | Bv_const c -> Bv_const (Bitvec.extract ~hi ~lo c)
-    | _ -> Bv_extract (hi, lo, a)
+    | Bv_const (_, c) -> const (Bitvec.extract ~hi ~lo c)
+    | _ -> Bv_extract (fresh (), hi, lo, a)
 
 let zero_ext w a =
   let wa = bv_width a in
   if w < wa then invalid_arg "Term.zero_ext: narrower target";
   if w = wa then a
   else match a with
-    | Bv_const c -> Bv_const (Bitvec.zero_extend w c)
-    | _ -> Bv_zero_ext (w, a)
+    | Bv_const (_, c) -> const (Bitvec.zero_extend w c)
+    | _ -> Bv_zero_ext (fresh (), w, a)
 
 let tru = B_true
 let fls = B_false
-let bvar name = B_var name
+let bvar name = B_var (fresh (), name)
 
 let rec not_ = function
   | B_true -> B_false
   | B_false -> B_true
-  | B_not b -> b
-  | B_ite (c, a, b) -> B_ite (c, not_ a, not_ b)
-  | b -> B_not b
+  | B_not (_, b) -> b
+  | B_ite (_, c, a, b) -> B_ite (fresh (), c, not_ a, not_ b)
+  | b -> B_not (fresh (), b)
 
 let eq a b =
   check2 "eq" a b;
   match (a, b) with
-  | Bv_const x, Bv_const y -> if Bitvec.equal x y then B_true else B_false
-  | _ -> if a == b then B_true else B_eq (a, b)
+  | Bv_const (_, x), Bv_const (_, y) -> if Bitvec.equal x y then B_true else B_false
+  | _ -> if a == b then B_true else B_eq (fresh (), a, b)
 
 let ult a b =
   check2 "ult" a b;
   match (a, b) with
-  | Bv_const x, Bv_const y -> if Bitvec.ult x y then B_true else B_false
-  | _ -> B_ult (a, b)
+  | Bv_const (_, x), Bv_const (_, y) -> if Bitvec.ult x y then B_true else B_false
+  | _ -> B_ult (fresh (), a, b)
 
 let ule a b =
   check2 "ule" a b;
   match (a, b) with
-  | Bv_const x, Bv_const y -> if Bitvec.ule x y then B_true else B_false
-  | _ -> if a == b then B_true else B_ule (a, b)
+  | Bv_const (_, x), Bv_const (_, y) -> if Bitvec.ule x y then B_true else B_false
+  | _ -> if a == b then B_true else B_ule (fresh (), a, b)
 
 let ugt a b = ult b a
 let uge a b = ule b a
@@ -167,13 +193,13 @@ let and_ a b =
   match (a, b) with
   | B_false, _ | _, B_false -> B_false
   | B_true, o | o, B_true -> o
-  | _ -> if a == b then a else B_and (a, b)
+  | _ -> if a == b then a else B_and (fresh (), a, b)
 
 let or_ a b =
   match (a, b) with
   | B_true, _ | _, B_true -> B_true
   | B_false, o | o, B_false -> o
-  | _ -> if a == b then a else B_or (a, b)
+  | _ -> if a == b then a else B_or (fresh (), a, b)
 
 let implies a b = or_ (not_ a) b
 
@@ -181,13 +207,13 @@ let iff a b =
   match (a, b) with
   | B_true, o | o, B_true -> o
   | B_false, o | o, B_false -> not_ o
-  | _ -> if a == b then B_true else B_ite (a, b, not_ b)
+  | _ -> if a == b then B_true else B_ite (fresh (), a, b, not_ b)
 
 let bite c a b =
   match c with
   | B_true -> a
   | B_false -> b
-  | _ -> if a == b then a else B_ite (c, a, b)
+  | _ -> if a == b then a else B_ite (fresh (), c, a, b)
 
 let ite c a b =
   check2 "ite" a b;
@@ -195,8 +221,8 @@ let ite c a b =
   | B_true -> a
   | B_false -> b
   | _ -> (match (a, b) with
-          | Bv_const x, Bv_const y when Bitvec.equal x y -> a
-          | _ -> if a == b then a else Bv_ite (c, a, b))
+          | Bv_const (_, x), Bv_const (_, y) when Bitvec.equal x y -> a
+          | _ -> if a == b then a else Bv_ite (fresh (), c, a, b))
 
 let conj l = List.fold_left and_ B_true l
 let disj l = List.fold_left or_ B_false l
@@ -211,162 +237,188 @@ let matches_prefix key p =
 type env = { bv_of : string -> Bitvec.t; bool_of : string -> bool }
 
 let rec eval_bv env = function
-  | Bv_const c -> c
-  | Bv_var (name, w) ->
+  | Bv_const (_, c) -> c
+  | Bv_var (_, name, w) ->
       let v = env.bv_of name in
       if Bitvec.width v <> w then
         invalid_arg (Printf.sprintf "Term.eval_bv: %s width mismatch" name);
       v
-  | Bv_not a -> Bitvec.lognot (eval_bv env a)
-  | Bv_neg a -> Bitvec.neg (eval_bv env a)
-  | Bv_and (a, b) -> Bitvec.logand (eval_bv env a) (eval_bv env b)
-  | Bv_or (a, b) -> Bitvec.logor (eval_bv env a) (eval_bv env b)
-  | Bv_xor (a, b) -> Bitvec.logxor (eval_bv env a) (eval_bv env b)
-  | Bv_add (a, b) -> Bitvec.add (eval_bv env a) (eval_bv env b)
-  | Bv_sub (a, b) -> Bitvec.sub (eval_bv env a) (eval_bv env b)
-  | Bv_mul (a, b) -> Bitvec.mul (eval_bv env a) (eval_bv env b)
-  | Bv_concat (a, b) -> Bitvec.concat (eval_bv env a) (eval_bv env b)
-  | Bv_extract (hi, lo, a) -> Bitvec.extract ~hi ~lo (eval_bv env a)
-  | Bv_zero_ext (w, a) -> Bitvec.zero_extend w (eval_bv env a)
-  | Bv_ite (c, a, b) -> if eval_bool env c then eval_bv env a else eval_bv env b
+  | Bv_not (_, a) -> Bitvec.lognot (eval_bv env a)
+  | Bv_neg (_, a) -> Bitvec.neg (eval_bv env a)
+  | Bv_and (_, a, b) -> Bitvec.logand (eval_bv env a) (eval_bv env b)
+  | Bv_or (_, a, b) -> Bitvec.logor (eval_bv env a) (eval_bv env b)
+  | Bv_xor (_, a, b) -> Bitvec.logxor (eval_bv env a) (eval_bv env b)
+  | Bv_add (_, a, b) -> Bitvec.add (eval_bv env a) (eval_bv env b)
+  | Bv_sub (_, a, b) -> Bitvec.sub (eval_bv env a) (eval_bv env b)
+  | Bv_mul (_, a, b) -> Bitvec.mul (eval_bv env a) (eval_bv env b)
+  | Bv_concat (_, a, b) -> Bitvec.concat (eval_bv env a) (eval_bv env b)
+  | Bv_extract (_, hi, lo, a) -> Bitvec.extract ~hi ~lo (eval_bv env a)
+  | Bv_zero_ext (_, w, a) -> Bitvec.zero_extend w (eval_bv env a)
+  | Bv_ite (_, c, a, b) -> if eval_bool env c then eval_bv env a else eval_bv env b
 
 and eval_bool env = function
   | B_true -> true
   | B_false -> false
-  | B_var name -> env.bool_of name
-  | B_eq (a, b) -> Bitvec.equal (eval_bv env a) (eval_bv env b)
-  | B_ult (a, b) -> Bitvec.ult (eval_bv env a) (eval_bv env b)
-  | B_ule (a, b) -> Bitvec.ule (eval_bv env a) (eval_bv env b)
-  | B_not a -> not (eval_bool env a)
-  | B_and (a, b) -> eval_bool env a && eval_bool env b
-  | B_or (a, b) -> eval_bool env a || eval_bool env b
-  | B_ite (c, a, b) -> if eval_bool env c then eval_bool env a else eval_bool env b
+  | B_var (_, name) -> env.bool_of name
+  | B_eq (_, a, b) -> Bitvec.equal (eval_bv env a) (eval_bv env b)
+  | B_ult (_, a, b) -> Bitvec.ult (eval_bv env a) (eval_bv env b)
+  | B_ule (_, a, b) -> Bitvec.ule (eval_bv env a) (eval_bv env b)
+  | B_not (_, a) -> not (eval_bool env a)
+  | B_and (_, a, b) -> eval_bool env a && eval_bool env b
+  | B_or (_, a, b) -> eval_bool env a || eval_bool env b
+  | B_ite (_, c, a, b) -> if eval_bool env c then eval_bool env a else eval_bool env b
+
+(* Visit each distinct node reachable from [formula] once, a node before
+   its children, so shared DAGs cost their size rather than their tree
+   size. *)
+let iter_nodes ~on_bv ~on_bool formula =
+  let seen = Id_tbl.create 64 in
+  let first id = if Id_tbl.mem seen id then false else (Id_tbl.add seen id (); true) in
+  let rec go_bv t =
+    if first (bv_id t) then begin
+      on_bv t;
+      match t with
+      | Bv_const _ | Bv_var _ -> ()
+      | Bv_not (_, a) | Bv_neg (_, a) | Bv_extract (_, _, _, a) | Bv_zero_ext (_, _, a) ->
+          go_bv a
+      | Bv_and (_, a, b) | Bv_or (_, a, b) | Bv_xor (_, a, b) | Bv_add (_, a, b)
+      | Bv_sub (_, a, b) | Bv_mul (_, a, b) | Bv_concat (_, a, b) -> go_bv a; go_bv b
+      | Bv_ite (_, c, a, b) -> go_bool c; go_bv a; go_bv b
+    end
+  and go_bool t =
+    if first (bool_id t) then begin
+      on_bool t;
+      match t with
+      | B_true | B_false | B_var _ -> ()
+      | B_eq (_, a, b) | B_ult (_, a, b) | B_ule (_, a, b) -> go_bv a; go_bv b
+      | B_not (_, a) -> go_bool a
+      | B_and (_, a, b) | B_or (_, a, b) -> go_bool a; go_bool b
+      | B_ite (_, c, a, b) -> go_bool c; go_bool a; go_bool b
+    end
+  in
+  go_bool formula
 
 let bv_vars formula =
   let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
-  let add name w =
-    match Hashtbl.find_opt tbl name with
-    | None ->
-        Hashtbl.add tbl name w;
-        order := (name, w) :: !order
-    | Some w' ->
-        if w <> w' then
-          invalid_arg (Printf.sprintf "Term.bv_vars: %s used at widths %d and %d" name w w')
+  let on_bv = function
+    | Bv_var (_, name, w) -> (
+        match Hashtbl.find_opt tbl name with
+        | None ->
+            Hashtbl.add tbl name w;
+            order := (name, w) :: !order
+        | Some w' ->
+            if w <> w' then
+              invalid_arg
+                (Printf.sprintf "Term.bv_vars: %s used at widths %d and %d" name w w'))
+    | _ -> ()
   in
-  (* Memoize on physical identity to avoid exponential traversal of shared
-     DAGs. *)
-  let module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end) in
-  let seen_bv = Phys.create 64 in
-  let seen_bool = Phys.create 64 in
-  let rec go_bv t =
-    let key = Obj.repr t in
-    if not (Phys.mem seen_bv key) then begin
-      Phys.add seen_bv key ();
-      match t with
-      | Bv_const _ -> ()
-      | Bv_var (name, w) -> add name w
-      | Bv_not a | Bv_neg a | Bv_extract (_, _, a) | Bv_zero_ext (_, a) -> go_bv a
-      | Bv_and (a, b) | Bv_or (a, b) | Bv_xor (a, b) | Bv_add (a, b)
-      | Bv_sub (a, b) | Bv_mul (a, b) | Bv_concat (a, b) -> go_bv a; go_bv b
-      | Bv_ite (c, a, b) -> go_bool c; go_bv a; go_bv b
-    end
-  and go_bool t =
-    let key = Obj.repr t in
-    if not (Phys.mem seen_bool key) then begin
-      Phys.add seen_bool key ();
-      match t with
-      | B_true | B_false | B_var _ -> ()
-      | B_eq (a, b) | B_ult (a, b) | B_ule (a, b) -> go_bv a; go_bv b
-      | B_not a -> go_bool a
-      | B_and (a, b) | B_or (a, b) -> go_bool a; go_bool b
-      | B_ite (c, a, b) -> go_bool c; go_bool a; go_bool b
-    end
-  in
-  go_bool formula;
+  iter_nodes ~on_bv ~on_bool:ignore formula;
   List.rev !order
-
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
 
 let bool_vars formula =
   let tbl : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
-  let add name =
-    if not (Hashtbl.mem tbl name) then begin
-      Hashtbl.add tbl name ();
-      order := name :: !order
-    end
+  let on_bool = function
+    | B_var (_, name) when not (Hashtbl.mem tbl name) ->
+        Hashtbl.add tbl name ();
+        order := name :: !order
+    | _ -> ()
   in
-  let seen = Phys.create 64 in
-  let rec go_bv t =
-    let key = Obj.repr t in
-    if not (Phys.mem seen key) then begin
-      Phys.add seen key ();
-      match t with
-      | Bv_const _ | Bv_var _ -> ()
-      | Bv_not a | Bv_neg a | Bv_extract (_, _, a) | Bv_zero_ext (_, a) -> go_bv a
-      | Bv_and (a, b) | Bv_or (a, b) | Bv_xor (a, b) | Bv_add (a, b)
-      | Bv_sub (a, b) | Bv_mul (a, b) | Bv_concat (a, b) -> go_bv a; go_bv b
-      | Bv_ite (c, a, b) -> go_bool c; go_bv a; go_bv b
-    end
-  and go_bool t =
-    let key = Obj.repr t in
-    if not (Phys.mem seen key) then begin
-      Phys.add seen key ();
-      match t with
-      | B_true | B_false -> ()
-      | B_var name -> add name
-      | B_eq (a, b) | B_ult (a, b) | B_ule (a, b) -> go_bv a; go_bv b
-      | B_not a -> go_bool a
-      | B_and (a, b) | B_or (a, b) -> go_bool a; go_bool b
-      | B_ite (c, a, b) -> go_bool c; go_bool a; go_bool b
-    end
-  in
-  go_bool formula;
+  iter_nodes ~on_bv:ignore ~on_bool formula;
   List.rev !order
 
-(* Distinct physical nodes reachable from [formula]; the DAG size that the
+(* Distinct nodes reachable from [formula]; the DAG size that the
    bit-blaster's memo tables see. *)
 let size formula =
-  let seen = Phys.create 64 in
   let n = ref 0 in
-  let visit key = if Phys.mem seen key then false else (Phys.add seen key (); incr n; true) in
-  let rec go_bv t =
-    if visit (Obj.repr t) then
-      match t with
-      | Bv_const _ | Bv_var _ -> ()
-      | Bv_not a | Bv_neg a | Bv_extract (_, _, a) | Bv_zero_ext (_, a) -> go_bv a
-      | Bv_and (a, b) | Bv_or (a, b) | Bv_xor (a, b) | Bv_add (a, b)
-      | Bv_sub (a, b) | Bv_mul (a, b) | Bv_concat (a, b) -> go_bv a; go_bv b
-      | Bv_ite (c, a, b) -> go_bool c; go_bv a; go_bv b
-  and go_bool t =
-    if visit (Obj.repr t) then
-      match t with
-      | B_true | B_false | B_var _ -> ()
-      | B_eq (a, b) | B_ult (a, b) | B_ule (a, b) -> go_bv a; go_bv b
-      | B_not a -> go_bool a
-      | B_and (a, b) | B_or (a, b) -> go_bool a; go_bool b
-      | B_ite (c, a, b) -> go_bool c; go_bool a; go_bool b
-  in
-  go_bool formula;
+  iter_nodes ~on_bv:(fun _ -> incr n) ~on_bool:(fun _ -> incr n) formula;
   !n
 
 let flatten_conj formula =
   let rec go acc = function
-    | B_and (a, b) -> go (go acc a) b
+    | B_and (_, a, b) -> go (go acc a) b
     | B_true -> acc
     | t -> t :: acc
   in
   List.rev (go [] formula)
+
+(* Post-order serialisation: an inner node is written after its children
+   as a tag plus its own payload, and an inner node met again is written as
+   a back-reference to the position its first visit gave it. Positions
+   count inner nodes of this walk only, so the bytes are a function of the
+   DAG's shape and leaves, never of its ids. Leaves are cheaper to write
+   out again than to look up, so their sharing goes unrecorded. The roots
+   are walked in order with one shared numbering, each closed by ';', so
+   the list itself is read: a constant root keeps its place and nothing is
+   folded away. *)
+let fingerprint roots =
+  let buf = Buffer.create 16384 in
+  let index = Id_tbl.create 1024 in
+  let next = ref 0 in
+  let rec int n =
+    if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char buf (Char.unsafe_chr (n land 0x7f lor 0x80));
+      int (n lsr 7)
+    end
+  in
+  let str s = int (String.length s); Buffer.add_string buf s in
+  (* [true] when [id] was already written (a back-reference is emitted). *)
+  let shared id =
+    match Id_tbl.find_opt index id with
+    | Some i -> Buffer.add_char buf 'R'; int i; true
+    | None -> false
+  in
+  let define id tag =
+    Buffer.add_char buf tag;
+    Id_tbl.add index id !next;
+    incr next
+  in
+  let rec go_bv t =
+    match t with
+    | Bv_const (_, c) -> (
+        match Bitvec.to_int c with
+        | Some n -> Buffer.add_char buf 'k'; int (Bitvec.width c); int n
+        | None -> Buffer.add_char buf 'K'; int (Bitvec.width c); str (Bitvec.to_hex_string c))
+    | Bv_var (_, name, w) -> Buffer.add_char buf 'v'; int w; str name
+    | _ -> (
+        let id = bv_id t in
+        if not (shared id) then
+          match t with
+          | Bv_const _ | Bv_var _ -> assert false
+          | Bv_not (_, a) -> go_bv a; define id '~'
+          | Bv_neg (_, a) -> go_bv a; define id 'n'
+          | Bv_and (_, a, b) -> go_bv a; go_bv b; define id '&'
+          | Bv_or (_, a, b) -> go_bv a; go_bv b; define id '|'
+          | Bv_xor (_, a, b) -> go_bv a; go_bv b; define id '^'
+          | Bv_add (_, a, b) -> go_bv a; go_bv b; define id '+'
+          | Bv_sub (_, a, b) -> go_bv a; go_bv b; define id '-'
+          | Bv_mul (_, a, b) -> go_bv a; go_bv b; define id '*'
+          | Bv_concat (_, a, b) -> go_bv a; go_bv b; define id 'c'
+          | Bv_extract (_, hi, lo, a) -> go_bv a; define id 'x'; int hi; int lo
+          | Bv_zero_ext (_, w, a) -> go_bv a; define id 'z'; int w
+          | Bv_ite (_, c, a, b) -> go_bool c; go_bv a; go_bv b; define id '?')
+  and go_bool t =
+    match t with
+    | B_true -> Buffer.add_char buf 'T'
+    | B_false -> Buffer.add_char buf 'F'
+    | B_var (_, name) -> Buffer.add_char buf 'b'; str name
+    | _ -> (
+        let id = bool_id t in
+        if not (shared id) then
+          match t with
+          | B_true | B_false | B_var _ -> assert false
+          | B_eq (_, a, b) -> go_bv a; go_bv b; define id '='
+          | B_ult (_, a, b) -> go_bv a; go_bv b; define id '<'
+          | B_ule (_, a, b) -> go_bv a; go_bv b; define id 'l'
+          | B_not (_, a) -> go_bool a; define id '!'
+          | B_and (_, a, b) -> go_bool a; go_bool b; define id 'A'
+          | B_or (_, a, b) -> go_bool a; go_bool b; define id 'O'
+          | B_ite (_, c, a, b) -> go_bool c; go_bool a; go_bool b; define id 'I')
+  in
+  List.iter (fun root -> go_bool root; Buffer.add_char buf ';') roots;
+  Digest.string (Buffer.contents buf)
 
 (* --- preprocessing ---------------------------------------------------------------- *)
 
@@ -379,8 +431,8 @@ let flatten_conj formula =
    one side is a constant, so no subterm is duplicated. *)
 let rec lift_cmp mk a b =
   match (a, b) with
-  | Bv_ite (c, x, y), Bv_const _ -> bite c (lift_cmp mk x b) (lift_cmp mk y b)
-  | Bv_const _, Bv_ite (c, x, y) -> bite c (lift_cmp mk a x) (lift_cmp mk a y)
+  | Bv_ite (_, c, x, y), Bv_const _ -> bite c (lift_cmp mk x b) (lift_cmp mk y b)
+  | Bv_const _, Bv_ite (_, c, x, y) -> bite c (lift_cmp mk a x) (lift_cmp mk a y)
   | _ -> mk a b
 
 let needs_lift a b =
@@ -389,46 +441,46 @@ let needs_lift a b =
   | _ -> false
 
 (* Rebuild a term bottom-up through the smart constructors, substituting
-   bound variables and lifting constant comparisons. Physically shared
-   subterms are rewritten once (memo on identity, shared across all terms
-   passed to the returned function), and a node whose children are unchanged
-   is returned as-is, so sharing survives the pass — the blaster's memo
-   tables keep hitting across formulas that share structure. *)
+   bound variables and lifting constant comparisons. Shared subterms are
+   rewritten once (memo on node id, shared across all terms passed to the
+   returned function), and a node whose children are unchanged is returned
+   as-is, so sharing survives the pass — the blaster's memo tables keep
+   hitting across formulas that share structure. *)
 let rewriter ~bv_bind ~bool_bind =
-  let memo_bv = Phys.create 64 in
-  let memo_bool = Phys.create 64 in
+  let memo_bv = Id_tbl.create 64 in
+  let memo_bool = Id_tbl.create 64 in
   let rec rw_bv t =
-    let key = Obj.repr t in
-    match Phys.find_opt memo_bv key with
+    let id = bv_id t in
+    match Id_tbl.find_opt memo_bv id with
     | Some r -> r
     | None ->
         let r =
           match t with
           | Bv_const _ -> t
-          | Bv_var (name, w) -> (
+          | Bv_var (_, name, w) -> (
               match bv_bind name with
-              | Some c when Bitvec.width c = w -> Bv_const c
+              | Some c when Bitvec.width c = w -> const c
               | _ -> t)
-          | Bv_not a -> let a' = rw_bv a in if a' == a then t else bvnot a'
-          | Bv_neg a -> let a' = rw_bv a in if a' == a then t else bvneg a'
-          | Bv_and (a, b) -> bin t bvand a b
-          | Bv_or (a, b) -> bin t bvor a b
-          | Bv_xor (a, b) -> bin t bvxor a b
-          | Bv_add (a, b) -> bin t bvadd a b
-          | Bv_sub (a, b) -> bin t bvsub a b
-          | Bv_mul (a, b) -> bin t bvmul a b
-          | Bv_concat (a, b) -> bin t concat a b
-          | Bv_extract (hi, lo, a) ->
+          | Bv_not (_, a) -> let a' = rw_bv a in if a' == a then t else bvnot a'
+          | Bv_neg (_, a) -> let a' = rw_bv a in if a' == a then t else bvneg a'
+          | Bv_and (_, a, b) -> bin t bvand a b
+          | Bv_or (_, a, b) -> bin t bvor a b
+          | Bv_xor (_, a, b) -> bin t bvxor a b
+          | Bv_add (_, a, b) -> bin t bvadd a b
+          | Bv_sub (_, a, b) -> bin t bvsub a b
+          | Bv_mul (_, a, b) -> bin t bvmul a b
+          | Bv_concat (_, a, b) -> bin t concat a b
+          | Bv_extract (_, hi, lo, a) ->
               let a' = rw_bv a in
               if a' == a then t else extract ~hi ~lo a'
-          | Bv_zero_ext (w, a) ->
+          | Bv_zero_ext (_, w, a) ->
               let a' = rw_bv a in
               if a' == a then t else zero_ext w a'
-          | Bv_ite (c, a, b) ->
+          | Bv_ite (_, c, a, b) ->
               let c' = rw_bool c and a' = rw_bv a and b' = rw_bv b in
               if c' == c && a' == a && b' == b then t else ite c' a' b'
         in
-        Phys.add memo_bv key r;
+        Id_tbl.add memo_bv id r;
         r
   and bin t mk a b =
     let a' = rw_bv a and b' = rw_bv b in
@@ -438,32 +490,32 @@ let rewriter ~bv_bind ~bool_bind =
     if a' == a && b' == b && not (needs_lift a' b') then t
     else lift_cmp mk a' b'
   and rw_bool t =
-    let key = Obj.repr t in
-    match Phys.find_opt memo_bool key with
+    let id = bool_id t in
+    match Id_tbl.find_opt memo_bool id with
     | Some r -> r
     | None ->
         let r =
           match t with
           | B_true | B_false -> t
-          | B_var name -> (
+          | B_var (_, name) -> (
               match bool_bind name with
               | Some v -> if v then B_true else B_false
               | None -> t)
-          | B_eq (a, b) -> cmp t eq a b
-          | B_ult (a, b) -> cmp t ult a b
-          | B_ule (a, b) -> cmp t ule a b
-          | B_not a -> let a' = rw_bool a in if a' == a then t else not_ a'
-          | B_and (a, b) ->
+          | B_eq (_, a, b) -> cmp t eq a b
+          | B_ult (_, a, b) -> cmp t ult a b
+          | B_ule (_, a, b) -> cmp t ule a b
+          | B_not (_, a) -> let a' = rw_bool a in if a' == a then t else not_ a'
+          | B_and (_, a, b) ->
               let a' = rw_bool a and b' = rw_bool b in
               if a' == a && b' == b then t else and_ a' b'
-          | B_or (a, b) ->
+          | B_or (_, a, b) ->
               let a' = rw_bool a and b' = rw_bool b in
               if a' == a && b' == b then t else or_ a' b'
-          | B_ite (c, a, b) ->
+          | B_ite (_, c, a, b) ->
               let c' = rw_bool c and a' = rw_bool a and b' = rw_bool b in
               if c' == c && a' == a && b' == b then t else bite c' a' b'
         in
-        Phys.add memo_bool key r;
+        Id_tbl.add memo_bool id r;
         r
   in
   rw_bool
@@ -476,26 +528,21 @@ let rewriter ~bv_bind ~bool_bind =
 let collect_bindings conjuncts =
   let bv_tbl : (string, Bitvec.t) Hashtbl.t = Hashtbl.create 8 in
   let bool_tbl : (string, bool) Hashtbl.t = Hashtbl.create 8 in
-  let definers = Phys.create 8 in
-  let define_bv name c definer =
-    if not (Hashtbl.mem bv_tbl name) then begin
-      Hashtbl.add bv_tbl name c;
-      Phys.replace definers (Obj.repr definer) ()
-    end
-  in
-  let define_bool name v definer =
-    if not (Hashtbl.mem bool_tbl name) then begin
-      Hashtbl.add bool_tbl name v;
-      Phys.replace definers (Obj.repr definer) ()
+  let definers = Id_tbl.create 8 in
+  let define tbl name v definer =
+    if not (Hashtbl.mem tbl name) then begin
+      Hashtbl.add tbl name v;
+      Id_tbl.replace definers (bool_id definer) ()
     end
   in
   List.iter
     (fun conjunct ->
       match conjunct with
-      | B_eq (Bv_var (name, w), Bv_const c) | B_eq (Bv_const c, Bv_var (name, w)) ->
-          if Bitvec.width c = w then define_bv name c conjunct
-      | B_var name -> define_bool name true conjunct
-      | B_not (B_var name) -> define_bool name false conjunct
+      | B_eq (_, Bv_var (_, name, w), Bv_const (_, c))
+      | B_eq (_, Bv_const (_, c), Bv_var (_, name, w)) ->
+          if Bitvec.width c = w then define bv_tbl name c conjunct
+      | B_var (_, name) -> define bool_tbl name true conjunct
+      | B_not (_, B_var (_, name)) -> define bool_tbl name false conjunct
       | _ -> ())
     conjuncts;
   (bv_tbl, bool_tbl, definers)
@@ -551,7 +598,7 @@ let preprocess ?roots formula =
   let conjuncts =
     List.map
       (fun conjunct ->
-        if Phys.mem definers (Obj.repr conjunct) then conjunct else rw conjunct)
+        if Id_tbl.mem definers (bool_id conjunct) then conjunct else rw conjunct)
       conjuncts
   in
   let conjuncts, dropped =
@@ -564,31 +611,31 @@ let preprocess ?roots formula =
   (result, eliminated)
 
 let rec pp_bv fmt = function
-  | Bv_const c -> Bitvec.pp fmt c
-  | Bv_var (name, w) -> Format.fprintf fmt "%s:%d" name w
-  | Bv_not a -> Format.fprintf fmt "~%a" pp_bv a
-  | Bv_neg a -> Format.fprintf fmt "-%a" pp_bv a
-  | Bv_and (a, b) -> Format.fprintf fmt "(%a & %a)" pp_bv a pp_bv b
-  | Bv_or (a, b) -> Format.fprintf fmt "(%a | %a)" pp_bv a pp_bv b
-  | Bv_xor (a, b) -> Format.fprintf fmt "(%a ^ %a)" pp_bv a pp_bv b
-  | Bv_add (a, b) -> Format.fprintf fmt "(%a + %a)" pp_bv a pp_bv b
-  | Bv_sub (a, b) -> Format.fprintf fmt "(%a - %a)" pp_bv a pp_bv b
-  | Bv_mul (a, b) -> Format.fprintf fmt "(%a * %a)" pp_bv a pp_bv b
-  | Bv_concat (a, b) -> Format.fprintf fmt "(%a ++ %a)" pp_bv a pp_bv b
-  | Bv_extract (hi, lo, a) -> Format.fprintf fmt "%a[%d:%d]" pp_bv a hi lo
-  | Bv_zero_ext (w, a) -> Format.fprintf fmt "zext%d(%a)" w pp_bv a
-  | Bv_ite (c, a, b) ->
+  | Bv_const (_, c) -> Bitvec.pp fmt c
+  | Bv_var (_, name, w) -> Format.fprintf fmt "%s:%d" name w
+  | Bv_not (_, a) -> Format.fprintf fmt "~%a" pp_bv a
+  | Bv_neg (_, a) -> Format.fprintf fmt "-%a" pp_bv a
+  | Bv_and (_, a, b) -> Format.fprintf fmt "(%a & %a)" pp_bv a pp_bv b
+  | Bv_or (_, a, b) -> Format.fprintf fmt "(%a | %a)" pp_bv a pp_bv b
+  | Bv_xor (_, a, b) -> Format.fprintf fmt "(%a ^ %a)" pp_bv a pp_bv b
+  | Bv_add (_, a, b) -> Format.fprintf fmt "(%a + %a)" pp_bv a pp_bv b
+  | Bv_sub (_, a, b) -> Format.fprintf fmt "(%a - %a)" pp_bv a pp_bv b
+  | Bv_mul (_, a, b) -> Format.fprintf fmt "(%a * %a)" pp_bv a pp_bv b
+  | Bv_concat (_, a, b) -> Format.fprintf fmt "(%a ++ %a)" pp_bv a pp_bv b
+  | Bv_extract (_, hi, lo, a) -> Format.fprintf fmt "%a[%d:%d]" pp_bv a hi lo
+  | Bv_zero_ext (_, w, a) -> Format.fprintf fmt "zext%d(%a)" w pp_bv a
+  | Bv_ite (_, c, a, b) ->
       Format.fprintf fmt "(if %a then %a else %a)" pp_bool c pp_bv a pp_bv b
 
 and pp_bool fmt = function
   | B_true -> Format.pp_print_string fmt "true"
   | B_false -> Format.pp_print_string fmt "false"
-  | B_var name -> Format.pp_print_string fmt name
-  | B_eq (a, b) -> Format.fprintf fmt "(%a = %a)" pp_bv a pp_bv b
-  | B_ult (a, b) -> Format.fprintf fmt "(%a < %a)" pp_bv a pp_bv b
-  | B_ule (a, b) -> Format.fprintf fmt "(%a <= %a)" pp_bv a pp_bv b
-  | B_not a -> Format.fprintf fmt "!%a" pp_bool a
-  | B_and (a, b) -> Format.fprintf fmt "(%a && %a)" pp_bool a pp_bool b
-  | B_or (a, b) -> Format.fprintf fmt "(%a || %a)" pp_bool a pp_bool b
-  | B_ite (c, a, b) ->
+  | B_var (_, name) -> Format.pp_print_string fmt name
+  | B_eq (_, a, b) -> Format.fprintf fmt "(%a = %a)" pp_bv a pp_bv b
+  | B_ult (_, a, b) -> Format.fprintf fmt "(%a < %a)" pp_bv a pp_bv b
+  | B_ule (_, a, b) -> Format.fprintf fmt "(%a <= %a)" pp_bv a pp_bv b
+  | B_not (_, a) -> Format.fprintf fmt "!%a" pp_bool a
+  | B_and (_, a, b) -> Format.fprintf fmt "(%a && %a)" pp_bool a pp_bool b
+  | B_or (_, a, b) -> Format.fprintf fmt "(%a || %a)" pp_bool a pp_bool b
+  | B_ite (_, c, a, b) ->
       Format.fprintf fmt "(if %a then %a else %a)" pp_bool c pp_bool a pp_bool b

@@ -1,43 +1,56 @@
 (** Quantifier-free bitvector terms.
 
     This is the formula language produced by p4-symbolic and consumed by
-    {!Solver}. Terms are pure ADTs; the smart constructors perform width
-    checking and aggressive constant folding (p4-symbolic's guards over
-    concrete table entries fold substantially, which keeps the CNF small).
+    {!Solver}. Terms are built only through the smart constructors below,
+    which perform width checking and aggressive constant folding
+    (p4-symbolic's guards over concrete table entries fold substantially,
+    which keeps the CNF small).
 
-    Physically shared subterms are preserved by construction and exploited
-    by the bit-blaster's memo tables, so building terms incrementally (as
-    the symbolic interpreter does) yields DAG-sized, not tree-sized, CNF. *)
+    Every node carries an id, unique for the life of the process, as its
+    first field ([B_true] and [B_false] have ids 0 and 1). Physically
+    shared subterms are preserved by construction, and memo tables key on
+    the id — an O(1) lookup — so building terms incrementally (as the
+    symbolic interpreter does) yields DAG-sized, not tree-sized, CNF. Ids
+    depend on how many terms the process built before, so they never
+    reach output: {!fingerprint} is the id-free identity of a term. *)
 
 module Bitvec = Switchv_bitvec.Bitvec
 
-type bv =
-  | Bv_const of Bitvec.t
-  | Bv_var of string * int                (* name, width *)
-  | Bv_not of bv
-  | Bv_neg of bv
-  | Bv_and of bv * bv
-  | Bv_or of bv * bv
-  | Bv_xor of bv * bv
-  | Bv_add of bv * bv
-  | Bv_sub of bv * bv
-  | Bv_mul of bv * bv
-  | Bv_concat of bv * bv
-  | Bv_extract of int * int * bv          (* hi, lo *)
-  | Bv_zero_ext of int * bv               (* target width *)
-  | Bv_ite of boolean * bv * bv
+type bv = private
+  | Bv_const of int * Bitvec.t
+  | Bv_var of int * string * int          (* id, name, width *)
+  | Bv_not of int * bv
+  | Bv_neg of int * bv
+  | Bv_and of int * bv * bv
+  | Bv_or of int * bv * bv
+  | Bv_xor of int * bv * bv
+  | Bv_add of int * bv * bv
+  | Bv_sub of int * bv * bv
+  | Bv_mul of int * bv * bv
+  | Bv_concat of int * bv * bv
+  | Bv_extract of int * int * int * bv    (* id, hi, lo *)
+  | Bv_zero_ext of int * int * bv         (* id, target width *)
+  | Bv_ite of int * boolean * bv * bv
 
-and boolean =
+and boolean = private
   | B_true
   | B_false
-  | B_var of string
-  | B_eq of bv * bv
-  | B_ult of bv * bv
-  | B_ule of bv * bv
-  | B_not of boolean
-  | B_and of boolean * boolean
-  | B_or of boolean * boolean
-  | B_ite of boolean * boolean * boolean
+  | B_var of int * string
+  | B_eq of int * bv * bv
+  | B_ult of int * bv * bv
+  | B_ule of int * bv * bv
+  | B_not of int * boolean
+  | B_and of int * boolean * boolean
+  | B_or of int * boolean * boolean
+  | B_ite of int * boolean * boolean * boolean
+
+val bv_id : bv -> int
+val bool_id : boolean -> int
+(** The node's id. [bv] and [boolean] ids come from one counter, so they
+    never collide with each other either. *)
+
+module Id_tbl : Hashtbl.S with type key = int
+(** Tables keyed by node id. *)
 
 val bv_width : bv -> int
 
@@ -103,8 +116,18 @@ val bool_vars : boolean -> string list
 (** All boolean variables, each reported once, in first-occurrence order. *)
 
 val size : boolean -> int
-(** Distinct physical nodes reachable from the formula — the DAG size the
+(** Distinct nodes reachable from the formula — the DAG size the
     bit-blaster's memo tables see, not the tree size. *)
+
+val fingerprint : boolean list -> Digest.t
+(** A digest of the formulas' DAG: each root in order, its node kinds,
+    leaves, payloads and the sharing of inner nodes within and across
+    roots, read in post-order with nodes numbered by that walk rather than
+    by id. Two lists built by the same sequence of constructor calls have
+    the same fingerprint, in any process; lists that differ in length, in
+    the order of their roots, or in any constant, name or operator do not
+    (up to digest collisions). No root is folded into another, so a
+    constant [tru] or [fls] root hides nothing. *)
 
 val flatten_conj : boolean -> boolean list
 (** Top-level conjuncts of a (nested) conjunction, left to right, with

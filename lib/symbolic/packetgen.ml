@@ -241,10 +241,10 @@ let deserialize payload : test_packet list =
 
 let cache_key (enc : Symexec.encoding) goals ~ports ~index_offset =
   let buf = Buffer.create 4096 in
-  (* Version tag: bump whenever the serialised payload layout changes, so
-     stale on-disk payloads from older binaries can never be deserialised
-     into the new shape. *)
-  Buffer.add_string buf "packetgen-v3;";
+  (* Version tag: bump whenever the serialised payload layout or the key's
+     derivation changes, so stale on-disk payloads from older binaries can
+     never be deserialised into the new shape. *)
+  Buffer.add_string buf "packetgen-v4;";
   (* The offset shifts the preferred-port cycle, so the same goal list
      solved as a different slice of a larger campaign yields different
      packets — it must be part of the key. *)
@@ -258,17 +258,20 @@ let cache_key (enc : Symexec.encoding) goals ~ports ~index_offset =
       Buffer.add_char buf ';')
     enc.enc_trace;
   List.iter (fun g -> Buffer.add_string buf g.goal_id) goals;
-  (* Goal preferences change which packet a goal yields; fold the set of
-     distinct preference terms (usually one, shared across all goals) into
-     the key. Marshal keeps sharing, so this stays cheap on DAG terms. *)
-  let distinct_prefers =
-    List.fold_left
-      (fun acc g -> if List.memq g.goal_prefer acc then acc else g.goal_prefer :: acc)
-      [] goals
-  in
-  List.iter
-    (fun p -> Buffer.add_string buf (Digest.string (Marshal.to_string p [])))
-    distinct_prefers;
+  (* The terms the packets are solved from: the well-formedness the solver
+     asserts, then each goal's condition and preference (usually one term
+     shared across all goals, which the fingerprint writes once). Trace
+     labels name entries by match key alone, so an action argument reaches
+     the key only through these terms. They are fingerprinted as a list,
+     never joined through the folding constructors: a goal behind a
+     catch-all entry has condition [fls], and a conjunction would fold the
+     whole key to that constant. Each encode numbers its term nodes
+     afresh, so the key reads the id-free {!Term.fingerprint}, never the
+     nodes themselves. *)
+  Buffer.add_string buf
+    (Term.fingerprint
+       (enc.enc_wellformed
+       :: List.concat_map (fun g -> [ g.goal_cond; g.goal_prefer ]) goals));
   List.iter (fun p -> Buffer.add_string buf (string_of_int p)) ports;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
@@ -386,11 +389,13 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
   Telemetry.with_span tele "symbolic.generate"
     ~attrs:[ ("goals", string_of_int (List.length goals)) ]
   @@ fun () ->
-  let key = cache_key enc goals ~ports ~index_offset in
+  (* Only a cache needs the key: it digests the whole P4info and the
+     preference terms. *)
+  let cache = Option.map (fun c -> (c, cache_key enc goals ~ports ~index_offset)) cache in
   let cached =
     match cache with
     | None -> None
-    | Some c -> (
+    | Some (c, key) -> (
         match Cache.find c ~key with
         | None -> None
         | Some raw -> (
@@ -456,7 +461,16 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
              check dearer than the last (quadratic over a long campaign).
              Re-seeding a fresh solver once the variable count outgrows the
              base encoding bounds the accumulation; canonical witness
-             extraction makes the reset points invisible in the results. *)
+             extraction makes the reset points invisible in the results.
+
+             The slack is measured on middleblock, whose base is 246 vars.
+             At inst1 x0.1 one solver serves every group and peaks near
+             3.7k vars; re-encoding a group's prefix costs more than the
+             gates it sheds, so the bound must not fire there (a slack of
+             512 or 2048 re-seeded before most groups and solved 1.5-2x
+             slower than 4096 and up). At x1.0 the first table's group
+             alone adds ~23k vars, and any slack up to 16k re-seeds at the
+             same groups, while never re-seeding is 35-50% slower. *)
           let solver = ref (Solver.create ()) in
           assert_base !solver enc ports;
           let sat_vars s =
@@ -465,7 +479,7 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
           let base_vars = sat_vars !solver in
           let retired = ref [] in
           let reseed_if_grown () =
-            if sat_vars !solver > 3 * base_vars + 512 then begin
+            if sat_vars !solver > (3 * base_vars) + 8192 then begin
               Telemetry.incr tele "smt.solver_reseeds";
               retired := sum_stats !retired (Solver.stats !solver);
               solver := Solver.create ();
@@ -525,7 +539,7 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
         end
       in
       (match cache with
-      | Some c -> Cache.store c ~key (serialize packets)
+      | Some (c, key) -> Cache.store c ~key (serialize packets)
       | None -> ());
       let covered = List.length (List.filter (fun p -> p.tp_bytes <> None) packets) in
       { packets;

@@ -156,26 +156,26 @@ let rec shrink_bv (t : Term.bv) : Term.bv list =
   match t with
   | Term.Bv_const _ -> []
   | Term.Bv_var _ -> [ zero ]
-  | Term.Bv_not a | Term.Bv_neg a | Term.Bv_zero_ext (_, a) when Term.bv_width a = w
-    ->
+  | Term.Bv_not (_, a) | Term.Bv_neg (_, a) | Term.Bv_zero_ext (_, _, a)
+    when Term.bv_width a = w ->
       (a :: List.map (fun a' -> rebuild1 t a') (shrink_bv a)) @ [ zero ]
-  | Term.Bv_not a | Term.Bv_neg a ->
+  | Term.Bv_not (_, a) | Term.Bv_neg (_, a) ->
       List.map (fun a' -> rebuild1 t a') (shrink_bv a) @ [ zero ]
-  | Term.Bv_zero_ext (tw, a) ->
+  | Term.Bv_zero_ext (_, tw, a) ->
       List.map (fun a' -> Term.zero_ext tw a') (shrink_bv a) @ [ zero ]
-  | Term.Bv_extract (hi, lo, a) ->
+  | Term.Bv_extract (_, hi, lo, a) ->
       List.map (fun a' -> Term.extract ~hi ~lo a') (shrink_bv a) @ [ zero ]
-  | Term.Bv_and (a, b) | Term.Bv_or (a, b) | Term.Bv_xor (a, b)
-  | Term.Bv_add (a, b) | Term.Bv_sub (a, b) | Term.Bv_mul (a, b) ->
+  | Term.Bv_and (_, a, b) | Term.Bv_or (_, a, b) | Term.Bv_xor (_, a, b)
+  | Term.Bv_add (_, a, b) | Term.Bv_sub (_, a, b) | Term.Bv_mul (_, a, b) ->
       [ a; b ]
       @ List.map (fun a' -> rebuild2 t a' b) (shrink_bv a)
       @ List.map (fun b' -> rebuild2 t a b') (shrink_bv b)
       @ [ zero ]
-  | Term.Bv_concat (a, b) ->
+  | Term.Bv_concat (_, a, b) ->
       List.map (fun a' -> Term.concat a' b) (shrink_bv a)
       @ List.map (fun b' -> Term.concat a b') (shrink_bv b)
       @ [ zero ]
-  | Term.Bv_ite (c, a, b) ->
+  | Term.Bv_ite (_, c, a, b) ->
       [ a; b ]
       @ List.map (fun c' -> Term.ite c' a b) (shrink_bool c)
       @ List.map (fun a' -> Term.ite c a' b) (shrink_bv a)
@@ -202,31 +202,31 @@ and shrink_bool (f : Term.boolean) : Term.boolean list =
   match f with
   | Term.B_true | Term.B_false -> []
   | Term.B_var _ -> [ Term.tru; Term.fls ]
-  | Term.B_eq (a, b) ->
+  | Term.B_eq (_, a, b) ->
       List.map (fun a' -> Term.eq a' b) (shrink_bv a)
       @ List.map (fun b' -> Term.eq a b') (shrink_bv b)
       @ [ Term.tru; Term.fls ]
-  | Term.B_ult (a, b) ->
+  | Term.B_ult (_, a, b) ->
       List.map (fun a' -> Term.ult a' b) (shrink_bv a)
       @ List.map (fun b' -> Term.ult a b') (shrink_bv b)
       @ [ Term.tru; Term.fls ]
-  | Term.B_ule (a, b) ->
+  | Term.B_ule (_, a, b) ->
       List.map (fun a' -> Term.ule a' b) (shrink_bv a)
       @ List.map (fun b' -> Term.ule a b') (shrink_bv b)
       @ [ Term.tru; Term.fls ]
-  | Term.B_not a ->
+  | Term.B_not (_, a) ->
       (a :: List.map Term.not_ (shrink_bool a)) @ [ Term.tru; Term.fls ]
-  | Term.B_and (a, b) ->
+  | Term.B_and (_, a, b) ->
       [ a; b ]
       @ List.map (fun a' -> Term.and_ a' b) (shrink_bool a)
       @ List.map (fun b' -> Term.and_ a b') (shrink_bool b)
       @ [ Term.tru; Term.fls ]
-  | Term.B_or (a, b) ->
+  | Term.B_or (_, a, b) ->
       [ a; b ]
       @ List.map (fun a' -> Term.or_ a' b) (shrink_bool a)
       @ List.map (fun b' -> Term.or_ a b') (shrink_bool b)
       @ [ Term.tru; Term.fls ]
-  | Term.B_ite (c, a, b) ->
+  | Term.B_ite (_, c, a, b) ->
       [ a; b ]
       @ List.map (fun c' -> Term.bite c' a b) (shrink_bool c)
       @ List.map (fun a' -> Term.bite c a' b) (shrink_bool a)

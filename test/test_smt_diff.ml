@@ -8,15 +8,18 @@
      - a shared solver taking the formula as an assumption,
      - a shared solver using push / assert / pop scopes,
      - a shared solver assuming the formula conjunct-by-conjunct, with the
-       reported unsat core re-checked against enumeration.
+       reported unsat core re-checked against enumeration,
+     - a shared solver in the packet pipeline's shape: a group prefix
+       asserted inside push / pop, several goals' remaining conjuncts and
+       soft preferences passed as assumptions, unsat cores re-checked.
 
    Satisfying models are re-evaluated concretely (and [Solver.check_models]
    is on for the whole suite, so the solver additionally self-checks every
    model against the original terms). Canonical models must match the
    enumerated lexicographic minimum, and must agree between fresh and
-   shared solvers. The preprocessor must preserve the value of the formula
-   on every assignment, and cone-of-influence restriction must be implied
-   by the original.
+   shared solvers, scoped or not. The preprocessor must preserve the value
+   of the formula on every assignment, and cone-of-influence restriction
+   must be implied by the original.
 
    Failures shrink to a locally minimal reproducer and report the seed.
 
@@ -151,6 +154,36 @@ let prop_verdicts f =
               else None
     end
 
+(* Variables the solver never blasted (the formula folded them away, or
+   never mentioned them) are unconstrained; their lexicographically minimal
+   completion is the zero/false default — the same default packet
+   extraction uses. The completed model must therefore equal the enumerated
+   minimum on the WHOLE universe, not just the mentioned variables. *)
+let canonical_mismatch tag (m : Solver.model) (best : Qgen.assignment) =
+  List.find_map
+    (fun (n, w) ->
+      let expect = List.assoc n best.Qgen.a_bv in
+      let got = Option.value ~default:(Bitvec.zero w) (m.Solver.bv n) in
+      if Bitvec.equal got expect then None
+      else
+        Some
+          (Printf.sprintf "%s: canonical %s = %s, enumeration %s" tag n
+             (Bitvec.to_hex_string got) (Bitvec.to_hex_string expect)))
+    Qgen.bv_universe
+  |> function
+  | Some e -> Some e
+  | None ->
+      List.find_map
+        (fun n ->
+          let expect = List.assoc n best.Qgen.a_bool in
+          let got = Option.value ~default:false (m.Solver.bool n) in
+          if got = expect then None
+          else
+            Some
+              (Printf.sprintf "%s: canonical %s = %b, enumeration %b" tag n got
+                 expect))
+        Qgen.bool_universe
+
 let shared_canonical = Solver.create ()
 
 let prop_canonical f =
@@ -169,44 +202,63 @@ let prop_canonical f =
       match (scratch, shared) with
       | Solver.Unsat, _ | _, Solver.Unsat ->
           Some "solver says UNSAT, enumeration says SAT"
-      | Solver.Sat m_scratch, Solver.Sat m_shared ->
-          (* Variables the solver never blasted (the formula folded them
-             away, or never mentioned them) are unconstrained; their
-             lexicographically minimal completion is the zero/false default
-             — the same default packet extraction uses. The completed model
-             must therefore equal the enumerated minimum on the WHOLE
-             universe, not just the mentioned variables. *)
-          let check tag m =
-            List.find_map
-              (fun (n, w) ->
-                let expect = List.assoc n best.Qgen.a_bv in
-                let got =
-                  Option.value ~default:(Bitvec.zero w) (m.Solver.bv n)
-                in
-                if Bitvec.equal got expect then None
-                else
-                  Some
-                    (Printf.sprintf "%s: canonical %s = %s, enumeration %s" tag
-                       n (Bitvec.to_hex_string got)
-                       (Bitvec.to_hex_string expect)))
-              Qgen.bv_universe
-            |> function
-            | Some e -> Some e
-            | None ->
-                List.find_map
-                  (fun n ->
-                    let expect = List.assoc n best.Qgen.a_bool in
-                    let got = Option.value ~default:false (m.Solver.bool n) in
-                    if got = expect then None
-                    else
-                      Some
-                        (Printf.sprintf "%s: canonical %s = %b, enumeration %b"
-                           tag n got expect))
-                  Qgen.bool_universe
-          in
-          (match check "fresh" m_scratch with
+      | Solver.Sat m_scratch, Solver.Sat m_shared -> (
+          match canonical_mismatch "fresh" m_scratch best with
           | Some e -> Some e
-          | None -> check "shared" m_shared))
+          | None -> canonical_mismatch "shared" m_shared best))
+
+(* The shape packet generation drives a solver in: the formula's first
+   conjunct is a group prefix asserted inside a push scope; each of several
+   goals assumes the remaining conjuncts plus goal-specific ones, under a
+   cascade of soft preferences that is relaxed when unsat; the scope is
+   popped after the group. One solver serves every formula, so each group
+   also runs against everything the earlier ones learned and blasted. Every
+   model must be the enumerated lexicographic minimum of prefix and
+   assumptions, and every unsat core must be unsat with the prefix. *)
+let shared_grouped = Solver.create ()
+
+let goal_suffixes, soft_prefer, soft_port =
+  let x = Term.var "x" 4 and y = Term.var "y" 4 and z = Term.var "z" 3 in
+  ( [ [];
+      [ Term.bvar "b" ];
+      [ Term.ult y x; Term.not_ (Term.bvar "b") ];
+      [ Term.eq z (Term.of_int ~width:3 5); Term.ule x y ] ],
+    Term.eq y (Term.of_int ~width:4 9),
+    Term.eq x (Term.of_int ~width:4 3) )
+
+let prop_grouped f =
+  let prefix, rest =
+    match Term.flatten_conj f with [] -> ([], []) | c :: cs -> ([ c ], cs)
+  in
+  let check_attempt assumptions =
+    let whole = Term.conj (prefix @ assumptions) in
+    match Solver.check_verdict ~assumptions ~canonical shared_grouped with
+    | Solver.V_sat m -> (
+        match Qgen.brute_canonical whole with
+        | None -> Some "grouped solver says SAT, enumeration says UNSAT"
+        | Some best -> canonical_mismatch "grouped" m best)
+    | Solver.V_unsat core ->
+        let implicated = List.filteri (fun i _ -> List.mem i core) assumptions in
+        if Qgen.brute_sat (Term.conj (prefix @ implicated)) then
+          Some
+            (Printf.sprintf "grouped unsat core (positions %s) is satisfiable"
+               (String.concat "," (List.map string_of_int core)))
+        else None
+  in
+  let check_goal extra =
+    let suffix = rest @ extra in
+    List.find_map check_attempt
+      [ suffix @ [ soft_prefer; soft_port ];
+        suffix @ [ soft_prefer ];
+        suffix @ [ soft_port ];
+        suffix ]
+  in
+  Solver.push shared_grouped;
+  Fun.protect
+    ~finally:(fun () -> Solver.pop shared_grouped)
+    (fun () ->
+      List.iter (Solver.assert_formula shared_grouped) prefix;
+      List.find_map check_goal goal_suffixes)
 
 let prop_preprocess f =
   let f', _ = Term.preprocess f in
@@ -248,6 +300,11 @@ let test_verdicts () =
 let test_canonical () =
   run_property ~name:"canonical models" ~seed:(seed + 1) ~count prop_canonical
 
+(* Each formula costs sixteen enumerations here, so fewer are drawn. *)
+let test_grouped () =
+  run_property ~name:"grouped canonical models" ~seed:(seed + 4)
+    ~count:(max 1 (count / 5)) prop_grouped
+
 let test_preprocess () =
   run_property ~name:"preprocess equivalence" ~seed:(seed + 2) ~count
     prop_preprocess
@@ -266,7 +323,9 @@ let test_soak () =
     let round_seed = (seed * 1_000_003) + !round in
     run_property ~name:"soak verdicts" ~seed:round_seed ~count:25 prop_verdicts;
     run_property ~name:"soak canonical" ~seed:(round_seed + 7919) ~count:10
-      prop_canonical
+      prop_canonical;
+    run_property ~name:"soak grouped" ~seed:(round_seed + 104729) ~count:2
+      prop_grouped
   done
 
 let () =
@@ -277,6 +336,8 @@ let () =
             test_verdicts;
           Alcotest.test_case "canonical models vs enumeration" `Quick
             test_canonical;
+          Alcotest.test_case "grouped shared solver vs enumeration" `Quick
+            test_grouped;
           Alcotest.test_case "preprocess preserves every assignment" `Quick
             test_preprocess;
           Alcotest.test_case "cone restriction is implied" `Quick test_cone ] );

@@ -25,13 +25,14 @@ let bv16 = Bitvec.of_int ~width:16
 let fm field value = { Entry.fm_field = field; fm_value = value }
 let single name args = Entry.Single { ai_name = name; ai_args = args }
 
-let figure2_entries =
-  Figure2.figure3_valid
-  @ [ Entry.make ~table:"acl_pre_ingress_table" ~priority:1
-        ~matches:
-          [ fm "dst_ip"
-              (Entry.M_ternary (Ternary.of_prefix (Prefix.of_ipv4_string "10.0.0.0/8"))) ]
-        (single "set_vrf" [ bv16 1 ]) ]
+let acl_set_vrf vrf =
+  Entry.make ~table:"acl_pre_ingress_table" ~priority:1
+    ~matches:
+      [ fm "dst_ip"
+          (Entry.M_ternary (Ternary.of_prefix (Prefix.of_ipv4_string "10.0.0.0/8"))) ]
+    (single "set_vrf" [ bv16 vrf ])
+
+let figure2_entries = Figure2.figure3_valid @ [ acl_set_vrf 1 ]
 
 let state_of entries =
   let s = State.create () in
@@ -363,6 +364,64 @@ let test_cache_invalidation () =
   let r = Packetgen.generate ~cache enc' (Packetgen.entry_coverage_goals enc') in
   check_bool "different entries miss the cache" false r.from_cache
 
+(* Term nodes get fresh ids on every encode; the key must not see them. *)
+let test_cache_key_id_free () =
+  let encode entries =
+    let enc = Symexec.encode Figure2.program entries in
+    (enc, Packetgen.entry_coverage_goals ~prefer:(Term.not_ enc.Symexec.enc_dropped) enc)
+  in
+  let key (enc, goals) = Packetgen.cache_key enc goals ~ports:[ 1; 2; 3; 4 ] ~index_offset:0 in
+  let first = encode figure2_entries and second = encode figure2_entries in
+  Alcotest.(check string) "separate encodes share a key" (key first) (key second);
+  let cache = Cache.in_memory () in
+  ignore (Packetgen.generate ~cache (fst first) (snd first));
+  check_bool "the second encode hits" true
+    (Packetgen.generate ~cache (fst second) (snd second)).from_cache;
+  (* Same match keys and goal ids; only an action argument differs. *)
+  let vrf1 = Figure2.figure3_valid @ [ acl_set_vrf 1 ] in
+  let vrf2 = Figure2.figure3_valid @ [ acl_set_vrf 2 ] in
+  check_bool "a changed action argument changes the key" true
+    (key first <> key (encode vrf2));
+  (* The default preference is the constant [tru], so there the goal
+     conditions alone must carry the change. *)
+  let plain entries =
+    let enc = Symexec.encode Figure2.program entries in
+    (enc, Packetgen.entry_coverage_goals enc)
+  in
+  check_bool "even under the default preference" true
+    (key (plain vrf1) <> key (plain vrf2));
+  (* A catch-all entry matches every packet, so the entry behind it and
+     the table default get the constant guard [fls]. The key must still
+     see the catch-all's argument and the preference. *)
+  let shadowed vrf =
+    figure2_entries
+    @ [ Entry.make ~table:"acl_pre_ingress_table" ~priority:2 ~matches:[]
+          (single "set_vrf" [ bv16 vrf ]) ]
+  in
+  check_bool "a shadowed entry's goal is fls" true
+    (List.exists
+       (fun (g : Packetgen.goal) -> g.goal_cond == Term.fls)
+       (snd (plain (shadowed 1))));
+  (* VRF 1 has routes behind it; VRF 2 has none. *)
+  check_bool "a changed argument ahead of fls goals changes the key" true
+    (key (encode (shadowed 1)) <> key (encode (shadowed 2)));
+  check_bool "... under the default preference too" true
+    (key (plain (shadowed 1)) <> key (plain (shadowed 2)));
+  check_bool "a changed preference with fls goals changes the key" true
+    (key (encode (shadowed 1)) <> key (plain (shadowed 1)));
+  (* Custom goals: a constant-false one, and [tru] moved between goals. *)
+  let enc = fst first in
+  let custom conds =
+    (enc, List.map (fun (id, c) -> Packetgen.custom_goal ~id ~desc:id c) conds)
+  in
+  let x = Term.not_ enc.enc_dropped and y = Term.eq (Term.var "vrf" 16) (Term.of_int ~width:16 1) in
+  check_bool "a custom fls goal keeps the other conditions" true
+    (key (custom [ ("a", x); ("dead", Term.fls) ])
+    <> key (custom [ ("a", y); ("dead", Term.fls) ]));
+  check_bool "which goal holds tru is part of the key" true
+    (key (custom [ ("a", Term.tru); ("b", x) ])
+    <> key (custom [ ("a", x); ("b", Term.tru) ]))
+
 let test_disk_cache () =
   let dir = Filename.temp_file "switchv" "cache" in
   Sys.remove dir;
@@ -476,6 +535,7 @@ let () =
       ("cache",
        [ Alcotest.test_case "roundtrip" `Quick test_cache_roundtrip;
          Alcotest.test_case "invalidation" `Quick test_cache_invalidation;
+         Alcotest.test_case "key ignores term ids" `Quick test_cache_key_id_free;
          Alcotest.test_case "disk backend" `Quick test_disk_cache ]);
       ("preferences",
        [ Alcotest.test_case "prefer forwarded" `Quick test_prefer_forwarded;
