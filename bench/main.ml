@@ -2,10 +2,15 @@
    the paper's evaluation (§6), plus ablation benches for the design
    choices called out in DESIGN.md and a bechamel micro-benchmark suite.
 
-     dune exec bench/main.exe              # everything except micro
+     dune exec bench/main.exe              # every artifact except micro
      dune exec bench/main.exe -- table1    # a single artifact
-     dune exec bench/main.exe -- table1 table2 table3 figure7 ablations micro
      dune exec bench/main.exe -- quick     # reduced scale (CI-sized)
+
+   Every artifact is one entry of [registry] at the bottom of this file.
+   The paper's tables and figures print in the paper's layout. The gated
+   measurement artifacts return rows and gate checks instead: one shared
+   path prints both as tables, writes BENCH_<name>.json in full mode and
+   fails the run on any failed check.
 
    Absolute numbers differ from the paper (simulated switch + our own SMT
    solver vs. a hardware testbed + Z3); the shapes are the reproduction
@@ -43,23 +48,102 @@ module Rng = Switchv_bitvec.Rng
 module Bitvec = Switchv_bitvec.Bitvec
 module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
+module Jsonp = Switchv_telemetry.Jsonp
 
 let quick = ref false
-
-(* The committed BENCH_*.json artifacts record full-mode runs. Quick mode
-   keeps every gate but leaves them alone, so a CI pass never overwrites a
-   full measurement with a reduced-scale one. *)
-let write_artifact path json =
-  if !quick then Printf.printf "quick mode: %s left unchanged\n" path
-  else begin
-    Out_channel.with_open_bin path (fun oc -> output_string oc json);
-    Printf.printf "wrote %s\n" path
-  end
 
 let banner title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
 let now () = Telemetry.Clock.now ()
+
+(* ------------------------------------------------------------------ *)
+(* Gated artifacts: rows and checks, one table printer, one schema     *)
+(* ------------------------------------------------------------------ *)
+
+(* A row is a JSON object. Floats are rounded as the table shows them,
+   so the printed table and the committed artifact agree. Rows of an
+   artifact with two tables carry a "part" key. *)
+let num ?(digits = 0) f =
+  let scale = 10. ** float_of_int digits in
+  Jsonp.Num (Float.round (f *. scale) /. scale)
+
+let int n = Jsonp.Num (float_of_int n)
+let str s = Jsonp.Str s
+let bool b = Jsonp.Bool b
+let int_at key row = Option.value ~default:0 (Option.bind (Jsonp.member key row) Jsonp.to_int)
+let bool_at key row = Jsonp.member key row = Some (Jsonp.Bool true)
+let total key rows = List.fold_left (fun acc row -> acc + int_at key row) 0 rows
+
+(* A gate check is a row too: the measured value and the verdict, decided
+   on the unrounded measurement. *)
+let check name value pass =
+  Jsonp.Obj [ ("check", str name); ("value", value); ("pass", bool pass) ]
+
+(* One aligned table per part, in the order the parts first appear; the
+   columns are the keys of a part's first row. *)
+let print_table rows =
+  let part_of row = Jsonp.member "part" row in
+  let parts =
+    List.fold_left
+      (fun acc row -> if List.mem (part_of row) acc then acc else acc @ [ part_of row ])
+      [] rows
+  in
+  let cell = function Jsonp.Str s -> s | v -> Telemetry.Json.to_string v in
+  let fields = function Jsonp.Obj kvs -> List.remove_assoc "part" kvs | _ -> [] in
+  List.iter
+    (fun p ->
+      let group = List.filter (fun row -> part_of row = p) rows in
+      let lines =
+        List.map fst (fields (List.hd group))
+        :: List.map (fun row -> List.map (fun (_, v) -> cell v) (fields row)) group
+      in
+      let widths =
+        List.fold_left
+          (List.map2 (fun w c -> max w (String.length c)))
+          (List.map (fun _ -> 0) (List.hd lines))
+          lines
+      in
+      print_newline ();
+      Option.iter (fun p -> Printf.printf "[%s]\n" (cell p)) p;
+      List.iter
+        (fun line ->
+          print_endline
+            (String.concat "  "
+               (List.mapi
+                  (fun i (w, c) ->
+                    if i = 0 then Printf.sprintf "%-*s" w c else Printf.sprintf "%*s" w c)
+                  (List.combine widths line))))
+        lines)
+    parts
+
+(* The committed BENCH_*.json artifacts record full-mode runs, one row per
+   line. Quick mode keeps every gate but leaves them alone, so a CI pass
+   never overwrites a full measurement with a reduced-scale one. *)
+let publish name (rows, gate) =
+  print_table rows;
+  print_table gate;
+  let path = "BENCH_" ^ name ^ ".json" in
+  if !quick then Printf.printf "quick mode: %s left unchanged\n" path
+  else begin
+    let lines xs =
+      "[\n  " ^ String.concat ",\n  " (List.map Telemetry.Json.to_string xs) ^ "\n]"
+    in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc
+          (Telemetry.Json.obj
+             [ ("artifact", Telemetry.Json.str name); ("rows", lines rows);
+               ("gate", lines gate) ]);
+        output_char oc '\n');
+    Printf.printf "wrote %s\n" path
+  end;
+  match List.filter (fun c -> not (bool_at "pass" c)) gate with
+  | [] -> ()
+  | failed ->
+      failwith
+        (Printf.sprintf "%s gate failed: %s" name
+           (String.concat "; "
+              (List.map Telemetry.Json.to_string failed)))
 
 (* ------------------------------------------------------------------ *)
 (* Shared detection machinery for Table 1 / Table 2 / Figure 7         *)
@@ -610,20 +694,23 @@ let ablations () =
   ablation_batching ();
   ablation_pruning ()
 
+
 (* ------------------------------------------------------------------ *)
 (* SMT: incremental solving vs. per-goal scratch solvers               *)
 (* ------------------------------------------------------------------ *)
 
-let smt_incremental_bench () =
+let smt_incremental () =
   banner "SMT: incremental packet generation vs. per-goal scratch solving";
-  Printf.printf
+  print_string
     "Each fixture campaign's coverage goals are solved twice: once with the\n\
      incremental pipeline (one solver, prefix push/pop scopes, assumption\n\
      deltas, learned clauses carried across goals) and once re-bit-blasting\n\
      every goal into a fresh solver. Canonical model extraction makes the\n\
-     verdicts AND packet bytes byte-identical; the win is solver work.\n\n";
+     verdicts AND packet bytes byte-identical; the win is solver work.\n";
   let tm = Telemetry.get () in
-  let stat name stats = Option.value ~default:0 (List.assoc_opt name stats) in
+  let conflicts (r : Packetgen.result) =
+    Option.value ~default:0 (List.assoc_opt "conflicts" r.solver_stats)
+  in
   let fixtures =
     let entry_goals enc = Packetgen.entry_coverage_goals enc in
     let explore enc =
@@ -641,9 +728,6 @@ let smt_incremental_bench () =
       ("wan/entry", Wan.program,
        Workload.scaled (if !quick then 0.05 else 0.1) Workload.inst2, entry_goals) ]
   in
-  Printf.printf "%-22s %6s | %10s %9s | %10s %9s | %7s %5s\n" "fixture" "goals"
-    "scr.confl" "scr.time" "inc.confl" "inc.time" "fewer" "same";
-  Printf.printf "%s\n" (String.make 92 '-');
   let rows =
     List.map
       (fun (name, program, profile, mk_goals) ->
@@ -659,94 +743,57 @@ let smt_incremental_bench () =
         let hits0 = Telemetry.counter tm "smt.incremental_hits" in
         let reused0 = Telemetry.counter tm "smt.clauses_reused" in
         let inc, t_inc = run true in
-        let hits = Telemetry.counter tm "smt.incremental_hits" - hits0 in
-        let reused = Telemetry.counter tm "smt.clauses_reused" - reused0 in
-        let identical =
-          List.length scratch.Packetgen.packets = List.length inc.Packetgen.packets
-          && List.for_all2
-               (fun (a : Packetgen.test_packet) (b : Packetgen.test_packet) ->
-                 a.tp_goal = b.tp_goal && a.tp_port = b.tp_port
-                 && a.tp_bytes = b.tp_bytes)
-               scratch.Packetgen.packets inc.Packetgen.packets
+        let same (a : Packetgen.test_packet) (b : Packetgen.test_packet) =
+          a.tp_goal = b.tp_goal && a.tp_port = b.tp_port && a.tp_bytes = b.tp_bytes
         in
-        let c_scr = stat "conflicts" scratch.Packetgen.solver_stats in
-        let c_inc = stat "conflicts" inc.Packetgen.solver_stats in
-        let fewer =
-          if c_scr = 0 then 0.
-          else 100. *. float_of_int (c_scr - c_inc) /. float_of_int c_scr
-        in
-        Printf.printf "%-22s %6d | %10d %8.2fs | %10d %8.2fs | %6.1f%% %5b\n%!"
-          name (List.length goals) c_scr t_scr c_inc t_inc fewer identical;
-        (name, List.length goals, c_scr, c_inc, t_scr, t_inc, identical, hits,
-         reused))
+        Jsonp.Obj
+          [ ("fixture", str name); ("goals", int (List.length goals));
+            ("scratch_conflicts", int (conflicts scratch));
+            ("incremental_conflicts", int (conflicts inc));
+            ("scratch_time_s", num ~digits:3 t_scr);
+            ("incremental_time_s", num ~digits:3 t_inc);
+            ("identical_packets", bool (List.equal same scratch.packets inc.packets));
+            ("incremental_hits", int (Telemetry.counter tm "smt.incremental_hits" - hits0));
+            ("clauses_reused", int (Telemetry.counter tm "smt.clauses_reused" - reused0)) ])
       fixtures
   in
-  let tot f = List.fold_left (fun a r -> a + f r) 0 rows in
-  let c_scr = tot (fun (_, _, c, _, _, _, _, _, _) -> c) in
-  let c_inc = tot (fun (_, _, _, c, _, _, _, _, _) -> c) in
-  let all_identical =
-    List.for_all (fun (_, _, _, _, _, _, id, _, _) -> id) rows
-  in
+  let c_scr = total "scratch_conflicts" rows and c_inc = total "incremental_conflicts" rows in
   let reduction =
-    if c_scr = 0 then 0.
-    else 100. *. float_of_int (c_scr - c_inc) /. float_of_int c_scr
+    if c_scr = 0 then 0. else 100. *. float_of_int (c_scr - c_inc) /. float_of_int c_scr
   in
-  Printf.printf "%s\n" (String.make 92 '-');
-  Printf.printf
-    "total conflicts: scratch %d, incremental %d (%.1f%% fewer; target >= 30%%)\n\
-     identical packets on every fixture: %b\n"
-    c_scr c_inc reduction all_identical;
-  (* Snapshot for trend tracking; committed as BENCH_smt_incremental.json. *)
-  let json =
-    let row (name, goals, cs, ci, ts, ti, id, hits, reused) =
-      Printf.sprintf
-        "    {\"fixture\": %S, \"goals\": %d, \"scratch_conflicts\": %d, \
-         \"incremental_conflicts\": %d, \"scratch_time_s\": %.3f, \
-         \"incremental_time_s\": %.3f, \"identical_packets\": %b, \
-         \"incremental_hits\": %d, \"clauses_reused\": %d}"
-        name goals cs ci ts ti id hits reused
-    in
-    Printf.sprintf
-      "{\n  \"artifact\": \"smt_incremental\",\n  \"fixtures\": [\n%s\n  ],\n  \
-       \"total_scratch_conflicts\": %d,\n  \"total_incremental_conflicts\": %d,\n  \
-       \"conflict_reduction_pct\": %.1f,\n  \"identical_packets\": %b\n}\n"
-      (String.concat ",\n" (List.map row rows))
-      c_scr c_inc reduction all_identical
-  in
-  write_artifact "BENCH_smt_incremental.json" json;
-  if not all_identical then failwith "incremental/scratch packet mismatch";
-  if not !quick && reduction < 30. then
-    failwith
-      (Printf.sprintf "conflict reduction %.1f%% below the 30%% target" reduction)
+  let identical = List.for_all (bool_at "identical_packets") rows in
+  ( rows,
+    check "identical packets on every fixture" (bool identical) identical
+    :: (if !quick then []
+        else
+          [ check "conflict_reduction_pct >= 30" (num ~digits:1 reduction)
+              (reduction >= 30.) ]) )
 
 (* ------------------------------------------------------------------ *)
 (* Taint: static nondeterminism analysis driving set-valued verdicts   *)
 (* ------------------------------------------------------------------ *)
 
-let taint_bench () =
+let taint () =
   banner "Taint: set-valued verdicts vs. exhaustive hash-round enumeration";
-  Printf.printf
+  print_string
     "Each fixture data campaign runs twice against a seeded-hash switch:\n\
      once with the static taint pass on (hash/selector-tainted branch goals\n\
      skipped before the SMT stage, verdicts via the set-valued oracle) and\n\
      once with it off (every goal solved, every divergence candidate judged\n\
      by exhaustive hash-round enumeration). Both runs must be clean — the\n\
-     set-valued fast paths may only admit behaviours enumeration admits.\n\n";
+     set-valued fast paths may only admit behaviours enumeration admits.\n";
   let tm = Telemetry.get () in
+  let counter = Telemetry.counter tm in
   let fixtures =
     [ ("middleblock", Middleblock.program,
        if !quick then Workload.small else Workload.scaled 0.25 Workload.inst1);
       ("wan", Wan.program,
        if !quick then Workload.small else Workload.scaled 0.1 Workload.inst2) ]
   in
-  Printf.printf "%-14s %6s %7s %7s %10s %9s %6s | %8s %8s\n" "fixture"
-    "goals" "tainted" "admits" "escalated" "rds.saved" "clean" "on(s)" "off(s)";
-  Printf.printf "%s\n" (String.make 92 '-');
   let rows =
     List.map
       (fun (name, program, profile) ->
         let entries = Workload.generate ~seed:42 program profile in
-        let counter n = Telemetry.counter tm n in
         let run taint =
           let stack = Stack.create program in
           let t0 = now () in
@@ -759,69 +806,36 @@ let taint_bench () =
         in
         (* Off first so the on-run's counter deltas are easy to snapshot. *)
         let inc_off, stats_off, t_off = run false in
-        let tainted0 = counter "analysis.tainted_goals" in
-        let admits0 = counter "oracle.dataplane_set_admits" in
-        let esc0 = counter "oracle.dataplane_escalations" in
-        let saved0 = counter "oracle.enum_rounds_saved" in
+        let counters =
+          [ ("tainted_goals", "analysis.tainted_goals");
+            ("set_admits", "oracle.dataplane_set_admits");
+            ("escalations", "oracle.dataplane_escalations");
+            ("enum_rounds_saved", "oracle.enum_rounds_saved") ]
+        in
+        let before = List.map (fun (_, name) -> counter name) counters in
         let inc_on, stats_on, t_on = run true in
-        let tainted = counter "analysis.tainted_goals" - tainted0 in
-        let admits = counter "oracle.dataplane_set_admits" - admits0 in
-        let escalated = counter "oracle.dataplane_escalations" - esc0 in
-        let saved = counter "oracle.enum_rounds_saved" - saved0 in
-        let clean = inc_on = [] && inc_off = [] in
-        let skipped = stats_off.Report.ds_goals - stats_on.Report.ds_goals in
-        Printf.printf "%-14s %6d %7d %7d %10d %9d %6b | %7.2fs %7.2fs\n%!" name
-          stats_off.Report.ds_goals tainted admits escalated saved clean t_on
-          t_off;
-        (name, stats_off.Report.ds_goals, tainted, skipped, admits, escalated,
-         saved, clean, t_on, t_off))
+        Jsonp.Obj
+          ([ ("fixture", str name); ("goals", int stats_off.Report.ds_goals) ]
+          @ List.map2 (fun (key, name) b -> (key, int (counter name - b))) counters before
+          @ [ ("smt_attempts_skipped",
+               int (stats_off.Report.ds_goals - stats_on.Report.ds_goals));
+              ("clean", bool (inc_on = [] && inc_off = []));
+              ("time_taint_s", num ~digits:3 t_on);
+              ("time_enum_s", num ~digits:3 t_off) ]))
       fixtures
   in
-  let tot f = List.fold_left (fun a r -> a + f r) 0 rows in
-  let tainted = tot (fun (_, _, t, _, _, _, _, _, _, _) -> t) in
-  let skipped = tot (fun (_, _, _, s, _, _, _, _, _, _) -> s) in
-  let saved = tot (fun (_, _, _, _, _, _, s, _, _, _) -> s) in
-  let all_clean = List.for_all (fun (_, _, _, _, _, _, _, c, _, _) -> c) rows in
-  let totf f = List.fold_left (fun a r -> a +. f r) 0. rows in
-  let t_on = totf (fun (_, _, _, _, _, _, _, _, t, _) -> t) in
-  let t_off = totf (fun (_, _, _, _, _, _, _, _, _, t) -> t) in
-  let delta_pct = if t_off = 0. then 0. else 100. *. (t_off -. t_on) /. t_off in
-  Printf.printf "%s\n" (String.make 92 '-');
-  Printf.printf
-    "goals reclassified tainted: %d (= SMT attempts skipped: %d), hash-round \
-     executions saved: %d\nwall-clock: %.2fs with taint vs %.2fs without \
-     (%.1f%% delta); clean on every fixture: %b\n"
-    tainted skipped saved t_on t_off delta_pct all_clean;
-  (* Snapshot for trend tracking; committed as BENCH_taint.json. *)
-  let json =
-    let row (name, goals, tainted, skipped, admits, escalated, saved, clean,
-             t_on, t_off) =
-      Printf.sprintf
-        "    {\"fixture\": %S, \"goals\": %d, \"tainted_goals\": %d, \
-         \"smt_attempts_skipped\": %d, \"set_admits\": %d, \
-         \"escalations\": %d, \"enum_rounds_saved\": %d, \"clean\": %b, \
-         \"time_taint_s\": %.3f, \"time_enum_s\": %.3f}"
-        name goals tainted skipped admits escalated saved clean t_on t_off
-    in
-    Printf.sprintf
-      "{\n  \"artifact\": \"taint\",\n  \"fixtures\": [\n%s\n  ],\n  \
-       \"total_tainted_goals\": %d,\n  \"total_smt_attempts_skipped\": %d,\n  \
-       \"total_enum_rounds_saved\": %d,\n  \"wallclock_delta_pct\": %.1f,\n  \
-       \"clean\": %b\n}\n"
-      (String.concat ",\n" (List.map row rows))
-      tainted skipped saved delta_pct all_clean
-  in
-  write_artifact "BENCH_taint.json" json;
-  if not all_clean then
-    failwith "set-valued verdicts reported incidents a clean switch should not";
-  if tainted = 0 then failwith "taint pass reclassified no goals on WCMP models";
-  if saved = 0 then failwith "set-valued verdicts saved no hash-round executions"
+  let clean = List.for_all (bool_at "clean") rows in
+  let tainted = total "tainted_goals" rows and saved = total "enum_rounds_saved" rows in
+  ( rows,
+    [ check "clean on every fixture" (bool clean) clean;
+      check "tainted_goals > 0" (int tainted) (tainted > 0);
+      check "enum_rounds_saved > 0" (int saved) (saved > 0) ] )
 
 (* ------------------------------------------------------------------ *)
 (* Triage: ddmin shrinkage and fingerprint dedup                       *)
 (* ------------------------------------------------------------------ *)
 
-let triage_bench () =
+let triage () =
   banner "Triage: reproducer minimization (ddmin) and fingerprint dedup";
   Printf.printf
     "Per seeded fault: raw miscompares vs. fingerprint clusters, then each\n\
@@ -880,7 +894,7 @@ let triage_bench () =
 (* Parallel: fork-based campaign sharding speedup                      *)
 (* ------------------------------------------------------------------ *)
 
-let parallel_bench () =
+let parallel () =
   banner "Parallel: fork-based campaign sharding (switchv validate --jobs)";
   Printf.printf
     "Both campaigns at shards=4, executed with 1, 2, and 4 worker\n\
@@ -946,11 +960,12 @@ let parallel_bench () =
       let incidents, _ = Data_campaign.run ~jobs stack data_cfg in
       (now () -. t0, incidents))
 
+
 (* ------------------------------------------------------------------ *)
 (* Obs: instrumentation overhead on the hot paths                      *)
 (* ------------------------------------------------------------------ *)
 
-let obs_overhead_bench () =
+let obs_overhead () =
   banner "Obs: telemetry + coverage accounting overhead on hot paths";
   let reps = 9 in
   let budget_pct = if !quick then 10. else 5. in
@@ -960,7 +975,7 @@ let obs_overhead_bench () =
      and a disabled one (every telemetry call short-circuits on one bool).\n\
      The two configurations are interleaved rep-by-rep so cache and\n\
      scheduler drift lands on both sides; %s over %d reps.\n\
-     Budget: <= %.0f%%.\n\n"
+     Budget: <= %.0f%%.\n"
     (if !quick then "median overhead of the back-to-back pairs"
      else "best-of per configuration")
     reps budget_pct;
@@ -1025,86 +1040,68 @@ let obs_overhead_bench () =
                ~dst:(Printf.sprintf "10.%d.%d.%d" (i mod 200) (i / 8) (succ i mod 251))
                ()))
     in
-    (* Quick mode's smaller state makes a round cheap, so it runs more of
-       them: a rep of at least 0.2 s keeps one scheduler hiccup from
-       reading as overhead. *)
-    let rounds = if !quick then 300 else 60 in
+    (* A rep of at least 0.2 s keeps one scheduler hiccup from reading as
+       overhead. A round of 64 packets takes about 1.7 ms on quick mode's
+       small entry set and 0.9-1.1 ms on full mode's inst1 x0.1 (shared
+       2-core Xeon), so a rep loops 300 and 360 rounds to last at least
+       0.2 s on a machine up to 1.5x faster. *)
+    let rounds = if !quick then 300 else 360 in
     fun () ->
       for _ = 1 to rounds do
         List.iter (fun p -> ignore (Interp.run cfg ~ingress_port:1 p)) packets
       done
   in
-  let paths =
-    [ ("genpackets", genpackets); ("inject", inject) ]
-  in
-  let rows =
+  let measured =
     List.map
       (fun (name, f) ->
         let off, on, pct = time_pair f in
-        Printf.printf
-          "%-12s disabled %8.3fs   enabled %8.3fs   overhead %+6.2f%%\n%!" name
-          off on pct;
-        (name, off, on, pct))
-      paths
+        ( pct,
+          Jsonp.Obj
+            [ ("path", str name); ("disabled_s", num ~digits:4 off);
+              ("enabled_s", num ~digits:4 on); ("overhead_pct", num ~digits:2 pct) ] ))
+      [ ("genpackets", genpackets); ("inject", inject) ]
   in
-  let max_pct =
-    List.fold_left (fun a (_, _, _, p) -> Float.max a p) neg_infinity rows
-  in
-  let json =
-    let row (n, off, on, p) =
-      Printf.sprintf
-        "    {\"path\": %S, \"disabled_s\": %.4f, \"enabled_s\": %.4f, \
-         \"overhead_pct\": %.2f}"
-        n off on p
-    in
-    Printf.sprintf
-      "{\n  \"artifact\": \"obs_overhead\",\n  \"budget_pct\": %.1f,\n  \
-       \"paths\": [\n%s\n  ],\n  \"max_overhead_pct\": %.2f\n}\n"
-      budget_pct
-      (String.concat ",\n" (List.map row rows))
-      max_pct
-  in
-  write_artifact "BENCH_obs_overhead.json" json;
-  if max_pct > budget_pct then
-    failwith
-      (Printf.sprintf "telemetry overhead %.2f%% exceeds the %.0f%% budget"
-         max_pct budget_pct)
+  let max_pct = List.fold_left (fun a (p, _) -> Float.max a p) neg_infinity measured in
+  ( List.map snd measured,
+    [ check
+        (Printf.sprintf "max overhead_pct <= %.0f" budget_pct)
+        (num ~digits:2 max_pct) (max_pct <= budget_pct) ] )
 
 (* ------------------------------------------------------------------ *)
 (* Fabric: multi-switch campaign throughput and fault localization     *)
 (* ------------------------------------------------------------------ *)
 
-let fabric_bench () =
+let fabric () =
   banner "Fabric: multi-switch campaign throughput and hop localization";
-  Printf.printf
+  print_string
     "Throughput: an unseeded fabric campaign per topology size (every flow\n\
      crosses both the stack fabric and the model fabric, judged per hop\n\
      and end-to-end; hops/s counts per-switch packet processings).\n\
      Localization: a 3-switch line with each data-plane fault seeded on\n\
      sw1 — accuracy is the fraction of faults caught AND attributed only\n\
-     to sw1, never to an innocent neighbour.\n\n";
+     to sw1, never to an innocent neighbour.\n";
   let sizes =
     if !quick then [ (Topo.Line, 3); (Topo.Star, 4) ]
     else
       [ (Topo.Line, 3); (Topo.Line, 6); (Topo.Star, 6); (Topo.Mesh, 4);
         (Topo.Leaf_spine, 6) ]
   in
-  Printf.printf "%-12s %8s %6s %6s %9s %8s %9s %9s\n" "topology" "switches"
-    "flows" "hops" "delivered" "time" "flows/s" "hops/s";
-  Printf.printf "%s\n" (String.make 76 '-');
   let throughput =
     List.map
       (fun (shape, switches) ->
-        let cfg = Fabric_campaign.default_config shape switches in
-        let incidents, stats = Fabric_campaign.run Middleblock.program cfg in
-        assert (incidents = []);
-        let dt = stats.Report.fs_duration in
+        let incidents, s =
+          Fabric_campaign.run Middleblock.program
+            (Fabric_campaign.default_config shape switches)
+        in
+        let dt = s.Report.fs_duration in
         let per x = if dt > 0. then float_of_int x /. dt else 0. in
-        Printf.printf "%-12s %8d %6d %6d %9d %7.2fs %9.0f %9.0f\n%!"
-          stats.Report.fs_shape switches stats.Report.fs_flows
-          stats.Report.fs_hops stats.Report.fs_delivered dt
-          (per stats.Report.fs_flows) (per stats.Report.fs_hops);
-        (stats, per stats.Report.fs_flows, per stats.Report.fs_hops))
+        Jsonp.Obj
+          [ ("part", str "throughput"); ("shape", str s.fs_shape);
+            ("switches", int s.fs_switches); ("flows", int s.fs_flows);
+            ("hops", int s.fs_hops); ("delivered", int s.fs_delivered);
+            ("dropped", int s.fs_dropped); ("incidents", int (List.length incidents));
+            ("duration_s", num ~digits:3 dt); ("flows_per_s", num (per s.fs_flows));
+            ("hops_per_s", num (per s.fs_hops)) ])
       sizes
   in
   (* Localization accuracy over the data-plane fault kinds that can fire on
@@ -1132,9 +1129,6 @@ let fabric_bench () =
     let all = catalogue @ extra in
     if !quick then List.filteri (fun i _ -> i < 4) all else all
   in
-  Printf.printf "\n%-28s %9s %9s %s\n" "seeded fault (on sw1)" "incidents"
-    "localized" "verdict";
-  Printf.printf "%s\n" (String.make 72 '-');
   let localization =
     List.map
       (fun (fault : Fault.t) ->
@@ -1152,54 +1146,30 @@ let fabric_bench () =
               | _ -> None)
             incidents
         in
-        let correct =
-          incidents <> [] && hops <> []
-          && List.for_all (String.equal "sw1") hops
-        in
-        Printf.printf "%-28s %9d %9d %s\n%!" fault.Fault.id
-          (List.length incidents) (List.length hops)
-          (if correct then "sw1" else "MISLOCALIZED");
-        (fault.Fault.id, List.length incidents, correct))
+        Jsonp.Obj
+          [ ("part", str "localization"); ("fault", str fault.Fault.id);
+            ("incidents", int (List.length incidents));
+            ("attributed", int (List.length hops));
+            ("localized",
+             bool (incidents <> [] && hops <> [] && List.for_all (String.equal "sw1") hops)) ])
       faults
   in
-  let correct = List.length (List.filter (fun (_, _, c) -> c) localization) in
-  let accuracy = float_of_int correct /. float_of_int (List.length faults) in
-  Printf.printf "%s\n" (String.make 72 '-');
-  Printf.printf "localization accuracy: %d/%d (%.0f%%)\n" correct
-    (List.length faults) (100. *. accuracy);
-  (* Snapshot for trend tracking; committed as BENCH_fabric.json. *)
-  let json =
-    let trow ((s : Report.fabric_stats), fps, hps) =
-      Printf.sprintf
-        "    {\"shape\": %S, \"switches\": %d, \"flows\": %d, \"hops\": %d, \
-         \"delivered\": %d, \"dropped\": %d, \"duration_s\": %.3f, \
-         \"flows_per_s\": %.0f, \"hops_per_s\": %.0f}"
-        s.Report.fs_shape s.Report.fs_switches s.Report.fs_flows
-        s.Report.fs_hops s.Report.fs_delivered s.Report.fs_dropped
-        s.Report.fs_duration fps hps
-    in
-    let lrow (id, incidents, correct) =
-      Printf.sprintf "    {\"fault\": %S, \"incidents\": %d, \"localized\": %b}"
-        id incidents correct
-    in
-    Printf.sprintf
-      "{\n  \"artifact\": \"fabric\",\n  \"throughput\": [\n%s\n  ],\n  \
-       \"localization\": [\n%s\n  ],\n  \"localization_accuracy\": %.3f\n}\n"
-      (String.concat ",\n" (List.map trow throughput))
-      (String.concat ",\n" (List.map lrow localization))
-      accuracy
+  let dirty = total "incidents" throughput in
+  let accuracy =
+    float_of_int (List.length (List.filter (bool_at "localized") localization))
+    /. float_of_int (List.length localization)
   in
-  write_artifact "BENCH_fabric.json" json;
-  if accuracy < 1.0 then
-    failwith "a seeded fabric fault was missed or localized to the wrong switch"
+  ( throughput @ localization,
+    [ check "throughput incidents = 0" (int dirty) (dirty = 0);
+      check "localization_accuracy = 1" (num ~digits:3 accuracy) (accuracy >= 1.0) ] )
 
 (* ------------------------------------------------------------------ *)
 (* Greybox: coverage-guided scheduling vs. the blind fuzzer            *)
 (* ------------------------------------------------------------------ *)
 
-let greybox_bench () =
+let greybox () =
   banner "Greybox: coverage-guided scheduling vs. blind fuzzing";
-  Printf.printf
+  print_string
     "Part 1 — edges per packet budget: each fixture runs the control\n\
      campaign with the feedback loop on (probes scheduled from the corpus,\n\
      power-schedule mutation targets), then a blind baseline given the\n\
@@ -1207,16 +1177,11 @@ let greybox_bench () =
      guided run must cover strictly more model edges.\n\
      Part 2 — time to detection: every fault in the catalogue is hunted\n\
      by the full harness in both modes; guidance must not lose a fault\n\
-     the blind pipeline detects.\n\n";
+     the blind pipeline detects.\n";
   (* --- part 1: edges per N packets ------------------------------------ *)
-  let fixtures =
-    [ ("middleblock", Middleblock.program); ("wan", Wan.program) ]
-  in
   let batches = if !quick then 8 else 12 in
-  Printf.printf "%-14s %8s %8s %8s %8s %7s\n" "fixture" "packets" "guided"
-    "blind" "corpus" "seeded";
-  Printf.printf "%s\n" (String.make 60 '-');
-  let cov_rows =
+  let fixtures = [ ("middleblock", Middleblock.program); ("wan", Wan.program) ] in
+  let edges =
     List.map
       (fun (name, program) ->
         let config =
@@ -1224,16 +1189,12 @@ let greybox_bench () =
         in
         (* Guided: the campaign's own probe/corpus/power-schedule loop. *)
         let tele = Telemetry.create () in
-        let covered_guided, probes, seeded =
+        let covered_guided =
           Telemetry.with_registry tele (fun () ->
-              let stack = Stack.create program in
-              ignore (Control_campaign.run stack config);
-              ( (Switchv_obs.Coverage.of_registry tele program)
-                  .Switchv_obs.Coverage.covered,
-                Telemetry.counter tele "fuzzer.greybox.probes",
-                Telemetry.counter tele "fuzzer.greybox.seeded_bases" ))
+              ignore (Control_campaign.run (Stack.create program) config);
+              (Switchv_obs.Coverage.of_registry tele program).Switchv_obs.Coverage.covered)
         in
-        let corpus = Telemetry.counter tele "fuzzer.greybox.corpus_admitted" in
+        let probes = Telemetry.counter tele "fuzzer.greybox.probes" in
         (* Blind baseline: same campaign without feedback, then the same
            injection budget of fresh random packets — a Greybox instance
            that never observes draws fresh-only, so this is exactly the
@@ -1249,12 +1210,14 @@ let greybox_bench () =
                 let port, bytes = Switchv_fuzzer.Greybox.probe_packet gb in
                 ignore (Stack.inject stack ~ingress_port:port bytes)
               done;
-              (Switchv_obs.Coverage.of_registry tele_b program)
-                .Switchv_obs.Coverage.covered)
+              (Switchv_obs.Coverage.of_registry tele_b program).Switchv_obs.Coverage.covered)
         in
-        Printf.printf "%-14s %8d %8d %8d %8d %7d\n%!" name probes
-          covered_guided covered_blind corpus seeded;
-        (name, probes, covered_guided, covered_blind, corpus, seeded))
+        Jsonp.Obj
+          [ ("part", str "edges_per_budget"); ("fixture", str name);
+            ("packets", int probes); ("edges_guided", int covered_guided);
+            ("edges_blind", int covered_blind);
+            ("corpus_seeds", int (Telemetry.counter tele "fuzzer.greybox.corpus_admitted"));
+            ("seeded_bases", int (Telemetry.counter tele "fuzzer.greybox.seeded_bases")) ])
       fixtures
   in
   (* --- part 2: time to detection across the fault catalogue ----------- *)
@@ -1274,78 +1237,34 @@ let greybox_bench () =
     let mk () = Stack.create ~faults:[ fault ] Middleblock.program in
     let t0 = now () in
     let found = Harness.detect mk config in
-    (found, now () -. t0)
+    (found <> None, now () -. t0)
   in
-  Printf.printf "\n%-22s %10s %10s %9s %9s\n" "fault" "guided" "blind"
-    "t.gd(s)" "t.bl(s)";
-  Printf.printf "%s\n" (String.make 66 '-');
-  let det_rows =
+  let detection =
     List.map
       (fun (fault : Fault.t) ->
         let found_g, t_g = hunt true fault in
         let found_b, t_b = hunt false fault in
-        let show = function
-          | Some d -> Report.detector_to_string d
-          | None -> "missed"
-        in
-        Printf.printf "%-22s %10s %10s %8.2fs %8.2fs\n%!" fault.Fault.id
-          (show found_g) (show found_b) t_g t_b;
-        (fault.Fault.id, found_g <> None, found_b <> None, t_g, t_b))
+        Jsonp.Obj
+          [ ("part", str "detection"); ("fault", str fault.Fault.id);
+            ("detected_guided", bool found_g); ("detected_blind", bool found_b);
+            ("time_guided_s", num ~digits:3 t_g); ("time_blind_s", num ~digits:3 t_b) ])
       faults
   in
-  let detected which = List.length (List.filter which det_rows) in
-  let n_guided = detected (fun (_, g, _, _, _) -> g) in
-  let n_blind = detected (fun (_, _, b, _, _) -> b) in
   let lost =
     List.filter_map
-      (fun (id, g, b, _, _) -> if b && not g then Some id else None)
-      det_rows
+      (fun row ->
+        if bool_at "detected_blind" row && not (bool_at "detected_guided" row) then
+          Jsonp.member "fault" row
+        else None)
+      detection
   in
-  let sum f = List.fold_left (fun a r -> a +. f r) 0. det_rows in
-  let t_guided = sum (fun (_, _, _, t, _) -> t) in
-  let t_blind = sum (fun (_, _, _, _, t) -> t) in
-  Printf.printf "%s\n" (String.make 66 '-');
-  Printf.printf
-    "detected: %d/%d guided vs %d/%d blind; total hunt time %.1fs vs %.1fs\n"
-    n_guided (List.length det_rows) n_blind (List.length det_rows) t_guided
-    t_blind;
-  (* Snapshot for trend tracking; committed as BENCH_greybox.json. *)
-  let json =
-    let cov_row (name, probes, g, b, corpus, seeded) =
-      Printf.sprintf
-        "    {\"fixture\": %S, \"packets\": %d, \"edges_guided\": %d, \
-         \"edges_blind\": %d, \"corpus_seeds\": %d, \"seeded_bases\": %d}"
-        name probes g b corpus seeded
-    in
-    let det_row (id, g, b, t_g, t_b) =
-      Printf.sprintf
-        "    {\"fault\": %S, \"detected_guided\": %b, \"detected_blind\": %b, \
-         \"time_guided_s\": %.3f, \"time_blind_s\": %.3f}"
-        id g b t_g t_b
-    in
-    Printf.sprintf
-      "{\n  \"artifact\": \"greybox\",\n  \"edges_per_budget\": [\n%s\n  ],\n  \
-       \"detection\": [\n%s\n  ],\n  \"detected_guided\": %d,\n  \
-       \"detected_blind\": %d,\n  \"total_time_guided_s\": %.1f,\n  \
-       \"total_time_blind_s\": %.1f\n}\n"
-      (String.concat ",\n" (List.map cov_row cov_rows))
-      (String.concat ",\n" (List.map det_row det_rows))
-      n_guided n_blind t_guided t_blind
-  in
-  write_artifact "BENCH_greybox.json" json;
-  List.iter
-    (fun (name, probes, g, b, _, _) ->
-      if g <= b then
-        failwith
-          (Printf.sprintf
-             "guided covered no more edges than blind on %s (%d vs %d over %d \
-              packets)"
-             name g b probes))
-    cov_rows;
-  if lost <> [] then
-    failwith
-      ("greybox lost faults the blind pipeline detects: "
-      ^ String.concat ", " lost)
+  ( edges @ detection,
+    List.map2
+      (fun (name, _) row ->
+        let margin = int_at "edges_guided" row - int_at "edges_blind" row in
+        check (name ^ " edges_guided - edges_blind > 0") (int margin) (margin > 0))
+      fixtures edges
+    @ [ check "faults lost to guidance = []" (Jsonp.Arr lost) (lost = []) ] )
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -1404,20 +1323,19 @@ let micro () =
         analysis)
     tests
 
-
 (* ------------------------------------------------------------------ *)
 (* Scale: million-entry tables — indexed match structures + staged     *)
 (* evaluator vs. the tree-walking linear-scan interpreter              *)
 (* ------------------------------------------------------------------ *)
 
-let scale_bench () =
+let scale () =
   banner "Scale: indexed match + compiled evaluator at 1k..1M entries";
-  Printf.printf
+  print_string
     "Per tier: install a scale route workload (unique /24s + nexthop\n\
      chain), measure control-plane writes/sec with live index\n\
      maintenance, then packets/sec through the staged evaluator\n\
      (Compile) and the linear-scan interpreter (Interp) on the same\n\
-     state. Gate: >= 10x packets/sec at the 100k tier.\n\n";
+     state. Gate: >= 10x packets/sec at the 100k tier.\n";
   let program = Middleblock.program in
   let tiers =
     if !quick then [ 1_000; 10_000; 100_000 ]
@@ -1437,10 +1355,7 @@ let scale_bench () =
           Switchv_packet.Packet.udp_header ~src_port:53 ~dst_port:443 () ];
         payload = "scale" }
   in
-  Printf.printf "%-9s %12s %14s %14s %9s\n" "entries" "writes/s"
-    "pps compiled" "pps interp" "speedup";
-  Printf.printf "%s\n" (String.make 62 '-');
-  let rows =
+  let measured =
     List.map
       (fun n ->
         let entries = Workload.scale_routes program n in
@@ -1460,7 +1375,6 @@ let scale_bench () =
         let t0 = now () in
         List.iter (fun e -> ignore (State.insert state e)) routes;
         let t_write = now () -. t0 in
-        let writes_per_s = float_of_int (List.length routes) /. t_write in
         (* Distinct dsts spread over the installed tier, reused cyclically. *)
         let probes = Array.init 256 (fun k -> mk_packet (k * (n / 256 + 1) mod n)) in
         let pps run reps =
@@ -1470,86 +1384,77 @@ let scale_bench () =
           done;
           float_of_int reps /. (now () -. t0)
         in
-        let reps_c = if !quick then 5_000 else 20_000 in
         let reps_i =
           if n <= 1_000 then 500
           else if n <= 10_000 then 100
           else if n <= 100_000 then 20
           else 3
         in
-        let pps_compiled = pps Compile.run reps_c in
+        let pps_compiled = pps Compile.run (if !quick then 5_000 else 20_000) in
         let pps_interp = pps Interp.run reps_i in
         let speedup = pps_compiled /. pps_interp in
-        Printf.printf "%-9d %12.0f %14.0f %14.1f %8.1fx\n%!" n writes_per_s
-          pps_compiled pps_interp speedup;
-        (n, writes_per_s, pps_compiled, pps_interp, speedup))
+        ( (n, speedup),
+          Jsonp.Obj
+            [ ("entries", int n);
+              ("writes_per_s", num (float_of_int (List.length routes) /. t_write));
+              ("pps_compiled", num pps_compiled); ("pps_interp", num ~digits:1 pps_interp);
+              ("speedup", num ~digits:1 speedup) ] ))
       tiers
   in
-  let json =
-    let row (n, w, pc, pi, sp) =
-      Printf.sprintf
-        "    {\"entries\": %d, \"writes_per_s\": %.0f, \"pps_compiled\": \
-         %.0f, \"pps_interp\": %.1f, \"speedup\": %.1f}"
-        n w pc pi sp
-    in
-    Printf.sprintf
-      "{\n  \"artifact\": \"scale\",\n  \"tiers\": [\n%s\n  ]\n}\n"
-      (String.concat ",\n" (List.map row rows))
-  in
-  write_artifact "BENCH_scale.json" json;
-  List.iter
-    (fun (n, _, pc, pi, sp) ->
-      if n = 100_000 && sp < 10.0 then
-        failwith
-          (Printf.sprintf
-             "compiled evaluator below the 10x gate at 100k entries \
-              (%.0f vs %.1f pps, %.1fx)"
-             pc pi sp))
-    rows
+  ( List.map snd measured,
+    List.filter_map
+      (fun ((n, speedup), _) ->
+        if n = 100_000 then
+          Some (check "speedup at 100000 entries >= 10" (num ~digits:1 speedup) (speedup >= 10.))
+        else None)
+      measured )
 
 (* ------------------------------------------------------------------ *)
+(* Registry                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type run =
+  | Print of (unit -> unit)  (** prints its own, paper-style tables *)
+  | Gated of (unit -> Jsonp.t list * Jsonp.t list)
+      (** rows and gate checks, through [publish] *)
+  | On_request of (unit -> unit)  (** runs only when named *)
+
+let registry =
+  [ ("table1", Print table1); ("table2", Print table2); ("table3", Print table3);
+    ("figure7", Print figure7); ("ablations", Print ablations);
+    ("triage", Print triage); ("parallel", Print parallel);
+    ("smt_incremental", Gated smt_incremental); ("taint", Gated taint);
+    ("obs_overhead", Gated obs_overhead); ("fabric", Gated fabric);
+    ("greybox", Gated greybox); ("scale", Gated scale);
+    ("micro", On_request micro) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   quick := List.mem "quick" args;
-  let args = List.filter (fun a -> a <> "quick") args in
-  let all =
-    [ "table1"; "table2"; "table3"; "figure7"; "ablations"; "triage"; "parallel";
-      "smt_incremental"; "taint"; "obs_overhead"; "fabric"; "greybox";
-      "scale" ]
+  let selected =
+    match List.filter (fun a -> a <> "quick") args with
+    | [] -> List.filter (function _, On_request _ -> false | _ -> true) registry
+    | names ->
+        List.map
+          (fun name ->
+            match List.assoc_opt name registry with
+            | Some run -> (name, run)
+            | None ->
+                Printf.eprintf "unknown artifact %S (use %s, optionally with quick)\n"
+                  name (String.concat "|" (List.map fst registry));
+                exit 2)
+          names
   in
-  let selected = if args = [] then all else args in
   let t0 = now () in
   List.iter
-    (fun artifact ->
+    (fun (name, run) ->
       (* Per-artifact telemetry: reset so each snapshot covers one artifact,
          and emit it as one machine-readable JSON line for trend tracking. *)
       Telemetry.reset (Telemetry.get ());
-      let known = ref true in
-      (match artifact with
-      | "table1" -> table1 ()
-      | "table2" -> table2 ()
-      | "table3" -> table3 ()
-      | "figure7" -> figure7 ()
-      | "ablations" -> ablations ()
-      | "triage" -> triage_bench ()
-      | "parallel" -> parallel_bench ()
-      | "smt_incremental" -> smt_incremental_bench ()
-      | "taint" -> taint_bench ()
-      | "obs_overhead" -> obs_overhead_bench ()
-      | "fabric" -> fabric_bench ()
-      | "greybox" -> greybox_bench ()
-      | "scale" -> scale_bench ()
-      | "micro" -> micro ()
-      | other ->
-          known := false;
-          Printf.printf
-            "unknown artifact %S (use \
-             table1|table2|table3|figure7|ablations|triage|parallel|\
-             smt_incremental|taint|obs_overhead|fabric|greybox|scale|micro|quick)\n"
-            other);
-      if !known then
-        Printf.printf "\ntelemetry %s %s\n" artifact
-          (Telemetry.snapshot_to_json (Telemetry.snapshot (Telemetry.get ()))))
+      (match run with
+      | Print f | On_request f -> f ()
+      | Gated f -> publish name (f ()));
+      Printf.printf "\ntelemetry %s %s\n" name
+        (Telemetry.snapshot_to_json (Telemetry.snapshot (Telemetry.get ()))))
     selected;
   Printf.printf "\ntotal bench time: %.1fs\n" (now () -. t0)

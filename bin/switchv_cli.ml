@@ -552,32 +552,11 @@ let lint_cmd =
       Analysis.run ~check_restrictions:(not no_restrictions) program
     in
     let all = report.Analysis.r_diagnostics in
-    let shown = Diagnostics.filter ~min_severity all in
-    if json then begin
-      (* Machine-readable rendering with stable field names. The
-         diagnostics list is already deterministically sorted and deduped
-         by Analysis.run, so the output is byte-stable across runs. *)
-      let module Json = Telemetry.Json in
-      let diag_to_json (d : Diagnostics.t) =
-        Json.obj
-          [ ("code", Json.str d.Diagnostics.d_code);
-            ( "severity",
-              Json.str
-                (Diagnostics.severity_to_string d.Diagnostics.d_severity) );
-            ("loc", Json.str d.Diagnostics.d_loc);
-            ("message", Json.str d.Diagnostics.d_message) ]
-      in
-      print_string
-        (Json.obj
-           [ ("program", Json.str program.Ast.p_name);
-             ("diagnostics", Json.arr (List.map diag_to_json shown));
-             ("errors", Json.int (Diagnostics.count Diagnostics.Error all));
-             ("warnings", Json.int (Diagnostics.count Diagnostics.Warning all));
-             ("infos", Json.int (Diagnostics.count Diagnostics.Info all)) ]);
-      print_newline ()
-    end
+    if json then print_endline (Analysis.to_json ~min_severity program report)
     else begin
-      List.iter (fun d -> Format.printf "%a@." Diagnostics.pp d) shown;
+      List.iter
+        (fun d -> Format.printf "%a@." Diagnostics.pp d)
+        (Diagnostics.filter ~min_severity all);
       Format.printf "%s: %a@." program.Ast.p_name Diagnostics.pp_summary all
     end;
     if Diagnostics.has_errors all then Error "lint errors reported"

@@ -167,3 +167,20 @@ let run ?(check_restrictions = true) (program : Ast.program) =
 
 let facts ?check_restrictions program =
   (run ?check_restrictions program).r_facts
+
+let to_json ~min_severity (program : Ast.program) report =
+  let module Json = Telemetry.Json in
+  let all = report.r_diagnostics in
+  let diag (d : Diagnostics.t) =
+    Json.obj
+      [ ("code", Json.str d.d_code);
+        ("severity", Json.str (Diagnostics.severity_to_string d.d_severity));
+        ("loc", Json.str d.d_loc);
+        ("message", Json.str d.d_message) ]
+  in
+  Json.obj
+    [ ("program", Json.str program.p_name);
+      ("diagnostics", Json.arr (List.map diag (Diagnostics.filter ~min_severity all)));
+      ("errors", Json.int (Diagnostics.count Diagnostics.Error all));
+      ("warnings", Json.int (Diagnostics.count Diagnostics.Warning all));
+      ("infos", Json.int (Diagnostics.count Diagnostics.Info all)) ]

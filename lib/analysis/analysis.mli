@@ -45,3 +45,10 @@ val run : ?check_restrictions:bool -> Ast.program -> report
 
 val facts : ?check_restrictions:bool -> Ast.program -> facts
 (** [r_facts] of {!run}, for consumers that ignore diagnostics. *)
+
+val to_json : min_severity:Diagnostics.severity -> Ast.program -> report -> string
+(** [switchv lint --json]: one object
+    [{"program","diagnostics":[{"code","severity","loc","message"}],
+    "errors","warnings","infos"}]. The list keeps the findings at or above
+    [min_severity] in {!run}'s sorted, deduplicated order, so the output is
+    byte-stable across runs; the totals count every finding. *)

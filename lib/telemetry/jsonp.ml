@@ -37,9 +37,19 @@ let parse input =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub input !pos 4) in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let v = ref 0 in
+    for i = !pos to !pos + 3 do
+      v := (!v lsl 4) lor digit input.[i]
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let utf8 buf code =
     (* Encode one code point (surrogate pairs already combined). *)
@@ -91,10 +101,12 @@ let parse input =
                   then begin
                     pos := !pos + 2;
                     let low = hex4 () in
+                    if low < 0xDC00 || low > 0xDFFF then fail "lone high surrogate";
                     0x10000 + (((code - 0xD800) lsl 10) lor (low - 0xDC00))
                   end
                   else fail "lone high surrogate"
                 end
+                else if code >= 0xDC00 && code <= 0xDFFF then fail "lone low surrogate"
                 else code
               in
               utf8 buf code
@@ -107,20 +119,30 @@ let parse input =
     in
     go ()
   in
+  (* RFC 8259: an optional minus, 0 or a digit run not starting with 0,
+     then an optional fraction and an optional exponent. *)
   let number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digits () =
+      let first = !pos in
+      while !pos < n && match input.[!pos] with '0' .. '9' -> true | _ -> false do
+        advance ()
+      done;
+      if !pos = first then fail "expected digit"
     in
-    while !pos < n && is_num_char input.[!pos] do
-      advance ()
-    done;
-    let s = String.sub input start (!pos - start) in
-    match float_of_string_opt s with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" s)
+    if peek () = Some '-' then advance ();
+    if peek () = Some '0' then advance () else digits ();
+    if peek () = Some '.' then begin
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+    | _ -> ());
+    Num (float_of_string (String.sub input start (!pos - start)))
   in
   let rec value () =
     skip_ws ();
@@ -209,15 +231,3 @@ let to_int = function
 let to_num = function Num f -> Some f | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 let to_arr = function Arr xs -> Some xs | _ -> None
-
-let rec to_string = function
-  | Null -> "null"
-  | Bool b -> Telemetry.Json.bool b
-  | Num f ->
-      if Float.is_integer f && Float.abs f <= 2. ** 52. then
-        string_of_int (int_of_float f)
-      else Telemetry.Json.num f
-  | Str s -> Telemetry.Json.str s
-  | Arr xs -> Telemetry.Json.arr (List.map to_string xs)
-  | Obj fields ->
-      Telemetry.Json.obj (List.map (fun (k, v) -> (k, to_string v)) fields)

@@ -1,13 +1,15 @@
 (** A minimal, dependency-free JSON {e parser} — the inverse of the
-    hand-rolled emitter in {!Telemetry.Json}.
+    hand-rolled emitter in {!Telemetry.Json}, which also prints a parsed
+    value back ({!Telemetry.Json.to_string}).
 
     The triage corpus was the first JSON reader; the observability layer
     (trace stitching, [switchv top]) now reads JSON too, which is why the
     parser lives here at the bottom of the dependency DAG rather than in
-    [lib/triage] (which keeps a re-exporting shim). The parser accepts the
-    full JSON grammar (RFC 8259) minus exotic number forms the emitter
-    never produces; [\uXXXX] escapes outside the ASCII range are decoded
-    as UTF-8. *)
+    [lib/triage]. It is the only JSON reader: {!Telemetry.Json.check} is
+    [parse] with the value dropped. The grammar is RFC 8259's, strictly:
+    numbers without leading zeros or bare dots, [\u] escapes of exactly
+    four hex digits, and surrogates only as a high-low pair; [\uXXXX]
+    escapes outside the ASCII range are decoded as UTF-8. *)
 
 type t =
   | Null
@@ -19,7 +21,8 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parse one JSON value; trailing garbage (other than whitespace) is an
-    error. Error strings carry a byte offset. *)
+    error. Malformed input is an [Error] carrying a byte offset, not an
+    exception. *)
 
 (** {1 Accessors}
 
@@ -39,7 +42,3 @@ val to_num : t -> float option
 
 val to_bool : t -> bool option
 val to_arr : t -> t list option
-
-val to_string : t -> string
-(** Serialize back to compact JSON (integral floats print as integers).
-    [parse] ∘ [to_string] is the identity on parsed values. *)

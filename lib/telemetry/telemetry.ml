@@ -244,120 +244,17 @@ module Json = struct
 
   let arr items = "[" ^ String.concat "," items ^ "]"
 
-  (* Minimal validity parser for smoke tests (no construction of values). *)
-  let check s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let error msg = failwith (Printf.sprintf "%s at offset %d" msg !pos) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = Stdlib.incr pos in
-    let skip_ws () =
-      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do advance () done
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> error (Printf.sprintf "expected %C" c)
-    in
-    let literal word =
-      String.iter (fun c -> expect c) word
-    in
-    let parse_string () =
-      expect '"';
-      let rec go () =
-        match peek () with
-        | None -> error "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' ->
-            advance ();
-            (match peek () with
-            | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance (); go ()
-            | Some 'u' ->
-                advance ();
-                for _ = 1 to 4 do
-                  match peek () with
-                  | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                  | _ -> error "bad \\u escape"
-                done;
-                go ()
-            | _ -> error "bad escape")
-        | Some _ -> advance (); go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let digits () =
-        let saw = ref false in
-        while (match peek () with Some ('0' .. '9') -> true | _ -> false) do
-          saw := true;
-          advance ()
-        done;
-        if not !saw then error "expected digit"
-      in
-      (match peek () with Some '-' -> advance () | _ -> ());
-      digits ();
-      (match peek () with
-      | Some '.' -> advance (); digits ()
-      | _ -> ());
-      match peek () with
-      | Some ('e' | 'E') ->
-          advance ();
-          (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-          digits ()
-      | _ -> ()
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then advance ()
-          else begin
-            let rec members () =
-              skip_ws ();
-              parse_string ();
-              skip_ws ();
-              expect ':';
-              parse_value ();
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); members ()
-              | Some '}' -> advance ()
-              | _ -> error "expected ',' or '}'"
-            in
-            members ()
-          end
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then advance ()
-          else begin
-            let rec elements () =
-              parse_value ();
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); elements ()
-              | Some ']' -> advance ()
-              | _ -> error "expected ',' or ']'"
-            in
-            elements ()
-          end
-      | Some '"' -> parse_string ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | Some ('-' | '0' .. '9') -> parse_number ()
-      | _ -> error "expected a JSON value"
-    in
-    match
-      parse_value ();
-      skip_ws ();
-      if !pos <> n then error "trailing input"
-    with
-    | () -> Ok ()
-    | exception Failure msg -> Error msg
+  let rec to_string = function
+    | Jsonp.Null -> "null"
+    | Bool b -> bool b
+    | Num f when Float.is_integer f && Float.abs f <= 2. ** 52. ->
+        string_of_int (int_of_float f)
+    | Num f -> num f
+    | Str s -> str s
+    | Arr xs -> arr (List.map to_string xs)
+    | Obj fields -> obj (List.map (fun (k, v) -> (k, to_string v)) fields)
+
+  let check s = Result.map ignore (Jsonp.parse s)
 end
 
 (* --- spans / trace events ----------------------------------------------------- *)

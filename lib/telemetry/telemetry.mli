@@ -237,8 +237,9 @@ val documented : string -> bool
 (** {1 JSON helpers}
 
     A hand-rolled, dependency-free JSON emitter (and a validity checker for
-    smoke tests) shared by the trace sink, [snapshot_to_json], and
-    [Report.to_json]. Emitter values are already-rendered JSON fragments. *)
+    smoke tests, backed by {!Jsonp}) shared by the trace sink,
+    [snapshot_to_json], and [Report.to_json]. Emitter values are
+    already-rendered JSON fragments. *)
 
 module Json : sig
   val str : string -> string
@@ -252,8 +253,12 @@ module Json : sig
   val obj : (string * string) list -> string
   val arr : string list -> string
 
+  val to_string : Jsonp.t -> string
+  (** Compact JSON for a parsed value (integral floats print as
+      integers). [Jsonp.parse] ∘ [to_string] is the identity on parsed
+      values. *)
+
   val check : string -> (unit, string) result
-  (** Minimal recursive-descent validator: is the input one well-formed
-      JSON value? Used to smoke-test emitted documents without a JSON
-      dependency. *)
+  (** Is the input one well-formed JSON value? [Jsonp.parse] with the
+      value dropped. *)
 end

@@ -530,6 +530,32 @@ let test_telemetry_counters () =
     (Diagnostics.count Diagnostics.Warning report.r_diagnostics)
     (Telemetry.counter tm "analysis.diagnostics_warning")
 
+(* [switchv lint -m middleblock --json]: well-formed, byte-stable, the
+   taint findings present, every diagnostic with the stable field set. *)
+let test_lint_json () =
+  let module Jsonp = Switchv_telemetry.Jsonp in
+  let program = Switchv_sai.Middleblock.program in
+  let render () =
+    Analysis.to_json ~min_severity:Diagnostics.Info program (Analysis.run program)
+  in
+  let json = render () in
+  Alcotest.(check string) "byte-identical across calls" json (render ());
+  match Result.map (Jsonp.member "diagnostics") (Jsonp.parse json) with
+  | Error e -> Alcotest.failf "lint JSON does not parse: %s" e
+  | Ok diags ->
+      let diags = Option.value ~default:[] (Option.bind diags Jsonp.to_arr) in
+      let field d name = Option.bind (Jsonp.member name d) Jsonp.to_str in
+      check_bool "every diagnostic has code, severity, loc, message" true
+        (diags <> []
+        && List.for_all
+             (fun d ->
+               List.for_all (fun k -> field d k <> None)
+                 [ "code"; "severity"; "loc"; "message" ])
+             diags);
+      let codes = List.filter_map (fun d -> field d "code") diags in
+      check_bool "carries P4A009" true (List.mem "P4A009" codes);
+      check_bool "carries P4A010" true (List.mem "P4A010" codes)
+
 let () =
   Alcotest.run "analysis"
     [ ( "models",
@@ -574,4 +600,5 @@ let () =
           Alcotest.test_case "dedup across branch arms" `Quick
             test_dedup_across_branch_arms;
           Alcotest.test_case "sort determinism" `Quick test_sort_deterministic;
-          Alcotest.test_case "telemetry" `Quick test_telemetry_counters ] ) ]
+          Alcotest.test_case "telemetry" `Quick test_telemetry_counters;
+          Alcotest.test_case "lint json" `Quick test_lint_json ] ) ]

@@ -368,7 +368,7 @@ let test_jsonp_to_string_round_trip () =
   match Jsonp.parse src with
   | Error e -> Alcotest.failf "parse: %s" e
   | Ok v -> (
-      let printed = Jsonp.to_string v in
+      let printed = Telemetry.Json.to_string v in
       check_bool "printed form is valid JSON" true
         (Telemetry.Json.check printed = Ok ());
       match Jsonp.parse printed with

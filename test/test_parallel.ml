@@ -433,7 +433,8 @@ let validate ?(model = Middleblock.program) ?(faults = [ "PINS-019" ]) ?(shards 
   outcome ~faults (Harness.validate (fun () -> Stack.create ~faults ~compile model) config)
 
 (* [switchv fabric --topo line --switches 3 --fault TOPO-001 --fault-switch 1
-   --shards 4 --jobs J]. *)
+   --shards 4 --jobs J]. The TTL trap sits on sw1, so hop attribution must
+   name sw1 and never a neighbour that merely forwarded the packet. *)
 let fabric ~jobs =
   Telemetry.with_registry (Telemetry.create ()) @@ fun () ->
   let program = Middleblock.program in
@@ -447,6 +448,14 @@ let fabric ~jobs =
       Fabric_campaign.seed = 1; shards = 4; faults = [ (1, faults) ] }
   in
   let incidents, stats = Fabric_campaign.run ~jobs program cfg in
+  let blamed sw =
+    List.exists
+      (fun i -> List.mem ("h=" ^ sw) (String.split_on_char '|' (Report.fingerprint i)))
+      incidents
+  in
+  check_bool "TOPO-001: a fingerprint carries h=sw1" true (blamed "sw1");
+  check_bool "TOPO-001: no fingerprint carries h=sw0 or h=sw2" false
+    (blamed "sw0" || blamed "sw2");
   let reps, clusters = Fabric_campaign.cluster incidents in
   outcome ~faults
     { (Report.empty program.p_name) with

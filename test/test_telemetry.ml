@@ -189,7 +189,15 @@ let test_json_check () =
   bad {|[1,2|};
   bad {|"unterminated|};
   bad "01e";
-  bad ""
+  bad "";
+  ok {|"\uD83D\uDE00"|};
+  ok "[0,-0.5e+3,1E2]";
+  bad {|"\uZZZZ"|};
+  bad {|"\u_1_2"|};
+  bad {|"\uD800\u0041"|};
+  bad "1.";
+  bad "01";
+  bad "[1.]"
 
 let test_json_emitter () =
   check_string "string escaping" {|"a\"b\\c\nd"|} (Telemetry.Json.str "a\"b\\c\nd");
