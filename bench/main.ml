@@ -342,11 +342,6 @@ let table2 () =
 
 let table3_symbolic name program profile =
   let entries = Workload.generate ~seed:5 program profile in
-  let stack () =
-    let s = Stack.create program in
-    ignore (Stack.push_p4info s);
-    s
-  in
   let cache = Cache.in_memory () in
   let run c =
     let config =
@@ -355,7 +350,7 @@ let table3_symbolic name program profile =
         max_incidents = 1000;
         extra_goals = Data_campaign.exploratory_goals }
     in
-    Data_campaign.run ~push_p4info:false (stack ()) config
+    Data_campaign.run (Stack.create program) config
   in
   let incidents_cold, stats_cold = run (Some cache) in
   let incidents_warm, stats_warm = run (Some cache) in

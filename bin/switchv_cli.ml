@@ -139,6 +139,14 @@ let with_trace file f =
 let workload program scale seed =
   Workload.generate ~seed program (Workload.scaled scale Workload.inst1)
 
+(* The switch under test: the workload the command installs, the --fault
+   ids resolved against it, and a factory for fresh stacks seeded with
+   those faults. *)
+let faulted program ~scale ~seed fault_ids =
+  let entries = workload program scale seed in
+  let* faults = Catalogue.resolve program entries fault_ids in
+  Ok (entries, faults, fun () -> Stack.create ~faults program)
+
 let save_corpus ~faults report path =
   let records =
     Report.corpus_records ~faults:(List.map (fun (f : Fault.t) -> f.id) faults) report
@@ -224,9 +232,7 @@ let exposition_routes tele program =
 let validate_cmd =
   let run program seed scale fault_ids batches cache_dir trace_file corpus_file
       minimize jobs shards no_greybox metrics_port coverage_out progress =
-    let entries = workload program scale seed in
-    let* faults = Catalogue.resolve program entries fault_ids in
-    let mk () = Stack.create ~faults program in
+    let* entries, faults, mk = faulted program ~scale ~seed fault_ids in
     let config =
       { (Harness.default_config entries) with
         control = { Control_campaign.default_config with batches; seed; shards };
@@ -313,9 +319,7 @@ let validate_cmd =
 
 let replay_cmd =
   let run program seed scale fault_ids corpus_path expect_reproduce =
-    let entries = workload program scale seed in
-    let* faults = Catalogue.resolve program entries fault_ids in
-    let mk () = Stack.create ~faults program in
+    let* _, _, mk = faulted program ~scale ~seed fault_ids in
     let* records = Corpus.load corpus_path in
     let reproduced = ref 0 in
     List.iteri
@@ -400,7 +404,7 @@ let fabric_cmd =
       let incidents, stats =
         with_trace trace_file (fun () -> Fabric_campaign.run ~jobs program cfg)
       in
-      let reps, clusters = Fabric_campaign.cluster incidents in
+      let reps, clusters = Report.cluster incidents in
       let report =
         { (Report.empty program.Ast.p_name) with
           Report.fabric_incidents = reps;
@@ -468,11 +472,9 @@ let fabric_cmd =
 
 let fuzz_cmd =
   let run program seed fault_ids batches no_greybox =
-    let entries = workload program 0.1 seed in
-    let* faults = Catalogue.resolve program entries fault_ids in
-    let stack = Stack.create ~faults program in
+    let* _, _, mk = faulted program ~scale:0.1 ~seed fault_ids in
     let incidents, stats =
-      Control_campaign.run stack
+      Control_campaign.run (mk ())
         { Control_campaign.default_config with
           batches; seed; greybox = not no_greybox }
     in
@@ -536,7 +538,9 @@ let genpackets_cmd =
       & opt (list string) []
       & info [ "trace" ] ~docv:"TABLES"
           ~doc:
-            "Comma-separated table names: cover the cross-product of their              trace points instead of per-entry coverage (§5's selective              trace coverage).")
+            "Comma-separated table names: cover the cross-product of their \
+             trace points instead of per-entry coverage (§5's selective \
+             trace coverage).")
   in
   Cmd.v
     (Cmd.info "genpackets" ~doc)
@@ -611,9 +615,8 @@ let lint_cmd =
 
 let trivial_cmd =
   let run program seed fault_ids =
-    let entries = workload program 0.1 seed in
-    let* faults = Catalogue.resolve program entries fault_ids in
-    let results = Trivial_suite.run_all (Stack.create ~faults program) in
+    let* _, _, mk = faulted program ~scale:0.1 ~seed fault_ids in
+    let results = Trivial_suite.run_all (mk ()) in
     List.iter
       (fun (t, ok) ->
         Printf.printf "%-28s %s\n" (Fault.trivial_test_to_string t)
@@ -642,11 +645,8 @@ let model_cmd =
 
 let metrics_cmd =
   let run program seed fault_ids =
-    let entries = workload program 0.1 seed in
-    let* faults = Catalogue.resolve program entries fault_ids in
-    let metrics =
-      Switchv_core.Metrics.collect (fun () -> Stack.create ~faults program) entries
-    in
+    let* entries, _, mk = faulted program ~scale:0.1 ~seed fault_ids in
+    let metrics = Switchv_core.Metrics.collect mk entries in
     Format.printf "%a@." Switchv_core.Metrics.pp metrics;
     let routing =
       Switchv_core.Metrics.feature metrics ~name:"routing (feature rollup)"
@@ -765,25 +765,24 @@ let top_cmd =
           | None -> ());
           Buffer.contents b
         in
-        let rec loop () =
+        (* [polled]: some poll succeeded. A campaign that finished
+           (endpoint gone) is not a failure for a watcher, but a first poll
+           that never connects is. *)
+        let rec loop ~polled =
           match Serve.fetch ~host ~port "/metrics" with
-          | Error e ->
-              (* A campaign that finished (endpoint gone) is not a failure
-                 for a watcher, but a first poll that never connects is. *)
-              if Telemetry.Clock.duration ~since:started > 0. && not once then begin
-                Printf.printf "[switchv top] endpoint gone (%s)\n" e;
-                Ok ()
-              end
-              else Error (Printf.sprintf "GET /metrics: %s" e)
+          | Error e when polled ->
+              Printf.printf "[switchv top] endpoint gone (%s)\n" e;
+              Ok ()
+          | Error e -> Error (Printf.sprintf "GET /metrics: %s" e)
           | Ok body ->
               print_endline (render body);
               if once then Ok ()
               else begin
                 Thread.delay interval;
-                loop ()
+                loop ~polled:true
               end
         in
-        loop ()
+        loop ~polled:false
   in
   let host_arg =
     Arg.(
@@ -868,7 +867,9 @@ let trace_export_cmd =
     Arg.(
       required & pos 0 (some file) None
       & info [] ~docv:"TRACE.jsonl"
-          ~doc:"A trace written by $(b,--trace) (any subcommand).")
+          ~doc:
+            "A span trace written by $(b,validate --trace) or $(b,fabric \
+             --trace).")
   in
   let chrome_arg =
     let doc =

@@ -38,6 +38,13 @@ let pp_behavior fmt b =
   if b.b_punted then Format.fprintf fmt " + punt";
   List.iter (fun (p, _) -> Format.fprintf fmt " + mirror(port=%d)" p) b.b_mirrors
 
+let pp_behavior_set fmt bs =
+  Format.fprintf fmt "{%a}"
+    (Format.pp_print_list
+       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
+       pp_behavior)
+    bs
+
 exception Parse_failure of string
 
 (* Mutable per-packet execution state. *)

@@ -49,6 +49,9 @@ val behavior_equal : behavior -> behavior -> bool
 
 val pp_behavior : Format.formatter -> behavior -> unit
 
+val pp_behavior_set : Format.formatter -> behavior list -> unit
+(** [{b1; b2; …}]: the behaviours a model admits, for divergence details. *)
+
 exception Parse_failure of string
 (** Raised when the input bytes cannot be parsed by the program's parser
     (truncated packet, or no transition matches and the default leads

@@ -33,17 +33,11 @@ type config = {
 
 val default_config : config
 
-val run :
-  ?push_p4info:bool ->
-  Stack.t ->
-  config ->
-  Report.incident list * Report.control_stats
+val run : Stack.t -> config -> Report.incident list * Report.control_stats
 (** The single-stack sequential campaign ([config.shards] is ignored and
-    treated as 1). [push_p4info] defaults to true; pass false when the
-    caller already configured the switch. *)
+    treated as 1). *)
 
 val run_shard :
-  ?push_p4info:bool ->
   Stack.t ->
   config ->
   shard:int ->
@@ -52,19 +46,17 @@ val run_shard :
     a fresh stack. Deterministic per [(config, shard)]. *)
 
 val run_sharded :
-  ?push_p4info:bool ->
   ?jobs:int ->
   ?stack0:Stack.t ->
   (unit -> Stack.t) ->
   config ->
   Report.incident list * Report.control_stats
-(** Run every shard through {!Switchv_parallel.Pool.map} and merge in
-    shard order (incident list truncated to [max_incidents]; stats
-    summed). With one shard the result is exactly {!run}'s, untruncated.
-    [jobs <= 1] runs shards sequentially in-process; [jobs > 1] fans the
-    remaining shards out over forked workers, streaming results back as
-    JSON. When [stack0] is given, shard 0 runs on it {e in this process}
-    (parallel runs included), so the caller can harvest the fuzzed switch
-    state afterwards. A lost worker drops its shards with a logged warning
-    and a [parallel.workers_failed] bump; the merge simply has less
-    input. *)
+(** Run every shard through {!Campaign.run} (incident list truncated to
+    [max_incidents] when more than one shard ran; stats summed). With one
+    shard the result is exactly {!run}'s, untruncated. [jobs <= 1] runs
+    shards sequentially in-process; [jobs > 1] fans the remaining shards
+    out over forked workers. When [stack0] is given, shard 0 runs on it
+    {e in this process} (parallel runs included), so the caller can
+    harvest the fuzzed switch state afterwards. A lost worker drops its
+    shards with a logged warning and a [parallel.workers_failed] bump; the
+    merge simply has less input. *)

@@ -16,8 +16,6 @@ module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
 module Dataplane = Switchv_oracle.Dataplane
 module Taint = Switchv_analysis.Taint
-module Shard = Switchv_parallel.Shard
-module Pool = Switchv_parallel.Pool
 
 type config = {
   entries : Entry.t list;
@@ -104,24 +102,13 @@ let exploratory_goals (enc : Symexec.encoding) =
    contains internal @refers_to dependencies (§4.4 / "Batching Table
    Entries"). *)
 let install stack entries add_incident =
-  let batches =
-    List.fold_left
-      (fun acc (e : Entry.t) ->
-        match acc with
-        | (table, batch) :: rest when String.equal table e.e_table ->
-            (table, e :: batch) :: rest
-        | _ -> (e.e_table, [ e ]) :: acc)
-      [] entries
-    |> List.rev_map (fun (_, batch) -> List.rev batch)
-  in
   let installed = ref 0 in
   let accepted = ref [] in
   List.iter
-    (fun batch ->
+    (fun updates ->
       (* Entries the switch already accepted: the reproducer prefix for
          rejections in this batch. *)
       let prior = List.rev !accepted in
-      let updates = List.map Request.insert batch in
       let resp = Stack.write stack { Request.updates } in
       List.iter2
         (fun (u : Request.update) (s : Status.t) ->
@@ -133,7 +120,7 @@ let install stack entries add_incident =
             add_incident ~entry:u.entry ~prior
               (Format.asprintf "%a: %a" Status.pp s Entry.pp u.entry))
         updates resp.statuses)
-    batches;
+    (Request.insert_batches entries);
   !installed
 
 let behavior_set_packet_out ?(compile = true) model_cfg po =
@@ -153,13 +140,6 @@ let behavior_set_packet_out ?(compile = true) model_cfg po =
   in
   go 0 []
 
-let pp_behavior_set fmt bs =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       Interp.pp_behavior)
-    bs
-
 let model_config program entries =
   let state = State.create () in
   List.iter (fun e -> ignore (State.insert state e)) entries;
@@ -170,30 +150,14 @@ let model_config program entries =
 
    The campaign shards by coverage-goal partition: contiguous slices of the
    (deterministically ordered) goal list, each generated and tested
-   independently against the already-installed stack. A slice's result is a
-   pure function of [(config, encoding, slice)] — [Packetgen.generate] runs
-   a fresh solver per call and [index_offset] keeps the port-preference
-   cycle aligned with the goal's global index — so merged results are
-   independent of whether slices ran sequentially or in forked workers. *)
+   independently against the already-installed stack, under the budget
+   rule of [Campaign.run]. A slice's result is a pure function of
+   [(config, encoding, slice)] — [Packetgen.generate] runs a fresh solver
+   per call and [index_offset] keeps the port-preference cycle aligned
+   with the goal's global index — so merged results are independent of
+   whether slices ran sequentially or in forked workers. *)
 
-type slice_result = {
-  sl_incidents : Report.incident list;
-  sl_covered : int;
-  sl_uncoverable : int;
-  sl_tested : int;
-  sl_gen_s : float;
-  sl_test_s : float;
-  sl_hits : int;
-  sl_misses : int;
-}
-
-(* Incident-budget rule that makes the cap exact under sharding: every
-   slice counts from the parent's post-install incident count and may use
-   the full budget; the merge truncates the in-order concatenation to
-   [max_incidents]. Since each slice keeps at least as many incidents as
-   any merged prefix can demand of it, truncation yields exactly the
-   sequential campaign's list. *)
-let run_slice stack config ~oracle ~encoding ~base_incidents (offset, goals) =
+let run_slice stack config ~oracle ~encoding sink (offset, goals) =
   let tele = Telemetry.get () in
   (* Slice-local feedback state (empty novelty map, seed derived from the
      slice's global offset): what a packet's execution contributes depends
@@ -203,26 +167,16 @@ let run_slice stack config ~oracle ~encoding ~base_incidents (offset, goals) =
       Some (Greybox.create ~program:(Stack.program stack) ~seed:(0x5eed + offset) ())
     else None
   in
-  let sl_incidents = ref [] in
-  let n_incidents = ref base_incidents in
-  let add ?context ?repro kind detail =
-    if !n_incidents < config.max_incidents then begin
-      incr n_incidents;
-      Telemetry.incr tele "campaign.incidents";
-      sl_incidents :=
-        Report.incident ?context ?repro Report.Symbolic ~kind ~detail
-        :: !sl_incidents
-    end
-  in
-  let hits_before = match config.cache with Some c -> Cache.hits c | None -> 0 in
-  let misses_before = match config.cache with Some c -> Cache.misses c | None -> 0 in
+  let cache_total f = match config.cache with Some c -> float (f c) | None -> 0. in
+  let hits_before = cache_total Cache.hits in
+  let misses_before = cache_total Cache.misses in
   let gen_start = Telemetry.Clock.now () in
   let generated =
     Telemetry.with_span tele "campaign.generation" (fun () ->
         Packetgen.generate ~ports:config.ports ~index_offset:offset
           ?cache:config.cache ~incremental:config.incremental encoding goals)
   in
-  let sl_gen_s = Telemetry.Clock.duration ~since:gen_start in
+  let gen_s = Telemetry.Clock.duration ~since:gen_start in
   let test_start = Telemetry.Clock.now () in
   let tested = ref 0 in
   Telemetry.with_span tele "campaign.testing" (fun () ->
@@ -230,7 +184,7 @@ let run_slice stack config ~oracle ~encoding ~base_incidents (offset, goals) =
         (fun (tp : Packetgen.test_packet) ->
           match tp.tp_bytes with
           | None -> ()
-          | Some bytes when !n_incidents < config.max_incidents -> (
+          | Some bytes when Campaign.room sink -> (
               incr tested;
               let context =
                 let table =
@@ -267,72 +221,37 @@ let run_slice stack config ~oracle ~encoding ~base_incidents (offset, goals) =
                   ~switch:switch_b
               with
               | exception Interp.Parse_failure msg ->
-                  add "model parse failure" ~context ~repro
+                  Campaign.add sink "model parse failure" ~context ~repro
                     (Printf.sprintf "goal %s generated an unparseable packet: %s"
                        tp.tp_goal msg)
               | Dataplane.Admitted -> ()
               | Dataplane.Diverged model_bs ->
-                  add "behavior divergence" ~context ~repro
+                  Campaign.add sink "behavior divergence" ~context ~repro
                     (Format.asprintf
                        "goal %s (port %d): switch behaved %a, model admits %a"
                        tp.tp_goal tp.tp_port Interp.pp_behavior switch_b
-                       pp_behavior_set model_bs))
+                       Interp.pp_behavior_set model_bs))
           | Some _ -> ())
         generated.packets);
-  let sl_test_s = Telemetry.Clock.duration ~since:test_start in
-  { sl_incidents = List.rev !sl_incidents;
-    sl_covered = generated.covered;
-    sl_uncoverable = generated.uncoverable;
-    sl_tested = !tested;
-    sl_gen_s;
-    sl_test_s;
-    sl_hits =
-      (match config.cache with Some c -> Cache.hits c - hits_before | None -> 0);
-    sl_misses =
-      (match config.cache with Some c -> Cache.misses c - misses_before | None -> 0) }
+  [ ("covered", float generated.covered);
+    ("uncoverable", float generated.uncoverable);
+    ("tested", float !tested);
+    ("gen_s", gen_s);
+    ("test_s", Telemetry.Clock.duration ~since:test_start);
+    ("cache_hits", cache_total Cache.hits -. hits_before);
+    ("cache_misses", cache_total Cache.misses -. misses_before) ]
 
-let slice_to_json r =
-  Report.shard_to_json r.sl_incidents
-    [ float_of_int r.sl_covered; float_of_int r.sl_uncoverable;
-      float_of_int r.sl_tested; r.sl_gen_s; r.sl_test_s; float_of_int r.sl_hits;
-      float_of_int r.sl_misses ]
-
-let slice_of_json payload =
-  match Report.shard_of_json payload with
-  | Ok (sl_incidents, [ covered; uncoverable; tested; sl_gen_s; sl_test_s; hits; misses ])
-    ->
-      Ok
-        { sl_incidents; sl_covered = int_of_float covered;
-          sl_uncoverable = int_of_float uncoverable; sl_tested = int_of_float tested;
-          sl_gen_s; sl_test_s; sl_hits = int_of_float hits;
-          sl_misses = int_of_float misses }
-  | Ok _ -> Error "data slice payload: wrong totals"
-  | Error e -> Error e
-
-let run ?(push_p4info = true) ?(jobs = 1) stack config =
+let run ?jobs stack config =
   let tele = Telemetry.get () in
-  let incidents = ref [] in
-  (* Counted separately: [List.length !incidents] per packet made the cutoff
-     check quadratic in max_incidents. *)
-  let n_incidents = ref 0 in
-  let add ?context ?repro kind detail =
-    if !n_incidents < config.max_incidents then begin
-      incr n_incidents;
-      Telemetry.incr tele "campaign.incidents";
-      incidents :=
-        Report.incident ?context ?repro Report.Symbolic ~kind ~detail :: !incidents
-    end
-  in
-  (if push_p4info then begin
-     let s = Stack.push_p4info stack in
-     if not (Status.is_ok s) then
-       add "p4info rejected"
-         ~repro:(Repro.Control { cr_seed = 0; cr_prefix = []; cr_batch = [] })
-         (Format.asprintf "Set P4Info failed: %a" Status.pp s)
-   end);
+  let sink = Campaign.sink ~cap:config.max_incidents Report.Symbolic in
+  let s = Stack.push_p4info stack in
+  if not (Status.is_ok s) then
+    Campaign.add sink "p4info rejected"
+      ~repro:(Repro.Control { cr_seed = 0; cr_prefix = []; cr_batch = [] })
+      (Format.asprintf "Set P4Info failed: %a" Status.pp s);
   let installed =
     install stack config.entries (fun ~entry ~prior detail ->
-        add "entry rejected during test setup"
+        Campaign.add sink "entry rejected during test setup"
           ~context:(Report.context ~table:entry.Entry.e_table ())
           ~repro:(Repro.Control
                     { cr_seed = 0; cr_prefix = prior;
@@ -411,39 +330,18 @@ let run ?(push_p4info = true) ?(jobs = 1) stack config =
   (* Denominator for live progress/ETA; counted in the parent before any
      fork so the gauge is visible immediately and never double-counted. *)
   Telemetry.incr ~n:(List.length goals) tele "goals.total";
-  let shards = max 1 config.shards in
-  let slices = Shard.partition ~shards goals in
-  let base_incidents = !n_incidents in
-  let slice_results =
-    Pool.map ~jobs ~shards ~encode:slice_to_json ~decode:slice_of_json (fun s ->
-        run_slice stack config ~oracle ~encoding ~base_incidents slices.(s))
+  let totals =
+    Campaign.run ?jobs sink ~shards:config.shards
+      (fun _ -> run_slice stack config ~oracle ~encoding)
+      goals
   in
-  (* Merge in slice order; see the budget rule above [run_slice]. *)
-  let merged_incidents =
-    List.filteri
-      (fun i _ -> i < config.max_incidents - base_incidents)
-      (List.concat_map (fun r -> r.sl_incidents) slice_results)
-  in
-  n_incidents := base_incidents + List.length merged_incidents;
-  incidents := List.rev_append merged_incidents !incidents;
-  let covered = List.fold_left (fun a r -> a + r.sl_covered) 0 slice_results in
-  let uncoverable = List.fold_left (fun a r -> a + r.sl_uncoverable) 0 slice_results in
-  let tested = List.fold_left (fun a r -> a + r.sl_tested) 0 slice_results in
-  let gen_time =
-    List.fold_left (fun a r -> a +. Float.max 0. r.sl_gen_s) prep_s slice_results
-  in
-  let slice_test_time =
-    List.fold_left (fun a r -> a +. Float.max 0. r.sl_test_s) 0. slice_results
-  in
-  let cache_hits = List.fold_left (fun a r -> a + r.sl_hits) 0 slice_results in
-  let cache_misses = List.fold_left (fun a r -> a + r.sl_misses) 0 slice_results in
   (* Packet I/O contract, in the parent, after the merge (so the incident
      cap applies to the merged list). The submit-to-ingress payload is
      crafted to be routable under the installed entries (admitted MAC +
      covered dst), so that broken submit-to-ingress processing is
      observable. *)
   let io_start = Telemetry.Clock.now () in
-  (if config.test_packet_io && !n_incidents < config.max_incidents then begin
+  (if config.test_packet_io && Campaign.room sink then begin
     let payload =
       let admit_mac =
         List.find_map
@@ -489,7 +387,7 @@ let run ?(push_p4info = true) ?(jobs = 1) stack config =
         if b.Interp.b_egress <> Some port || b.Interp.b_punted then
           (* No reproducer: packet-out payloads are structured [Packet.t]
              values with no byte-level parser to rebuild them from. *)
-          add "packet-out divergence"
+          Campaign.add sink "packet-out divergence"
             ~context:(Report.context ~goal:(Printf.sprintf "packet-out:port:%d" port) ())
             (Format.asprintf "packet-out to port %d behaved %a" port Interp.pp_behavior b))
       config.ports;
@@ -497,22 +395,23 @@ let run ?(push_p4info = true) ?(jobs = 1) stack config =
     let switch_b = Stack.packet_out stack po in
     let model_bs = behavior_set_packet_out ~compile:config.compile model_cfg po in
     if not (List.exists (Interp.behavior_equal switch_b) model_bs) then
-      add "submit-to-ingress divergence"
+      Campaign.add sink "submit-to-ingress divergence"
         ~context:(Report.context ~goal:"packet-out:submit" ())
         (Format.asprintf "switch behaved %a, model admits %a" Interp.pp_behavior switch_b
-           pp_behavior_set model_bs)
+           Interp.pp_behavior_set model_bs)
   end);
-  let test_time = slice_test_time +. Telemetry.Clock.duration ~since:io_start in
+  let total = Campaign.total totals in
+  let n name = int_of_float (total name) in
   let stats =
     { Report.ds_entries_installed = installed;
       ds_goals = List.length goals;
-      ds_covered = covered;
-      ds_uncoverable = uncoverable;
+      ds_covered = n "covered";
+      ds_uncoverable = n "uncoverable";
       ds_tainted_goals = tainted_goals;
-      ds_packets_tested = tested;
-      ds_generation_time = gen_time;
-      ds_testing_time = test_time;
-      ds_cache_hits = cache_hits;
-      ds_cache_misses = cache_misses }
+      ds_packets_tested = n "tested";
+      ds_generation_time = prep_s +. total "gen_s";
+      ds_testing_time = total "test_s" +. Telemetry.Clock.duration ~since:io_start;
+      ds_cache_hits = n "cache_hits";
+      ds_cache_misses = n "cache_misses" }
   in
-  (List.rev !incidents, stats)
+  (Campaign.incidents sink, stats)

@@ -81,20 +81,18 @@ type config = {
 val default_config : Entry.t list -> config
 
 val run :
-  ?push_p4info:bool ->
   ?jobs:int ->
   Stack.t ->
   config ->
   Report.incident list * Report.data_stats
-(** Install the entries, then generate + test each goal slice through
-    {!Switchv_parallel.Pool.map} — sequentially in-process when
+(** Push the P4Info and install the entries, then generate + test each
+    goal slice through {!Campaign.run} — sequentially in-process when
     [jobs <= 1] (the default) or [shards = 1], else over forked workers
     that inherit the installed stack and symbolic encoding
-    copy-on-write. Slice results merge in slice
-    order with the incident list truncated to [max_incidents]; the
-    packet-I/O contract runs in the parent after the merge. A lost
-    worker drops its slices (logged, [parallel.workers_failed]) without
-    aborting the campaign. *)
+    copy-on-write. Slice results merge in slice order with the incident
+    list truncated to [max_incidents]; the packet-I/O contract runs in the
+    parent after the merge. A lost worker drops its slices (logged,
+    [parallel.workers_failed]) without aborting the campaign. *)
 
 val install :
   Stack.t ->
@@ -111,9 +109,6 @@ val model_config :
   Switchv_p4ir.Ast.program -> Entry.t list -> Switchv_bmv2.Interp.config
 (** The reference model over the intended entry set (whatever the switch
     accepted), hash outcome [Fixed 0], mirror sessions from the entries. *)
-
-val pp_behavior_set : Format.formatter -> Switchv_bmv2.Interp.behavior list -> unit
-(** [{b1; b2; …}], for divergence details. *)
 
 val exploratory_goals : Switchv_symbolic.Symexec.encoding -> Packetgen.goal list
 (** Canned tester assertions beyond entry coverage: unusual ether types

@@ -9,14 +9,11 @@ module Compile = Switchv_bmv2.Compile
 module Packet = Switchv_packet.Packet
 module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
-module Fingerprint = Switchv_triage.Fingerprint
 module Dataplane = Switchv_oracle.Dataplane
 module Endtoend = Switchv_oracle.Endtoend
 module Topo = Switchv_topo.Topo
 module Fabric = Switchv_topo.Fabric
 module Routes = Switchv_topo.Routes
-module Shard = Switchv_parallel.Shard
-module Pool = Switchv_parallel.Pool
 module Coverage = Switchv_obs.Coverage
 
 let sp = Printf.sprintf
@@ -162,13 +159,18 @@ type env = {
   e_mk_stack : int -> unit -> Stack.t;
 }
 
-(* One flow, both fabrics, both checks. [add] enforces the incident
-   budget; at most one incident per flow (a localized hop divergence
-   preempts the end-to-end verdict — it is the same mismatch, better
-   attributed). *)
-let test_flow env ~tele
-    ~(add : ?context:Report.context -> ?repro:Repro.t -> string -> string -> unit)
-    ~want_more ~delivered ~dropped ~hops ~localized fl =
+(* One flow, both fabrics, both checks, counted into the slice's
+   [tally]. The sink enforces the incident budget; at most one incident
+   per flow (a localized hop divergence preempts the end-to-end verdict —
+   it is the same mismatch, better attributed). *)
+type tally = {
+  mutable delivered : int;
+  mutable dropped : int;
+  mutable hops : int;
+  mutable localized : int;
+}
+
+let test_flow env ~tele sink tally fl =
   Telemetry.incr tele "topo.flows";
   let budget = env.e_budget in
   let model_trace, switch_trace, po_ref =
@@ -194,20 +196,20 @@ let test_flow env ~tele
   in
   let hop_list = switch_trace.Fabric.t_hops in
   Telemetry.incr ~n:(List.length hop_list) tele "topo.hops";
-  hops := !hops + List.length hop_list;
+  tally.hops <- tally.hops + List.length hop_list;
   (match switch_trace.Fabric.t_disposition with
   | Fabric.Delivered _ ->
-      incr delivered;
+      tally.delivered <- tally.delivered + 1;
       Telemetry.incr tele "topo.delivered"
   | Fabric.Dropped _ ->
-      incr dropped;
+      tally.dropped <- tally.dropped + 1;
       Telemetry.incr tele "topo.dropped"
   | Fabric.Dead_hop _ ->
-      incr dropped;
+      tally.dropped <- tally.dropped + 1;
       Telemetry.incr tele "topo.dropped";
       Telemetry.incr tele "topo.crashed_hops"
   | Fabric.Budget_exhausted _ ->
-      incr dropped;
+      tally.dropped <- tally.dropped + 1;
       Telemetry.incr tele "topo.dropped";
       Telemetry.incr tele "topo.loops_detected");
   (* Per-hop judgment: the oracle re-runs the model on each hop's own
@@ -248,8 +250,8 @@ let test_flow env ~tele
   in
   match (if po_div <> None then po_div else hop_div) with
   | Some (h, model_bs) ->
-      if want_more () then begin
-        incr localized;
+      if Campaign.room sink then begin
+        tally.localized <- tally.localized + 1;
         Telemetry.incr tele "topo.localized";
         let hop = sp "sw%d" h.Fabric.h_switch in
         let repro =
@@ -273,13 +275,13 @@ let test_flow env ~tele
                else r)
           end
         in
-        add ?repro
+        Campaign.add sink ?repro
           ~context:(Report.context ~goal:fl.fl_id ~hop ())
           "fabric behavior divergence"
           (Format.asprintf
              "flow %s hop sw%d (ingress %d): switch behaved %a, model admits %a"
              fl.fl_id h.Fabric.h_switch h.Fabric.h_ingress Interp.pp_behavior
-             h.Fabric.h_behavior Data_campaign.pp_behavior_set model_bs)
+             h.Fabric.h_behavior Interp.pp_behavior_set model_bs)
       end
   | None -> (
       let expectation = Endtoend.of_trace model_trace in
@@ -313,22 +315,22 @@ let test_flow env ~tele
                consulted a hash: the end-to-end path itself may legally
                differ from the Fixed-0 reference trace. *)
             Telemetry.incr tele "topo.nondet_admits"
-          else if want_more () then begin
+          else if Campaign.room sink then begin
             match switch_trace.Fabric.t_disposition with
             | Fabric.Dead_hop k ->
-                incr localized;
+                tally.localized <- tally.localized + 1;
                 Telemetry.incr tele "topo.localized";
-                add
+                Campaign.add sink
                   ~context:(Report.context ~goal:fl.fl_id ~hop:(sp "sw%d" k) ())
                   "fabric dead switch"
                   (sp "flow %s: %s" fl.fl_id detail)
             | Fabric.Budget_exhausted _ ->
-                add
+                Campaign.add sink
                   ~context:(Report.context ~goal:fl.fl_id ())
                   "fabric forwarding loop"
                   (sp "flow %s: %s" fl.fl_id detail)
             | _ ->
-                add
+                Campaign.add sink
                   ~context:(Report.context ~goal:fl.fl_id ())
                   "fabric delivery divergence"
                   (sp "flow %s: %s" fl.fl_id detail)
@@ -337,68 +339,21 @@ let test_flow env ~tele
 (* --- flow slices -----------------------------------------------------------
 
    Same decomposition discipline as the data campaign: contiguous slices
-   of the deterministic flow list, each a pure function of (env, slice) —
-   packet processing never mutates switch state — with the incident
-   budget counted from the parent's post-setup base and the merge
-   truncating the in-order concatenation. *)
+   of the deterministic flow list under [Campaign.run]'s budget rule, each
+   a pure function of (env, slice) — packet processing never mutates
+   switch state. *)
 
-type slice_result = {
-  fc_incidents : Report.incident list;
-  fc_flows : int;
-  fc_delivered : int;
-  fc_dropped : int;
-  fc_hops : int;
-  fc_localized : int;
-}
-
-let run_slice env ~base_incidents (_offset, slice_flows) =
+let run_slice env sink (_offset, slice_flows) =
   let tele = Telemetry.get () in
-  let incidents = ref [] in
-  let n_incidents = ref base_incidents in
-  let flows = ref 0 in
-  let delivered = ref 0 in
-  let dropped = ref 0 in
-  let hops = ref 0 in
-  let localized = ref 0 in
-  let want_more () = !n_incidents < env.e_cfg.max_incidents in
-  let add ?context ?repro kind detail =
-    if want_more () then begin
-      incr n_incidents;
-      Telemetry.incr tele "campaign.incidents";
-      incidents :=
-        Report.incident ?context ?repro Report.Fabric ~kind ~detail
-        :: !incidents
-    end
-  in
-  List.iter
-    (fun fl ->
-      incr flows;
-      test_flow env ~tele ~add ~want_more ~delivered ~dropped ~hops ~localized
-        fl)
-    slice_flows;
-  { fc_incidents = List.rev !incidents;
-    fc_flows = !flows;
-    fc_delivered = !delivered;
-    fc_dropped = !dropped;
-    fc_hops = !hops;
-    fc_localized = !localized }
+  let tally = { delivered = 0; dropped = 0; hops = 0; localized = 0 } in
+  List.iter (test_flow env ~tele sink tally) slice_flows;
+  List.map
+    (fun (name, n) -> (name, float n))
+    [ ("flows", List.length slice_flows); ("delivered", tally.delivered);
+      ("dropped", tally.dropped); ("hops", tally.hops);
+      ("localized", tally.localized) ]
 
-let slice_to_json r =
-  Report.shard_to_json r.fc_incidents
-    (List.map float_of_int
-       [ r.fc_flows; r.fc_delivered; r.fc_dropped; r.fc_hops; r.fc_localized ])
-
-let slice_of_json payload =
-  match Report.shard_of_json payload with
-  | Ok (fc_incidents, [ flows; delivered; dropped; hops; localized ]) ->
-      Ok
-        { fc_incidents; fc_flows = int_of_float flows;
-          fc_delivered = int_of_float delivered; fc_dropped = int_of_float dropped;
-          fc_hops = int_of_float hops; fc_localized = int_of_float localized }
-  | Ok _ -> Error "fabric slice payload: wrong totals"
-  | Error e -> Error e
-
-let run ?(jobs = 1) program cfg =
+let run ?jobs program cfg =
   let tele = Telemetry.get () in
   Telemetry.with_span tele "topo.campaign" @@ fun () ->
   let start = Telemetry.Clock.now () in
@@ -407,17 +362,7 @@ let run ?(jobs = 1) program cfg =
   let entries_for =
     Array.init n (fun s -> Routes.entries topo program ~switch:s)
   in
-  let incidents = ref [] in
-  let n_incidents = ref 0 in
-  let add ?context ?repro kind detail =
-    if !n_incidents < cfg.max_incidents then begin
-      incr n_incidents;
-      Telemetry.incr tele "campaign.incidents";
-      incidents :=
-        Report.incident ?context ?repro Report.Fabric ~kind ~detail
-        :: !incidents
-    end
-  in
+  let sink = Campaign.sink ~cap:cfg.max_incidents Report.Fabric in
   let faults_for s =
     match List.assoc_opt s cfg.faults with Some fs -> fs | None -> []
   in
@@ -432,12 +377,12 @@ let run ?(jobs = 1) program cfg =
         let st = mk_stack s () in
         let status = Stack.push_p4info st in
         if not (Status.is_ok status) then
-          add "p4info rejected"
+          Campaign.add sink "p4info rejected"
             ~context:(Report.context ~hop:(sp "sw%d" s) ())
             (Format.asprintf "sw%d: Set P4Info failed: %a" s Status.pp status);
         ignore
           (Data_campaign.install st entries_for.(s) (fun ~entry ~prior:_ detail ->
-               add "entry rejected during fabric setup"
+               Campaign.add sink "entry rejected during fabric setup"
                  ~context:
                    (Report.context ~table:entry.Entry.e_table ~hop:(sp "sw%d" s)
                       ())
@@ -467,22 +412,12 @@ let run ?(jobs = 1) program cfg =
         | None -> Fabric.default_budget topo);
       e_mk_stack = mk_stack }
   in
-  let all_flows = flows topo cfg in
-  let shards = max 1 cfg.shards in
-  let slices = Shard.partition ~shards all_flows in
-  let base_incidents = !n_incidents in
-  let slice_results =
-    Pool.map ~jobs ~shards ~encode:slice_to_json ~decode:slice_of_json (fun s ->
-        run_slice env ~base_incidents slices.(s))
+  let totals =
+    Campaign.run ?jobs sink ~shards:cfg.shards
+      (fun _ -> run_slice env)
+      (flows topo cfg)
   in
-  let merged =
-    List.filteri
-      (fun i _ -> i < cfg.max_incidents - base_incidents)
-      (List.concat_map (fun r -> r.fc_incidents) slice_results)
-  in
-  n_incidents := base_incidents + List.length merged;
-  incidents := List.rev_append merged !incidents;
-  let sum f = List.fold_left (fun a r -> a + f r) 0 slice_results in
+  let total name = int_of_float (Campaign.total totals name) in
   let switch_coverage =
     List.init n (fun s ->
         let c =
@@ -494,27 +429,12 @@ let run ?(jobs = 1) program cfg =
     { Report.fs_shape = Topo.shape_to_string cfg.shape;
       fs_switches = n;
       fs_links = Topo.link_count topo;
-      fs_flows = sum (fun r -> r.fc_flows);
-      fs_delivered = sum (fun r -> r.fc_delivered);
-      fs_dropped = sum (fun r -> r.fc_dropped);
-      fs_hops = sum (fun r -> r.fc_hops);
-      fs_localized = sum (fun r -> r.fc_localized);
+      fs_flows = total "flows";
+      fs_delivered = total "delivered";
+      fs_dropped = total "dropped";
+      fs_hops = total "hops";
+      fs_localized = total "localized";
       fs_duration = Telemetry.Clock.duration ~since:start;
       fs_switch_coverage = switch_coverage }
   in
-  (List.rev !incidents, stats)
-
-let cluster incidents =
-  let tele = Telemetry.get () in
-  Telemetry.incr ~n:0 tele "triage.duplicates_collapsed";
-  let groups = Fingerprint.cluster Report.fingerprint incidents in
-  Telemetry.incr tele "triage.duplicates_collapsed"
-    ~n:(List.length incidents - List.length groups);
-  let reps = List.map (fun (i, _, _) -> i) groups in
-  let clusters =
-    List.map
-      (fun (i, fp, count) ->
-        { Report.cl_fingerprint = fp; cl_count = count; cl_example = i })
-      groups
-  in
-  (reps, clusters)
+  (Campaign.incidents sink, stats)

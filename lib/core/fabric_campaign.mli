@@ -30,8 +30,8 @@
     ({!Switchv_bmv2.Compile}); the fabric has no interpreted mode.
 
     Determinism: topology, routes, and the flow suite are pure functions
-    of the config; flows are partitioned by {!Switchv_parallel.Shard},
-    judged independently, and run through {!Switchv_parallel.Pool.map}, so
+    of the config; flows are partitioned into slices, judged
+    independently, and merged by {!Campaign.run}, so
     incidents (and corpus output) are byte-identical at any [jobs] value
     for a fixed shard count. *)
 
@@ -67,9 +67,3 @@ val run :
     their hop. Per-switch model-edge coverage (from the
     [topo.sw.<i>.cov.*] re-emission) lands in
     [fs_switch_coverage]. *)
-
-val cluster :
-  Report.incident list -> Report.incident list * Report.cluster list
-(** Fingerprint-dedup (hop included): representatives plus cluster
-    summary, bumping [triage.duplicates_collapsed] like the harness
-    triage pass. *)

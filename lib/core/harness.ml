@@ -5,7 +5,7 @@ module Cache = Switchv_symbolic.Cache
 module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
 module Ddmin = Switchv_triage.Ddmin
-module Fingerprint = Switchv_triage.Fingerprint
+module Oracle = Switchv_oracle.Oracle
 module Corpus = Switchv_triage.Corpus
 
 type triage = {
@@ -116,48 +116,28 @@ let minimize_repro mk_stack ~max_probes repro =
     ~n:(Repro.size repro - Repro.size minimized);
   minimized
 
-let run_triage mk_stack (cfg : triage) control data =
+let run_triage mk_stack (cfg : triage) incidents =
   let tele = Telemetry.get () in
   Telemetry.incr ~n:0 tele "triage.duplicates_collapsed";
   Telemetry.incr ~n:0 tele "triage.updates_removed";
-  let tagged =
-    List.map (fun i -> (`Control, i)) control @ List.map (fun i -> (`Data, i)) data
+  let minimize (i : Report.incident) =
+    match i.repro with
+    | Some r when cfg.minimize ->
+        Telemetry.with_span tele "triage.minimize" (fun () ->
+            let r = minimize_repro mk_stack ~max_probes:cfg.ddmin_probes r in
+            { i with Report.repro = Some r })
+    | _ -> i
   in
-  let groups =
-    if cfg.dedup then Fingerprint.cluster (fun (_, i) -> Report.fingerprint i) tagged
-    else List.map (fun x -> (x, Report.fingerprint (snd x), 1)) tagged
-  in
-  if cfg.dedup then
-    Telemetry.incr tele "triage.duplicates_collapsed"
-      ~n:(List.length tagged - List.length groups);
-  let groups =
-    if not cfg.minimize then groups
-    else
-      List.map
-        (fun ((tag, (i : Report.incident)), fp, count) ->
-          match i.repro with
-          | None -> ((tag, i), fp, count)
-          | Some r ->
-              Telemetry.with_span tele "triage.minimize" (fun () ->
-                  let r' = minimize_repro mk_stack ~max_probes:cfg.ddmin_probes r in
-                  ((tag, { i with Report.repro = Some r' }), fp, count)))
-        groups
-  in
-  let keep tag' =
-    List.filter_map
-      (fun ((tag, i), _, _) -> if tag = tag' then Some i else None)
-      groups
-  in
-  let clusters =
-    if cfg.dedup then
+  if cfg.dedup then begin
+    let reps, clusters = Report.cluster incidents in
+    let reps = List.map minimize reps in
+    ( reps,
       Some
-        (List.map
-           (fun ((_, i), fp, count) ->
-             { Report.cl_fingerprint = fp; cl_count = count; cl_example = i })
-           groups)
-    else None
-  in
-  (keep `Control, keep `Data, clusters)
+        (List.map2
+           (fun (c : Report.cluster) i -> { c with cl_example = i })
+           clusters reps) )
+  end
+  else (List.map minimize incidents, None)
 
 let validate mk_stack config =
   let tele = Telemetry.get () in
@@ -198,62 +178,54 @@ let validate mk_stack config =
     if not config.fuzzed_data_pass then []
     else begin
       let info = Stack.info control_stack in
-      let claimed = (Stack.read control_stack).entries in
-      let state = Switchv_p4runtime.State.create () in
-      List.filter
-        (fun e ->
-          Switchv_p4runtime.Validate.check_entry info e = Ok ()
-          && Switchv_p4runtime.Validate.check_references info e
-               ~exists:(fun ~table ~key value ->
-                 Switchv_p4runtime.State.exists_value state ~table ~key value)
-             = Ok ()
-          && Switchv_p4runtime.State.insert state e = Ok ())
-        (sort_by_dependencies info claimed)
+      snd
+        (Oracle.spec_valid info
+           (sort_by_dependencies info (Stack.read control_stack).entries))
     end
   in
-  let data_stack = mk_stack () in
-  let data_config =
-    { (Data_campaign.default_config config.data_entries) with
-      cache = config.cache;
+  let data_config entries =
+    { (Data_campaign.default_config entries) with
       max_incidents = config.max_incidents;
-      shards = config.data_shards;
       incremental = config.incremental;
       taint = config.taint;
       greybox = config.greybox;
       compile = config.compile;
-      covered_edges;
-      extra_goals =
-        (if config.exploratory then Data_campaign.exploratory_goals else fun _ -> []) }
+      covered_edges }
   in
+  let data_stack = mk_stack () in
   let data_incidents, data_stats =
-    Data_campaign.run ~jobs:config.jobs data_stack data_config
+    Data_campaign.run ~jobs:config.jobs data_stack
+      { (data_config config.data_entries) with
+        cache = config.cache;
+        shards = config.data_shards;
+        extra_goals =
+          (if config.exploratory then Data_campaign.exploratory_goals
+           else fun _ -> []) }
   in
   let fuzzed_incidents =
     if fuzzed_entries = [] then []
     else begin
-      let stack = mk_stack () in
-      let cfg =
-        { (Data_campaign.default_config fuzzed_entries) with
-          max_incidents = config.max_incidents;
-          test_packet_io = false;
-          incremental = config.incremental;
-          taint = config.taint;
-          greybox = config.greybox;
-          compile = config.compile;
-          covered_edges }
+      let incidents, _ =
+        Data_campaign.run (mk_stack ())
+          { (data_config fuzzed_entries) with test_packet_io = false }
       in
-      let incidents, _ = Data_campaign.run stack cfg in
       List.map
         (fun (i : Report.incident) ->
           { i with Report.kind = "fuzzed-entry pass: " ^ i.kind })
         incidents
     end
   in
-  let control_incidents, data_incidents, clusters =
+  let incidents, clusters =
+    let all = control_incidents @ data_incidents @ fuzzed_incidents in
     match config.triage with
-    | None -> (control_incidents, data_incidents @ fuzzed_incidents, None)
-    | Some t ->
-        run_triage mk_stack t control_incidents (data_incidents @ fuzzed_incidents)
+    | None -> (all, None)
+    | Some t -> run_triage mk_stack t all
+  in
+  (* Every control incident is a p4-fuzzer one, and no other campaign's is. *)
+  let control_incidents, data_incidents =
+    List.partition
+      (fun (i : Report.incident) -> i.detector = Report.Fuzzer)
+      incidents
   in
   { Report.program_name = (Stack.program data_stack).p_name;
     control_incidents;

@@ -66,6 +66,16 @@ type cluster = {
   cl_example : incident;
 }
 
+let cluster incidents =
+  let groups = Fingerprint.cluster fingerprint incidents in
+  Telemetry.incr (Telemetry.get ()) "triage.duplicates_collapsed"
+    ~n:(List.length incidents - List.length groups);
+  ( List.map (fun (i, _, _) -> i) groups,
+    List.map
+      (fun (i, fp, count) ->
+        { cl_fingerprint = fp; cl_count = count; cl_example = i })
+      groups )
+
 type control_stats = {
   cs_batches : int;
   cs_updates : int;
@@ -276,8 +286,8 @@ let incident_to_json (origin, i) =
 
 (* --- IPC (de)serialization -------------------------------------------------
 
-   Sharded campaigns run in forked workers and stream incidents + stats back
-   to the parent as JSON. These converters are exact inverses over every
+   Sharded campaigns run in forked workers and stream incidents back to the
+   parent as JSON ([Campaign.run]). These converters are exact inverses over every
    value the campaigns produce, which is what makes a merged parallel report
    identical to the sequential one. *)
 
@@ -330,54 +340,6 @@ let incident_of_ipc_json j =
     | Some rj -> Result.map Option.some (Repro.of_json rj)
   in
   Ok { detector; kind; detail; context; repro }
-
-(* A campaign shard's result as it crosses [Pool.map]: its incidents, then
-   its numeric totals in an order fixed by the campaign. [Json.num]
-   round-trips floats exactly, so counts and durations survive as-is. *)
-let shard_to_json incidents totals =
-  Json.obj
-    [ ("incidents", Json.arr (List.map incident_ipc_to_json incidents));
-      ("totals", Json.arr (List.map Json.num totals)) ]
-
-let shard_of_json payload =
-  let ( let* ) = Result.bind in
-  let all f xs =
-    List.fold_right
-      (fun x acc ->
-        let* acc = acc in
-        let* y = f x in
-        Ok (y :: acc))
-      xs (Ok [])
-  in
-  let num x = Option.to_result ~none:"shard payload: bad total" (Jsonp.to_num x) in
-  let* j = Jsonp.parse payload in
-  match (Jsonp.member "incidents" j, Jsonp.member "totals" j) with
-  | Some (Jsonp.Arr incidents), Some (Jsonp.Arr totals) ->
-      let* incidents = all incident_of_ipc_json incidents in
-      let* totals = all num totals in
-      Ok (incidents, totals)
-  | _ -> Error "shard payload: missing incidents or totals"
-
-let empty_control_stats =
-  { cs_batches = 0; cs_updates = 0; cs_valid_updates = 0; cs_invalid_updates = 0;
-    cs_novel_edges = 0; cs_corpus_seeds = 0; cs_duration = 0. }
-
-let merge_control_stats ss =
-  (* Durations are clamped at zero per shard: a worker whose clock stepped
-     backwards must not subtract time from the merged total. *)
-  List.fold_left
-    (fun acc s ->
-      { cs_batches = acc.cs_batches + s.cs_batches;
-        cs_updates = acc.cs_updates + s.cs_updates;
-        cs_valid_updates = acc.cs_valid_updates + s.cs_valid_updates;
-        cs_invalid_updates = acc.cs_invalid_updates + s.cs_invalid_updates;
-        (* Shard-local novelty counts: the sum can double-count an edge two
-           shards each discovered independently — reported as the total
-           feedback signal observed, not a global distinct-edge count. *)
-        cs_novel_edges = acc.cs_novel_edges + s.cs_novel_edges;
-        cs_corpus_seeds = acc.cs_corpus_seeds + s.cs_corpus_seeds;
-        cs_duration = acc.cs_duration +. Float.max 0. s.cs_duration })
-    empty_control_stats ss
 
 let to_json t =
   Json.obj

@@ -59,6 +59,12 @@ type cluster = {
   cl_example : incident;   (** first-seen representative *)
 }
 
+val cluster : incident list -> incident list * cluster list
+(** Fingerprint dedup: the first-seen representative of each fingerprint,
+    in order, plus one cluster per fingerprint. Bumps
+    [triage.duplicates_collapsed] by the incidents absorbed. Fingerprints
+    start with the detector, so no cluster mixes campaigns. *)
+
 type control_stats = {
   cs_batches : int;
   cs_updates : int;
@@ -146,10 +152,10 @@ val pp : Format.formatter -> t -> unit
 (** {1 IPC (de)serialization}
 
     Sharded campaigns (control, data and fabric) serialize per-shard
-    results in forked workers and deserialize them in the parent. The
-    converters are exact inverses over every value the campaigns produce —
-    the merged parallel report is byte-identical to the sequential one
-    because nothing is lost in the round-trip. *)
+    incidents in forked workers and deserialize them in the parent
+    ({!Campaign.run}). The converters are exact inverses over every value
+    the campaigns produce — the merged parallel report is byte-identical to
+    the sequential one because nothing is lost in the round-trip. *)
 
 val detector_of_string : string -> detector option
 
@@ -160,17 +166,6 @@ val incident_ipc_to_json : incident -> string
 
 val incident_of_ipc_json :
   Switchv_telemetry.Jsonp.t -> (incident, string) result
-
-val shard_to_json : incident list -> float list -> string
-(** A campaign shard's result for {!Switchv_parallel.Pool.map}: its
-    incidents plus numeric totals in an order the campaign fixes. *)
-
-val shard_of_json : string -> (incident list * float list, string) result
-(** Inverse of {!shard_to_json}. *)
-
-val merge_control_stats : control_stats list -> control_stats
-(** Field-wise sums; each shard's duration is clamped at [>= 0] before
-    summing, so a worker with a stepping clock cannot subtract time. *)
 
 val fabric_stats_to_json : fabric_stats -> string
 

@@ -17,21 +17,33 @@ let observed t = t.state
 
 type expectation = Must_accept | Must_reject of string | May_either of string
 
-type incident = {
-  inc_kind :
-    [ `Status_violation | `State_divergence | `Unresponsive | `P4info_rejected ];
-  inc_detail : string;
-}
+type kind =
+  [ `Status_violation | `State_divergence | `Unresponsive | `P4info_rejected ]
+
+let kind_to_string : kind -> string = function
+  | `Status_violation -> "status violation"
+  | `State_divergence -> "state divergence"
+  | `Unresponsive -> "unresponsive"
+  | `P4info_rejected -> "p4info rejected"
+
+type incident = { inc_kind : kind; inc_detail : string }
 
 let pp_incident fmt i =
-  let kind =
-    match i.inc_kind with
-    | `Status_violation -> "status violation"
-    | `State_divergence -> "state divergence"
-    | `Unresponsive -> "unresponsive"
-    | `P4info_rejected -> "p4info rejected"
+  Format.fprintf fmt "[%s] %s" (kind_to_string i.inc_kind) i.inc_detail
+
+let spec_valid info entries =
+  let state = State.create () in
+  let entries =
+    List.filter
+      (fun e ->
+        Validate.check_entry info e = Ok ()
+        && Validate.check_references info e ~exists:(fun ~table ~key value ->
+               State.exists_value state ~table ~key value)
+           = Ok ()
+        && State.insert state e = Ok ())
+      entries
   in
-  Format.fprintf fmt "[%s] %s" kind i.inc_detail
+  (state, entries)
 
 (* A batch is classified in full before any of it is applied, so
    [t.state] is the pre-batch state throughout and its live reference
@@ -77,11 +89,9 @@ type detailed = {
   per_update_ok : bool list;
 }
 
-let incident_counter = function
-  | `Status_violation -> "oracle.incidents.status_violation"
-  | `State_divergence -> "oracle.incidents.state_divergence"
-  | `Unresponsive -> "oracle.incidents.unresponsive"
-  | `P4info_rejected -> "oracle.incidents.p4info_rejected"
+let incident_counter kind =
+  "oracle.incidents."
+  ^ String.map (function ' ' -> '_' | c -> c) (kind_to_string kind)
 
 (* Does [entries] list exactly [state]'s entry values, in its insertion
    order, as the same (physically equal) records? Then a state rebuilt

@@ -37,13 +37,23 @@ val classify : t -> Request.update -> expectation
     rejection in this state (duplicate insert, missing entry, dangling or
     still-referenced target, table beyond its guaranteed size). *)
 
-type incident = {
-  inc_kind :
-    [ `Status_violation | `State_divergence | `Unresponsive | `P4info_rejected ];
-  inc_detail : string;
-}
+type kind =
+  [ `Status_violation | `State_divergence | `Unresponsive | `P4info_rejected ]
+
+val kind_to_string : kind -> string
+(** The incident kind as reports and corpus records name it, e.g.
+    ["status violation"]. *)
+
+type incident = { inc_kind : kind; inc_detail : string }
 
 val pp_incident : Format.formatter -> incident -> unit
+
+val spec_valid : P4info.t -> Entry.t list -> State.t * Entry.t list
+(** The entries of a dependency-ordered list that the specification lets
+    a switch hold when they are installed in order — syntactically valid,
+    constraint compliant, with every reference satisfied by an earlier
+    kept entry, and no duplicate keys — and the state they build. A
+    switch may claim, or a reproducer may carry, entries outside it. *)
 
 val judge_batch :
   t ->

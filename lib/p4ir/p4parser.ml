@@ -24,6 +24,11 @@ let tokenize source =
   let push t = toks := (t, !line) :: !toks in
   let i = ref 0 in
   let peek k = if !i + k < n then Some source.[!i + k] else None in
+  let int_from start =
+    match int_of_string_opt (String.sub source start (!i - start)) with
+    | Some v -> v
+    | None -> error "line %d: integer literal out of range" !line
+  in
   let is_id_char c =
     (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
     || c = '_' || c = '.'
@@ -57,7 +62,8 @@ let tokenize source =
       while !i < n && is_digit source.[!i] do incr i done;
       if peek 0 = Some 'w' then begin
         (* width literal *)
-        let width = int_of_string (String.sub source start (!i - start)) in
+        let width = int_from start in
+        if width < 1 then error "line %d: zero-width literal" !line;
         incr i;
         if peek 0 = Some '0' && (peek 1 = Some 'x' || peek 1 = Some 'X') then begin
           i := !i + 2;
@@ -69,10 +75,10 @@ let tokenize source =
           let dstart = !i in
           while !i < n && is_digit source.[!i] do incr i done;
           if !i = dstart then error "line %d: malformed width literal" !line;
-          push (T_bv (Bitvec.of_int ~width (int_of_string (String.sub source dstart (!i - dstart)))))
+          push (T_bv (Bitvec.of_int ~width (int_from dstart)))
         end
       end
-      else push (T_int (int_of_string (String.sub source start (!i - start))))
+      else push (T_int (int_from start))
     end
     else if is_id_char c && c <> '.' then begin
       let start = !i in
@@ -334,12 +340,14 @@ let strip_t name =
   else name
 
 let parse_header ctx st =
+  let at = line st in
   let name = strip_t (expect_id st) in
   expect_punct st "{";
   let fields = ref [] in
   while not (accept_punct st "}") do
     fields := parse_bit_field st :: !fields
   done;
+  if !fields = [] then error "line %d: header %s has no fields" at name;
   ctx.headers <- Header.make name (List.rev !fields) :: ctx.headers
 
 let parse_metadata ctx st =

@@ -24,8 +24,17 @@ let check program =
   List.iter
     (fun h ->
       if String.equal h.Header.name "meta" || String.equal h.Header.name "std" then
-        err "header name %s is reserved" h.Header.name)
+        err "header name %s is reserved" h.Header.name;
+      if h.Header.fields = [] then err "header %s has no fields" h.Header.name;
+      List.iter
+        (fun (f : Header.field) ->
+          if f.f_width < 1 then
+            err "header %s: field %s has width %d" h.Header.name f.f_name f.f_width)
+        h.Header.fields)
     program.p_headers;
+  List.iter
+    (fun (name, w) -> if w < 1 then err "metadata field %s has width %d" name w)
+    program.p_metadata;
 
   let field_ok where fr =
     match field_width program fr with
@@ -213,7 +222,15 @@ let check program =
       match s.ps_next with
       | T_accept -> ()
       | T_select (e, cases, default) ->
-          ignore (check_expr where None e);
+          let key_width = check_expr where None e in
+          List.iter
+            (fun (label, _) ->
+              let w = Switchv_bitvec.Bitvec.width label in
+              match key_width with
+              | Some k when k <> w ->
+                  err "%s: select label width %d vs key width %d" where w k
+              | _ -> ())
+            cases;
           List.iter
             (fun (_, target) ->
               if target <> "accept" && not (List.mem target state_names) then

@@ -21,3 +21,13 @@ let write_ok r = List.for_all Status.is_ok r.statuses
 let insert entry = { op = Insert; entry }
 let modify entry = { op = Modify; entry }
 let delete entry = { op = Delete; entry }
+
+let insert_batches entries =
+  List.fold_left
+    (fun acc (e : Entry.t) ->
+      match acc with
+      | (table, batch) :: rest when String.equal table e.e_table ->
+          (table, insert e :: batch) :: rest
+      | _ -> (e.e_table, [ insert e ]) :: acc)
+    [] entries
+  |> List.rev_map (fun (_, batch) -> List.rev batch)

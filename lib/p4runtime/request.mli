@@ -28,3 +28,9 @@ val write_ok : write_response -> bool
 val insert : Entry.t -> update
 val modify : Entry.t -> update
 val delete : Entry.t -> update
+
+val insert_batches : Entry.t list -> update list list
+(** Inserts for dependency-ordered entries, one batch per run of
+    same-table entries (§4.4, "Batching Table Entries"). Referenced
+    entries precede the entries referring to them, and a batch never mixes
+    tables, so no batch carries an internal [@refers_to] dependency. *)

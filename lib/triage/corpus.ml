@@ -4,8 +4,6 @@ module Interp = Switchv_bmv2.Interp
 module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
-module State = Switchv_p4runtime.State
-module Validate = Switchv_p4runtime.Validate
 module Workload = Switchv_sai.Workload
 module Json = Switchv_telemetry.Telemetry.Json
 module Jsonp = Switchv_telemetry.Jsonp
@@ -97,20 +95,6 @@ type outcome = {
   o_detail : string;
 }
 
-(* Group consecutive same-table entries into batches, as the data campaign
-   does on install: recorded order is dependency-consistent (references
-   precede referents chronologically), and a batch never mixes tables, so
-   no batch carries internal @refers_to dependencies. *)
-let table_batches entries =
-  List.fold_left
-    (fun acc (e : Entry.t) ->
-      match acc with
-      | (table, batch) :: rest when String.equal table e.e_table ->
-          (table, e :: batch) :: rest
-      | _ -> (e.e_table, [ e ]) :: acc)
-    [] entries
-  |> List.rev_map (fun (_, batch) -> List.rev batch)
-
 let replay_control stack (c : Repro.control) note =
   let s = Stack.push_p4info stack in
   if not (Status.is_ok s) then
@@ -123,29 +107,13 @@ let replay_control stack (c : Repro.control) note =
         let read_back = Stack.read stack in
         List.iter
           (fun (i : Oracle.incident) ->
-            let kind =
-              match i.inc_kind with
-              | `Status_violation -> "status violation"
-              | `State_divergence -> "state divergence"
-              | `Unresponsive -> "unresponsive"
-              | `P4info_rejected -> "p4info rejected"
-            in
-            note (kind ^ ": " ^ i.inc_detail))
+            note (Oracle.kind_to_string i.inc_kind ^ ": " ^ i.inc_detail))
           (Oracle.judge_batch oracle updates resp ~read_back)
       end
     in
-    List.iter
-      (fun batch -> send (List.map Request.insert batch))
-      (table_batches c.cr_prefix);
+    List.iter send (Request.insert_batches c.cr_prefix);
     send c.cr_batch
   end
-
-let pp_behavior_set fmt bs =
-  Format.fprintf fmt "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-       Interp.pp_behavior)
-    bs
 
 let replay_data stack (d : Repro.data) note =
   let s = Stack.push_p4info stack in
@@ -157,26 +125,12 @@ let replay_data stack (d : Repro.data) note =
        only the spec-valid subset, and only a spec-valid entry's rejection
        is an observation — a switch refusing a dangling reference is
        correct, not a divergence. *)
-    let info = Stack.info stack in
-    let model_state = State.create () in
-    let spec_valid e =
-      Validate.check_entry info e = Ok ()
-      && Validate.check_references info e ~exists:(fun ~table ~key value ->
-             State.exists_value model_state ~table ~key value)
-         = Ok ()
-    in
-    let model_entries =
-      List.filter
-        (fun e ->
-          spec_valid e
-          &&
-          match State.insert model_state e with Ok () -> true | Error _ -> false)
-        d.dr_entries
+    let model_state, model_entries =
+      Oracle.spec_valid (Stack.info stack) d.dr_entries
     in
     let is_model_entry e = List.exists (Entry.equal e) model_entries in
     List.iter
-      (fun batch ->
-        let updates = List.map Request.insert batch in
+      (fun updates ->
         let resp = Stack.write stack { Request.updates } in
         List.iter2
           (fun (u : Request.update) (st : Status.t) ->
@@ -185,7 +139,7 @@ let replay_data stack (d : Repro.data) note =
                 (Format.asprintf "entry rejected during replay setup: %a: %a"
                    Status.pp st Entry.pp u.entry))
           updates resp.statuses)
-      (table_batches d.dr_entries);
+      (Request.insert_batches d.dr_entries);
     let model_cfg =
       { Interp.program = Stack.program stack;
         state = model_state;
@@ -203,7 +157,8 @@ let replay_data stack (d : Repro.data) note =
           note
             (Format.asprintf
                "behavior divergence (port %d): switch behaved %a, model admits %a"
-               d.dr_port Interp.pp_behavior switch_b pp_behavior_set model_bs)
+               d.dr_port Interp.pp_behavior switch_b Interp.pp_behavior_set
+               model_bs)
   end
 
 let replay_repro stack repro =

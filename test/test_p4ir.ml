@@ -92,6 +92,30 @@ let test_detects_unknown_parser_state () =
   in
   expect_errors "transition to unknown state" { base with p_parser = parser }
 
+(* Zero widths parse, but no evaluator can hold a zero-width value: the
+   typechecker is the gate that keeps them from Compile and Symexec. *)
+let test_detects_zero_width_field () =
+  expect_errors "bit<0> header field"
+    { base with p_headers = Header.make "pad" [ ("x", 0) ] :: base.p_headers };
+  expect_errors "bit<0> metadata field"
+    { base with p_metadata = ("pad", 0) :: base.p_metadata }
+
+let test_detects_select_label_width () =
+  (* 7w0x00 against the 16-bit ether_type: Symexec would raise on the
+     width mismatch. *)
+  let parser =
+    { Ast.start = "start";
+      states =
+        [ { Ast.ps_name = "start";
+            ps_extract = Some "ethernet";
+            ps_next =
+              Ast.T_select
+                ( Ast.E_field (Ast.field "ethernet" "ether_type"),
+                  [ (Bitvec.of_int ~width:7 0, "accept") ],
+                  "accept" ) } ] }
+  in
+  expect_errors "select label narrower than its key" { base with p_parser = parser }
+
 let test_error_accumulation () =
   (* All problems are reported, not just the first. *)
   let program =
@@ -288,6 +312,19 @@ let test_parser_errors () =
   bad "control ingress { foo.bar(); }";
   bad "@unknown(3) table t { }"
 
+let test_parser_empty_header () =
+  check_bool "header without fields is an error" true
+    (P4parser.parse ~name:"bad" "header h_t { }" |> Result.is_error)
+
+let test_parser_zero_width_literal () =
+  List.iter
+    (fun source ->
+      check_bool ("rejects " ^ source) true
+        (P4parser.parse ~name:"bad" source |> Result.is_error))
+    [ "control ingress { meta.x = 0w0x1; }";
+      "control ingress { meta.x = 0w1; }";
+      "control ingress { meta.x = 16w99999999999999999999; }" ]
+
 let () =
   Alcotest.run "p4ir"
     [ ("typecheck",
@@ -299,6 +336,8 @@ let () =
          Alcotest.test_case "bad default action" `Quick test_detects_bad_default_action;
          Alcotest.test_case "duplicate ids" `Quick test_detects_duplicate_ids;
          Alcotest.test_case "unknown parser state" `Quick test_detects_unknown_parser_state;
+         Alcotest.test_case "zero-width field" `Quick test_detects_zero_width_field;
+         Alcotest.test_case "select label width" `Quick test_detects_select_label_width;
          Alcotest.test_case "error accumulation" `Quick test_error_accumulation;
          Alcotest.test_case "error dedup" `Quick test_error_dedup ]);
       ("lookups",
@@ -314,4 +353,6 @@ let () =
       ("frontend",
        [ Alcotest.test_case "pretty-parse roundtrip" `Quick test_parser_roundtrip;
          Alcotest.test_case "handwritten source" `Quick test_parser_handwritten;
-         Alcotest.test_case "syntax errors" `Quick test_parser_errors ]) ]
+         Alcotest.test_case "syntax errors" `Quick test_parser_errors;
+         Alcotest.test_case "empty header" `Quick test_parser_empty_header;
+         Alcotest.test_case "zero-width literal" `Quick test_parser_zero_width_literal ]) ]

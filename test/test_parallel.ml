@@ -1,10 +1,11 @@
 (* Tests for lib/parallel and the sharded campaigns: shard decomposition
    invariants, IPC frame decoding across split reads, fork-pool ordering +
    crash degradation, cache crash-safety (corrupt entries as misses, atomic
-   stores, racy directory creation), the monotonic-ish clock, and the
-   determinism matrix — campaign output byte-identical at any [jobs] and
-   with every reference path (interpreter, scratch SMT, taint-free
-   enumeration) standing in for its fast counterpart. *)
+   stores, racy directory creation), the monotonic-ish clock, the
+   incident cap under sharding, and the determinism matrix — campaign
+   output byte-identical at any [jobs] and with every reference path
+   (interpreter, scratch SMT, taint-free enumeration) standing in for its
+   fast counterpart. *)
 
 module Shard = Switchv_parallel.Shard
 module Ipc = Switchv_parallel.Ipc
@@ -384,6 +385,74 @@ let test_coverage_map_identical_across_jobs () =
   check_string "coverage map byte-identical jobs=1 vs jobs=4" (cov_text r1)
     (cov_text r4)
 
+(* --- the cap rule ------------------------------------------------------------------
+
+   [Campaign.run]'s budget rule: each shard counts from the parent's count
+   with the whole budget, and the merge truncates the in-order concatenation
+   to what the parent had left. So a capped data or fabric campaign keeps
+   the same incidents at any shard split and jobs count, and a one-shard
+   control run keeps its last batch whole. *)
+
+(* [run ~cap ~shards ~jobs] keeps exactly [cap] incidents, the same ones at
+   shards 1 and 4, with jobs 1 and 4. *)
+let cap_binds_at_every_split caps run =
+  List.iter
+    (fun cap ->
+      let reference = incident_json (run ~cap ~shards:1 ~jobs:1) in
+      check_int (Printf.sprintf "cap %d binds" cap) cap (List.length reference);
+      List.iter
+        (fun (shards, jobs) ->
+          check_string_list
+            (Printf.sprintf "cap %d: shards %d, jobs %d = shards 1, jobs 1" cap
+               shards jobs)
+            reference
+            (incident_json (run ~cap ~shards ~jobs)))
+        [ (1, 4); (4, 1); (4, 4) ])
+    caps
+
+let test_data_cap_any_split () =
+  let fault =
+    fault_where (function Fault.Syncd_drops_table _ -> true | _ -> false)
+  in
+  cap_binds_at_every_split [ 1; 3; 25 ] (fun ~cap ~shards ~jobs ->
+      fst
+        (Data_campaign.run ~jobs
+           (Stack.create ~faults:[ fault ] Middleblock.program)
+           { (Data_campaign.default_config entries) with max_incidents = cap; shards }))
+
+let test_fabric_cap_any_split () =
+  let program = Middleblock.program in
+  let topo = Topo.build Topo.Line 3 in
+  let faults =
+    Result.get_ok
+      (Catalogue.resolve program (Routes.entries topo program ~switch:1) [ "TOPO-001" ])
+  in
+  cap_binds_at_every_split [ 1; 3; 7 ] (fun ~cap ~shards ~jobs ->
+      fst
+        (Fabric_campaign.run ~jobs program
+           { (Fabric_campaign.default_config Topo.Line 3) with
+             Fabric_campaign.shards; max_incidents = cap; faults = [ (1, faults) ] }))
+
+(* [switchv fuzz --fault PINS-028] under the CLI defaults: the batch that
+   crosses the 25-incident cap brings 31 incidents of its own. *)
+let test_control_one_shard_keeps_overshoot () =
+  let program = Middleblock.program in
+  let entries = Workload.generate ~seed:1 program (Workload.scaled 0.1 Workload.inst1) in
+  let faults = Result.get_ok (Catalogue.resolve program entries [ "PINS-028" ]) in
+  let mk () = Stack.create ~faults program in
+  let config = { Control_campaign.default_config with batches = 10; seed = 1 } in
+  let sequential, _ = Control_campaign.run (mk ()) config in
+  check_int "cap" 25 config.max_incidents;
+  check_int "the last batch is kept whole" 41 (List.length sequential);
+  List.iter
+    (fun jobs ->
+      check_string_list
+        (Printf.sprintf "shards 1, jobs %d = Control_campaign.run" jobs)
+        (incident_json sequential)
+        (incident_json
+           (fst (Control_campaign.run_sharded ~jobs mk { config with shards = 1 }))))
+    [ 1; 4 ]
+
 (* --- the determinism matrix ----------------------------------------------------
 
    Every reference path the library keeps — the tree-walking interpreter
@@ -456,7 +525,7 @@ let fabric ~jobs =
   check_bool "TOPO-001: a fingerprint carries h=sw1" true (blamed "sw1");
   check_bool "TOPO-001: no fingerprint carries h=sw0 or h=sw2" false
     (blamed "sw0" || blamed "sw2");
-  let reps, clusters = Fabric_campaign.cluster incidents in
+  let reps, clusters = Report.cluster incidents in
   outcome ~faults
     { (Report.empty program.p_name) with
       Report.fabric_incidents = reps; fabric_stats = Some stats;
@@ -563,5 +632,12 @@ let () =
             test_harness_report_identical_across_jobs;
           Alcotest.test_case "coverage map" `Quick
             test_coverage_map_identical_across_jobs ] );
+      ( "cap rule",
+        [ Alcotest.test_case "data campaign at any split" `Quick
+            test_data_cap_any_split;
+          Alcotest.test_case "fabric campaign at any split" `Quick
+            test_fabric_cap_any_split;
+          Alcotest.test_case "one control shard keeps a batch whole" `Quick
+            test_control_one_shard_keeps_overshoot ] );
       ( "matrix",
         List.map (fun (name, f) -> Alcotest.test_case name `Quick f) matrix ) ]
