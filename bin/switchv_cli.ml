@@ -187,16 +187,6 @@ let shards_arg =
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K" ~doc)
 
-let no_greybox_arg =
-  let doc =
-    "Disable the coverage-guided greybox feedback loop: no probe packets \
-     after control batches, no coverage-novel corpus, uniform (blind) \
-     mutation scheduling, and no concretely-covered SMT goal skipping. \
-     Reproduces the pre-feedback fuzzer byte-identically at any \
-     $(b,--jobs)."
-  in
-  Arg.(value & flag & info [ "no-greybox" ] ~doc)
-
 (* Live exposition for a running validate: the three HTTP routes every
    scraper/operator tool needs. Coverage is recomputed per request from
    the ambient registry — counters absorbed from workers are already in
@@ -231,7 +221,7 @@ let exposition_routes tele program =
 
 let validate_cmd =
   let run program seed scale fault_ids batches cache_dir trace_file corpus_file
-      minimize jobs shards no_greybox metrics_port coverage_out progress =
+      minimize jobs shards metrics_port coverage_out progress =
     let* entries, faults, mk = faulted program ~scale ~seed fault_ids in
     let config =
       { (Harness.default_config entries) with
@@ -239,8 +229,7 @@ let validate_cmd =
         cache = Option.map Cache.on_disk cache_dir;
         triage = Some { Harness.default_triage with minimize };
         jobs;
-        data_shards = shards;
-        greybox = not no_greybox }
+        data_shards = shards }
     in
     let tele = Telemetry.get () in
     let server =
@@ -312,7 +301,7 @@ let validate_cmd =
       term_result' ~usage:false
         (const run $ model_arg $ seed_arg $ scale_arg $ faults_arg $ batches_arg
         $ cache_dir_arg $ trace_file_arg $ save_corpus_arg $ minimize_arg $ jobs_arg
-        $ shards_arg $ no_greybox_arg $ metrics_port_arg $ coverage_out_arg
+        $ shards_arg $ metrics_port_arg $ coverage_out_arg
         $ progress_arg))
 
 (* --- replay ---------------------------------------------------------------- *)
@@ -471,12 +460,11 @@ let fabric_cmd =
 (* --- fuzz ------------------------------------------------------------------- *)
 
 let fuzz_cmd =
-  let run program seed fault_ids batches no_greybox =
+  let run program seed fault_ids batches =
     let* _, _, mk = faulted program ~scale:0.1 ~seed fault_ids in
     let incidents, stats =
       Control_campaign.run (mk ())
-        { Control_campaign.default_config with
-          batches; seed; greybox = not no_greybox }
+        { Control_campaign.default_config with batches; seed }
     in
     Printf.printf "%d batches, %d updates (%d valid / %d invalid) in %.2fs\n"
       stats.cs_batches stats.cs_updates stats.cs_valid_updates stats.cs_invalid_updates
@@ -493,7 +481,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz" ~doc)
     Term.(
       term_result' ~usage:false
-        (const run $ model_arg $ seed_arg $ faults_arg $ batches_arg $ no_greybox_arg))
+        (const run $ model_arg $ seed_arg $ faults_arg $ batches_arg))
 
 (* --- genpackets ---------------------------------------------------------------- *)
 

@@ -27,11 +27,6 @@ type t = {
   exit_ : int;
 }
 
-let rec count_ifs = function
-  | Ast.C_nop | Ast.C_stmt _ | Ast.C_table _ -> 0
-  | Ast.C_seq (a, b) -> count_ifs a + count_ifs b
-  | Ast.C_if (_, a, b) -> 1 + count_ifs a + count_ifs b
-
 let build (program : Ast.program) =
   let nodes = ref [] in
   let count = ref 0 in
@@ -91,7 +86,7 @@ let build (program : Ast.program) =
         connect n succ;
         n.n_id
     | Ast.C_seq (a, b) ->
-        let b_entry = build_control where b succ (next + count_ifs a) in
+        let b_entry = build_control where b succ (next + Ast.count_ifs a) in
         build_control where a b_entry next
     | Ast.C_table name -> (
         match Ast.find_table program name with
@@ -108,7 +103,7 @@ let build (program : Ast.program) =
             tn.n_id)
     | Ast.C_if (cond, a, b) ->
         let then_entry = build_control where a succ (next + 1) in
-        let else_entry = build_control where b succ (next + 1 + count_ifs a) in
+        let else_entry = build_control where b succ (next + 1 + Ast.count_ifs a) in
         let n = mk where (N_cond (next, cond)) in
         (* Positional invariant: successor 0 is then, 1 is else — stored
            reversed here, like every in-construction successor list, so the
@@ -116,7 +111,7 @@ let build (program : Ast.program) =
         n.n_succ <- [ else_entry; then_entry ];
         n.n_id
   in
-  let ingress_ifs = count_ifs program.p_ingress in
+  let ingress_ifs = Ast.count_ifs program.p_ingress in
   let egress_entry = build_control "egress" program.p_egress exit_.n_id (1 + ingress_ifs) in
   let ingress_entry = build_control "ingress" program.p_ingress egress_entry 1 in
   connect accept ingress_entry;

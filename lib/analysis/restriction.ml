@@ -1,43 +1,13 @@
-module Ast = Switchv_p4ir.Ast
-module Constraint_lang = Switchv_p4constraints.Constraint_lang
+module P4info = Switchv_p4ir.P4info
 module Bdd = Switchv_p4constraints.Bdd
-
-(* Mirrors the fuzzer's table_bdd layout construction, but straight off
-   the AST table: the analysis runs before any P4info/fuzzer exists. *)
-let table_unsat program (t : Ast.table) =
-  match t.Ast.t_entry_restriction with
-  | None -> false
-  | Some c -> (
-      let names = Constraint_lang.keys c in
-      let layouts =
-        List.filter_map
-          (fun name ->
-            match Ast.find_key t name with
-            | Some ({ Ast.k_kind = Ast.Exact; _ } as k) ->
-                Some
-                  { Bdd.kl_name = name; kl_kind = Bdd.Exact;
-                    kl_width = Ast.key_width program t k }
-            | Some ({ Ast.k_kind = Ast.Optional; _ } as k) ->
-                Some
-                  { Bdd.kl_name = name; kl_kind = Bdd.Optional;
-                    kl_width = Ast.key_width program t k }
-            | Some ({ Ast.k_kind = Ast.Ternary; _ } as k) ->
-                Some
-                  { Bdd.kl_name = name; kl_kind = Bdd.Ternary;
-                    kl_width = Ast.key_width program t k }
-            | Some { Ast.k_kind = Ast.Lpm; _ } | None -> None)
-          names
-      in
-      if List.length layouts <> List.length names then false
-      else
-        match Bdd.compile layouts c with
-        | Ok compiled -> Bdd.model_count compiled = 0.
-        | Error _ -> false)
 
 let unsat_tables program =
   List.filter_map
-    (fun t -> if table_unsat program t then Some t.Ast.t_name else None)
-    program.Ast.p_tables
+    (fun (ti : P4info.table) ->
+      match P4info.restriction_bdd ti with
+      | Some compiled when Bdd.model_count compiled = 0. -> Some ti.ti_name
+      | _ -> None)
+    (P4info.of_program program).pi_tables
 
 let diagnose program =
   List.map

@@ -97,14 +97,8 @@ let transfer program ~extra (node : Cfg.node) fact =
    force-taints them (the [extra] map merged into every assignment of the
    next dataflow round) and records conditionals nested inside tainted
    regions — their path conditions cross a tainted branch even when their
-   own condition is clean. Branch ids follow the Symexec pre-order
-   numbering (incremented at each [C_if], ingress before egress, then-arm
-   before else-arm), matching {!Cfg} and the interpreter. *)
-
-let rec count_ifs = function
-  | Ast.C_nop | Ast.C_stmt _ | Ast.C_table _ -> 0
-  | Ast.C_seq (a, b) -> count_ifs a + count_ifs b
-  | Ast.C_if (_, a, b) -> 1 + count_ifs a + count_ifs b
+   own condition is clean. Branch ids follow {!Ast.count_ifs}'s pre-order
+   numbering, shared with Symexec, {!Cfg} and the evaluators. *)
 
 type scan = {
   mutable sc_extra : fact;
@@ -138,7 +132,7 @@ let region_scan program tainted_conds =
     | Ast.C_table name -> Option.iter (fun srcs -> table_in_region srcs name) ambient
     | Ast.C_seq (a, b) ->
         walk ambient next a;
-        walk ambient (next + count_ifs a) b
+        walk ambient (next + Ast.count_ifs a) b
     | Ast.C_if (_, a, b) ->
         let here = IMap.find_opt next tainted_conds in
         let ambient' =
@@ -153,10 +147,10 @@ let region_scan program tainted_conds =
           | Some s, Some t -> Some (SSet.union s t)
         in
         walk ambient' (next + 1) a;
-        walk ambient' (next + 1 + count_ifs a) b
+        walk ambient' (next + 1 + Ast.count_ifs a) b
   in
   walk None 1 program.Ast.p_ingress;
-  walk None (1 + count_ifs program.Ast.p_ingress) program.Ast.p_egress;
+  walk None (1 + Ast.count_ifs program.Ast.p_ingress) program.Ast.p_egress;
   sc
 
 (* --- summary -------------------------------------------------------------- *)

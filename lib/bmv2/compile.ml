@@ -1,17 +1,19 @@
 (* Staged evaluator: a one-time compilation pass that turns each parser
    state, expression, action, table and pipeline of a P4 model into OCaml
-   closures, replacing {!Interp}'s per-packet AST walk. The API mirrors
-   [Interp] ([run] / [run_info] / [run_packet_out] / [enumerate_behaviors])
-   and is behavior-identical by construction:
+   closures, replacing {!Interp}'s per-packet AST walk. It only stages:
+   [stage] returns an [Interp.pipeline], and the entry points around it
+   ([Interp.run_with], [run_info_with], [run_packet_out_with],
+   [behavior_set]) are the interpreter's own. Behavior-identical by
+   construction:
 
-   - the per-packet runtime state is [Interp.rt] itself, built by
-     [Interp.fresh_rt] and finished by [Interp.finish], so deparsing,
-     drop/punt/mirror resolution and trace assembly share the reference
+   - the per-packet runtime state is [Interp.rt] itself, and the shared
+     entry points build and finish it, so metadata setup, deparsing,
+     drop/punt/mirror resolution and trace assembly are the reference
      code path;
    - coverage counters are emitted with the same keys — branch ids are
-     baked at staging with the identical pre-order numbering
-     [Interp.exec_control] / [Interp.count_ifs] use, and action-edge keys
-     are memoized strings equal to [Interp.cov_action]'s — so greybox
+     baked at staging with {!Ast.count_ifs}'s pre-order numbering, which
+     [Interp.exec_control] uses too, and action-edge keys are memoized
+     strings equal to [Interp.cov_action]'s — so greybox
      scheduling, taint accounting and the coverage map observe nothing
      different;
    - hash calls go through [Interp.hash_value] on the shared [rt], so
@@ -27,7 +29,6 @@
    test/test_match.ml drives both evaluators differentially. *)
 
 module Bitvec = Switchv_bitvec.Bitvec
-module Packet = Switchv_packet.Packet
 module Header = Switchv_packet.Header
 module Ast = Switchv_p4ir.Ast
 module Entry = Switchv_p4runtime.Entry
@@ -182,12 +183,6 @@ type ctable = {
   ct_hit_cov : (string, string) Hashtbl.t;          (* action -> memoized key *)
 }
 
-type staged = {
-  st_parse : Interp.rt -> string -> unit;
-  st_ingress : Interp.rt -> unit;
-  st_egress : Interp.rt -> unit;
-}
-
 let hit_cov ct aname =
   match Hashtbl.find_opt ct.ct_hit_cov aname with
   | Some k -> k
@@ -290,9 +285,8 @@ let apply_ctable ctx actions selector_inputs ct rt =
 
 (* --- controls -------------------------------------------------------------- *)
 
-(* Branch ids are baked at staging with the pre-order numbering of
-   [Interp.exec_control] (incremented at each C_if, then-arm before
-   else-arm), so cov.branch.N.* counters line up with Symexec goals. *)
+(* Branch ids are baked at staging in {!Ast.count_ifs}'s pre-order
+   numbering, so cov.branch.N.* counters line up with Symexec goals. *)
 let rec ccontrol ctx actions tables selector_inputs next (c : Ast.control) :
     Interp.rt -> unit =
   match c with
@@ -303,7 +297,7 @@ let rec ccontrol ctx actions tables selector_inputs next (c : Ast.control) :
   | C_seq (a, b) ->
       let ca = ccontrol ctx actions tables selector_inputs next a in
       let cb =
-        ccontrol ctx actions tables selector_inputs (next + Interp.count_ifs a) b
+        ccontrol ctx actions tables selector_inputs (next + Ast.count_ifs a) b
       in
       fun rt ->
         ca rt;
@@ -320,7 +314,7 @@ let rec ccontrol ctx actions tables selector_inputs next (c : Ast.control) :
       let ke = "cov.branch." ^ string_of_int next ^ ".else" in
       let ca = ccontrol ctx actions tables selector_inputs (next + 1) a in
       let cb =
-        ccontrol ctx actions tables selector_inputs (next + 1 + Interp.count_ifs a) b
+        ccontrol ctx actions tables selector_inputs (next + 1 + Ast.count_ifs a) b
       in
       fun rt ->
         let taken = cc rt [||] in
@@ -424,18 +418,18 @@ let build program =
       if not (Hashtbl.mem tables t.t_name) then Hashtbl.add tables t.t_name (ctable ctx t))
     program.p_tables;
   let selector_inputs = cselector_inputs program in
-  { st_parse = cparse ctx;
-    st_ingress = ccontrol ctx actions tables selector_inputs 1 program.p_ingress;
-    st_egress =
+  { Interp.parse = cparse ctx;
+    ingress = ccontrol ctx actions tables selector_inputs 1 program.p_ingress;
+    egress =
       ccontrol ctx actions tables selector_inputs
-        (1 + Interp.count_ifs program.p_ingress)
+        (1 + Ast.count_ifs program.p_ingress)
         program.p_egress }
 
 (* Staged pipelines are memoized per program by physical equality with a
    small bound, like [Coverage.edge_keys]: campaigns reuse a handful of
    long-lived program values, so the cache is effectively a per-program
    one-time cost. *)
-let cache : (Ast.program * staged) list ref = ref []
+let cache : (Ast.program * Interp.pipeline) list ref = ref []
 let cache_bound = 8
 
 let stage program =
@@ -446,56 +440,6 @@ let stage program =
       cache := (program, s) :: List.filteri (fun i _ -> i < cache_bound - 1) !cache;
       s
 
-(* --- top level -------------------------------------------------------------- *)
-
-let run_rt (cfg : Interp.config) ~ingress_port bytes =
-  let s = stage cfg.Interp.program in
-  let rt = Interp.fresh_rt cfg in
-  Interp.write_field rt (Ast.std "ingress_port") (Bitvec.of_int ~width:16 ingress_port);
-  s.st_parse rt bytes;
-  s.st_ingress rt;
-  s.st_egress rt;
-  rt
-
-let run cfg ~ingress_port bytes = Interp.finish (run_rt cfg ~ingress_port bytes)
-
-let run_info cfg ~ingress_port bytes =
-  let rt = run_rt cfg ~ingress_port bytes in
-  { Interp.ri_behavior = Interp.finish rt;
-    ri_hash_calls = rt.Interp.hash_calls;
-    ri_valid =
-      List.filter_map
-        (fun (h : Header.t) ->
-          if Interp.is_valid rt h.Header.name then Some h.Header.name else None)
-        cfg.Interp.program.p_headers }
-
-let run_packet cfg ~ingress_port packet = run cfg ~ingress_port (Packet.to_bytes packet)
-
-let run_packet_out (cfg : Interp.config) ~egress_port packet =
-  match egress_port with
-  | Some port ->
-      { Interp.b_egress = Some port;
-        b_punted = false;
-        b_mirrors = [];
-        b_packet = Packet.to_bytes packet;
-        b_trace = [ ("<packet-out>", "direct") ] }
-  | None ->
-      let s = stage cfg.Interp.program in
-      let rt = Interp.fresh_rt cfg in
-      Interp.write_field rt (Ast.std "submit_to_ingress") (Bitvec.of_int ~width:1 1);
-      s.st_parse rt (Packet.to_bytes packet);
-      s.st_ingress rt;
-      s.st_egress rt;
-      Interp.finish rt
-
-let enumerate_behaviors ?(max_rounds = 32) cfg ~ingress_port bytes =
-  let rounds = min max_rounds (Interp.hash_rounds cfg) in
-  let rec go round acc =
-    if round >= rounds then List.rev acc
-    else begin
-      let b = run { cfg with Interp.hash_mode = Interp.Fixed round } ~ingress_port bytes in
-      if List.exists (Interp.behavior_equal b) acc then go (round + 1) acc
-      else go (round + 1) (b :: acc)
-    end
-  in
-  go 0 []
+let run = Interp.run_with stage
+let run_packet_out = Interp.run_packet_out_with stage
+let select ~compile = if compile then stage else Interp.walk

@@ -338,27 +338,21 @@ let apply_table rt table_name =
       cov_action table_name ~hit:false dname;
       exec_action rt action dargs
 
-let rec count_ifs = function
-  | Ast.C_nop | Ast.C_stmt _ | Ast.C_table _ -> 0
-  | Ast.C_seq (a, b) -> count_ifs a + count_ifs b
-  | Ast.C_if (_, a, b) -> 1 + count_ifs a + count_ifs b
-
-(* [next] is the branch id of the first [C_if] in execution order — the
-   same pre-order numbering [Symexec.exec_control] and [Cfg.build] use
-   (incremented at each [C_if], then-arm before else-arm, ingress before
-   egress), so coverage counters line up with symbolic branch goals. *)
+(* [next] is the branch id of the first [C_if] in execution order, in
+   {!Ast.count_ifs}'s pre-order numbering, so coverage counters line up
+   with symbolic branch goals. *)
 let rec exec_control rt next = function
   | Ast.C_nop -> ()
   | Ast.C_stmt s -> exec_stmt rt [] s
   | Ast.C_seq (a, b) ->
       exec_control rt next a;
-      exec_control rt (next + count_ifs a) b
+      exec_control rt (next + Ast.count_ifs a) b
   | Ast.C_table name -> apply_table rt name
   | Ast.C_if (cond, a, b) ->
       let taken = eval_bexpr rt [] cond in
       cov_branch next taken;
       if taken then exec_control rt (next + 1) a
-      else exec_control rt (next + 1 + count_ifs a) b
+      else exec_control rt (next + 1 + Ast.count_ifs a) b
 
 (* --- top level ------------------------------------------------------------ *)
 
@@ -401,15 +395,42 @@ let finish rt =
     b_packet = out_bytes;
     b_trace = List.rev rt.trace }
 
-let run_rt cfg ~ingress_port bytes =
+(* --- evaluators and entry points -------------------------------------------
+
+   An evaluator supplies one packet's stages for a program; everything
+   around them (metadata setup, finishing, run info, packet-out, the hash
+   rounds) is written once here, for the AST walk below and for
+   {!Compile}'s staged closures alike. *)
+
+type pipeline = {
+  parse : rt -> string -> unit;
+  ingress : rt -> unit;
+  egress : rt -> unit;
+}
+
+type evaluator = Ast.program -> pipeline
+
+let walk (p : Ast.program) =
+  let egress_base = 1 + Ast.count_ifs p.p_ingress in
+  { parse = parse_packet;
+    ingress = (fun rt -> exec_control rt 1 p.p_ingress);
+    egress = (fun rt -> exec_control rt egress_base p.p_egress) }
+
+(* One packet through the pipeline, after setting the standard metadata
+   field that says how it arrived. *)
+let exec eval cfg (field, value) bytes =
+  let p = eval cfg.program in
   let rt = fresh_rt cfg in
-  write_field rt (Ast.std "ingress_port") (Bitvec.of_int ~width:16 ingress_port);
-  parse_packet rt bytes;
-  exec_control rt 1 cfg.program.p_ingress;
-  exec_control rt (1 + count_ifs cfg.program.p_ingress) cfg.program.p_egress;
+  write_field rt (Ast.std field) value;
+  p.parse rt bytes;
+  p.ingress rt;
+  p.egress rt;
   rt
 
-let run cfg ~ingress_port bytes = finish (run_rt cfg ~ingress_port bytes)
+let arrival ingress_port = ("ingress_port", Bitvec.of_int ~width:16 ingress_port)
+
+let run_with eval cfg ~ingress_port bytes =
+  finish (exec eval cfg (arrival ingress_port) bytes)
 
 type run_info = {
   ri_behavior : behavior;
@@ -417,8 +438,8 @@ type run_info = {
   ri_valid : string list;
 }
 
-let run_info cfg ~ingress_port bytes =
-  let rt = run_rt cfg ~ingress_port bytes in
+let run_info_with eval cfg ~ingress_port bytes =
+  let rt = exec eval cfg (arrival ingress_port) bytes in
   { ri_behavior = finish rt;
     ri_hash_calls = rt.hash_calls;
     ri_valid =
@@ -426,9 +447,7 @@ let run_info cfg ~ingress_port bytes =
         (fun (h : Header.t) -> if is_valid rt h.name then Some h.name else None)
         cfg.program.p_headers }
 
-let run_packet cfg ~ingress_port packet = run cfg ~ingress_port (Packet.to_bytes packet)
-
-let run_packet_out cfg ~egress_port packet =
+let run_packet_out_with eval cfg ~egress_port packet =
   match egress_port with
   | Some port ->
       { b_egress = Some port;
@@ -437,42 +456,39 @@ let run_packet_out cfg ~egress_port packet =
         b_packet = Packet.to_bytes packet;
         b_trace = [ ("<packet-out>", "direct") ] }
   | None ->
-      let rt = fresh_rt cfg in
-      write_field rt (Ast.std "submit_to_ingress") (Bitvec.of_int ~width:1 1);
-      parse_packet rt (Packet.to_bytes packet);
-      exec_control rt 1 cfg.program.p_ingress;
-      exec_control rt (1 + count_ifs cfg.program.p_ingress) cfg.program.p_egress;
-      finish rt
+      finish
+        (exec eval cfg
+           ("submit_to_ingress", Bitvec.of_int ~width:1 1)
+           (Packet.to_bytes packet))
+
+let run = run_with walk
+let run_packet cfg ~ingress_port packet = run cfg ~ingress_port (Packet.to_bytes packet)
+let run_packet_out = run_packet_out_with walk
 
 (* Hash outcomes worth distinguishing: Fixed h selects WCMP bucket
    [h mod total_weight], so rounds 0 .. max_total_weight - 1 reach every
    member of every group. *)
 let hash_rounds cfg =
-  let max_total =
-    List.fold_left
-      (fun acc (t : Ast.table) ->
-        if not t.t_selector then acc
-        else
-          List.fold_left
-            (fun acc (e : Entry.t) ->
-              match e.e_action with
-              | Entry.Weighted members ->
-                  max acc (List.fold_left (fun s (_, w) -> s + w) 0 members)
-              | Entry.Single _ -> acc)
-            acc
-            (State.entries_of cfg.state t.t_name))
-      1 cfg.program.p_tables
-  in
-  max_total
+  List.fold_left
+    (fun acc (t : Ast.table) ->
+      if not t.t_selector then acc
+      else
+        List.fold_left
+          (fun acc (e : Entry.t) ->
+            match e.e_action with
+            | Entry.Weighted members ->
+                max acc (List.fold_left (fun s (_, w) -> s + w) 0 members)
+            | Entry.Single _ -> acc)
+          acc
+          (State.entries_of cfg.state t.t_name))
+    1 cfg.program.p_tables
 
-let enumerate_behaviors ?(max_rounds = 32) cfg ~ingress_port bytes =
+let behavior_set ?(max_rounds = 32) cfg run =
   let rounds = min max_rounds (hash_rounds cfg) in
   let rec go round acc =
     if round >= rounds then List.rev acc
-    else begin
-      let b = run { cfg with hash_mode = Fixed round } ~ingress_port bytes in
-      if List.exists (behavior_equal b) acc then go (round + 1) acc
-      else go (round + 1) (b :: acc)
-    end
+    else
+      let b = run { cfg with hash_mode = Fixed round } in
+      go (round + 1) (if List.exists (behavior_equal b) acc then acc else b :: acc)
   in
   go 0 []

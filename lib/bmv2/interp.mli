@@ -10,8 +10,8 @@
     of one-shot WCMP tables) are pluggable. [Seeded] mode computes a real
     (FNV-based) hash — what a switch might do. [Fixed n] makes every hash
     evaluate to [n] — the building block for round-robin behaviour-set
-    enumeration (§5 "Hashing"): run with [Fixed 0], [Fixed 1], ... until
-    the behaviour set stops growing. *)
+    enumeration (§5 "Hashing"): {!behavior_set} runs [Fixed 0],
+    [Fixed 1], ... until every WCMP member has been reachable. *)
 
 module Bitvec = Switchv_bitvec.Bitvec
 module Packet = Switchv_packet.Packet
@@ -57,35 +57,6 @@ exception Parse_failure of string
     (truncated packet, or no transition matches and the default leads
     nowhere). *)
 
-val run : config -> ingress_port:int -> string -> behavior
-(** Process raw wire bytes arriving on [ingress_port]. *)
-
-(** {!run} plus the execution facts a set-valued oracle needs: whether the
-    run consulted a hash at all (if not, the behaviour is deterministic
-    and needs no enumeration), and which headers were valid at deparse
-    (the wire-format layout, for masked byte comparison). *)
-type run_info = {
-  ri_behavior : behavior;
-  ri_hash_calls : int;    (** hash applications during the run *)
-  ri_valid : string list; (** valid headers at deparse, in wire order *)
-}
-
-val run_info : config -> ingress_port:int -> string -> run_info
-
-val run_packet : config -> ingress_port:int -> Packet.t -> behavior
-(** Convenience: serialises the packet first. *)
-
-val run_packet_out :
-  config -> egress_port:int option -> Packet.t -> behavior
-(** Controller packet-out: [Some port] bypasses the pipeline and emits
-    directly; [None] submits to ingress (sets [std.submit_to_ingress]). *)
-
-val enumerate_behaviors :
-  ?max_rounds:int -> config -> ingress_port:int -> string -> behavior list
-(** Round-robin over hash outcomes until the behaviour set stops growing
-    (or [max_rounds], default 32): the set of possible behaviours of a
-    non-deterministic program on this packet. *)
-
 val ordered_entries : Ast.table -> Entry.t list -> Entry.t list
 (** The table's entries in match-precedence order (priority descending for
     ternary/optional tables, LPM specificity descending otherwise, with
@@ -93,16 +64,13 @@ val ordered_entries : Ast.table -> Entry.t list -> Entry.t list
     matches hold wins. Shared with p4-symbolic so that the reference
     interpreter and the symbolic encoding agree on tie-breaking. *)
 
-val hash_rounds : config -> int
-(** The number of distinct [Fixed] hash rounds needed to reach every WCMP
-    member of every installed group (the maximum total weight). *)
-
 (** {2 Evaluator internals}
 
-    Shared with the staged evaluator ({!Compile}), which reuses the
-    interpreter's per-packet runtime state, finishing logic and coverage
-    emission so the two are behavior-identical by construction; also used
-    by differential tests as the linear-scan reference. *)
+    The per-packet runtime state and the pieces of the AST walk the staged
+    evaluator ({!Compile}) shares: field access, hash accounting and
+    coverage emission, so the two are behavior-identical by construction.
+    Differential tests also use {!entry_matches} as the linear-scan
+    reference. *)
 
 (** Mutable per-packet execution state. *)
 type rt = {
@@ -124,14 +92,6 @@ val is_valid : rt -> string -> bool
 val hash_value : rt -> Bitvec.t list -> int
 (** Apply the configured hash, counting the call in [hash_calls]. *)
 
-val fresh_rt : config -> rt
-(** A runtime with standard and user metadata zeroed. *)
-
-val finish : rt -> behavior
-(** Deparse and resolve drop/punt/mirror into a behavior. *)
-
-val count_ifs : Ast.control -> int
-
 val apply_table : rt -> string -> unit
 (** Reference table application (linear scan), including trace and
     coverage-counter emission. *)
@@ -139,3 +99,64 @@ val apply_table : rt -> string -> unit
 val entry_matches : Ast.table -> (string * Bitvec.t) list -> Entry.t -> bool
 (** Do the entry's field matches hold for the given key values? Omitted
     keys are wildcards. *)
+
+(** {2 Evaluators and entry points}
+
+    An evaluator supplies one packet's three stages for a program: the
+    AST walk ({!walk}) or {!Compile}'s staged closures
+    ({!Compile.stage}). Every entry point below is written once over that
+    split, so the two evaluators differ only in how a stage runs. *)
+
+type pipeline = {
+  parse : rt -> string -> unit;
+      (** extract headers and the payload, or raise {!Parse_failure} *)
+  ingress : rt -> unit;
+  egress : rt -> unit;
+}
+
+type evaluator = Ast.program -> pipeline
+
+val walk : evaluator
+(** The interpreter: walks the program's AST for every packet, scanning
+    table entries linearly. *)
+
+val run_with : evaluator -> config -> ingress_port:int -> string -> behavior
+(** Process raw wire bytes arriving on [ingress_port]. *)
+
+(** {!run_with} plus the execution facts a set-valued oracle needs:
+    whether the run consulted a hash at all (if not, the behaviour is
+    deterministic and needs no enumeration), and which headers were valid
+    at deparse (the wire-format layout, for masked byte comparison). *)
+type run_info = {
+  ri_behavior : behavior;
+  ri_hash_calls : int;    (** hash applications during the run *)
+  ri_valid : string list; (** valid headers at deparse, in wire order *)
+}
+
+val run_info_with : evaluator -> config -> ingress_port:int -> string -> run_info
+
+val run_packet_out_with :
+  evaluator -> config -> egress_port:int option -> Packet.t -> behavior
+(** Controller packet-out: [Some port] bypasses the pipeline and emits
+    directly; [None] submits to ingress (sets [std.submit_to_ingress]). *)
+
+val run : config -> ingress_port:int -> string -> behavior
+(** [run_with walk]. *)
+
+val run_packet : config -> ingress_port:int -> Packet.t -> behavior
+(** {!run} on the serialised packet. *)
+
+val run_packet_out : config -> egress_port:int option -> Packet.t -> behavior
+(** [run_packet_out_with walk]. *)
+
+val hash_rounds : config -> int
+(** The number of distinct [Fixed] hash rounds needed to reach every WCMP
+    member of every installed group (the maximum total weight). *)
+
+val behavior_set : ?max_rounds:int -> config -> (config -> behavior) -> behavior list
+(** [behavior_set cfg run] is the round-robin over hash outcomes (§5
+    "Hashing"): [run] under [Fixed 0], [Fixed 1], … for {!hash_rounds}
+    rounds (at most [max_rounds], default 32), keeping each distinct
+    behaviour once in first-seen order, so round 0's comes first. It is
+    the set of possible behaviours of a non-deterministic program on one
+    input. *)

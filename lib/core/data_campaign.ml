@@ -3,13 +3,10 @@ module Greybox = Switchv_fuzzer.Greybox
 module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
-module State = Switchv_p4runtime.State
 module Interp = Switchv_bmv2.Interp
-module Compile = Switchv_bmv2.Compile
 module Symexec = Switchv_symbolic.Symexec
 module Packetgen = Switchv_symbolic.Packetgen
 module Cache = Switchv_symbolic.Cache
-module Workload = Switchv_sai.Workload
 module Packet = Switchv_packet.Packet
 module Term = Switchv_smt.Term
 module Telemetry = Switchv_telemetry.Telemetry
@@ -122,29 +119,6 @@ let install stack entries add_incident =
         updates resp.statuses)
     (Request.insert_batches entries);
   !installed
-
-let behavior_set_packet_out ?(compile = true) model_cfg po =
-  (* Enumerate hash outcomes for submit-to-ingress processing. *)
-  let rounds = min 32 (Interp.hash_rounds model_cfg) in
-  let runner = if compile then Compile.run_packet_out else Interp.run_packet_out in
-  let rec go round acc =
-    if round >= rounds then List.rev acc
-    else begin
-      let b =
-        runner { model_cfg with Interp.hash_mode = Interp.Fixed round }
-          ~egress_port:po.Request.po_egress_port po.Request.po_payload
-      in
-      if List.exists (Interp.behavior_equal b) acc then go (round + 1) acc
-      else go (round + 1) (b :: acc)
-    end
-  in
-  go 0 []
-
-let model_config program entries =
-  let state = State.create () in
-  List.iter (fun e -> ignore (State.insert state e)) entries;
-  { Interp.program; state; hash_mode = Interp.Fixed 0;
-    mirror_map = Workload.mirror_map entries }
 
 (* --- goal slices -----------------------------------------------------------
 
@@ -261,7 +235,7 @@ let run ?jobs stack config =
   (* The reference model runs over the intended entry set regardless of
      what the switch accepted: a rejected entry is already an incident, and
      the paper's simulator is configured with the full replay. *)
-  let model_cfg = model_config (Stack.program stack) config.entries in
+  let model_cfg = Dataplane.model (Stack.program stack) config.entries in
   (* Generation prelude — encoding, goal construction, static pruning — runs
      once in the parent; forked workers inherit the result copy-on-write. *)
   let prep_start = Telemetry.Clock.now () in
@@ -380,25 +354,29 @@ let run ?jobs stack config =
       | Some dst -> Packet.set base ~header:"ipv4" ~field:"dst_addr" dst
       | None -> base
     in
+    (* No reproducers: packet-out payloads are structured [Packet.t]
+       values with no byte-level parser to rebuild them from. *)
+    let judge egress_port =
+      let po = { Request.po_payload = payload; po_egress_port = egress_port } in
+      let switch = Stack.packet_out stack po in
+      (switch, fst (Dataplane.judge_packet_out oracle po ~switch))
+    in
     List.iter
       (fun port ->
-        let po = { Request.po_payload = payload; po_egress_port = Some port } in
-        let b = Stack.packet_out stack po in
-        if b.Interp.b_egress <> Some port || b.Interp.b_punted then
-          (* No reproducer: packet-out payloads are structured [Packet.t]
-             values with no byte-level parser to rebuild them from. *)
-          Campaign.add sink "packet-out divergence"
-            ~context:(Report.context ~goal:(Printf.sprintf "packet-out:port:%d" port) ())
-            (Format.asprintf "packet-out to port %d behaved %a" port Interp.pp_behavior b))
+        match judge (Some port) with
+        | _, Dataplane.Admitted -> ()
+        | b, Dataplane.Diverged _ ->
+            Campaign.add sink "packet-out divergence"
+              ~context:(Report.context ~goal:(Printf.sprintf "packet-out:port:%d" port) ())
+              (Format.asprintf "packet-out to port %d behaved %a" port Interp.pp_behavior b))
       config.ports;
-    let po = { Request.po_payload = payload; po_egress_port = None } in
-    let switch_b = Stack.packet_out stack po in
-    let model_bs = behavior_set_packet_out ~compile:config.compile model_cfg po in
-    if not (List.exists (Interp.behavior_equal switch_b) model_bs) then
-      Campaign.add sink "submit-to-ingress divergence"
-        ~context:(Report.context ~goal:"packet-out:submit" ())
-        (Format.asprintf "switch behaved %a, model admits %a" Interp.pp_behavior switch_b
-           Interp.pp_behavior_set model_bs)
+    match judge None with
+    | _, Dataplane.Admitted -> ()
+    | switch_b, Dataplane.Diverged model_bs ->
+        Campaign.add sink "submit-to-ingress divergence"
+          ~context:(Report.context ~goal:"packet-out:submit" ())
+          (Format.asprintf "switch behaved %a, model admits %a" Interp.pp_behavior switch_b
+             Interp.pp_behavior_set model_bs)
   end);
   let total = Campaign.total totals in
   let n name = int_of_float (total name) in

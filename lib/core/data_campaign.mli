@@ -105,11 +105,6 @@ val install :
     the entries the switch had accepted before it (a reproducer prefix)
     and a status message. Returns the number of entries installed. *)
 
-val model_config :
-  Switchv_p4ir.Ast.program -> Entry.t list -> Switchv_bmv2.Interp.config
-(** The reference model over the intended entry set (whatever the switch
-    accepted), hash outcome [Fixed 0], mirror sessions from the entries. *)
-
 val exploratory_goals : Switchv_symbolic.Symexec.encoding -> Packetgen.goal list
 (** Canned tester assertions beyond entry coverage: unusual ether types
     (LLDP, LACP, ARP, VLAN), TTL boundary values, punt/drop outcomes —

@@ -5,7 +5,6 @@ module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
 module Interp = Switchv_bmv2.Interp
-module Compile = Switchv_bmv2.Compile
 module Packet = Switchv_packet.Packet
 module Telemetry = Switchv_telemetry.Telemetry
 module Repro = Switchv_triage.Repro
@@ -152,7 +151,6 @@ type env = {
   e_stacks : Stack.t array;
   e_stack_nodes : Fabric.node array;
   e_model_nodes : Fabric.node array;
-  e_model_cfgs : Interp.config array;
   e_oracles : Dataplane.t array;
   e_entries_for : Entry.t list array;
   e_budget : int;
@@ -173,7 +171,7 @@ type tally = {
 let test_flow env ~tele sink tally fl =
   Telemetry.incr tele "topo.flows";
   let budget = env.e_budget in
-  let model_trace, switch_trace, po_ref =
+  let model_trace, switch_trace, po_verdict =
     match fl.fl_inject with
     | Edge { in_switch; in_bytes } ->
         ( Fabric.forward ~budget env.e_topo env.e_model_nodes ~switch:in_switch
@@ -183,16 +181,15 @@ let test_flow env ~tele sink tally fl =
           None )
     | Po { in_switch; in_po } ->
         let bytes = Packet.to_bytes in_po.Request.po_payload in
-        let model_b =
-          Compile.run_packet_out env.e_model_cfgs.(in_switch)
-            ~egress_port:in_po.Request.po_egress_port in_po.Request.po_payload
-        in
         let switch_b = Stack.packet_out env.e_stacks.(in_switch) in_po in
+        let verdict, model_b =
+          Dataplane.judge_packet_out env.e_oracles.(in_switch) in_po ~switch:switch_b
+        in
         ( Fabric.forward_from ~budget env.e_topo env.e_model_nodes
             ~switch:in_switch ~ingress_port:0 ~bytes model_b,
           Fabric.forward_from ~budget env.e_topo env.e_stack_nodes
             ~switch:in_switch ~ingress_port:0 ~bytes switch_b,
-          Some model_b )
+          Some verdict )
   in
   let hop_list = switch_trace.Fabric.t_hops in
   Telemetry.incr ~n:(List.length hop_list) tele "topo.hops";
@@ -216,12 +213,12 @@ let test_flow env ~tele sink tally fl =
      input bytes, so a hop downstream of a perturbation is judged against
      what the model would do with the perturbed packet — only the
      introducing switch diverges. The first hop of a packet-out is
-     processed by [run_packet_out], not ingress, so it is excluded here
-     and compared against the precomputed reference behaviour instead. *)
+     processed as a packet-out, not by ingress, so it is excluded here:
+     [judge_packet_out] already judged it. *)
   let judged =
     List.mapi
       (fun idx (h : Fabric.hop) ->
-        if idx = 0 && po_ref <> None then None
+        if idx = 0 && po_verdict <> None then None
         else
           match
             Dataplane.judge_info
@@ -236,10 +233,8 @@ let test_flow env ~tele sink tally fl =
       hop_list
   in
   let po_div =
-    match (po_ref, hop_list) with
-    | Some model_b, h0 :: _
-      when not (Interp.behavior_equal h0.Fabric.h_behavior model_b) ->
-        Some (h0, [ model_b ])
+    match (po_verdict, hop_list) with
+    | Some (Dataplane.Diverged bs), h0 :: _ -> Some (h0, bs)
     | _ -> None
   in
   let hop_div =
@@ -391,7 +386,7 @@ let run ?jobs program cfg =
   in
   (* The reference fabric runs over the intended entry sets regardless of
      what each switch accepted — a rejection is already an incident. *)
-  let model_cfgs = Array.map (Data_campaign.model_config program) entries_for in
+  let model_cfgs = Array.map (Dataplane.model program) entries_for in
   let taint =
     (Switchv_analysis.Analysis.facts ~check_restrictions:false program)
       .Switchv_analysis.Analysis.f_taint
@@ -403,7 +398,6 @@ let run ?jobs program cfg =
       e_stacks = stacks;
       e_stack_nodes = Array.init n (fun s -> Fabric.stack_node s stacks.(s));
       e_model_nodes = Array.mapi Fabric.model_node model_cfgs;
-      e_model_cfgs = model_cfgs;
       e_oracles = oracles;
       e_entries_for = entries_for;
       e_budget =

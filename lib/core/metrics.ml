@@ -1,14 +1,13 @@
 module Stack = Switchv_switch.Stack
 module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
-module Status = Switchv_p4runtime.Status
-module State = Switchv_p4runtime.State
 module Fuzzer = Switchv_fuzzer.Fuzzer
 module Oracle = Switchv_oracle.Oracle
+module Dataplane = Switchv_oracle.Dataplane
+module Taint = Switchv_analysis.Taint
 module Interp = Switchv_bmv2.Interp
 module Symexec = Switchv_symbolic.Symexec
 module Packetgen = Switchv_symbolic.Packetgen
-module Workload = Switchv_sai.Workload
 module Rng = Switchv_bitvec.Rng
 module Term = Switchv_smt.Term
 
@@ -74,13 +73,9 @@ let collect ?(batches = 10) ?(seed = 3) mk_stack entries =
       update e.Entry.e_table (fun m -> { m with tm_entries = m.tm_entries + 1 });
       ignore (Stack.write stack { Request.updates = [ Request.insert e ] }))
     entries;
-  let model_state = State.create () in
-  List.iter (fun e -> ignore (State.insert model_state e)) entries;
-  let model_cfg =
-    { Interp.program = Stack.program stack;
-      state = model_state;
-      hash_mode = Interp.Fixed 0;
-      mirror_map = Workload.mirror_map entries }
+  let oracle =
+    Dataplane.create (Dataplane.model (Stack.program stack) entries)
+      ~taint:Taint.empty
   in
   let encoding = Symexec.encode (Stack.program stack) entries in
   let prefer = Term.not_ encoding.enc_dropped in
@@ -102,10 +97,10 @@ let collect ?(batches = 10) ?(seed = 3) mk_stack entries =
           | None -> ()
           | Some bytes ->
               let behaved =
-                let switch_b = Stack.inject stack ~ingress_port:tp.tp_port bytes in
-                match Interp.enumerate_behaviors model_cfg ~ingress_port:tp.tp_port bytes with
-                | model_bs -> List.exists (Interp.behavior_equal switch_b) model_bs
-                | exception Interp.Parse_failure _ -> false
+                let switch = Stack.inject stack ~ingress_port:tp.tp_port bytes in
+                match Dataplane.judge oracle ~ingress_port:tp.tp_port ~bytes ~switch with
+                | Dataplane.Admitted -> true
+                | Dataplane.Diverged _ | (exception Interp.Parse_failure _) -> false
               in
               update table (fun m ->
                   { m with

@@ -161,8 +161,8 @@ let pp fmt t =
       Format.fprintf fmt
         "control plane: %d batches, %d updates (%d valid / %d invalid) in %.2fs@,"
         s.cs_batches s.cs_updates s.cs_valid_updates s.cs_invalid_updates s.cs_duration;
-      (* Only with the feedback loop on: --no-greybox reports stay
-         byte-identical to the pre-greybox format. *)
+      (* Only with the feedback loop on: a [greybox = false] campaign's
+         report stays byte-identical to the pre-greybox format. *)
       if s.cs_novel_edges > 0 || s.cs_corpus_seeds > 0 then
         Format.fprintf fmt "greybox: %d novel edges, %d corpus seeds@,"
           s.cs_novel_edges s.cs_corpus_seeds

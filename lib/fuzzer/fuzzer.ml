@@ -8,7 +8,6 @@ module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
 module State = Switchv_p4runtime.State
 module Validate = Switchv_p4runtime.Validate
-module Constraint_lang = Switchv_p4constraints.Constraint_lang
 module Bdd = Switchv_p4constraints.Bdd
 
 type config = {
@@ -50,36 +49,14 @@ let create ?(config = default_config) ?greybox info rng =
     dead = Hashtbl.create 8; greybox; keyed_slots = Hashtbl.create 64;
     deletable_slots = Hashtbl.create 64 }
 
-(* Compile a table's entry restriction to a BDD over the bits of the keys
-   it references (§7). Unsupported shapes (LPM keys, ::prefix_length)
-   yield None and callers fall back to heuristics. *)
+(* The table's compiled entry restriction (§7), memoized per table.
+   Unsupported shapes (LPM keys, ::prefix_length) yield None and callers
+   fall back to heuristics. *)
 let table_bdd t (ti : P4info.table) =
   match Hashtbl.find_opt t.bdds ti.ti_name with
   | Some cached -> cached
   | None ->
-      let compiled =
-        match ti.ti_restriction with
-        | None -> None
-        | Some c -> (
-            let layouts =
-              List.filter_map
-                (fun key ->
-                  match P4info.find_match_field ti key with
-                  | Some { mf_kind = Ast.Exact; mf_width; _ } ->
-                      Some { Bdd.kl_name = key; kl_kind = Bdd.Exact; kl_width = mf_width }
-                  | Some { mf_kind = Ast.Optional; mf_width; _ } ->
-                      Some { Bdd.kl_name = key; kl_kind = Bdd.Optional; kl_width = mf_width }
-                  | Some { mf_kind = Ast.Ternary; mf_width; _ } ->
-                      Some { Bdd.kl_name = key; kl_kind = Bdd.Ternary; kl_width = mf_width }
-                  | Some { mf_kind = Ast.Lpm; _ } | None -> None)
-                (Constraint_lang.keys c)
-            in
-            if List.length layouts <> List.length (Constraint_lang.keys c) then None
-            else
-              match Bdd.compile layouts c with
-              | Ok compiled -> Some compiled
-              | Error _ -> None)
-      in
+      let compiled = P4info.restriction_bdd ti in
       Hashtbl.replace t.bdds ti.ti_name compiled;
       compiled
 

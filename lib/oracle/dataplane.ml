@@ -2,7 +2,9 @@ module Ast = Switchv_p4ir.Ast
 module Bitvec = Switchv_bitvec.Bitvec
 module Header = Switchv_packet.Header
 module Entry = Switchv_p4runtime.Entry
+module Request = Switchv_p4runtime.Request
 module State = Switchv_p4runtime.State
+module Workload = Switchv_sai.Workload
 module Interp = Switchv_bmv2.Interp
 module Compile = Switchv_bmv2.Compile
 module Taint = Switchv_analysis.Taint
@@ -11,7 +13,7 @@ module SSet = Set.Make (String)
 
 type t = {
   dp_cfg : Interp.config;
-  dp_compile : bool;
+  dp_eval : Interp.evaluator;
   dp_taint : Taint.summary;
   dp_rounds : int;
   dp_candidates : int list;
@@ -86,10 +88,16 @@ let candidates (cfg : Interp.config) (taint : Taint.summary) =
     taint.Taint.s_egress_writers;
   List.sort_uniq compare !ports
 
+let model program entries =
+  let state = State.create () in
+  List.iter (fun e -> ignore (State.insert state e)) entries;
+  { Interp.program; state; hash_mode = Interp.Fixed 0;
+    mirror_map = Workload.mirror_map entries }
+
 let create ?(compile = true) (cfg : Interp.config) ~taint =
   let cfg = { cfg with Interp.hash_mode = Interp.Fixed 0 } in
   { dp_cfg = cfg;
-    dp_compile = compile;
+    dp_eval = Compile.select ~compile;
     dp_taint = taint;
     dp_rounds = Interp.hash_rounds cfg;
     dp_candidates = candidates cfg taint;
@@ -154,12 +162,12 @@ let set_admits t (info : Interp.run_info) (switch : Interp.behavior) =
          && masked_equal t info switch.Interp.b_packet model.Interp.b_packet
      | _ -> false)
 
+let member switch bs =
+  if List.exists (Interp.behavior_equal switch) bs then Admitted else Diverged bs
+
 let judge_info t ~ingress_port ~bytes ~switch =
   let tele = Telemetry.get () in
-  let info =
-    (if t.dp_compile then Compile.run_info else Interp.run_info)
-      t.dp_cfg ~ingress_port bytes
-  in
+  let info = Interp.run_info_with t.dp_eval t.dp_cfg ~ingress_port bytes in
   let verdict =
     if Interp.behavior_equal switch info.Interp.ri_behavior then begin
       Telemetry.incr tele "oracle.dataplane_fast";
@@ -182,18 +190,35 @@ let judge_info t ~ingress_port ~bytes ~switch =
          verdict, so a fast-path refusal can never create a new false
          positive — only spend the rounds the fast path tried to save. *)
       Telemetry.incr tele "oracle.dataplane_escalations";
-      let bs =
-        (if t.dp_compile then Compile.enumerate_behaviors
-         else Interp.enumerate_behaviors)
-          t.dp_cfg ~ingress_port bytes
-      in
-      if List.exists (Interp.behavior_equal switch) bs then Admitted
-      else Diverged bs
+      member switch
+        (Interp.behavior_set t.dp_cfg (fun cfg ->
+             Interp.run_with t.dp_eval cfg ~ingress_port bytes))
     end
   in
   (verdict, info)
 
 let judge t ~ingress_port ~bytes ~switch =
   fst (judge_info t ~ingress_port ~bytes ~switch)
+
+(* A directed packet-out bypasses the pipeline, so its contract is the
+   disposition alone: out of the requested port, not punted back. A
+   submit-to-ingress one runs the pipeline and is judged against every
+   hash round, like an escalated packet. *)
+let judge_packet_out t (po : Request.packet_out) ~switch =
+  let run cfg =
+    Interp.run_packet_out_with t.dp_eval cfg ~egress_port:po.Request.po_egress_port
+      po.Request.po_payload
+  in
+  match po.Request.po_egress_port with
+  | Some _ ->
+      let model = run t.dp_cfg in
+      ( (if switch.Interp.b_egress = model.Interp.b_egress
+            && switch.Interp.b_punted = model.Interp.b_punted
+         then Admitted
+         else Diverged [ model ]),
+        model )
+  | None ->
+      let bs = Interp.behavior_set t.dp_cfg run in
+      (member switch bs, List.hd bs)
 
 let masked_bytes_equal = masked_equal

@@ -1,4 +1,8 @@
-(** Set-valued data-plane oracle verdicts for nondeterministic models.
+(** The data-plane verdict: the one place a switch behaviour is judged
+    against the P4 model — campaign packets, the packet-I/O contract,
+    fabric hops and packet-outs, corpus replay and metrics.
+
+    Verdicts are set-valued for nondeterministic models.
 
     The paper's oracle handles hashing/WCMP by round-robin enumeration of
     [Fixed] hash rounds and set membership. That is sound but expensive
@@ -31,14 +35,22 @@
 
 module Interp = Switchv_bmv2.Interp
 module Taint = Switchv_analysis.Taint
+module Entry = Switchv_p4runtime.Entry
+module Request = Switchv_p4runtime.Request
 
 type t
+
+val model : Switchv_p4ir.Ast.program -> Entry.t list -> Interp.config
+(** The reference model over an entry set (whatever a switch accepted),
+    hash outcome [Fixed 0], mirror sessions from the entries. Entries the
+    model state refuses are skipped. *)
 
 val create : ?compile:bool -> Interp.config -> taint:Taint.summary -> t
 (** [create cfg ~taint] precomputes the candidate egress-port set and the
     output byte mask. The config's hash mode is forced to [Fixed 0] (the
     reference round); pass {!Taint.empty} to disable set-valued verdicts
-    (pure enumeration semantics). *)
+    (pure enumeration semantics). [compile] (default [true]) picks the
+    staged evaluator for every model run, else the interpreter's walk. *)
 
 val candidate_ports : t -> int list
 (** The statically-computed egress candidate set, sorted: every port an
@@ -65,6 +77,16 @@ val judge_info :
     fabric campaigns use [ri_hash_calls] to tell deterministic hops from
     hash-consulting ones and [ri_valid] to drive {!masked_bytes_equal} on
     end-to-end byte comparisons. *)
+
+val judge_packet_out :
+  t -> Request.packet_out -> switch:Interp.behavior -> verdict * Interp.behavior
+(** Judge the switch's handling of a controller packet-out. A directed one
+    (egress port given) bypasses the pipeline: it diverges when the switch
+    emits it anywhere but that port or punts it back (bytes and mirrors
+    are not part of this contract). A submit-to-ingress one is judged
+    against {!Interp.behavior_set}, every hash round of the model's
+    pipeline. Also returns the model's reference behaviour (the direct
+    emission, or round 0), which a fabric forwards on its model side. *)
 
 val masked_bytes_equal : t -> Interp.run_info -> string -> string -> bool
 (** Taint-masked byte equality: walk the run's valid headers in wire

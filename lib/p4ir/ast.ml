@@ -159,6 +159,11 @@ let rec tables_in_control = function
   | C_table name -> [ name ]
   | C_if (_, a, b) -> tables_in_control a @ tables_in_control b
 
+let rec count_ifs = function
+  | C_nop | C_stmt _ | C_table _ -> 0
+  | C_seq (a, b) -> count_ifs a + count_ifs b
+  | C_if (_, a, b) -> 1 + count_ifs a + count_ifs b
+
 let rec expr_width p action e =
   match e with
   | E_const c -> Bitvec.width c

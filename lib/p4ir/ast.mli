@@ -193,6 +193,14 @@ val tables_in_control : control -> string list
 (** Table names applied, in application order (both branches of an [if]
     are included, condition-first order). *)
 
+val count_ifs : control -> int
+(** The number of [C_if] nodes in a control. Branch ids are numbered in
+    pre-order (incremented at each [C_if], then-arm before else-arm,
+    ingress before egress, starting at 1), so the arms of an [if] with id
+    [n] start at [n + 1] and [n + 1 + count_ifs then_arm], and egress
+    starts at [1 + count_ifs ingress]: the numbering [Symexec]'s branch
+    goals, [Cfg], [Taint] and the evaluators' coverage counters share. *)
+
 val key_width : program -> table -> key -> int
 (** Width of the key expression. *)
 

@@ -1,4 +1,5 @@
 module Constraint_lang = Switchv_p4constraints.Constraint_lang
+module Bdd = Switchv_p4constraints.Bdd
 
 type match_field = {
   mf_name : string;
@@ -60,6 +61,23 @@ let find_match_field ti name =
 
 let find_action ti name =
   List.find_opt (fun ar -> String.equal ar.ar_name name) ti.ti_actions
+
+let restriction_bdd ti =
+  Option.bind ti.ti_restriction (fun c ->
+      let names = Constraint_lang.keys c in
+      let layout name =
+        Option.bind (find_match_field ti name) (fun mf ->
+            Option.map
+              (fun kl_kind -> { Bdd.kl_name = name; kl_kind; kl_width = mf.mf_width })
+              (match mf.mf_kind with
+              | Ast.Exact -> Some Bdd.Exact
+              | Ast.Optional -> Some Bdd.Optional
+              | Ast.Ternary -> Some Bdd.Ternary
+              | Ast.Lpm -> None))
+      in
+      let layouts = List.filter_map layout names in
+      if List.length layouts <> List.length names then None
+      else Result.to_option (Bdd.compile layouts c))
 
 let requires_priority ti =
   List.exists

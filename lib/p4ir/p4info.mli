@@ -42,6 +42,13 @@ val find_table_by_id : t -> int -> table option
 val find_match_field : table -> string -> match_field option
 val find_action : table -> string -> action_ref option
 
+val restriction_bdd : table -> Switchv_p4constraints.Bdd.compiled option
+(** The table's [@entry_restriction] compiled to a BDD over the bits of the
+    keys it references: what the fuzzer samples entries from (§7) and what
+    analysis code P4A004 model-counts. [None] without a restriction, or
+    for shapes the BDD engine cannot encode (LPM keys,
+    [::prefix_length], keys missing from the table). *)
+
 val requires_priority : table -> bool
 (** True when any match field is ternary or optional — such tables take an
     explicit entry priority, per the P4Runtime specification. *)

@@ -19,25 +19,27 @@ type t = {
   server : State.t;
   asic : State.t;
   hash_seed : int;
-  compile : bool;                   (* staged evaluator for the ASIC data plane *)
+  eval : Interp.evaluator;          (* the ASIC data plane's evaluator *)
   mutable p4info_ok : bool;
   mutable is_crashed : bool;
 }
 
 (* --- fault lookup helpers -------------------------------------------------- *)
 
-let fault_kinds t = List.map (fun (f : Fault.t) -> f.kind) t.s_faults
+(* Does a seeded fault take effect here? Every fault whose kind satisfies
+   [trigger] is counted as fired, per catalogue id ("fault.PINS-042"), so
+   campaigns can see which seeded bugs changed observable behaviour — and
+   how often — independent of detection. Ask only where the answer
+   changes what the switch does: a fault that waives a check is asked
+   once the check has failed. *)
+let rec fires_in trigger = function
+  | [] -> false
+  | (f : Fault.t) :: rest ->
+      let fired = trigger f.Fault.kind in
+      if fired then Telemetry.incr (Telemetry.get ()) ("fault." ^ f.id);
+      fires_in trigger rest || fired
 
-let has t pred = List.exists pred (fault_kinds t)
-
-(* Record that a seeded fault actually changed observable behaviour.
-   Counted per catalogue id ("fault.PINS-042"), so campaigns can see which
-   seeded bugs fired — and how often — independent of detection. *)
-let fire t pred =
-  List.iter
-    (fun (f : Fault.t) ->
-      if pred f.Fault.kind then Telemetry.incr (Telemetry.get ()) ("fault." ^ f.id))
-    t.s_faults
+let fires t trigger = fires_in trigger t.s_faults
 
 (* --- data-plane program perturbations -------------------------------------- *)
 
@@ -82,7 +84,7 @@ let create ?(faults = []) ?(hash_seed = 0x5EED) ?(compile = true) program =
     server = State.create ();
     asic = State.create ();
     hash_seed;
-    compile;
+    eval = Compile.select ~compile;
     p4info_ok = false;
     is_crashed = false }
 
@@ -95,10 +97,8 @@ let crashed t = t.is_crashed
 
 let push_p4info t =
   if t.is_crashed then Status.make Status.Unavailable "switch is unresponsive"
-  else if has t (function Fault.P4info_push_fails -> true | _ -> false) then begin
-    fire t (function Fault.P4info_push_fails -> true | _ -> false);
+  else if fires t (function Fault.P4info_push_fails -> true | _ -> false) then
     Status.make Status.Internal "failed to apply forwarding-pipeline config"
-  end
   else begin
     t.p4info_ok <- true;
     Status.ok
@@ -108,94 +108,76 @@ let push_p4info t =
 
 let unavailable = Status.make Status.Unavailable "switch is unresponsive"
 
+let on_table (e : Entry.t) tbl = String.equal tbl e.e_table
+
 (* Validation as the (possibly buggy) server performs it. *)
 let server_validate t (e : Entry.t) =
-  let skip_constraints =
-    has t (function
-      | Fault.Accept_constraint_violation tbl -> String.equal tbl e.e_table
-      | _ -> false)
-  in
-  let accept_bad_weight =
-    has t (function Fault.Accept_invalid_weight -> true | _ -> false)
-  in
-  let syntactic_result = Validate.syntactic t.s_info e in
-  let syntactic_result =
-    match syntactic_result with
+  let syntactic =
+    match Validate.syntactic t.s_info e with
     | Error s
-      when accept_bad_weight
-           && String.length s.Status.message >= 19
-           && String.sub s.Status.message 0 19 = "non-positive weight" ->
+      when String.starts_with ~prefix:"non-positive weight" s.Status.message
+           && fires t (function Fault.Accept_invalid_weight -> true | _ -> false) ->
         Ok ()
     | r -> r
   in
-  match syntactic_result with
+  match syntactic with
   | Error s -> Error s
-  | Ok () ->
-      if skip_constraints then Ok ()
-      else begin
-        match P4info.find_table t.s_info e.e_table with
-        | None -> Ok ()
-        | Some ti -> (
-            match Validate.constraint_compliant ti e with
-            | Ok true -> Ok ()
-            | Ok false ->
-                Error
-                  (Status.makef Status.Invalid_argument
-                     "entry violates @entry_restriction of table %s" ti.ti_name)
-            | Error msg ->
-                Error
-                  (Status.makef Status.Invalid_argument
-                     "entry restriction evaluation failed: %s" msg))
-      end
+  | Ok () -> (
+      match P4info.find_table t.s_info e.e_table with
+      | None -> Ok ()
+      | Some ti -> (
+          let waived () =
+            fires t (function
+              | Fault.Accept_constraint_violation tbl -> on_table e tbl
+              | _ -> false)
+          in
+          match Validate.constraint_compliant ti e with
+          | Ok true -> Ok ()
+          | _ when waived () -> Ok ()
+          | Ok false ->
+              Error
+                (Status.makef Status.Invalid_argument
+                   "entry violates @entry_restriction of table %s" ti.ti_name)
+          | Error msg ->
+              Error
+                (Status.makef Status.Invalid_argument
+                   "entry restriction evaluation failed: %s" msg)))
 
 let server_check_references t (e : Entry.t) =
-  let skip =
-    has t (function
-      | Fault.Accept_dangling_reference tbl -> String.equal tbl e.e_table
-      | _ -> false)
-  in
-  if skip then Ok ()
-  else
+  match
     Validate.check_references t.s_info e ~exists:(fun ~table ~key value ->
         State.exists_value t.server ~table ~key value)
+  with
+  | Error _
+    when fires t (function
+           | Fault.Accept_dangling_reference tbl -> on_table e tbl
+           | _ -> false) ->
+      Ok ()
+  | r -> r
 
-(* Capacity the server enforces: the guaranteed size, or an (incorrectly)
-   smaller limit under a Resource_exhausted_early fault. *)
-let capacity t table_name =
+(* The server refuses an insert at the table's guaranteed size, or earlier
+   under a Resource_exhausted_early fault, which fires only when its
+   lowered limit is what refuses the insert. *)
+let table_full t table_name =
   match P4info.find_table t.s_info table_name with
-  | None -> max_int
+  | None -> false
   | Some ti ->
-      List.fold_left
-        (fun cap k ->
-          match k with
-          | Fault.Resource_exhausted_early (tbl, limit) when String.equal tbl table_name ->
-              min cap limit
-          | _ -> cap)
-        ti.ti_size (fault_kinds t)
+      let count = State.count t.server table_name in
+      count >= ti.ti_size
+      || fires t (function
+           | Fault.Resource_exhausted_early (tbl, limit) ->
+               String.equal tbl table_name && count >= limit
+           | _ -> false)
 
 (* Apply a server-accepted update to the ASIC, modulo sync-layer faults. *)
 let sync_to_asic t (u : Request.update) =
   Telemetry.with_span (Telemetry.get ()) "switch.syncd.sync" @@ fun () ->
   let e = u.entry in
-  let dropped =
-    has t (function
-      | Fault.Syncd_drops_table tbl -> String.equal tbl e.e_table
-      | _ -> false)
-  in
-  if dropped then
-    fire t (function
-      | Fault.Syncd_drops_table tbl -> String.equal tbl e.e_table
-      | _ -> false)
-  else begin
+  if not (fires t (function Fault.Syncd_drops_table tbl -> on_table e tbl | _ -> false))
+  then begin
     let e =
-      if
-        has t (function
-          | Fault.Syncd_offsets_port_arg tbl -> String.equal tbl e.e_table
-          | _ -> false)
+      if fires t (function Fault.Syncd_offsets_port_arg tbl -> on_table e tbl | _ -> false)
       then begin
-        fire t (function
-          | Fault.Syncd_offsets_port_arg tbl -> String.equal tbl e.e_table
-          | _ -> false);
         (* The ASIC receives port arguments off by one. *)
         let fix (ai : Entry.action_invocation) =
           if String.equal ai.ai_name "set_port_and_src_mac" then
@@ -216,17 +198,30 @@ let sync_to_asic t (u : Request.update) =
     (* Buggy WCMP group handling: groups never make it to the ASIC, so
        packets resolving through them fall to the default (drop). *)
     let wcmp_lost =
-      has t (function Fault.Wcmp_update_removes_member -> true | _ -> false)
-      && (match e.e_action with Entry.Weighted _ -> true | Entry.Single _ -> false)
+      (match e.e_action with Entry.Weighted _ -> true | Entry.Single _ -> false)
+      && fires t (function Fault.Wcmp_update_removes_member -> true | _ -> false)
     in
-    if wcmp_lost then
-      fire t (function Fault.Wcmp_update_removes_member -> true | _ -> false)
-    else
+    if not wcmp_lost then
     match u.op with
     | Request.Insert -> ignore (State.insert t.asic e)
     | Request.Modify -> ignore (State.modify t.asic e)
     | Request.Delete -> ignore (State.delete t.asic e)
   end
+
+(* Two buckets of a WCMP group invoking the same action with the same
+   arguments: valid, but refused under Reject_duplicate_wcmp_actions. *)
+let duplicate_members (e : Entry.t) =
+  match e.e_action with
+  | Entry.Weighted ais ->
+      let names =
+        List.map
+          (fun ((ai : Entry.action_invocation), _) ->
+            Format.asprintf "%s(%s)" ai.ai_name
+              (String.concat "," (List.map Bitvec.to_hex_string ai.ai_args)))
+          ais
+      in
+      List.length names <> List.length (List.sort_uniq String.compare names)
+  | Entry.Single _ -> false
 
 let process_update t (u : Request.update) =
   let e = u.entry in
@@ -236,83 +231,49 @@ let process_update t (u : Request.update) =
   with
   | Error s -> s
   | Ok () -> (
-      let spurious_reject =
+      if
         u.op = Request.Insert
-        && has t (function
-             | Fault.Reject_valid_insert tbl -> String.equal tbl e.e_table
-             | _ -> false)
-      in
-      let reject_dup_wcmp =
-        has t (function Fault.Reject_duplicate_wcmp_actions -> true | _ -> false)
-        &&
-        match e.e_action with
-        | Entry.Weighted ais ->
-            let names =
-              List.map
-                (fun ((ai : Entry.action_invocation), _) ->
-                  Format.asprintf "%s(%s)" ai.ai_name
-                    (String.concat "," (List.map Bitvec.to_hex_string ai.ai_args)))
-                ais
-            in
-            List.length names <> List.length (List.sort_uniq String.compare names)
-        | Entry.Single _ -> false
-      in
-      if spurious_reject then begin
-        fire t (function
-          | Fault.Reject_valid_insert tbl -> String.equal tbl e.e_table
-          | _ -> false);
+        && fires t (function Fault.Reject_valid_insert tbl -> on_table e tbl | _ -> false)
+      then
         Status.makef Status.Invalid_argument "internal: unsupported key format in table %s"
           e.e_table
-      end
-      else if reject_dup_wcmp then begin
-        fire t (function Fault.Reject_duplicate_wcmp_actions -> true | _ -> false);
-        Status.make Status.Invalid_argument "duplicate action in WCMP group"
-      end
+      else if
+        fires t (function
+          | Fault.Reject_duplicate_wcmp_actions -> duplicate_members e
+          | _ -> false)
+      then Status.make Status.Invalid_argument "duplicate action in WCMP group"
       else
         match u.op with
         | Request.Insert -> (
             match server_check_references t e with
             | Error s -> s
             | Ok () ->
-                if State.count t.server e.e_table >= capacity t e.e_table then
+                if table_full t e.e_table then
                   Status.makef Status.Resource_exhausted "table %s is full" e.e_table
                 else begin
                   match State.insert t.server e with
                   | Ok () ->
                       sync_to_asic t u;
                       Status.ok
-                  | Error s ->
-                      if
-                        s.Status.code = Status.Already_exists
-                        && has t (function
-                             | Fault.Accept_duplicate_insert tbl ->
-                                 String.equal tbl e.e_table
-                             | _ -> false)
-                      then begin
-                        fire t (function
-                          | Fault.Accept_duplicate_insert tbl ->
-                              String.equal tbl e.e_table
-                          | _ -> false);
-                        Status.ok (* pretends to accept; keeps the original *)
-                      end
-                      else s
+                  | Error s
+                    when s.Status.code = Status.Already_exists
+                         && fires t (function
+                              | Fault.Accept_duplicate_insert tbl -> on_table e tbl
+                              | _ -> false) ->
+                      Status.ok (* pretends to accept; keeps the original *)
+                  | Error s -> s
                 end)
         | Request.Modify -> (
             match server_check_references t e with
             | Error s -> s
             | Ok () ->
-                let keep_old =
-                  has t (function
-                    | Fault.Modify_keeps_old_args tbl -> String.equal tbl e.e_table
+                if
+                  fires t (function
+                    | Fault.Modify_keeps_old_args tbl -> on_table e tbl
                     | _ -> false)
-                in
-                if keep_old then begin
-                  fire t (function
-                    | Fault.Modify_keeps_old_args tbl -> String.equal tbl e.e_table
-                    | _ -> false);
+                then
                   if State.find t.server e <> None then Status.ok
                   else Status.makef Status.Not_found "no such entry in %s" e.e_table
-                end
                 else begin
                   match State.modify t.server e with
                   | Ok () ->
@@ -321,38 +282,27 @@ let process_update t (u : Request.update) =
                   | Error s -> s
                 end)
         | Request.Delete -> (
-            let leave =
-              has t (function
-                | Fault.Delete_leaves_entry tbl -> String.equal tbl e.e_table
-                | _ -> false)
-            in
-            let spurious_vrf_refuse =
-              String.equal e.e_table "vrf_table"
-              && has t (function
-                   | Fault.Reject_vrf_delete_with_any_routes -> true
-                   | _ -> false)
-              && (State.count t.server "ipv4_table" > 0
-                 || State.count t.server "ipv6_table" > 0)
-            in
             match State.find t.server e with
             | None -> Status.makef Status.Not_found "no such entry in %s" e.e_table
             | Some installed ->
-                if spurious_vrf_refuse then begin
-                  fire t (function
-                    | Fault.Reject_vrf_delete_with_any_routes -> true
-                    | _ -> false);
+                if
+                  String.equal e.e_table "vrf_table"
+                  && (State.count t.server "ipv4_table" > 0
+                     || State.count t.server "ipv6_table" > 0)
+                  && fires t (function
+                       | Fault.Reject_vrf_delete_with_any_routes -> true
+                       | _ -> false)
+                then
                   Status.make Status.Failed_precondition
                     "cannot delete VRF while routes exist"
-                end
                 else if State.is_referenced t.server t.s_info installed then
                   Status.make Status.Failed_precondition
                     "entry is referenced by other entries"
-                else if leave then begin
-                  fire t (function
-                    | Fault.Delete_leaves_entry tbl -> String.equal tbl e.e_table
-                    | _ -> false);
-                  Status.ok
-                end
+                else if
+                  fires t (function
+                    | Fault.Delete_leaves_entry tbl -> on_table e tbl
+                    | _ -> false)
+                then Status.ok
                 else begin
                   match State.delete t.server e with
                   | Ok () ->
@@ -377,27 +327,23 @@ let write t (req : Request.write_request) =
     let n_deletes =
       List.length (List.filter (fun (u : Request.update) -> u.op = Request.Delete) req.updates)
     in
-    let crash_limit =
-      List.fold_left
-        (fun acc k ->
-          match k with Fault.Crash_on_delete_sequence n -> min acc n | _ -> acc)
-        max_int (fault_kinds t)
-    in
-    if n_deletes >= crash_limit then begin
-      fire t (function Fault.Crash_on_delete_sequence _ -> true | _ -> false);
+    if
+      fires t (function
+        | Fault.Crash_on_delete_sequence n -> n_deletes >= n
+        | _ -> false)
+    then begin
       t.is_crashed <- true;
       { Request.statuses = List.map (fun _ -> unavailable) req.updates }
     end
     else begin
-      let fail_batch_on_missing_delete =
-        has t (function Fault.Delete_nonexistent_fails_batch -> true | _ -> false)
-        && List.exists
-             (fun (u : Request.update) ->
-               u.op = Request.Delete && State.find t.server u.entry = None)
-             req.updates
+      let missing_delete (u : Request.update) =
+        u.op = Request.Delete && State.find t.server u.entry = None
       in
-      if fail_batch_on_missing_delete then begin
-        fire t (function Fault.Delete_nonexistent_fails_batch -> true | _ -> false);
+      if
+        fires t (function
+          | Fault.Delete_nonexistent_fails_batch -> List.exists missing_delete req.updates
+          | _ -> false)
+      then begin
         { Request.statuses =
             List.map
               (fun _ ->
@@ -415,21 +361,13 @@ let read t =
     let entries = State.all t.server in
     let kept =
       List.filter
-        (fun (e : Entry.t) ->
-          not
-            (has t (function
-               | Fault.Read_drops_table tbl -> String.equal tbl e.e_table
-               | _ -> false)))
+        (fun e ->
+          not (fires t (function Fault.Read_drops_table tbl -> on_table e tbl | _ -> false)))
         entries
     in
-    if List.length kept <> List.length entries then
-      fire t (function Fault.Read_drops_table _ -> true | _ -> false);
     let entries =
-      if kept <> [] && has t (function Fault.Read_zeroes_priority -> true | _ -> false)
-      then begin
-        fire t (function Fault.Read_zeroes_priority -> true | _ -> false);
-        List.map (fun (e : Entry.t) -> { e with e_priority = 0 }) kept
-      end
+      if kept <> [] && fires t (function Fault.Read_zeroes_priority -> true | _ -> false)
+      then List.map (fun (e : Entry.t) -> { e with e_priority = 0 }) kept
       else kept
     in
     { Request.entries }
@@ -538,10 +476,7 @@ let inject t ~ingress_port bytes =
      drop at the dead hop rather than as a live pipeline. *)
   if t.is_crashed then crashed_behavior bytes
   else
-    match
-      (if t.compile then Compile.run else Interp.run)
-        (interp_config t) ~ingress_port bytes
-    with
+    match Interp.run_with t.eval (interp_config t) ~ingress_port bytes with
     | b -> perturb_behavior t ~ingress_port bytes b
     | exception Interp.Parse_failure _ -> drop_behavior bytes
 
@@ -550,33 +485,18 @@ let packet_out t (po : Request.packet_out) =
   if t.is_crashed then
     crashed_behavior (Switchv_packet.Packet.to_bytes po.po_payload)
   else
-  let submit_dropped =
-    has t (function Fault.Submit_to_ingress_dropped -> true | _ -> false)
-  in
-  let punt_back =
-    has t (function Fault.Packet_out_punted_back -> true | _ -> false)
+  let run () =
+    Interp.run_packet_out_with t.eval (interp_config t) ~egress_port:po.po_egress_port
+      po.po_payload
   in
   match po.po_egress_port with
   | Some _ ->
-      let b =
-        (if t.compile then Compile.run_packet_out else Interp.run_packet_out)
-          (interp_config t) ~egress_port:po.po_egress_port po.po_payload
-      in
-      if punt_back then begin
-        fire t (function Fault.Packet_out_punted_back -> true | _ -> false);
+      let b = run () in
+      if fires t (function Fault.Packet_out_punted_back -> true | _ -> false) then
         { b with b_punted = true }
-      end
       else b
   | None ->
-      if submit_dropped then begin
-        fire t (function Fault.Submit_to_ingress_dropped -> true | _ -> false);
-        drop_behavior (Switchv_packet.Packet.to_bytes po.po_payload)
-      end
-      else begin
-        let b =
-          (if t.compile then Compile.run_packet_out else Interp.run_packet_out)
-            (interp_config t) ~egress_port:None po.po_payload
-        in
-        let bytes = Switchv_packet.Packet.to_bytes po.po_payload in
-        perturb_behavior t ~ingress_port:0 bytes b
-      end
+      let bytes = Switchv_packet.Packet.to_bytes po.po_payload in
+      if fires t (function Fault.Submit_to_ingress_dropped -> true | _ -> false) then
+        drop_behavior bytes
+      else perturb_behavior t ~ingress_port:0 bytes (run ())

@@ -1,10 +1,11 @@
 module Stack = Switchv_switch.Stack
 module Oracle = Switchv_oracle.Oracle
+module Dataplane = Switchv_oracle.Dataplane
+module Taint = Switchv_analysis.Taint
 module Interp = Switchv_bmv2.Interp
 module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
-module Workload = Switchv_sai.Workload
 module Json = Switchv_telemetry.Telemetry.Json
 module Jsonp = Switchv_telemetry.Jsonp
 
@@ -125,9 +126,7 @@ let replay_data stack (d : Repro.data) note =
        only the spec-valid subset, and only a spec-valid entry's rejection
        is an observation — a switch refusing a dangling reference is
        correct, not a divergence. *)
-    let model_state, model_entries =
-      Oracle.spec_valid (Stack.info stack) d.dr_entries
-    in
+    let _, model_entries = Oracle.spec_valid (Stack.info stack) d.dr_entries in
     let is_model_entry e = List.exists (Entry.equal e) model_entries in
     List.iter
       (fun updates ->
@@ -140,25 +139,26 @@ let replay_data stack (d : Repro.data) note =
                    Status.pp st Entry.pp u.entry))
           updates resp.statuses)
       (Request.insert_batches d.dr_entries);
-    let model_cfg =
-      { Interp.program = Stack.program stack;
-        state = model_state;
-        hash_mode = Interp.Fixed 0;
-        mirror_map = Workload.mirror_map model_entries }
+    (* The campaign's verdict with an empty taint summary, i.e. plain
+       round-robin enumeration: whether a reproducer reproduces never
+       depends on static analysis. *)
+    let oracle =
+      Dataplane.create
+        (Dataplane.model (Stack.program stack) model_entries)
+        ~taint:Taint.empty
     in
     let switch_b = Stack.inject stack ~ingress_port:d.dr_port d.dr_bytes in
     match
-      Interp.enumerate_behaviors model_cfg ~ingress_port:d.dr_port d.dr_bytes
+      Dataplane.judge oracle ~ingress_port:d.dr_port ~bytes:d.dr_bytes ~switch:switch_b
     with
     | exception Interp.Parse_failure msg ->
         note (Printf.sprintf "model parse failure: %s" msg)
-    | model_bs ->
-        if not (List.exists (Interp.behavior_equal switch_b) model_bs) then
-          note
-            (Format.asprintf
-               "behavior divergence (port %d): switch behaved %a, model admits %a"
-               d.dr_port Interp.pp_behavior switch_b Interp.pp_behavior_set
-               model_bs)
+    | Dataplane.Admitted -> ()
+    | Dataplane.Diverged model_bs ->
+        note
+          (Format.asprintf
+             "behavior divergence (port %d): switch behaved %a, model admits %a"
+             d.dr_port Interp.pp_behavior switch_b Interp.pp_behavior_set model_bs)
   end
 
 let replay_repro stack repro =

@@ -455,9 +455,11 @@ let observe run cfg ~ingress_port bytes =
   | B (b, _) -> B (b, (Telemetry.export scratch).Telemetry.ex_counters)
   | f -> f
 
+(* Both evaluators go through the same entry points; only the pipeline
+   (the AST walk or the staged closures) differs. *)
 let check_same_outcome msg cfg ~ingress_port bytes =
-  let i = observe Interp.run cfg ~ingress_port bytes in
-  let c = observe Compile.run cfg ~ingress_port bytes in
+  let i = observe (Interp.run_with Interp.walk) cfg ~ingress_port bytes in
+  let c = observe (Interp.run_with Compile.stage) cfg ~ingress_port bytes in
   match (i, c) with
   | B (bi, ci), B (bc, cc) ->
       if bi <> bc then
@@ -492,11 +494,12 @@ let test_compiled_behavior_cases () =
     cases;
   (* behavior-set enumeration must agree too (hash-round dispatch) *)
   let bytes = packet ~dst:"10.1.2.3" () in
-  let bi = Interp.enumerate_behaviors cfg ~ingress_port:1 bytes in
-  let bc = Compile.enumerate_behaviors cfg ~ingress_port:1 bytes in
-  check_bool "enumerated behavior sets equal" true (bi = bc);
-  let ii = Interp.run_info cfg ~ingress_port:1 bytes in
-  let ic = Compile.run_info cfg ~ingress_port:1 bytes in
+  let set eval =
+    Interp.behavior_set cfg (fun cfg -> Interp.run_with eval cfg ~ingress_port:1 bytes)
+  in
+  check_bool "enumerated behavior sets equal" true (set Interp.walk = set Compile.stage);
+  let ii = Interp.run_info_with Interp.walk cfg ~ingress_port:1 bytes in
+  let ic = Interp.run_info_with Compile.stage cfg ~ingress_port:1 bytes in
   check_int "hash calls" ii.Interp.ri_hash_calls ic.Interp.ri_hash_calls;
   check_bool "valid headers at deparse" true (ii.Interp.ri_valid = ic.Interp.ri_valid)
 
@@ -542,9 +545,12 @@ let test_compiled_packet_out () =
   in
   List.iter
     (fun egress_port ->
-      let bi = Interp.run_packet_out cfg ~egress_port po in
-      let bc = Compile.run_packet_out cfg ~egress_port po in
-      check_bool "packet-out behaviors equal" true (bi = bc))
+      let set eval =
+        Interp.behavior_set cfg (fun cfg ->
+            Interp.run_packet_out_with eval cfg ~egress_port po)
+      in
+      check_bool "packet-out behavior sets equal" true
+        (set Interp.walk = set Compile.stage))
     [ Some 3; None ]
 
 let () =

@@ -542,13 +542,14 @@ let wcmp_cfg ?(hash_mode = Interp.Seeded 1) () =
 
 let wcmp_taint = lazy (Analysis.facts Middleblock.program).Analysis.f_taint
 
-let wcmp_packet ?(dst = "10.1.2.3") () =
-  Packet.to_bytes
-    { Packet.headers =
-        [ Packet.ethernet_frame ~dst:"02:00:00:00:aa:01" ~ether_type:0x0800 ();
-          Packet.ipv4_header ~ttl:64 ~src:"192.0.2.1" ~dst ();
-          Packet.udp_header ~src_port:1000 ~dst_port:2000 () ];
-      payload = "xyz" }
+let wcmp_frame ?(dst = "10.1.2.3") () =
+  { Packet.headers =
+      [ Packet.ethernet_frame ~dst:"02:00:00:00:aa:01" ~ether_type:0x0800 ();
+        Packet.ipv4_header ~ttl:64 ~src:"192.0.2.1" ~dst ();
+        Packet.udp_header ~src_port:1000 ~dst_port:2000 () ];
+    payload = "xyz" }
+
+let wcmp_packet ?dst () = Packet.to_bytes (wcmp_frame ?dst ())
 
 let test_candidate_ports () =
   let dp = Dataplane.create (wcmp_cfg ()) ~taint:(Lazy.force wcmp_taint) in
@@ -602,6 +603,41 @@ let test_drop_vs_forward_diverges () =
   match Dataplane.judge dp ~ingress_port:1 ~bytes ~switch:dropped with
   | Dataplane.Diverged _ -> ()
   | Dataplane.Admitted -> Alcotest.fail "drop admitted where the model forwards"
+
+(* A submit-to-ingress packet-out is judged against every hash round: each
+   member a seeded switch picks is admitted, and an egress outside the
+   group diverges with the member set as the message. A directed one only
+   has to leave by its port without being punted back. *)
+let test_packet_out_verdicts () =
+  let dp = Dataplane.create (wcmp_cfg ()) ~taint:(Lazy.force wcmp_taint) in
+  let po = { Request.po_payload = wcmp_frame (); po_egress_port = None } in
+  let judge switch = fst (Dataplane.judge_packet_out dp po ~switch) in
+  let picked = ref [] in
+  for seed = 0 to 199 do
+    let switch =
+      Interp.run_packet_out (wcmp_cfg ~hash_mode:(Interp.Seeded seed) ())
+        ~egress_port:None po.po_payload
+    in
+    Option.iter (fun p -> picked := p :: !picked) switch.Interp.b_egress;
+    match judge switch with
+    | Dataplane.Admitted -> ()
+    | Dataplane.Diverged _ -> Alcotest.failf "seed %d: member pick diverged" seed
+  done;
+  Alcotest.(check (list int)) "seeds pick both members" [ 7; 9 ]
+    (List.sort_uniq compare !picked);
+  let member = Interp.run_packet_out (wcmp_cfg ()) ~egress_port:None po.po_payload in
+  (match judge { member with Interp.b_egress = Some 5 } with
+  | Dataplane.Diverged admitted ->
+      Alcotest.(check (list (option int))) "the member set is the message"
+        [ Some 7; Some 9 ]
+        (List.sort compare (List.map (fun (b : Interp.behavior) -> b.b_egress) admitted))
+  | Dataplane.Admitted -> Alcotest.fail "submit-to-ingress egress outside the group admitted");
+  let directed = { po with po_egress_port = Some 3 } in
+  let direct = Interp.run_packet_out (wcmp_cfg ()) ~egress_port:(Some 3) po.po_payload in
+  let verdict switch = fst (Dataplane.judge_packet_out dp directed ~switch) in
+  check_bool "directed packet-out admitted" true (verdict direct = Dataplane.Admitted);
+  check_bool "punted-back packet-out diverges" true
+    (verdict { direct with Interp.b_punted = true } <> Dataplane.Admitted)
 
 (* On a hash-free program the verdict is plain enumeration, byte for byte:
    a matching behaviour is admitted and a divergence reports exactly the
@@ -672,4 +708,5 @@ let () =
          Alcotest.test_case "out-of-set diverges" `Quick test_out_of_set_diverges;
          Alcotest.test_case "drop vs forward diverges" `Quick
            test_drop_vs_forward_diverges;
-         Alcotest.test_case "hash-free exactness" `Quick test_hash_free_exactness ]) ]
+         Alcotest.test_case "hash-free exactness" `Quick test_hash_free_exactness;
+         Alcotest.test_case "packet-out verdicts" `Quick test_packet_out_verdicts ]) ]

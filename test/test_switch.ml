@@ -17,6 +17,9 @@ module Catalogue = Switchv_switch.Catalogue
 module Middleblock = Switchv_sai.Middleblock
 module Cerberus = Switchv_sai.Cerberus
 module Workload = Switchv_sai.Workload
+module Telemetry = Switchv_telemetry.Telemetry
+module Harness = Switchv_core.Harness
+module Control_campaign = Switchv_core.Control_campaign
 
 let check_bool = Alcotest.check Alcotest.bool
 let check_int = Alcotest.check Alcotest.int
@@ -250,6 +253,35 @@ let test_catalogue_resolution_distribution () =
     (let pct = 100 * within 5 / List.length pins in
      pct >= 25 && pct <= 45)
 
+(* On the Table 1 instance (inst1 at 0.25, entry seed 42, control seed 99,
+   4 batches), every fault a campaign detects must also have bumped its
+   [fault.<id>] counter: a detection the counter misses means the stack
+   perturbed behaviour without recording that the fault fired. *)
+let test_detected_faults_fire () =
+  let program = Middleblock.program in
+  let entries =
+    Workload.generate ~seed:42 program (Workload.scaled 0.25 Workload.inst1)
+  in
+  let config =
+    { (Harness.default_config entries) with
+      control = { Control_campaign.default_config with batches = 4; seed = 99 };
+      cache = Some (Switchv_symbolic.Cache.in_memory ()) }
+  in
+  let silent =
+    List.filter_map
+      (fun (f : Fault.t) ->
+        let reg = Telemetry.create () in
+        let found =
+          Telemetry.with_registry reg (fun () ->
+              Harness.detect (fun () -> Stack.create ~faults:[ f ] program) config)
+        in
+        if found <> None && Telemetry.counter reg ("fault." ^ f.id) = 0 then
+          Some f.id
+        else None)
+      (Catalogue.pins program entries)
+  in
+  Alcotest.(check (list string)) "detected but never fired" [] silent
+
 let test_catalogue_ids_unique () =
   let ids = List.map (fun (f : Fault.t) -> f.id) (pins_catalogue () @ cerb_catalogue ()) in
   check_int "unique ids" (List.length ids) (List.length (List.sort_uniq compare ids))
@@ -279,4 +311,5 @@ let () =
          Alcotest.test_case "components" `Quick test_catalogue_components;
          Alcotest.test_case "resolution distribution" `Quick
            test_catalogue_resolution_distribution;
-         Alcotest.test_case "unique ids" `Quick test_catalogue_ids_unique ]) ]
+         Alcotest.test_case "unique ids" `Quick test_catalogue_ids_unique;
+         Alcotest.test_case "detected faults fire" `Slow test_detected_faults_fire ]) ]

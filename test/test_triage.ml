@@ -20,6 +20,7 @@ module Packet = Switchv_packet.Packet
 module Report = Switchv_core.Report
 module Harness = Switchv_core.Harness
 module Control_campaign = Switchv_core.Control_campaign
+module Data_campaign = Switchv_core.Data_campaign
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -273,6 +274,45 @@ let test_corpus_save_load_replay () =
               check_bool "clean stack replays clean" false o.Corpus.o_reproduced)
             loaded)
 
+(* A data reproducer replays through the campaign's verdict site. Under
+   PINS-051 WCMP groups never reach the ASIC, so a routed packet drops
+   while the model admits both members of its group; a clean stack
+   replays the same reproducer clean. *)
+let test_data_repro_replay () =
+  let program = Middleblock.program in
+  let entries =
+    Workload.generate ~seed:1 program (Workload.scaled 0.1 Workload.inst1)
+  in
+  let faults = Result.get_ok (Catalogue.resolve program entries [ "PINS-051" ]) in
+  let faulty () = Stack.create ~faults program in
+  let incidents, _ =
+    Data_campaign.run (faulty ()) (Data_campaign.default_config entries)
+  in
+  let repro =
+    List.find_map
+      (fun (i : Report.incident) ->
+        match i.repro with Some (Repro.Data _ as r) -> Some r | _ -> None)
+      incidents
+    |> Option.get
+  in
+  let o = Corpus.replay_repro (faulty ()) repro in
+  let count sub =
+    let n = String.length sub in
+    let rec go i acc =
+      if i + n > String.length o.o_detail then acc
+      else go (i + 1) (if String.sub o.o_detail i n = sub then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  check_bool "reproduces on the seeded stack" true o.o_reproduced;
+  check_bool "divergence detail" true
+    (String.starts_with ~prefix:"behavior divergence (port " o.o_detail
+    && count "switch behaved drop, model admits {forward(port=17, " = 1);
+  check_int "both members admitted" 2 (count "forward(port=17, ");
+  check_int "nothing else admitted" 2 (count "forward(");
+  let clean = Corpus.replay_repro (Stack.create program) repro in
+  check_string "clean stack replays clean" "clean" clean.o_detail
+
 let test_corpus_rejects_corrupt_line () =
   let path = Filename.temp_file "switchv_corpus" ".jsonl" in
   Fun.protect
@@ -334,6 +374,7 @@ let () =
         [ Alcotest.test_case "jsonp" `Quick test_jsonp;
           Alcotest.test_case "repro round trip" `Quick test_repro_roundtrip;
           Alcotest.test_case "save/load/replay" `Quick test_corpus_save_load_replay;
+          Alcotest.test_case "data repro replay" `Quick test_data_repro_replay;
           Alcotest.test_case "corrupt line" `Quick test_corpus_rejects_corrupt_line ] );
       ( "minimize",
         [ Alcotest.test_case "shrinks control repro" `Quick
