@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test bench bench-quick micro examples check-smt check-obs clean
+.PHONY: all build check test bench bench-quick micro examples check-smt check-fuzz check-obs clean
 
 all: build
 
@@ -13,18 +13,20 @@ build:
 # corpus byte-identical across --jobs and against every reference path,
 # and test/dune pins the CLI's exit contract (golden-corpus replay, the
 # clean and seeded taint campaigns, clean fabrics on every shape, a
-# lint-clean example model). check-smt and check-obs need a fresh seed and
-# live processes. The last step runs the quick bench artifacts for their
-# built-in gates: telemetry overhead within budget, incremental and
-# scratch SMT solving yielding identical packets, taint reclassifying
-# goals on a clean switch, 100% fabric localization, guided greybox
-# out-covering blind without losing a fault, and the compiled evaluator
-# >= 10x at 100k entries. Quick mode never rewrites the committed
-# BENCH_*.json artifacts.
+# lint-clean example model and the README's textual model validating
+# clean). check-smt and check-fuzz rerun soaks at a fresh seed, and
+# check-obs needs live processes. The last step runs the quick bench
+# artifacts for their built-in gates: telemetry overhead within budget,
+# incremental and scratch SMT solving yielding identical packets, taint
+# reclassifying goals on a clean switch, 100% fabric localization, guided
+# greybox out-covering blind without losing a fault, and the compiled
+# evaluator >= 10x at 100k entries. Quick mode never rewrites the
+# committed BENCH_*.json artifacts.
 check:
 	dune build @all
 	dune runtest
 	$(MAKE) check-smt
+	$(MAKE) check-fuzz
 	$(MAKE) check-obs
 	dune exec bench/main.exe -- quick obs_overhead smt_incremental taint fabric greybox scale
 
@@ -35,6 +37,12 @@ check:
 check-smt:
 	SWITCHV_QGEN_SEED=$$$$ SWITCHV_QGEN_SOAK_MS=2000 \
 	  dune exec test/test_smt_diff.exe -- -e soak
+
+# Fuzzer-view soak: `dune runtest` checks the views the fuzzer maintains
+# across batches against a rebuild from its mirror at three fixed seeds;
+# this reruns that case at a fresh seed (printed on failure).
+check-fuzz:
+	SWITCHV_FUZZ_SEED=$$$$ dune exec test/test_fuzzer.exe -- test views
 
 # Observability gate, three legs. (1) Live exposition: a sharded campaign
 # serves /metrics while running; poll (with switchv top, the

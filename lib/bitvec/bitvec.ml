@@ -66,6 +66,14 @@ let set_bit limbs i b =
   if b then limbs.(j) <- limbs.(j) lor (1 lsl k)
   else limbs.(j) <- limbs.(j) land lnot (1 lsl k)
 
+let init w f =
+  check_width "Bitvec.init" w;
+  let limbs = Array.make (limbs_for w) 0 in
+  for i = 0 to w - 1 do
+    if f i then set_bit limbs i true
+  done;
+  { width = w; limbs }
+
 (* The 16 bits of [limbs] starting at bit [pos], which may be negative or
    past the end: bits outside the array read as zero. This is the one
    primitive behind the word-level shifts, slices and concatenation. *)

@@ -33,6 +33,10 @@ val of_hex_string : width:int -> string -> t
 val of_bool : bool -> t
 (** Width-1 vector: [true] is 1, [false] is 0. *)
 
+val init : int -> (int -> bool) -> t
+(** [init w f] has bit [i] (bit 0 the least significant) set when [f i]
+    holds, built in one pass. *)
+
 (** {1 Observation} *)
 
 val to_int : t -> int option

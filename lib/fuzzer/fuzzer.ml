@@ -22,6 +22,147 @@ let default_config =
   { updates_per_batch = 50; invalid_percent = 30; delete_percent = 25;
     modify_percent = 10; respect_dependencies = true }
 
+(* --- views of the mirror ------------------------------------------------------- *)
+
+(* (table, key, value) triples: references, and the values entries provide. *)
+module Refs = Hashtbl.Make (struct
+  type t = string * string * Bitvec.t
+
+  let equal (t1, k1, v1) (t2, k2, v2) =
+    String.equal t1 t2 && String.equal k1 k2 && Bitvec.equal v1 v2
+
+  let hash (t, k, v) = Hashtbl.hash (Hashtbl.hash t, Hashtbl.hash k, Bitvec.hash v)
+end)
+
+(* A set of positions [0, capacity) under a Fenwick tree of membership
+   counts, so that [rank] (members before a position) and [select] (the
+   position of the member of a given rank) cost O(log capacity). *)
+module Ranked = struct
+  type t = { flags : Bytes.t; tree : int array; mutable size : int }
+
+  let lowbit i = i land -i
+
+  (* The positions [member] selects among the first [n], built in O(n). *)
+  let init n member =
+    let s = { flags = Bytes.make n '\000'; tree = Array.make (n + 1) 0; size = 0 } in
+    for p = 0 to n - 1 do
+      if member p then begin
+        Bytes.set s.flags p '\001';
+        s.size <- s.size + 1;
+        s.tree.(p + 1) <- 1
+      end
+    done;
+    for i = 1 to n do
+      let j = i + lowbit i in
+      if j <= n then s.tree.(j) <- s.tree.(j) + s.tree.(i)
+    done;
+    s
+
+  let mem s p = Bytes.get s.flags p = '\001'
+
+  let bump s p delta =
+    let i = ref (p + 1) in
+    while !i < Array.length s.tree do
+      s.tree.(!i) <- s.tree.(!i) + delta;
+      i := !i + lowbit !i
+    done
+
+  let set s p member =
+    if member <> mem s p then begin
+      Bytes.set s.flags p (if member then '\001' else '\000');
+      s.size <- (s.size + if member then 1 else -1);
+      bump s p (if member then 1 else -1)
+    end
+
+  let rank s p =
+    let r = ref 0 and i = ref p in
+    while !i > 0 do
+      r := !r + s.tree.(!i);
+      i := !i - lowbit !i
+    done;
+    !r
+
+  (* Descend the tree: the largest prefix holding at most [k] members ends
+     just before the member of rank [k]. *)
+  let select s k =
+    let n = Array.length s.tree - 1 in
+    let step = ref 1 in
+    while 2 * !step <= n do
+      step := 2 * !step
+    done;
+    let p = ref 0 and k = ref k in
+    while !step > 0 do
+      let q = !p + !step in
+      if q <= n && s.tree.(q) <= !k then begin
+        p := q;
+        k := !k - s.tree.(q)
+      end;
+      step := !step / 2
+    done;
+    !p
+end
+
+(* The mirror's entries by insertion position, with the two subsets the
+   RNG draws from: [keyed] (every installed entry) and [deletable] (those
+   providing no value an installed entry references). A draw over a set
+   takes the member of the drawn rank, so it picks what it would from a
+   scan of the mirror in insertion order. The fuzzer's own mirror writes
+   ([apply_valid]) keep all of it current; no batch rebuilds it. *)
+type views = {
+  mutable at : Entry.t array;  (* by position; [vacant] where unused *)
+  mutable next : int;          (* first position never used *)
+  pos : (string, int) Hashtbl.t;  (* match key -> position *)
+  mutable keyed : Ranked.t;
+  mutable deletable : Ranked.t;
+  provided : string list Refs.t;
+      (* per (table, field, value) that installed entries provide through
+         an exact or present optional match: their match keys *)
+}
+
+let vacant = Entry.make ~table:"" ~matches:[] (Entry.Single { ai_name = ""; ai_args = [] })
+
+let new_views () =
+  let none _ = false in
+  { at = Array.make 64 vacant; next = 0; pos = Hashtbl.create 64;
+    keyed = Ranked.init 64 none; deletable = Ranked.init 64 none; provided = Refs.create 64 }
+
+(* Renumber the live positions [0, live) in order, with as much room
+   again: each compaction is paid for by the inserts that filled it. *)
+let compact v =
+  let live = v.keyed.size in
+  let n = max 64 (2 * live) in
+  let at = Array.make n vacant in
+  let deletable = Array.make n false in
+  let q = ref 0 in
+  for p = 0 to v.next - 1 do
+    if Ranked.mem v.keyed p then begin
+      at.(!q) <- v.at.(p);
+      deletable.(!q) <- Ranked.mem v.deletable p;
+      Hashtbl.replace v.pos (Entry.match_key v.at.(p)) !q;
+      incr q
+    end
+  done;
+  v.at <- at;
+  v.next <- live;
+  v.keyed <- Ranked.init n (fun p -> p < live);
+  v.deletable <- Ranked.init n (Array.get deletable)
+
+(* The values [e] provides: exact and present optional matches, in its own
+   table. *)
+let iter_provided (e : Entry.t) f =
+  List.iter
+    (fun (fm : Entry.field_match) ->
+      match fm.fm_value with
+      | Entry.M_exact v | Entry.M_optional (Some v) -> f (e.e_table, fm.fm_field, v)
+      | _ -> ())
+    e.e_matches
+
+(* Add the (table, key, value) references [e] makes to [set]. *)
+let add_references info set e =
+  List.iter
+    (fun (r : Validate.reference) -> Refs.replace set (r.ref_table, r.ref_key, r.ref_value) ())
+    (Validate.references info e)
+
 type t = {
   info : P4info.t;
   rng : Rng.t;
@@ -37,17 +178,12 @@ type t = {
       (* coverage feedback: energy-weighted table choice and corpus-seeded
          mutation bases. [None] draws uniformly from [rng] only, exactly
          the pre-greybox stream. *)
-  keyed_slots : (string, int) Hashtbl.t;
-  deletable_slots : (string, int) Hashtbl.t;
-      (* the slot tables of the current batch's two views (see [batch_ctx]),
-         cleared and refilled once per batch: a batch reuses their bucket
-         arrays instead of leaving a mirror-sized one in the major heap *)
+  views : views;  (* what the draws index, kept in step with [mirror_] *)
 }
 
 let create ?(config = default_config) ?greybox info rng =
   { info; rng; config; mirror_ = State.create (); bdds = Hashtbl.create 8;
-    dead = Hashtbl.create 8; greybox; keyed_slots = Hashtbl.create 64;
-    deletable_slots = Hashtbl.create 64 }
+    dead = Hashtbl.create 8; greybox; views = new_views () }
 
 (* The table's compiled entry restriction (§7), memoized per table.
    Unsupported shapes (LPM keys, ::prefix_length) yield None and callers
@@ -101,7 +237,7 @@ let merge_assignment (ti : P4info.table) (e : Entry.t) (a : Bdd.assignment) =
         | _ -> None)
       a.values
   in
-  { e with e_matches = kept @ added }
+  Entry.with_matches e (kept @ added)
 
 let mirror t = t.mirror_
 
@@ -133,38 +269,88 @@ let mutations =
     "invalid_reference"; "constraint_violation"; "bdd_constraint_violation";
     "duplicate_insert"; "delete_nonexistent"; "zero_priority" ]
 
+(* --- keeping the views current ------------------------------------------------ *)
+
+(* Apply one of the fuzzer's valid updates to the mirror and to the keyed
+   view. The references it adds or drops go to [touched] and a new
+   entry's key to [fresh]: their deletability is settled afterwards. *)
+let write_mirror t touched fresh (op, e) =
+  let v = t.views in
+  let touch = add_references t.info touched in
+  let key = Entry.match_key e in
+  match op with
+  | Request.Insert ->
+      if Result.is_ok (State.insert t.mirror_ e) then begin
+        if v.next = Array.length v.at then compact v;
+        let p = v.next in
+        v.next <- p + 1;
+        v.at.(p) <- e;
+        Hashtbl.replace v.pos key p;
+        Ranked.set v.keyed p true;
+        iter_provided e (fun r ->
+            Refs.replace v.provided r
+              (key :: Option.value ~default:[] (Refs.find_opt v.provided r)));
+        fresh := key :: !fresh;
+        touch e
+      end
+  | Request.Modify ->
+      (* Same key, so the same matches: only the references move. *)
+      if Result.is_ok (State.modify t.mirror_ e) then begin
+        let p = Hashtbl.find v.pos key in
+        touch v.at.(p);
+        v.at.(p) <- e;
+        touch e
+      end
+  | Request.Delete ->
+      if Result.is_ok (State.delete t.mirror_ e) then begin
+        let p = Hashtbl.find v.pos key in
+        let old = v.at.(p) in
+        v.at.(p) <- vacant;
+        Hashtbl.remove v.pos key;
+        Ranked.set v.keyed p false;
+        Ranked.set v.deletable p false;
+        iter_provided old (fun r ->
+            let keys = Option.value ~default:[] (Refs.find_opt v.provided r) in
+            match List.filter (fun k -> not (String.equal k key)) keys with
+            | [] -> Refs.remove v.provided r
+            | keys -> Refs.replace v.provided r keys);
+        touch old
+      end
+
+(* The fuzzer's only mirror writes: a batch's valid updates, in order. An
+   entry's deletability changes only when a reference to a value it
+   provides comes or goes, so only new entries and the providers of
+   touched values are asked again. *)
+let apply_valid t pending =
+  let touched = Refs.create 16 and fresh = ref [] in
+  List.iter (write_mirror t touched fresh) pending;
+  let v = t.views in
+  let settle key =
+    match Hashtbl.find_opt v.pos key with
+    | None -> ()
+    | Some p ->
+        Ranked.set v.deletable p
+          (not (State.provides_referenced t.mirror_ t.info v.at.(p)))
+  in
+  List.iter settle !fresh;
+  Refs.iter
+    (fun r () -> Option.iter (List.iter settle) (Refs.find_opt v.provided r))
+    touched
+
+let members t set =
+  let v = t.views in
+  List.filter_map
+    (fun p -> if Ranked.mem set p then Some v.at.(p) else None)
+    (List.init v.next Fun.id)
+
+let views t = (members t t.views.keyed, members t t.views.deletable)
+
 (* --- batch-local context ----------------------------------------------------- *)
 
-(* (table, key, value) triples: the references pending updates make. *)
-module Refs = Hashtbl.Make (struct
-  type t = string * string * Bitvec.t
-
-  let equal (t1, k1, v1) (t2, k2, v2) =
-    String.equal t1 t2 && String.equal k1 k2 && Bitvec.equal v1 v2
-
-  let hash (t, k, v) = Hashtbl.hash (Hashtbl.hash t, Hashtbl.hash k, Bitvec.hash v)
-end)
-
-(* Some of the mirror's entries in insertion order, how many, and each
-   one's slot (its position) by match key. *)
-type view = {
-  slots : (string * Entry.t) list;
-  size : int;
-  slot_of : (string, int) Hashtbl.t;
-}
-
-let view_of slot_of keyed =
-  Hashtbl.clear slot_of;
-  List.iteri (fun i (k, _) -> Hashtbl.add slot_of k i) keyed;
-  { slots = keyed; size = Hashtbl.length slot_of; slot_of }
-
 (* The mirror does not change while a batch is built (valid updates are
-   applied after it), so facts about its installed entries are derived at
-   most once per batch, on first use. The views keep the mirror's
-   insertion order, because the RNG draws from them: a draw must pick
-   what it would from a scan of the mirror. What changes as the batch
-   fills (claimed keys, tombstones, pending references) is applied per
-   call, by looking up what it excludes. *)
+   applied after it), and the views already describe it. What changes as
+   the batch fills (claimed keys, tombstones, pending references) is
+   applied per call, by looking up what it excludes. *)
 type batch_ctx = {
   taken : (string, unit) Hashtbl.t;           (* match keys claimed this batch *)
   tombstoned : (string, string) Hashtbl.t;
@@ -180,9 +366,6 @@ type batch_ctx = {
       (* pending insert count per table, so one batch cannot overshoot a
          table's guaranteed capacity (which would make acceptance
          order-dependent) *)
-  keyed : view Lazy.t;                        (* every installed entry *)
-  deletable : view Lazy.t;
-      (* the entries providing no value an installed entry references *)
   referables : (string * string, (string * Bitvec.t) list * Bitvec.t list) Hashtbl.t;
       (* per @refers_to (table, key): the value each entry provides under
          the key's first match, with and without its match key *)
@@ -191,37 +374,17 @@ type batch_ctx = {
          deletable entries providing it *)
 }
 
-(* One context per batch, dropped when the batch is built: a new one
-   refills the fuzzer's slot tables. *)
-let fresh_ctx t =
-  let keyed = lazy (view_of t.keyed_slots (State.all_keyed t.mirror_)) in
+let fresh_ctx () =
   { taken = Hashtbl.create 64; tombstoned = Hashtbl.create 16;
     batch_refs = Refs.create 16; batch_provides = ref []; batch_inserts = Hashtbl.create 16;
-    keyed;
-    deletable =
-      lazy
-        (view_of t.deletable_slots
-           (List.filter
-              (fun (_, e) -> not (State.provides_referenced t.mirror_ t.info e))
-              (Lazy.force keyed).slots));
-    referables = Hashtbl.create 8;
-    providers = Refs.create 16 }
+    referables = Hashtbl.create 8; providers = Refs.create 16 }
 
 let pending_inserts ctx table =
   Option.value ~default:0 (Hashtbl.find_opt ctx.batch_inserts table)
 
-let note_pending t ctx (e : Entry.t) =
-  List.iter
-    (fun (r : Validate.reference) ->
-      Refs.replace ctx.batch_refs (r.ref_table, r.ref_key, r.ref_value) ())
-    (Validate.references t.info e);
-  List.iter
-    (fun (fm : Entry.field_match) ->
-      match fm.fm_value with
-      | Entry.M_exact v | Entry.M_optional (Some v) ->
-          ctx.batch_provides := (e.e_table, fm.fm_field, v) :: !(ctx.batch_provides)
-      | _ -> ())
-    e.e_matches
+let note_pending t ctx e =
+  add_references t.info ctx.batch_refs e;
+  iter_provided e (fun r -> ctx.batch_provides := r :: !(ctx.batch_provides))
 
 let claim ctx e =
   let k = Entry.match_key e in
@@ -233,24 +396,29 @@ let claim ctx e =
 
 let tombstone ctx (e : Entry.t) = Hashtbl.replace ctx.tombstoned (Entry.match_key e) e.e_table
 
-(* Slots of [view] whose entries an earlier update of this batch claimed. *)
-let claimed ctx view =
+(* The slot of the entry filed under [key] in [set]: its rank there. *)
+let slot_of t set key =
+  match Hashtbl.find_opt t.views.pos key with
+  | Some p when Ranked.mem set p -> Some (Ranked.rank set p)
+  | _ -> None
+
+(* Slots of [set] whose entries an earlier update of this batch claimed. *)
+let claimed t ctx set =
   Hashtbl.fold
-    (fun k () acc ->
-      match Hashtbl.find_opt view.slot_of k with Some i -> i :: acc | None -> acc)
+    (fun k () acc -> match slot_of t set k with Some i -> i :: acc | None -> acc)
     ctx.taken []
 
-(* [Rng.choose] over [view]'s entries minus the [excluded] slots: the same
+(* [Rng.choose] over [set]'s entries minus the [excluded] slots: the same
    draw from the same candidates, found by counting past the excluded
    slots instead of building the list. *)
-let choose_except t view excluded =
+let choose_except t (set : Ranked.t) excluded =
   let excluded = List.sort_uniq Int.compare excluded in
-  match view.size - List.length excluded with
+  match set.size - List.length excluded with
   | 0 -> None
   | n ->
       let k = Rng.int t.rng n in
       let slot = List.fold_left (fun i x -> if x <= i then i + 1 else i) k excluded in
-      Some (List.nth view.slots slot)
+      Some t.views.at.(Ranked.select set slot)
 
 let referables t ctx ~table ~key =
   match Hashtbl.find_opt ctx.referables (table, key) with
@@ -439,7 +607,7 @@ let rec gen_valid_insert t ctx attempts =
     else
       match gen_entry t ctx ti with
       | Some e
-        when State.find t.mirror_ e = None
+        when Option.is_none (State.find t.mirror_ e)
              && (not (Hashtbl.mem ctx.taken (Entry.match_key e)))
              && State.count t.mirror_ ti.ti_name + pending_inserts ctx ti.ti_name
                 < ti.ti_size ->
@@ -453,45 +621,41 @@ let providers t ctx ((table, key, value) as r) =
   match Refs.find_opt ctx.providers r with
   | Some slots -> slots
   | None ->
-      let view = Lazy.force ctx.deletable in
       let slots =
         List.filter_map
-          (fun (k, v) ->
-            if Bitvec.equal v value then Hashtbl.find_opt view.slot_of k else None)
+          (fun (k, v) -> if Bitvec.equal v value then slot_of t t.views.deletable k else None)
           (fst (referables t ctx ~table ~key))
       in
       Refs.add ctx.providers r slots;
       slots
 
-(* The deletable view, and the slots of it a valid delete may not target:
-   claimed by an earlier update of this batch or, when [respect],
-   providing a value a pending update references. *)
+(* The slots of the deletable view a valid delete may not target: claimed
+   by an earlier update of this batch or, when [respect], providing a
+   value a pending update references. *)
 let undeletable t ctx ~respect =
-  let view = Lazy.force ctx.deletable in
   let referenced =
     if respect then
       Refs.fold (fun r () acc -> List.rev_append (providers t ctx r) acc) ctx.batch_refs []
     else []
   in
-  (view, claimed ctx view @ referenced)
+  claimed t ctx t.views.deletable @ referenced
 
 let gen_valid_delete t ctx =
-  let view, excluded = undeletable t ctx ~respect:t.config.respect_dependencies in
-  Option.map snd (choose_except t view excluded)
+  choose_except t t.views.deletable
+    (undeletable t ctx ~respect:t.config.respect_dependencies)
 
 let untaken ctx entries =
   List.filter_map (fun (k, e) -> if Hashtbl.mem ctx.taken k then None else Some e) entries
 
 let gen_valid_modify t ctx =
-  let view = Lazy.force ctx.keyed in
-  match choose_except t view (claimed ctx view) with
+  match choose_except t t.views.keyed (claimed t ctx t.views.keyed) with
   | None -> None
-  | Some (_, e) -> (
+  | Some e -> (
       match P4info.find_table t.info e.e_table with
       | None -> None
       | Some ti ->
           gen_action t ctx ti
-          |> Option.map (fun action -> { e with Entry.e_action = action }))
+          |> Option.map (Entry.with_action e))
 
 (* --- mutations (§4.2) --------------------------------------------------------- *)
 
@@ -502,7 +666,7 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
   let ti = P4info.find_table t.info e.e_table in
   match (mutation, ti) with
   | "invalid_table_id", _ ->
-      Some { e with e_table = Printf.sprintf "ghost_table_%d" (Rng.int t.rng 1000) }
+      Some (Entry.with_table e (Printf.sprintf "ghost_table_%d" (Rng.int t.rng 1000)))
   | "invalid_table_action", Some ti -> (
       let foreign =
         all_actions t.info
@@ -516,15 +680,14 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
           let args = List.map (fun (p : Ast.param) -> Rng.bitvec t.rng p.p_width) ar.ar_params in
           let inv = { Entry.ai_name = ar.ar_name; ai_args = args } in
           Some
-            { e with
-              e_action =
-                (match e.e_action with
-                | Entry.Single _ -> Entry.Single inv
-                | Entry.Weighted ws -> Entry.Weighted ((inv, 1) :: List.tl ws)) })
+            (Entry.with_action e
+               (match e.e_action with
+               | Entry.Single _ -> Entry.Single inv
+               | Entry.Weighted ws -> Entry.Weighted ((inv, 1) :: List.tl ws))))
   | "invalid_match_field_id", _ -> (
       match e.e_matches with
       | [] -> None
-      | fm :: rest -> Some { e with e_matches = { fm with fm_field = "ghost_field" } :: rest })
+      | fm :: rest -> Some (Entry.with_matches e ({ fm with fm_field = "ghost_field" } :: rest)))
   | "invalid_match_type", _ -> (
       let flip (fm : Entry.field_match) =
         match fm.fm_value with
@@ -541,11 +704,11 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
             | Some fm' -> Some (fm' :: rest)
             | None -> Option.map (fun r -> fm :: r) (try_flip rest))
       in
-      try_flip e.e_matches |> Option.map (fun ms -> { e with e_matches = ms }))
+      try_flip e.e_matches |> Option.map (Entry.with_matches e))
   | "duplicate_match_field", _ -> (
       match e.e_matches with
       | [] -> None
-      | fm :: _ -> Some { e with e_matches = fm :: e.e_matches })
+      | fm :: _ -> Some (Entry.with_matches e (fm :: e.e_matches)))
   | "missing_mandatory_match_field", Some ti -> (
       let mandatory =
         List.filter
@@ -559,11 +722,10 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
       | [] -> None
       | fm :: _ ->
           Some
-            { e with
-              e_matches =
-                List.filter
+            (Entry.with_matches e
+               (List.filter
                   (fun (m : Entry.field_match) -> not (String.equal m.fm_field fm.fm_field))
-                  e.e_matches })
+                  e.e_matches)))
   | "wrong_action_arg_count", _ -> (
       let drop_arg (ai : Entry.action_invocation) =
         match ai.ai_args with
@@ -571,9 +733,9 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
         | _ :: rest -> { ai with ai_args = rest }
       in
       match e.e_action with
-      | Entry.Single ai -> Some { e with e_action = Entry.Single (drop_arg ai) }
+      | Entry.Single ai -> Some (Entry.with_action e (Entry.Single (drop_arg ai)))
       | Entry.Weighted ((ai, w) :: rest) ->
-          Some { e with e_action = Entry.Weighted ((drop_arg ai, w) :: rest) }
+          Some (Entry.with_action e (Entry.Weighted ((drop_arg ai, w) :: rest)))
       | Entry.Weighted [] -> None)
   | "wrong_action_arg_width", _ -> (
       let widen (ai : Entry.action_invocation) =
@@ -582,10 +744,10 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
         | a :: rest -> Some { ai with ai_args = Bitvec.zero_extend (Bitvec.width a + 8) a :: rest }
       in
       match e.e_action with
-      | Entry.Single ai -> widen ai |> Option.map (fun ai -> { e with e_action = Entry.Single ai })
+      | Entry.Single ai -> widen ai |> Option.map (fun ai -> Entry.with_action e (Entry.Single ai))
       | Entry.Weighted ((ai, w) :: rest) ->
           widen ai
-          |> Option.map (fun ai -> { e with e_action = Entry.Weighted ((ai, w) :: rest) })
+          |> Option.map (fun ai -> Entry.with_action e (Entry.Weighted ((ai, w) :: rest)))
       | Entry.Weighted [] -> None)
   | "invalid_action_selector_weight", _ -> (
       match e.e_action with
@@ -594,12 +756,12 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
              the time, a possibly-valid update mislabeled as this invalid
              mutation (flaky oracle verdicts). Same single draw, so the RNG
              stream is unchanged. *)
-          Some { e with e_action = Entry.Weighted ((ai, -1 - Rng.int t.rng 2) :: rest) }
+          Some (Entry.with_action e (Entry.Weighted ((ai, -1 - Rng.int t.rng 2) :: rest)))
       | _ -> None)
   | "invalid_table_implementation", _ -> (
       match e.e_action with
-      | Entry.Single ai -> Some { e with e_action = Entry.Weighted [ (ai, 1) ] }
-      | Entry.Weighted ((ai, _) :: _) -> Some { e with e_action = Entry.Single ai }
+      | Entry.Single ai -> Some (Entry.with_action e (Entry.Weighted [ (ai, 1) ]))
+      | Entry.Weighted ((ai, _) :: _) -> Some (Entry.with_action e (Entry.Single ai))
       | Entry.Weighted [] -> None)
   | "invalid_reference", Some ti -> (
       (* Replace a reference (match or action arg) with a non-existent id. *)
@@ -616,7 +778,7 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
                   | _ -> Option.map (fun r -> fm :: r) (go rest))
               | _ -> Option.map (fun r -> fm :: r) (go rest))
         in
-        go e.e_matches |> Option.map (fun ms -> { e with e_matches = ms })
+        go e.e_matches |> Option.map (Entry.with_matches e)
       in
       let try_args () =
         let fix (ai : Entry.action_invocation) =
@@ -641,9 +803,9 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
               if !changed then Some { ai with ai_args = args } else None
         in
         match e.e_action with
-        | Entry.Single ai -> fix ai |> Option.map (fun ai -> { e with e_action = Entry.Single ai })
+        | Entry.Single ai -> fix ai |> Option.map (fun ai -> Entry.with_action e (Entry.Single ai))
         | Entry.Weighted ((ai, w) :: rest) ->
-            fix ai |> Option.map (fun ai -> { e with e_action = Entry.Weighted ((ai, w) :: rest) })
+            fix ai |> Option.map (fun ai -> Entry.with_action e (Entry.Weighted ((ai, w) :: rest)))
         | Entry.Weighted [] -> None
       in
       match try_match () with Some e' -> Some e' | None -> try_args ())
@@ -659,15 +821,14 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
             match fm.fm_value with
             | Entry.M_exact v ->
                 Some
-                  { e with
-                    e_matches =
-                      List.map
+                  (Entry.with_matches e
+                     (List.map
                         (fun (m : Entry.field_match) ->
                           if String.equal m.fm_field fm.fm_field then
                             { m with
                               fm_value = Entry.M_exact (Bitvec.zero (Bitvec.width v)) }
                           else m)
-                        e.e_matches }
+                        e.e_matches))
             | _ -> None
           in
           let all_flags_on =
@@ -680,9 +841,8 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
             if List.length flags < 2 then None
             else
               Some
-                { e with
-                  e_matches =
-                    List.map (fun (mf : P4info.match_field) ->
+                (Entry.with_matches e
+                   (List.map (fun (mf : P4info.match_field) ->
                         { Entry.fm_field = mf.mf_name;
                           fm_value =
                             Entry.M_ternary (Ternary.exact (Bitvec.of_int ~width:1 1)) })
@@ -694,20 +854,19 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
                                (fun (mf : P4info.match_field) ->
                                  String.equal mf.mf_name m.fm_field)
                                flags))
-                        e.e_matches }
+                        e.e_matches))
           in
           let fill_omitted =
             List.filter_map
               (fun (mf : P4info.match_field) ->
                 if mf.mf_kind = Ast.Ternary && Entry.find_match e mf.mf_name = None then
                   Some
-                    { e with
-                      e_matches =
-                        { Entry.fm_field = mf.mf_name;
+                    (Entry.with_matches e
+                       ({ Entry.fm_field = mf.mf_name;
                           fm_value =
                             Entry.M_ternary
                               (Ternary.exact (Rng.bitvec t.rng mf.mf_width)) }
-                        :: e.e_matches }
+                        :: e.e_matches))
                 else None)
               ti.ti_match_fields
           in
@@ -726,7 +885,7 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
           Bdd.sample_near_violation c t.rng
           |> Option.map (fun a -> merge_assignment ti e a))
   | "zero_priority", Some ti ->
-      if P4info.requires_priority ti then Some { e with e_priority = 0 } else None
+      if P4info.requires_priority ti then Some (Entry.with_priority e 0) else None
   | _, _ -> None
 
 (* --- batch generation ---------------------------------------------------------- *)
@@ -745,18 +904,18 @@ let gen_base t ctx =
   | None -> (
       match gen_valid_insert t ctx 10 with
       | Some e -> Some e
-      | None -> Option.map snd (choose_except t (Lazy.force ctx.keyed) []))
+      | None -> choose_except t t.views.keyed [])
 
 let try_mutation t ctx mutation =
   match mutation with
   | "duplicate_insert" -> (
-      match choose_except t (Lazy.force ctx.keyed) [] with
-      | Some (k, victim) when not (Hashtbl.mem ctx.taken k) ->
+      match choose_except t t.views.keyed [] with
+      | Some victim when not (Hashtbl.mem ctx.taken (Entry.match_key victim)) ->
           Some (Request.insert victim, "duplicate_insert")
       | _ -> None)
   | "delete_nonexistent" -> (
       match gen_valid_insert t ctx 10 with
-      | Some ghost when State.find t.mirror_ ghost = None ->
+      | Some ghost when Option.is_none (State.find t.mirror_ ghost) ->
           Some (Request.delete ghost, "delete_nonexistent")
       | _ -> None)
   | m -> (
@@ -826,18 +985,26 @@ let dependency_order (info : P4info.t) =
   List.iter (place 16) info.pi_tables;
   List.rev !order
 
+(* The first entry of [table] in the deletable view, in insertion order,
+   whose slot is not [excluded]. *)
+let first_deletable t ~table excluded =
+  let v = t.views in
+  let rec go p slot =
+    if p >= v.next then None
+    else if not (Ranked.mem v.deletable p) then go (p + 1) slot
+    else if String.equal v.at.(p).e_table table && not (List.mem slot excluded) then
+      Some v.at.(p)
+    else go (p + 1) (slot + 1)
+  in
+  go 0 0
+
 let sweep t =
+  Telemetry.with_span (Telemetry.get ()) "fuzzer.sweep" @@ fun () ->
   let batches = ref [] in
   let tables = dependency_order t.info in
   let flush_batch updates pending =
     if updates <> [] then begin
-      List.iter
-        (fun (op, e) ->
-          match op with
-          | Request.Insert -> ignore (State.insert t.mirror_ e)
-          | Request.Modify -> ignore (State.modify t.mirror_ e)
-          | Request.Delete -> ignore (State.delete t.mirror_ e))
-        (List.rev pending);
+      apply_valid t (List.rev pending);
       batches := account_batch (List.rev updates) :: !batches
     end
   in
@@ -847,13 +1014,13 @@ let sweep t =
   List.iter
     (fun (ti : P4info.table) ->
       if not (skip_dead t ti) then begin
-      let ctx = fresh_ctx t in
+      let ctx = fresh_ctx () in
       let updates = ref [] in
       let pending = ref [] in
       for _ = 1 to 3 do
         match gen_entry t ctx ti with
         | Some e
-          when State.find t.mirror_ e = None
+          when Option.is_none (State.find t.mirror_ e)
                && claim ctx e
                && State.count t.mirror_ ti.ti_name + pending_inserts ctx ti.ti_name
                   < ti.ti_size ->
@@ -870,27 +1037,21 @@ let sweep t =
   (* Phase 2: one valid modify and one valid delete per table. *)
   List.iter
     (fun (ti : P4info.table) ->
-      let ctx = fresh_ctx t in
+      let ctx = fresh_ctx () in
       let updates = ref [] in
       let pending = ref [] in
       (match untaken ctx (State.entries_of_keyed t.mirror_ ti.ti_name) with
        | e :: _ when claim ctx e -> (
            match gen_action t ctx ti with
            | Some action ->
-               let e' = { e with Entry.e_action = action } in
+               let e' = Entry.with_action e action in
                note_pending t ctx e';
                updates := { update = Request.modify e'; mutation = None } :: !updates;
                pending := (Request.Modify, e') :: !pending
            | None -> ())
        | _ -> ());
-      (let view, excluded = undeletable t ctx ~respect:true in
-       match
-         List.filteri
-           (fun i (_, (e : Entry.t)) ->
-             String.equal e.e_table ti.ti_name && not (List.mem i excluded))
-           view.slots
-       with
-       | (_, e) :: _ when claim ctx e ->
+      (match first_deletable t ~table:ti.ti_name (undeletable t ctx ~respect:true) with
+       | Some e when claim ctx e ->
            tombstone ctx e;
            updates := { update = Request.delete e; mutation = None } :: !updates;
            pending := (Request.Delete, e) :: !pending
@@ -903,7 +1064,7 @@ let sweep t =
      spurious rejection of the valid update. *)
   List.iter
     (fun (ti : P4info.table) ->
-      let ctx = fresh_ctx t in
+      let ctx = fresh_ctx () in
       let updates = ref [] in
       let pending = ref [] in
       (match gen_valid_insert t ctx 10 with
@@ -922,7 +1083,7 @@ let sweep t =
                 | [] -> None)
             | "delete_nonexistent" -> (
                 match gen_entry t ctx ti with
-                | Some ghost when State.find t.mirror_ ghost = None ->
+                | Some ghost when Option.is_none (State.find t.mirror_ ghost) ->
                     Some (Request.delete ghost, m)
                 | _ -> None)
             | m ->
@@ -950,7 +1111,8 @@ let sweep t =
   List.rev !batches
 
 let next_batch t =
-  let ctx = fresh_ctx t in
+  Telemetry.with_span (Telemetry.get ()) "fuzzer.next_batch" @@ fun () ->
+  let ctx = fresh_ctx () in
   let updates = ref [] in
   let pending_valid = ref [] in
   let n = t.config.updates_per_batch in
@@ -992,11 +1154,5 @@ let next_batch t =
     end
   done;
   (* Optimistically apply valid updates to the mirror. *)
-  List.iter
-    (fun (op, e) ->
-      match op with
-      | Request.Insert -> ignore (State.insert t.mirror_ e)
-      | Request.Modify -> ignore (State.modify t.mirror_ e)
-      | Request.Delete -> ignore (State.delete t.mirror_ e))
-    (List.rev !pending_valid);
+  apply_valid t (List.rev !pending_valid);
   account_batch (List.rev !updates)

@@ -45,7 +45,16 @@ val create : ?config:config -> ?greybox:Greybox.t -> P4info.t -> Rng.t -> t
 val mirror : t -> State.t
 (** The fuzzer's view of what should be installed, assuming the switch
     accepted every valid update. Used by campaigns for reporting only; the
-    oracle keeps its own observed state. *)
+    oracle keeps its own observed state. Read-only: the fuzzer keeps its
+    draw views in step with its own writes to the mirror, so a write from
+    outside would leave them stale. *)
+
+val views : t -> Entry.t list * Entry.t list
+(** The two views of {!mirror} that generation draws from, in insertion
+    order: every installed entry, and the entries that provide no value an
+    installed entry references (the delete candidates). Maintained across
+    batches by the fuzzer's mirror writes; exposed so tests can check them
+    against a rebuild from {!mirror}. *)
 
 type annotated_update = {
   update : Request.update;

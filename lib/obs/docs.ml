@@ -28,6 +28,8 @@ let catalog =
     ("cov.action", "Edge coverage: executions of a table action edge (hit or default/miss).");
     ("fault", "Times the named injected fault perturbed switch behaviour.");
     ("fuzzer.batches", "Update batches produced by the control-plane fuzzer.");
+    ("fuzzer.next_batch", "Duration of generating one random control-plane batch.");
+    ("fuzzer.sweep", "Duration of generating the directed sweep's batches.");
     ("fuzzer.updates", "Total updates produced by the control-plane fuzzer.");
     ("fuzzer.mutated_updates", "Fuzzer updates that went through a mutation pass.");
     ("fuzzer.greybox.probes", "Probe packets injected after control batches to harvest coverage deltas.");
@@ -39,6 +41,7 @@ let catalog =
     ("goals.total", "Symbolic coverage goals planned for this campaign.");
     ("harness.validate", "End-to-end duration of one validation run.");
     ("oracle.batches_judged", "Update batches compared against the P4Runtime reference oracle.");
+    ("oracle.judge_batch", "Duration of judging one write batch and its read-back.");
     ("oracle.updates_judged", "Individual updates compared against the reference oracle.");
     ("oracle.incidents", "Oracle incidents detected, by kind.");
     ("oracle.dataplane_fast", "Data-plane verdicts settled by the fast deterministic equality check.");
@@ -60,6 +63,7 @@ let catalog =
     ("switch.inject", "Duration of injecting one packet into the switch stack.");
     ("switch.packets_injected", "Test packets injected into the switch stack.");
     ("switch.packet_out", "Duration of one controller packet-out.");
+    ("switch.read", "Duration of one P4Runtime read of every installed entry.");
     ("switch.server.validate", "Duration of P4Runtime server-side validation of one request.");
     ("switch.syncd.sync", "Duration of one syncd state synchronisation.");
     ("switch.write", "Duration of one P4Runtime write request.");

@@ -53,7 +53,7 @@ let classify t (u : Request.update) =
   match Validate.check_entry t.info e with
   | Error s -> Must_reject (Format.asprintf "invalid request: %a" Status.pp s)
   | Ok () -> (
-      let exists = State.find t.state e <> None in
+      let exists = Option.is_some (State.find t.state e) in
       match u.op with
       | Request.Insert -> (
           if exists then Must_reject "duplicate insert"
@@ -102,6 +102,7 @@ let lists_state state entries =
 
 let judge_batch_detailed t updates (resp : Request.write_response) ~read_back =
   let tele = Telemetry.get () in
+  Telemetry.with_span tele "oracle.judge_batch" @@ fun () ->
   Telemetry.incr tele "oracle.batches_judged";
   Telemetry.incr ~n:(List.length updates) tele "oracle.updates_judged";
   let incidents = ref [] in

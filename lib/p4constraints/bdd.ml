@@ -109,8 +109,13 @@ type compiled = {
   m : manager;
   root : int;       (* the restriction itself *)
   canon : int;      (* ternary canonicality side-condition *)
+  compliant : int;  (* root AND canon: what compliant samples come from *)
+  violating : int Lazy.t;  (* NOT root AND canon *)
   slots : slot list;
   total_vars : int;
+  mutable counts : float array;
+      (* per node, its models below it (see [models]); nan until first
+         asked. Nodes never change, so the counts are kept across draws. *)
 }
 
 exception Unsupported of string
@@ -274,7 +279,10 @@ let compile layouts constr =
               List.fold_left (band m) acc per_bit)
         tru slots
     in
-    Ok { m; root; canon; slots; total_vars }
+    Ok
+      { m; root; canon; compliant = band m root canon;
+        violating = lazy (band m (bnot m root) canon); slots; total_vars;
+        counts = [||] }
   with
   | Unsupported msg -> Error msg
   | Invalid_argument msg -> Error msg
@@ -283,33 +291,38 @@ let size c = c.m.n_nodes
 
 (* --- model counting and sampling ------------------------------------------------ *)
 
-(* models(u, from_var): number of satisfying assignments of the variables
-   from_var .. total_vars-1 under node u. *)
-let count_table c =
-  let memo : (int, float) Hashtbl.t = Hashtbl.create 256 in
-  let rec models u =
-    if u = fls then 0.
-    else if u = tru then 1.
-    else
-      match Hashtbl.find_opt memo u with
-      | Some x -> x
-      | None ->
-          let v, lo, hi = node_of c.m u in
-          let weight child =
-            let skipped = (if child < 2 then c.total_vars else var_of c.m child) - v - 1 in
-            models child *. (2. ** float_of_int skipped)
-          in
-          let x = weight lo +. weight hi in
-          Hashtbl.add memo u x;
-          x
-  in
-  let top =
-    let skipped = if c.root < 2 then c.total_vars else var_of c.m c.root in
-    models c.root *. (2. ** float_of_int skipped)
-  in
-  (top, fun u -> models u)
+(* models(u): number of satisfying assignments of the variables from u's
+   own variable to total_vars-1 under node u. Memoized per node in
+   [c.counts], which grows with the manager. *)
+let rec models c u =
+  if u = fls then 0.
+  else if u = tru then 1.
+  else begin
+    if u >= Array.length c.counts then begin
+      let grown = Array.make (max 256 (2 * c.m.n_nodes)) Float.nan in
+      Array.blit c.counts 0 grown 0 (Array.length c.counts);
+      c.counts <- grown
+    end;
+    let x = c.counts.(u) in
+    if Float.is_nan x then begin
+      let v, lo, hi = node_of c.m u in
+      let x = weighted c v lo +. weighted c v hi in
+      c.counts.(u) <- x;
+      x
+    end
+    else x
+  end
 
-let model_count c = fst (count_table { c with root = band c.m c.root c.canon })
+(* [child]'s models over the variables after [v]: the variables the edge
+   skips are free. *)
+and weighted c v child =
+  let next_v = if child < 2 then c.total_vars else var_of c.m child in
+  models c child *. (2. ** float_of_int (next_v - v - 1))
+
+(* Satisfying assignments of all the variables under [root]. *)
+let count_from c root = weighted c (-1) root
+
+let model_count c = count_from c c.compliant
 
 type assignment = {
   values : (string * Bitvec.t) list;
@@ -318,15 +331,9 @@ type assignment = {
 
 let assignment_of_bits c bits =
   let read vars =
+    (* MSB-first layout: value bit j sits at position width-1-j *)
     let width = Array.length vars in
-    let v = ref (Bitvec.zero width) in
-    Array.iteri
-      (fun i var ->
-        if bits.(var) then
-          (* MSB-first layout: position i is value bit (width-1-i) *)
-          v := Bitvec.logor !v (Bitvec.shift_left (Bitvec.of_int ~width 1) (width - 1 - i)))
-      vars;
-    !v
+    Bitvec.init width (fun j -> bits.(vars.(width - 1 - j)))
   in
   { values = List.map (fun s -> (s.s_key, read s.s_value_vars)) c.slots;
     masks =
@@ -337,8 +344,7 @@ let assignment_of_bits c bits =
 (* Uniform sampling by walking the BDD weighted by model counts; variables
    skipped on an edge are uniform coin flips. *)
 let sample_node c rng root =
-  let _, models = count_table c in
-  if root = fls || fst (count_table { c with root }) = 0. then None
+  if root = fls || count_from c root = 0. then None
   else begin
     let bits = Array.make c.total_vars false in
     let rec walk u v =
@@ -356,12 +362,7 @@ let sample_node c rng root =
         end
         else begin
           let _, lo, hi = node_of c.m u in
-          let weight child =
-            let next_v = if child < 2 then c.total_vars else var_of c.m child in
-            (if child = fls then 0. else if child = tru then 1. else models child)
-            *. (2. ** float_of_int (next_v - v - 1))
-          in
-          let wlo = weight lo and whi = weight hi in
+          let wlo = weighted c v lo and whi = weighted c v hi in
           let go_hi =
             if wlo = 0. then true
             else if whi = 0. then false
@@ -380,9 +381,9 @@ let sample_node c rng root =
     Some (assignment_of_bits c bits)
   end
 
-let sample_compliant c rng = sample_node c rng (band c.m c.root c.canon)
+let sample_compliant c rng = sample_node c rng c.compliant
 
-let sample_violation c rng = sample_node c rng (band c.m (bnot c.m c.root) c.canon)
+let sample_violation c rng = sample_node c rng (Lazy.force c.violating)
 
 let eval_node c node bits =
   let rec walk u =

@@ -16,15 +16,26 @@ type action_choice =
   | Single of action_invocation
   | Weighted of (action_invocation * int) list
 
+(* [""] until [match_key] builds the key: a built key is never empty. *)
+type key_cache = string
+
 type t = {
   e_table : string;
   e_matches : field_match list;
   e_action : action_choice;
   e_priority : int;
+  mutable e_key : key_cache;
 }
 
 let make ?(priority = 0) ~table ~matches action =
-  { e_table = table; e_matches = matches; e_action = action; e_priority = priority }
+  { e_table = table; e_matches = matches; e_action = action; e_priority = priority;
+    e_key = "" }
+
+(* The key is blind to the action, so only [with_action] may keep it. *)
+let with_action t action = { t with e_action = action }
+let with_matches t matches = { t with e_matches = matches; e_key = "" }
+let with_priority t priority = { t with e_priority = priority; e_key = "" }
+let with_table t table = { t with e_table = table; e_key = "" }
 
 let find_match t name =
   List.find_opt (fun fm -> String.equal fm.fm_field name) t.e_matches
@@ -56,9 +67,9 @@ let match_value_to_string mv =
   add_match_value b mv;
   Buffer.contents b
 
-(* [table[priority]{field=value;...}], matches sorted by field name. Every
-   state lookup builds one, so it is written straight into one buffer. *)
-let match_key t =
+(* [table[priority]{field=value;...}], matches sorted by field name,
+   written straight into one buffer the first time an entry is asked. *)
+let build_key t =
   let b = Buffer.create 96 in
   Buffer.add_string b t.e_table;
   Buffer.add_char b '[';
@@ -73,6 +84,14 @@ let match_key t =
     (List.sort (fun a b -> String.compare a.fm_field b.fm_field) t.e_matches);
   Buffer.add_char b '}';
   Buffer.contents b
+
+let match_key t =
+  if String.length t.e_key > 0 then t.e_key
+  else begin
+    let key = build_key t in
+    t.e_key <- key;
+    key
+  end
 
 let equal_key a b = String.equal (match_key a) (match_key b)
 

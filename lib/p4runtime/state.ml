@@ -5,9 +5,9 @@ module Match = Switchv_match.Index
 module P4info = Switchv_p4ir.P4info
 
 (* Per-table association from match key to entry, plus a sequence number to
-   preserve insertion order. A slot keeps the match key it is filed under,
-   so views and comparisons never recompute it. *)
-type slot = { key : string; entry : Entry.t; seq : int }
+   preserve insertion order. Filing an entry builds its key, which the
+   entry then carries, so views and comparisons never recompute it. *)
+type slot = { entry : Entry.t; seq : int }
 
 (* An evaluator (lib/bmv2/compile.ml) describes a table's keys with a
    [key_spec] array; the first [index_lookup] against a table builds an
@@ -184,7 +184,7 @@ let insert t entry =
   if Hashtbl.mem tbl key then
     Error (Status.makef Status.Already_exists "entry already exists: %s" key)
   else begin
-    let slot = { key; entry; seq = t.next_seq } in
+    let slot = { entry; seq = t.next_seq } in
     Hashtbl.add tbl key slot;
     t.next_seq <- t.next_seq + 1;
     index_add t entry.Entry.e_table slot;
@@ -234,8 +234,9 @@ let all_slots t =
 let in_order view slots = List.sort (fun a b -> Int.compare a.seq b.seq) slots |> List.map view
 let entries_of t name = in_order (fun s -> s.entry) (slots_of t name)
 let all t = in_order (fun s -> s.entry) (all_slots t)
-let entries_of_keyed t name = in_order (fun s -> (s.key, s.entry)) (slots_of t name)
-let all_keyed t = in_order (fun s -> (s.key, s.entry)) (all_slots t)
+let keyed s = (Entry.match_key s.entry, s.entry)
+let entries_of_keyed t name = in_order keyed (slots_of t name)
+let all_keyed t = in_order keyed (all_slots t)
 
 let count t name =
   match Hashtbl.find_opt t.tables name with None -> 0 | Some tbl -> Hashtbl.length tbl

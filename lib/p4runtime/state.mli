@@ -34,7 +34,7 @@ val all : t -> Entry.t list
 val entries_of_keyed : t -> string -> (string * Entry.t) list
 val all_keyed : t -> (string * Entry.t) list
 (** {!entries_of} and {!all} paired with each entry's {!Entry.match_key},
-    which the state stores rather than recomputes. *)
+    which filing the entry built and the entry carries. *)
 
 val count : t -> string -> int
 val total : t -> int

@@ -64,11 +64,30 @@ let single name args = Entry.Single { ai_name = name; ai_args = args }
 let fm field value = { Entry.fm_field = field; fm_value = value }
 
 let generate ?(seed = 1) (program : Ast.program) profile =
-  let info = P4info.of_program program in
+  (* Tables are looked up in the program itself: building its P4info
+     would cost more than the whole lookup work here. *)
+  let find_table name =
+    List.find_opt (fun (t : Ast.table) -> String.equal t.t_name name) program.p_tables
+  in
   let rng = Rng.create seed in
-  let has table = P4info.find_table info table <> None in
+  let has table = Option.is_some (find_table table) in
   let out = ref [] in
-  let emit e = out := e :: !out in
+  (* A model may name a table without offering every action the role
+     models give it (a textual [-f] model): such an entry is dropped, after
+     its draws, so the entries that remain are the ones the role models
+     would get. Entries come table by table, so each run's table is looked
+     up once. *)
+  let table = ref ("", None) in
+  let offers (e : Entry.t) =
+    if not (String.equal (fst !table) e.e_table) then
+      table := (e.e_table, Option.map (fun (t : Ast.table) -> t.t_actions) (find_table e.e_table));
+    let offered (ai : Entry.action_invocation) = List.exists (String.equal ai.ai_name) in
+    match (snd !table, e.e_action) with
+    | None, _ -> false
+    | Some actions, Entry.Single ai -> offered ai actions
+    | Some actions, Entry.Weighted ais -> List.for_all (fun (ai, _) -> offered ai actions) ais
+  in
+  let emit e = if offers e then out := e :: !out in
 
   (* ids are 1-based; 0 is reserved (matches the entry restrictions). *)
   let vrf_ids = List.init profile.vrfs (fun i -> i + 1) in
@@ -280,9 +299,9 @@ let generate ?(seed = 1) (program : Ast.program) profile =
      role has (is_ipv4) plus dst_ip when present, staying inside each
      role's entry restriction. *)
   (let gen_acl table count =
-     match P4info.find_table info table with
+     match find_table table with
      | None -> ()
-     | Some ti ->
+     | Some t ->
          for i = 0 to count - 1 do
            (* ACL targets live under 150.0.0.0/8 and up — disjoint from the
               routed space (10/8, 20-60/8), so ACL drops never blanket the
@@ -290,7 +309,7 @@ let generate ?(seed = 1) (program : Ast.program) profile =
            let matches =
              [ fm "is_ipv4" (tern1 1) ]
              @
-             match P4info.find_match_field ti "dst_ip" with
+             match List.find_opt (fun (k : Ast.key) -> String.equal k.k_name "dst_ip") t.t_keys with
              | Some _ ->
                  let dst =
                    Ternary.of_prefix

@@ -45,7 +45,8 @@ val scaled : float -> profile -> profile
 val generate : ?seed:int -> Ast.program -> profile -> Entry.t list
 (** Entries in dependency order (references always precede referents), so
     installing them sequentially never dangles. Components whose table does
-    not exist in the program are skipped. *)
+    not exist in the program are skipped, and so is every entry invoking an
+    action its table does not offer. *)
 
 val mirror_map : Entry.t list -> (int * int) list
 (** Derive the interpreter's mirror-session → port map from the

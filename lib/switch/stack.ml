@@ -187,11 +187,10 @@ let sync_to_asic t (u : Request.update) =
             | [] -> ai
           else ai
         in
-        { e with
-          e_action =
-            (match e.e_action with
-            | Entry.Single ai -> Entry.Single (fix ai)
-            | Entry.Weighted ais -> Entry.Weighted (List.map (fun (ai, w) -> (fix ai, w)) ais)) }
+        Entry.with_action e
+          (match e.e_action with
+          | Entry.Single ai -> Entry.Single (fix ai)
+          | Entry.Weighted ais -> Entry.Weighted (List.map (fun (ai, w) -> (fix ai, w)) ais))
       end
       else e
     in
@@ -272,7 +271,7 @@ let process_update t (u : Request.update) =
                     | Fault.Modify_keeps_old_args tbl -> on_table e tbl
                     | _ -> false)
                 then
-                  if State.find t.server e <> None then Status.ok
+                  if Option.is_some (State.find t.server e) then Status.ok
                   else Status.makef Status.Not_found "no such entry in %s" e.e_table
                 else begin
                   match State.modify t.server e with
@@ -337,7 +336,7 @@ let write t (req : Request.write_request) =
     end
     else begin
       let missing_delete (u : Request.update) =
-        u.op = Request.Delete && State.find t.server u.entry = None
+        u.op = Request.Delete && Option.is_none (State.find t.server u.entry)
       in
       if
         fires t (function
@@ -356,6 +355,7 @@ let write t (req : Request.write_request) =
   end
 
 let read t =
+  Telemetry.with_span (Telemetry.get ()) "switch.read" @@ fun () ->
   if t.is_crashed then { Request.entries = [] }
   else begin
     let entries = State.all t.server in
@@ -367,7 +367,7 @@ let read t =
     in
     let entries =
       if kept <> [] && fires t (function Fault.Read_zeroes_priority -> true | _ -> false)
-      then List.map (fun (e : Entry.t) -> { e with e_priority = 0 }) kept
+      then List.map (fun e -> Entry.with_priority e 0) kept
       else kept
     in
     { Request.entries }

@@ -188,6 +188,48 @@ let prop_count_agrees_bruteforce =
           done;
           Bdd.model_count c = float_of_int !brute)
 
+(* The draw stream the fuzzer consumes, pinned per middleblock table with a
+   compiled restriction: 200 compliant and 50 near-violation draws from one
+   generator seeded 1, plus the model count. The digests were recorded
+   before model counts were kept across draws and before sampled keys were
+   built in one pass; any change to the counts, the walk or the RNG
+   consumption shows here. *)
+let draw_stream_digests =
+  [ ("acl_pre_ingress_table", "6c01dc866a0849ff8bfcfc0bd3a57a9a");
+    ("vrf_table", "dc2763eb3def20c9e0902b265c294aad");
+    ("nexthop_table", "7cf998276a2802c53cba0f8a2287c5da");
+    ("router_interface_table", "490d4b154904c2228fbe9a15e89c7b8e");
+    ("neighbor_table", "e70e3743700be8d4490cd67d0d33b867");
+    ("acl_ingress_table", "f89f21636dbad6628f205dee7fcf89e2");
+    ("mirror_session_table", "3181503b9aae432d1aa6eeb6c8c25199") ]
+
+let test_draw_stream_pinned () =
+  let show (a : Bdd.assignment) =
+    let kvs l =
+      String.concat ","
+        (List.map (fun (k, v) -> k ^ "=" ^ Bitvec.to_hex_string v ^ "#"
+                                 ^ string_of_int (Bitvec.width v)) l)
+    in
+    "v:" ^ kvs a.values ^ " m:" ^ kvs a.masks
+  in
+  let draws c =
+    let rng = Rng.create 1 in
+    let opt = function Some a -> show a | None -> "none" in
+    let compliant = List.init 200 (fun _ -> opt (Bdd.sample_compliant c rng)) in
+    let near = List.init 50 (fun _ -> opt (Bdd.sample_near_violation c rng)) in
+    Printf.sprintf "%h" (Bdd.model_count c) :: (compliant @ near)
+  in
+  let actual =
+    List.filter_map
+      (fun (ti : Switchv_p4ir.P4info.table) ->
+        Option.map
+          (fun c ->
+            (ti.ti_name, Digest.to_hex (Digest.string (String.concat "\n" (draws c)))))
+          (Switchv_p4ir.P4info.restriction_bdd ti))
+      Switchv_sai.Middleblock.info.pi_tables
+  in
+  Alcotest.(check (list (pair string string))) "draw stream digests" draw_stream_digests actual
+
 let () =
   Alcotest.run "bdd"
     [ ("counting",
@@ -201,5 +243,6 @@ let () =
          Alcotest.test_case "violation" `Quick test_sample_violation;
          Alcotest.test_case "near violation" `Quick test_sample_near_violation;
          Alcotest.test_case "unsat/tautology" `Quick test_sample_unsat_none;
-         Alcotest.test_case "uniformity" `Quick test_sampling_uniformity ]);
+         Alcotest.test_case "uniformity" `Quick test_sampling_uniformity;
+         Alcotest.test_case "middleblock draw stream pinned" `Quick test_draw_stream_pinned ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_count_agrees_bruteforce ]) ]

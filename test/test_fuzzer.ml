@@ -148,8 +148,8 @@ let test_mutated_updates_invalid () =
                 match a.update.op with
                 | Request.Insert ->
                     state_independent_invalid || dangling
-                    || State.find mirror e <> None (* duplicate *)
-                | Request.Delete -> State.find mirror e = None
+                    || Option.is_some (State.find mirror e) (* duplicate *)
+                | Request.Delete -> Option.is_none (State.find mirror e)
                 | Request.Modify -> state_independent_invalid || dangling
               in
               if not invalid then
@@ -235,6 +235,55 @@ let test_capacity_respected () =
         true
         (State.count mirror ti.ti_name <= ti.ti_size))
     info.pi_tables
+
+(* --- maintained views ------------------------------------------------------- *)
+
+(* The views the fuzzer keeps across batches against a rebuild from its
+   mirror after every batch: every installed entry in insertion order, and
+   those providing no value an installed entry references. Three fixed
+   seeds, or the one in SWITCHV_FUZZ_SEED (`make check` sets a fresh one). *)
+let test_views_match_rebuild () =
+  let seeds =
+    match Option.bind (Sys.getenv_opt "SWITCHV_FUZZ_SEED") int_of_string_opt with
+    | Some seed -> [ seed ]
+    | None -> [ 5; 14; 99 ]
+  in
+  let same what seed ~respect batch maintained rebuilt =
+    if
+      not
+        (List.compare_lengths maintained rebuilt = 0
+        && List.for_all2 Entry.equal maintained rebuilt)
+    then
+      Alcotest.failf
+        "SWITCHV_FUZZ_SEED=%d respect=%b after %s: %s view has %d entries, a rebuild %d"
+        seed respect batch what (List.length maintained) (List.length rebuilt)
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun respect ->
+          let f =
+            make_fuzzer
+              ~config:{ Fuzzer.default_config with respect_dependencies = respect }
+              seed
+          in
+          let check batch =
+            let mirror = Fuzzer.mirror f in
+            let keyed = List.map snd (State.all_keyed mirror) in
+            let deletable =
+              List.filter (fun e -> not (State.provides_referenced mirror info e)) keyed
+            in
+            let keyed', deletable' = Fuzzer.views f in
+            same "keyed" seed ~respect batch keyed' keyed;
+            same "deletable" seed ~respect batch deletable' deletable
+          in
+          List.iteri (fun i _ -> check (Printf.sprintf "sweep batch %d" i)) (Fuzzer.sweep f);
+          for batch = 1 to 200 do
+            ignore (Fuzzer.next_batch f);
+            check (Printf.sprintf "batch %d" batch)
+          done)
+        [ true; false ])
+    seeds
 
 (* --- sweep ------------------------------------------------------------------ *)
 
@@ -369,4 +418,7 @@ let () =
          Alcotest.test_case "covers mutations per table" `Quick test_sweep_covers_mutations_per_table;
          Alcotest.test_case "dependency order" `Quick test_sweep_respects_dependency_order ]);
       ("greybox",
-       [ Alcotest.test_case "mutation bases of any shape" `Quick test_greybox_mutation_bases ]) ]
+       [ Alcotest.test_case "mutation bases of any shape" `Quick test_greybox_mutation_bases ]);
+      ("views",
+       [ Alcotest.test_case "maintained views match a rebuild" `Quick
+           test_views_match_rebuild ]) ]

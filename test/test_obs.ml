@@ -16,6 +16,7 @@ module Middleblock = Switchv_sai.Middleblock
 module Workload = Switchv_sai.Workload
 module Stack = Switchv_switch.Stack
 module Data_campaign = Switchv_core.Data_campaign
+module Control_campaign = Switchv_core.Control_campaign
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -309,6 +310,28 @@ let test_pool_trace_stitches () =
   check_bool "worker lane present" true (contains ~needle:"\"tid\":1" chrome);
   check_bool "parent lane present" true (contains ~needle:"\"tid\":0" chrome)
 
+(* The control loop's batch-level boundaries are library spans, so a
+   campaign's own trace shows where its control phase went; every metric
+   the campaign records is documented. *)
+let test_control_campaign_spans () =
+  let tele = Telemetry.create () in
+  let buf = Buffer.create 4096 in
+  Telemetry.set_sink tele (Some (fun line -> Buffer.add_string buf (line ^ "\n")));
+  Telemetry.with_registry tele (fun () ->
+      ignore
+        (Control_campaign.run (Stack.create Middleblock.program)
+           { Control_campaign.default_config with batches = 3 }));
+  Telemetry.set_sink tele None;
+  let events = List.filter_map Trace.parse_line (String.split_on_char '\n' (Buffer.contents buf)) in
+  List.iter
+    (fun name ->
+      check_bool (name ^ " traced") true
+        (List.exists
+           (fun (e : Trace.event) -> e.e_ev = "b" && String.equal e.e_span name)
+           events))
+    [ "fuzzer.sweep"; "fuzzer.next_batch"; "switch.read"; "oracle.judge_batch" ];
+  Alcotest.(check (list string)) "documented" [] (Docs.undocumented (Telemetry.snapshot tele))
+
 (* --- HTTP exposition ----------------------------------------------------------- *)
 
 let test_serve_and_fetch () =
@@ -399,7 +422,9 @@ let () =
             test_truncate_to_last_newline;
           Alcotest.test_case "atomic file sink" `Quick test_file_sink_atomic;
           Alcotest.test_case "cross-fork stitching + chrome" `Quick
-            test_pool_trace_stitches ] );
+            test_pool_trace_stitches;
+          Alcotest.test_case "control campaign library spans" `Quick
+            test_control_campaign_spans ] );
       ( "serve",
         [ Alcotest.test_case "endpoint + client" `Quick test_serve_and_fetch ] );
       ( "progress",

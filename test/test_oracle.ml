@@ -144,7 +144,7 @@ let test_modify_divergence_flagged () =
   ignore (accept oracle (Request.insert (route ())));
   (* Switch says OK to a modify but keeps the old action (the paper's
      "MODIFY leaves old action parameters unchanged" bug). *)
-  let modified = { (route ()) with Entry.e_action = single "drop" [] } in
+  let modified = Entry.with_action (route ()) (single "drop" []) in
   let incidents =
     Oracle.judge_batch oracle
       [ Request.modify modified ]
@@ -391,7 +391,7 @@ let perturb rng entries =
     | Extra ->
         (* A key no installed entry has: same matches, another priority. *)
         let (e : Entry.t) = List.nth entries k in
-        entries @ [ { e with e_priority = e.e_priority + 1000 } ]
+        entries @ [ Entry.with_priority e (e.e_priority + 1000) ]
     | Swapped ->
         let a = Array.of_list entries in
         let x = a.(k) in
@@ -399,9 +399,9 @@ let perturb rng entries =
         a.(k + 1) <- x;
         Array.to_list a
     | Zeroed_priority ->
-        List.mapi (fun i (e : Entry.t) -> if i = k then { e with e_priority = 0 } else e)
+        List.mapi (fun i e -> if i = k then Entry.with_priority e 0 else e)
           entries
-    | Copied -> List.map (fun (e : Entry.t) -> { e with e_priority = e.e_priority }) entries
+    | Copied -> List.map (fun (e : Entry.t) -> Entry.with_priority e e.e_priority) entries
   in
   (p, entries)
 

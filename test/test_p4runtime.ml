@@ -337,7 +337,7 @@ let test_state_maintained_views () =
       | r when r < 14 ->
           let e = pick () in
           let ti = Option.get (P4info.find_table chain_info e.e_table) in
-          ignore (State.modify !s { e with e_action = random_action rng ti })
+          ignore (State.modify !s (Entry.with_action e (random_action rng ti)))
       | _ -> ignore (State.delete !s (pick ())));
       (* Mostly one P4info, so the counts are maintained; now and then
          another, which rebuilds them. *)
@@ -444,6 +444,50 @@ let test_match_key_printf_reference () =
   for _ = 1 to 500 do
     same_key "random" (random_entry rng)
   done
+
+(* --- cached match keys ---------------------------------------------------------- *)
+
+(* A fresh entry with [e]'s fields, [matches] applied to its matches: its
+   key is not built yet. *)
+let rebuilt ?(matches = Fun.id) (e : Entry.t) =
+  Entry.make ~priority:e.e_priority ~table:e.e_table ~matches:(matches e.e_matches)
+    e.e_action
+
+(* Any chain of updaters, with the key read or not before each step, ends
+   on the key a fresh entry with the same fields gets; the key does not
+   depend on match order (for entries naming each field once: a repeated
+   field's matches keep their order); and [Entry.equal] gives the same
+   answer whether or not either key is built. *)
+let prop_cached_key =
+  QCheck.Test.make ~count:500 ~name:"cached match key after with_* chains"
+    QCheck.(triple small_nat (small_list (pair (int_bound 3) bool)) bool)
+    (fun (seed, steps, read_last) ->
+      let rng = Rng.create seed in
+      let e =
+        List.fold_left
+          (fun e (updater, read) ->
+            if read then ignore (Entry.match_key e);
+            let (o : Entry.t) = random_entry rng in
+            match updater with
+            | 0 -> Entry.with_action e o.e_action
+            | 1 -> Entry.with_matches e o.e_matches
+            | 2 -> Entry.with_priority e o.e_priority
+            | _ -> Entry.with_table e o.e_table)
+          (random_entry rng) steps
+      in
+      if read_last then ignore (Entry.match_key e);
+      let z = random_entry rng in
+      let fields = List.map (fun (fm : Entry.field_match) -> fm.fm_field) e.e_matches in
+      let distinct = List.length (List.sort_uniq String.compare fields) = List.length fields in
+      let unbuilt_verdict = Entry.equal (rebuilt e) (rebuilt z) in
+      String.equal (Entry.match_key e) (Entry.match_key (rebuilt e))
+      && ((not distinct)
+         || String.equal (Entry.match_key e)
+              (Entry.match_key (rebuilt ~matches:(Rng.shuffle rng) e)))
+      && Entry.equal e (rebuilt e)
+      && Entry.equal (rebuilt e) e
+      && Entry.equal e z = unbuilt_verdict
+      && Entry.equal z e = unbuilt_verdict)
 
 (* --- syntactic validation (Figure 3 verdicts) -------------------------------- *)
 
@@ -562,7 +606,8 @@ let () =
        [ Alcotest.test_case "match key order" `Quick test_match_key_order_insensitive;
          Alcotest.test_case "priority in key" `Quick test_priority_in_key;
          Alcotest.test_case "match key = Printf definition" `Quick
-           test_match_key_printf_reference ]);
+           test_match_key_printf_reference;
+         QCheck_alcotest.to_alcotest prop_cached_key ]);
       ("state",
        [ Alcotest.test_case "insert/delete" `Quick test_state_insert_delete;
          Alcotest.test_case "modify" `Quick test_state_modify;
