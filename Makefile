@@ -30,13 +30,15 @@ check:
 	$(MAKE) check-obs
 	dune exec bench/main.exe -- quick obs_overhead smt_incremental taint fabric greybox scale
 
-# Incremental-SMT soak: `dune runtest` runs the property-based
-# differential suite at its fixed seed; this re-runs its randomized soak
-# for 2 seconds at a fresh seed (printed on failure, so a soak hit is
-# reproducible).
+# Incremental-SMT and mutated-model soaks: `dune runtest` runs the
+# property-based SMT differential suite and the mutated-model probe at
+# their fixed seeds; this re-runs each randomized soak for 2 seconds at a
+# fresh seed (printed on failure, so a soak hit is reproducible).
 check-smt:
 	SWITCHV_QGEN_SEED=$$$$ SWITCHV_QGEN_SOAK_MS=2000 \
 	  dune exec test/test_smt_diff.exe -- -e soak
+	SWITCHV_QGEN_SEED=$$$$ SWITCHV_QGEN_SOAK_MS=2000 \
+	  dune exec test/test_mutants.exe -- -e soak
 
 # Fuzzer-view soak: `dune runtest` checks the views the fuzzer maintains
 # across batches against a rebuild from its mirror at three fixed seeds;

@@ -597,7 +597,7 @@ let ablation_batching () =
     let config =
       { Control_campaign.default_config with
         batches = (if !quick then 10 else 40);
-        fuzzer_config = { Fuzzer.default_config with respect_dependencies = respect };
+        fuzzer_config = { Fuzzer.respect_dependencies = respect };
         max_incidents = 10000;
         seed = 5 }
     in
@@ -1019,8 +1019,9 @@ let obs_overhead () =
       ignore (Packetgen.generate enc (Packetgen.entry_coverage_goals enc))
     done
   in
-  (* inject: the bmv2 interpreter loop, validate's "Testing" phase —
-     where the per-edge coverage counters were added. *)
+  (* inject: the staged evaluator ([Compile.run]) that [Stack.inject] and
+     [Dataplane] run in validate's "Testing" phase, bumping the per-edge
+     coverage counters. *)
   let inject =
     let state = State.create () in
     List.iter (fun e -> ignore (State.insert state e)) entries;
@@ -1036,14 +1037,14 @@ let obs_overhead () =
                ()))
     in
     (* A rep of at least 0.2 s keeps one scheduler hiccup from reading as
-       overhead. A round of 64 packets takes about 1.7 ms on quick mode's
-       small entry set and 0.9-1.1 ms on full mode's inst1 x0.1 (shared
-       2-core Xeon), so a rep loops 300 and 360 rounds to last at least
-       0.2 s on a machine up to 1.5x faster. *)
+       overhead. A round of 64 packets takes about 0.75-0.9 ms on quick
+       mode's small entry set and 1.3 ms on full mode's inst1 x0.1 (shared
+       2-core Xeon), so a rep of 300 and 360 rounds lasts about 0.22-0.28 s
+       and 0.48 s. *)
     let rounds = if !quick then 300 else 360 in
     fun () ->
       for _ = 1 to rounds do
-        List.iter (fun p -> ignore (Interp.run cfg ~ingress_port:1 p)) packets
+        List.iter (fun p -> ignore (Compile.run cfg ~ingress_port:1 p)) packets
       done
   in
   let measured =

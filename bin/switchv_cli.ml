@@ -247,8 +247,7 @@ let validate_cmd =
           (Progress.start tele
              ~coverage:(fun () ->
                let c = Coverage.of_registry tele program in
-               Some (c.Coverage.covered, c.Coverage.total))
-             ())
+               Some (c.Coverage.covered, c.Coverage.total)))
       else None
     in
     let report =

@@ -77,19 +77,19 @@ let run ?(check_restrictions = true) (program : Ast.program) =
          dead-label set but no P4A006 (the enclosing dead path is already
          reported once, at its cause). *)
       let dead_labels = ref [] in
-      let dead_label id arm = dead_labels := Printf.sprintf "branch.%d.%s" id arm :: !dead_labels in
+      let dead_label id arm = dead_labels := Ast.branch_label id arm :: !dead_labels in
       Cfg.iter
         (fun node ->
           match node.Cfg.n_kind with
           | Cfg.N_cond (id, _) ->
               if not (reachable node.Cfg.n_id) then begin
-                dead_label id "then";
-                dead_label id "else"
+                dead_label id true;
+                dead_label id false
               end
               else (
                 match Constprop.verdict cp id with
                 | Some b ->
-                    dead_label id (if b then "else" else "then");
+                    dead_label id (not b);
                     add
                       (Diagnostics.warning "P4A006" ~loc:(Cfg.node_loc node)
                          "condition of branch %d is always %b; the %s arm \

@@ -8,10 +8,3 @@ let unsat_tables program =
       | Some compiled when Bdd.model_count compiled = 0. -> Some ti.ti_name
       | _ -> None)
     (P4info.of_program program).pi_tables
-
-let diagnose program =
-  List.map
-    (fun name ->
-      Diagnostics.error "P4A004" ~loc:("table " ^ name)
-        "entry restriction is unsatisfiable: no entry can ever be installed")
-    (unsat_tables program)

@@ -15,4 +15,3 @@ val unsat_tables : Switchv_p4ir.Ast.program -> string list
 (** Table names whose restriction is provably unsatisfiable, in program
     order. *)
 
-val diagnose : Switchv_p4ir.Ast.program -> Diagnostics.t list

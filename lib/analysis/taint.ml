@@ -230,7 +230,7 @@ let analyze (cfg : Cfg.t) =
   let s_branch_labels =
     IMap.bindings all_cond_ids
     |> List.concat_map (fun (id, _) ->
-           [ Printf.sprintf "branch.%d.then" id; Printf.sprintf "branch.%d.else" id ])
+           [ Ast.branch_label id true; Ast.branch_label id false ])
   in
   (* Tables whose keys read tainted values, with the offending key names. *)
   let keys_by_table = Hashtbl.create 8 in

@@ -55,8 +55,6 @@ let of_int64 ~width:w n =
   fill 0 n;
   normalize w limbs
 
-let of_bool b = of_int ~width:1 (if b then 1 else 0)
-
 let bit t i =
   if i < 0 || i >= t.width then invalid_arg "Bitvec.bit: index out of range";
   t.limbs.(i / limb_bits) lsr (i mod limb_bits) land 1 = 1
@@ -138,18 +136,6 @@ let to_int_exn t =
   | Some n -> n
   | None -> invalid_arg "Bitvec.to_int_exn: does not fit in int"
 
-let to_int64 t =
-  let n = Array.length t.limbs in
-  let rec all_zero i = i >= n || (t.limbs.(i) = 0 && all_zero (i + 1)) in
-  if not (all_zero 4) then None
-  else begin
-    let v = ref 0L in
-    for i = min n 4 - 1 downto 0 do
-      v := Int64.logor (Int64.shift_left !v limb_bits) (Int64.of_int t.limbs.(i))
-    done;
-    Some !v
-  end
-
 let is_zero t = Array.for_all (fun l -> l = 0) t.limbs
 
 let is_ones t =
@@ -230,7 +216,6 @@ let lognot' = lognot
 
 let neg a = add (lognot' a) (of_int ~width:a.width 1)
 let sub a b = add a (neg b)
-let succ a = add a (of_int ~width:a.width 1)
 
 let mul a b =
   if a.width <> b.width then invalid_arg "Bitvec.mul: width mismatch";
@@ -269,12 +254,6 @@ let zero_extend w t =
     normalize w limbs
   end
 
-let truncate w t =
-  if w > t.width then invalid_arg "Bitvec.truncate: wider target";
-  if w = t.width then t else extract ~hi:(w - 1) ~lo:0 t
-
-let resize w t = if w >= t.width then zero_extend w t else truncate w t
-
 let prefix_mask ~width:w len =
   check_width "Bitvec.prefix_mask" w;
   if len < 0 || len > w then invalid_arg "Bitvec.prefix_mask: bad prefix length";
@@ -288,20 +267,12 @@ let prefix_mask ~width:w len =
          else if base + limb_bits <= start then 0
          else (limb_mask lsl (start - base)) land limb_mask))
 
-let fold_bits f t init =
-  let acc = ref init in
-  for i = 0 to t.width - 1 do
-    acc := f i (bit t i) !acc
-  done;
-  !acc
-
 let random rand_int w =
   check_width "Bitvec.random" w;
   let limbs = Array.init (limbs_for w) (fun _ -> rand_int (limb_mask + 1)) in
   normalize w limbs
 
 let pp fmt t = Format.fprintf fmt "0x%s#%d" (to_hex_string t) t.width
-let pp_bin fmt t = Format.fprintf fmt "0b%s#%d" (to_bin_string t) t.width
 
 let of_bytes_be s =
   let n = String.length s in

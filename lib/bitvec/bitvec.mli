@@ -30,9 +30,6 @@ val of_hex_string : width:int -> string -> t
 (** Parse a hex string (without ["0x"] prefix), truncated/zero-extended to
     [width]. *)
 
-val of_bool : bool -> t
-(** Width-1 vector: [true] is 1, [false] is 0. *)
-
 val init : int -> (int -> bool) -> t
 (** [init w f] has bit [i] (bit 0 the least significant) set when [f i]
     holds, built in one pass. *)
@@ -44,7 +41,6 @@ val to_int : t -> int option
 
 val to_int_exn : t -> int
 
-val to_int64 : t -> int64 option
 
 val bit : t -> int -> bool
 (** [bit v i] is bit [i], with bit 0 the least significant.
@@ -86,7 +82,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
-val succ : t -> t
 
 (** {1 Structure} *)
 
@@ -101,18 +96,9 @@ val zero_extend : int -> t -> t
 (** [zero_extend w v] pads [v] with zero bits up to total width [w];
     [w >= width v]. *)
 
-val truncate : int -> t -> t
-(** [truncate w v] keeps the [w] low bits; [w <= width v]. *)
-
-val resize : int -> t -> t
-(** Zero-extend or truncate to exactly the given width. *)
-
 val prefix_mask : width:int -> int -> t
 (** [prefix_mask ~width len] has the [len] most significant of [width] bits
     set — the netmask of a length-[len] prefix. *)
-
-val fold_bits : (int -> bool -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over bit indices 0 .. width-1 (LSB first). *)
 
 val random : (int -> int) -> int -> t
 (** [random rand_int w]: uniformly random vector of width [w] using
@@ -121,7 +107,6 @@ val random : (int -> int) -> int -> t
 val pp : Format.formatter -> t -> unit
 (** Hex with width annotation, e.g. [0x0a000001#32]. *)
 
-val pp_bin : Format.formatter -> t -> unit
 
 (** {1 Byte conversion} *)
 

@@ -11,11 +11,6 @@ let next t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t = next t
-
-let split t =
-  { state = next t }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";
   (* Use the top bits; reject nothing since modulo bias is negligible for

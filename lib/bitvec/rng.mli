@@ -9,16 +9,10 @@ type t
 val create : int -> t
 (** [create seed] — equal seeds yield equal streams. *)
 
-val split : t -> t
-(** Derive an independent generator (for parallel sub-campaigns). *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). [bound] must be positive. *)
 
 val bool : t -> bool
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val bitvec : t -> int -> Bitvec.t
 (** Uniformly random bitvector of the given width. *)

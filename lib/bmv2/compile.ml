@@ -187,7 +187,7 @@ let hit_cov ct aname =
   match Hashtbl.find_opt ct.ct_hit_cov aname with
   | Some k -> k
   | None ->
-      let k = "cov.action." ^ ct.ct_name ^ ".hit." ^ aname in
+      let k = Ast.action_key ct.ct_name ~hit:true aname in
       Hashtbl.add ct.ct_hit_cov aname k;
       k
 
@@ -243,7 +243,7 @@ let ctable ctx (table : Ast.table) =
     ct_keys = keys;
     ct_specs = specs;
     ct_default = (daction, Array.of_list dargs, dname);
-    ct_default_cov = "cov.action." ^ table.t_name ^ ".miss." ^ dname;
+    ct_default_cov = Ast.action_key table.t_name ~hit:false dname;
     ct_hit_cov = Hashtbl.create 8 }
 
 let apply_ctable ctx actions selector_inputs ct rt =
@@ -310,8 +310,8 @@ let rec ccontrol ctx actions tables selector_inputs next (c : Ast.control) :
           fun rt -> Interp.apply_table rt name)
   | C_if (cond, a, b) ->
       let cc = cbexpr ctx cond in
-      let kt = "cov.branch." ^ string_of_int next ^ ".then" in
-      let ke = "cov.branch." ^ string_of_int next ^ ".else" in
+      let kt = Ast.coverage_key (Ast.branch_label next true) in
+      let ke = Ast.coverage_key (Ast.branch_label next false) in
       let ca = ccontrol ctx actions tables selector_inputs (next + 1) a in
       let cb =
         ccontrol ctx actions tables selector_inputs (next + 1 + Ast.count_ifs a) b

@@ -308,12 +308,10 @@ let pick_weighted rt members =
    CFG edge taken through a table ({!Switchv_analysis.Cfg.N_action}); branch
    keys use the same pre-order ids as [Symexec]'s [branch.N.*] goal labels. *)
 let cov_action table_name ~hit aname =
-  Telemetry.incr (Telemetry.get ())
-    ("cov.action." ^ table_name ^ (if hit then ".hit." else ".miss.") ^ aname)
+  Telemetry.incr (Telemetry.get ()) (Ast.action_key table_name ~hit aname)
 
 let cov_branch id taken =
-  Telemetry.incr (Telemetry.get ())
-    ("cov.branch." ^ string_of_int id ^ if taken then ".then" else ".else")
+  Telemetry.incr (Telemetry.get ()) (Ast.coverage_key (Ast.branch_label id taken))
 
 let apply_table rt table_name =
   let table = Ast.find_table_exn rt.cfg.program table_name in
@@ -483,8 +481,8 @@ let hash_rounds cfg =
           (State.entries_of cfg.state t.t_name))
     1 cfg.program.p_tables
 
-let behavior_set ?(max_rounds = 32) cfg run =
-  let rounds = min max_rounds (hash_rounds cfg) in
+let behavior_set cfg run =
+  let rounds = min 32 (hash_rounds cfg) in
   let rec go round acc =
     if round >= rounds then List.rev acc
     else

@@ -153,10 +153,9 @@ val hash_rounds : config -> int
 (** The number of distinct [Fixed] hash rounds needed to reach every WCMP
     member of every installed group (the maximum total weight). *)
 
-val behavior_set : ?max_rounds:int -> config -> (config -> behavior) -> behavior list
+val behavior_set : config -> (config -> behavior) -> behavior list
 (** [behavior_set cfg run] is the round-robin over hash outcomes (§5
     "Hashing"): [run] under [Fixed 0], [Fixed 1], … for {!hash_rounds}
-    rounds (at most [max_rounds], default 32), keeping each distinct
-    behaviour once in first-seen order, so round 0's comes first. It is
-    the set of possible behaviours of a non-deterministic program on one
-    input. *)
+    rounds (at most 32), keeping each distinct behaviour once in
+    first-seen order, so round 0's comes first. It is the set of possible
+    behaviours of a non-deterministic program on one input. *)

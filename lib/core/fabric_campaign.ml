@@ -28,13 +28,12 @@ type config = {
   packet_out : bool;
   faults : (int * Fault.t list) list;
   minimize : bool;
-  ddmin_probes : int;
 }
 
 let default_config shape switches =
   { shape; switches; spines = None; seed = 0; budget = None;
     max_incidents = 25; shards = 1; packet_out = true; faults = [];
-    minimize = false; ddmin_probes = 256 }
+    minimize = false }
 
 (* --- the flow suite --------------------------------------------------------
 
@@ -266,7 +265,7 @@ let test_flow env ~tele sink tally fl =
                  Telemetry.with_span tele "triage.minimize" (fun () ->
                      Harness.minimize_repro
                        (env.e_mk_stack h.Fabric.h_switch)
-                       ~max_probes:env.e_cfg.ddmin_probes r)
+                       ~max_probes:Harness.ddmin_probes r)
                else r)
           end
         in

@@ -52,7 +52,6 @@ type config = {
       (** per-switch seeded faults, keyed by switch index; absent switches
           run clean *)
   minimize : bool;              (** ddmin localized reproducers in-slice *)
-  ddmin_probes : int;
 }
 
 val default_config : Topo.shape -> int -> config

@@ -8,13 +8,10 @@ module Ddmin = Switchv_triage.Ddmin
 module Oracle = Switchv_oracle.Oracle
 module Corpus = Switchv_triage.Corpus
 
-type triage = {
-  dedup : bool;
-  minimize : bool;
-  ddmin_probes : int;
-}
+type triage = { dedup : bool; minimize : bool }
 
-let default_triage = { dedup = true; minimize = false; ddmin_probes = 256 }
+let default_triage = { dedup = true; minimize = false }
+let ddmin_probes = 256
 
 type config = {
   control : Control_campaign.config;
@@ -124,7 +121,7 @@ let run_triage mk_stack (cfg : triage) incidents =
     match i.repro with
     | Some r when cfg.minimize ->
         Telemetry.with_span tele "triage.minimize" (fun () ->
-            let r = minimize_repro mk_stack ~max_probes:cfg.ddmin_probes r in
+            let r = minimize_repro mk_stack ~max_probes:ddmin_probes r in
             { i with Report.repro = Some r })
     | _ -> i
   in

@@ -20,11 +20,14 @@ type triage = {
           Expensive — every ddmin probe provisions a fresh stack via
           [mk_stack] and replays — so off by default; the triage bench and
           [switchv replay] turn it on deliberately. *)
-  ddmin_probes : int;  (** probe budget per ddmin invocation *)
 }
 
 val default_triage : triage
-(** [dedup = true; minimize = false; ddmin_probes = 256]. *)
+(** [dedup = true; minimize = false]. *)
+
+val ddmin_probes : int
+(** The probe budget of each ddmin pass when a campaign minimizes its
+    reproducers: {!validate}'s triage and the fabric campaign's. *)
 
 type config = {
   control : Control_campaign.config;

@@ -10,17 +10,17 @@ module State = Switchv_p4runtime.State
 module Validate = Switchv_p4runtime.Validate
 module Bdd = Switchv_p4constraints.Bdd
 
-type config = {
-  updates_per_batch : int;
-  invalid_percent : int;
-  delete_percent : int;
-  modify_percent : int;
-  respect_dependencies : bool;
-}
+type config = { respect_dependencies : bool }
 
-let default_config =
-  { updates_per_batch = 50; invalid_percent = 30; delete_percent = 25;
-    modify_percent = 10; respect_dependencies = true }
+let default_config = { respect_dependencies = true }
+
+(* A random batch makes 50 draws, about the paper's batch size: 30% for
+   mutated (invalid) updates, and of the valid ones 25% deletes, 10%
+   modifies and the rest inserts. *)
+let updates_per_batch = 50
+let invalid_percent = 30
+let delete_percent = 25
+let modify_percent = 10
 
 (* --- views of the mirror ------------------------------------------------------- *)
 
@@ -345,13 +345,15 @@ let members t set =
 
 let views t = (members t t.views.keyed, members t t.views.deletable)
 
-(* --- batch-local context ----------------------------------------------------- *)
+(* --- the batch under construction --------------------------------------------- *)
 
-(* The mirror does not change while a batch is built (valid updates are
-   applied after it), and the views already describe it. What changes as
-   the batch fills (claimed keys, tombstones, pending references) is
-   applied per call, by looking up what it excludes. *)
-type batch_ctx = {
+(* The mirror does not change while a batch is built (its valid updates
+   are applied when it closes), and the views already describe it. What
+   changes as the batch fills (claimed keys, tombstones, pending
+   references) is applied per call, by looking up what it excludes. *)
+type batch = {
+  mutable updates : annotated_update list;    (* newest first *)
+  mutable valid : (Request.op * Entry.t) list;  (* its valid updates, newest first *)
   taken : (string, unit) Hashtbl.t;           (* match keys claimed this batch *)
   tombstoned : (string, string) Hashtbl.t;
       (* match keys being deleted, with their table *)
@@ -369,22 +371,15 @@ type batch_ctx = {
   referables : (string * string, (string * Bitvec.t) list * Bitvec.t list) Hashtbl.t;
       (* per @refers_to (table, key): the value each entry provides under
          the key's first match, with and without its match key *)
-  providers : int list Refs.t;
-      (* per pending reference looked up so far: the slots of the
-         deletable entries providing it *)
 }
 
-let fresh_ctx () =
-  { taken = Hashtbl.create 64; tombstoned = Hashtbl.create 16;
+let new_batch () =
+  { updates = []; valid = []; taken = Hashtbl.create 64; tombstoned = Hashtbl.create 16;
     batch_refs = Refs.create 16; batch_provides = ref []; batch_inserts = Hashtbl.create 16;
-    referables = Hashtbl.create 8; providers = Refs.create 16 }
+    referables = Hashtbl.create 8 }
 
 let pending_inserts ctx table =
   Option.value ~default:0 (Hashtbl.find_opt ctx.batch_inserts table)
-
-let note_pending t ctx e =
-  add_references t.info ctx.batch_refs e;
-  iter_provided e (fun r -> ctx.batch_provides := r :: !(ctx.batch_provides))
 
 let claim ctx e =
   let k = Entry.match_key e in
@@ -394,7 +389,28 @@ let claim ctx e =
     true
   end
 
-let tombstone ctx (e : Entry.t) = Hashtbl.replace ctx.tombstoned (Entry.match_key e) e.e_table
+(* Add a valid update; the caller has claimed its key. A delete
+   tombstones the key; an insert or modify records what it references and
+   provides, and an insert counts against its table's capacity. *)
+let add_valid t ctx op (e : Entry.t) =
+  (match op with
+  | Request.Delete -> Hashtbl.replace ctx.tombstoned (Entry.match_key e) e.e_table
+  | Request.Insert | Request.Modify ->
+      add_references t.info ctx.batch_refs e;
+      iter_provided e (fun r -> ctx.batch_provides := r :: !(ctx.batch_provides));
+      if op = Request.Insert then
+        Hashtbl.replace ctx.batch_inserts e.e_table (pending_inserts ctx e.e_table + 1));
+  ctx.updates <- { update = { Request.op; entry = e }; mutation = None } :: ctx.updates;
+  ctx.valid <- (op, e) :: ctx.valid
+
+(* Add a mutated update; the caller has claimed its key. *)
+let add_invalid ctx update m = ctx.updates <- { update; mutation = Some m } :: ctx.updates
+
+(* The finished batch, in order. Its valid updates are applied to the
+   mirror, optimistically: the oracle reconciles against the switch. *)
+let close t ctx =
+  apply_valid t (List.rev ctx.valid);
+  account_batch (List.rev ctx.updates)
 
 (* The slot of the entry filed under [key] in [set]: its rank there. *)
 let slot_of t set key =
@@ -595,8 +611,10 @@ let skip_dead t ti =
        true
      end
 
+(* A model without tables has nothing to insert. The test comes before
+   any draw, so it never shifts the RNG stream. *)
 let rec gen_valid_insert t ctx attempts =
-  if attempts = 0 then None
+  if attempts = 0 || t.info.pi_tables = [] then None
   else begin
     let ti =
       match t.greybox with
@@ -615,37 +633,27 @@ let rec gen_valid_insert t ctx attempts =
       | _ -> gen_valid_insert t ctx (attempts - 1)
   end
 
-(* Slots of the deletable view whose entries provide [value] under
-   [key]'s first match in [table]. *)
-let providers t ctx ((table, key, value) as r) =
-  match Refs.find_opt ctx.providers r with
-  | Some slots -> slots
-  | None ->
-      let slots =
-        List.filter_map
-          (fun (k, v) -> if Bitvec.equal v value then slot_of t t.views.deletable k else None)
-          (fst (referables t ctx ~table ~key))
-      in
-      Refs.add ctx.providers r slots;
-      slots
-
 (* The slots of the deletable view a valid delete may not target: claimed
    by an earlier update of this batch or, when [respect], providing a
    value a pending update references. *)
 let undeletable t ctx ~respect =
+  let v = t.views in
   let referenced =
     if respect then
-      Refs.fold (fun r () acc -> List.rev_append (providers t ctx r) acc) ctx.batch_refs []
+      Refs.fold
+        (fun r () acc ->
+          List.fold_left
+            (fun acc k -> match slot_of t v.deletable k with Some i -> i :: acc | None -> acc)
+            acc
+            (Option.value ~default:[] (Refs.find_opt v.provided r)))
+        ctx.batch_refs []
     else []
   in
-  claimed t ctx t.views.deletable @ referenced
+  claimed t ctx v.deletable @ referenced
 
 let gen_valid_delete t ctx =
   choose_except t t.views.deletable
     (undeletable t ctx ~respect:t.config.respect_dependencies)
-
-let untaken ctx entries =
-  List.filter_map (fun (k, e) -> if Hashtbl.mem ctx.taken k then None else Some e) entries
 
 let gen_valid_modify t ctx =
   match choose_except t t.views.keyed (claimed t ctx t.views.keyed) with
@@ -661,6 +669,15 @@ let gen_valid_modify t ctx =
 
 let all_actions info =
   List.concat_map (fun (ti : P4info.table) -> ti.ti_actions) info.P4info.pi_tables
+
+(* [e] with [f] applied to its action invocation (a selector's first
+   member); [None] where [f] declines or there is no invocation. *)
+let on_first_invocation (e : Entry.t) f =
+  match e.e_action with
+  | Entry.Single ai -> f ai |> Option.map (fun ai -> Entry.with_action e (Entry.Single ai))
+  | Entry.Weighted ((ai, w) :: rest) ->
+      f ai |> Option.map (fun ai -> Entry.with_action e (Entry.Weighted ((ai, w) :: rest)))
+  | Entry.Weighted [] -> None
 
 let mutate t ctx (e : Entry.t) mutation : Entry.t option =
   let ti = P4info.find_table t.info e.e_table in
@@ -726,29 +743,16 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
                (List.filter
                   (fun (m : Entry.field_match) -> not (String.equal m.fm_field fm.fm_field))
                   e.e_matches)))
-  | "wrong_action_arg_count", _ -> (
-      let drop_arg (ai : Entry.action_invocation) =
-        match ai.ai_args with
-        | [] -> { ai with ai_args = [ Bitvec.of_int ~width:8 1 ] }
-        | _ :: rest -> { ai with ai_args = rest }
-      in
-      match e.e_action with
-      | Entry.Single ai -> Some (Entry.with_action e (Entry.Single (drop_arg ai)))
-      | Entry.Weighted ((ai, w) :: rest) ->
-          Some (Entry.with_action e (Entry.Weighted ((drop_arg ai, w) :: rest)))
-      | Entry.Weighted [] -> None)
-  | "wrong_action_arg_width", _ -> (
-      let widen (ai : Entry.action_invocation) =
-        match ai.ai_args with
-        | [] -> None
-        | a :: rest -> Some { ai with ai_args = Bitvec.zero_extend (Bitvec.width a + 8) a :: rest }
-      in
-      match e.e_action with
-      | Entry.Single ai -> widen ai |> Option.map (fun ai -> Entry.with_action e (Entry.Single ai))
-      | Entry.Weighted ((ai, w) :: rest) ->
-          widen ai
-          |> Option.map (fun ai -> Entry.with_action e (Entry.Weighted ((ai, w) :: rest)))
-      | Entry.Weighted [] -> None)
+  | "wrong_action_arg_count", _ ->
+      on_first_invocation e (fun ai ->
+          match ai.ai_args with
+          | [] -> Some { ai with ai_args = [ Bitvec.of_int ~width:8 1 ] }
+          | _ :: rest -> Some { ai with ai_args = rest })
+  | "wrong_action_arg_width", _ ->
+      on_first_invocation e (fun ai ->
+          match ai.ai_args with
+          | [] -> None
+          | a :: rest -> Some { ai with ai_args = Bitvec.zero_extend (Bitvec.width a + 8) a :: rest })
   | "invalid_action_selector_weight", _ -> (
       match e.e_action with
       | Entry.Weighted ((ai, _) :: rest) ->
@@ -781,32 +785,26 @@ let mutate t ctx (e : Entry.t) mutation : Entry.t option =
         go e.e_matches |> Option.map (Entry.with_matches e)
       in
       let try_args () =
-        let fix (ai : Entry.action_invocation) =
-          match P4info.find_action ti ai.ai_name with
-          | None -> None
-          | Some ar when List.compare_lengths ar.ar_params ai.ai_args <> 0 ->
-              (* A greybox corpus base can carry an earlier mutation's
-                 argument count; there is no argument to swap in place. *)
-              None
-          | Some ar ->
-              let changed = ref false in
-              let args =
-                List.map2
-                  (fun (p : Ast.param) arg ->
-                    match p.p_refers_to with
-                    | Some (table, key) when not !changed ->
-                        changed := true;
-                        unused_value t ctx ~table ~key ~width:p.p_width
-                    | _ -> arg)
-                  ar.ar_params ai.ai_args
-              in
-              if !changed then Some { ai with ai_args = args } else None
-        in
-        match e.e_action with
-        | Entry.Single ai -> fix ai |> Option.map (fun ai -> Entry.with_action e (Entry.Single ai))
-        | Entry.Weighted ((ai, w) :: rest) ->
-            fix ai |> Option.map (fun ai -> Entry.with_action e (Entry.Weighted ((ai, w) :: rest)))
-        | Entry.Weighted [] -> None
+        on_first_invocation e (fun ai ->
+            match P4info.find_action ti ai.ai_name with
+            | None -> None
+            | Some ar when List.compare_lengths ar.ar_params ai.ai_args <> 0 ->
+                (* A greybox corpus base can carry an earlier mutation's
+                   argument count; there is no argument to swap in place. *)
+                None
+            | Some ar ->
+                let changed = ref false in
+                let args =
+                  List.map2
+                    (fun (p : Ast.param) arg ->
+                      match p.p_refers_to with
+                      | Some (table, key) when not !changed ->
+                          changed := true;
+                          unused_value t ctx ~table ~key ~width:p.p_width
+                      | _ -> arg)
+                    ar.ar_params ai.ai_args
+                in
+                if !changed then Some { ai with ai_args = args } else None)
       in
       match try_match () with Some e' -> Some e' | None -> try_args ())
   | "constraint_violation", Some ti -> (
@@ -985,102 +983,79 @@ let dependency_order (info : P4info.t) =
   List.iter (place 16) info.pi_tables;
   List.rev !order
 
-(* The first entry of [table] in the deletable view, in insertion order,
-   whose slot is not [excluded]. *)
-let first_deletable t ~table excluded =
+(* The first entry of [table] in [set], in insertion order, whose slot
+   (its rank in [set]) is not [excluded]. *)
+let first_of t set ~table excluded =
   let v = t.views in
   let rec go p slot =
     if p >= v.next then None
-    else if not (Ranked.mem v.deletable p) then go (p + 1) slot
+    else if not (Ranked.mem set p) then go (p + 1) slot
     else if String.equal v.at.(p).e_table table && not (List.mem slot excluded) then
       Some v.at.(p)
     else go (p + 1) (slot + 1)
   in
   go 0 0
 
+(* The first installed entry of [table] no earlier update of this batch
+   claimed. *)
+let first_unclaimed t ctx ~table = first_of t t.views.keyed ~table (claimed t ctx t.views.keyed)
+
 let sweep t =
   Telemetry.with_span (Telemetry.get ()) "fuzzer.sweep" @@ fun () ->
   let batches = ref [] in
   let tables = dependency_order t.info in
-  let flush_batch updates pending =
-    if updates <> [] then begin
-      apply_valid t (List.rev pending);
-      batches := account_batch (List.rev updates) :: !batches
-    end
+  (* One batch per table, kept when anything went into it. *)
+  let per_table fill =
+    List.iter
+      (fun ti ->
+        let ctx = new_batch () in
+        fill ctx ti;
+        if ctx.updates <> [] then batches := close t ctx :: !batches)
+      tables
   in
   (* Phase 1: valid inserts, a few per table, one batch per dependency
      rank (entries must not reference same-batch inserts). Tables whose
      restriction admits no entry are skipped outright. *)
-  List.iter
-    (fun (ti : P4info.table) ->
-      if not (skip_dead t ti) then begin
-      let ctx = fresh_ctx () in
-      let updates = ref [] in
-      let pending = ref [] in
-      for _ = 1 to 3 do
-        match gen_entry t ctx ti with
-        | Some e
-          when Option.is_none (State.find t.mirror_ e)
-               && claim ctx e
-               && State.count t.mirror_ ti.ti_name + pending_inserts ctx ti.ti_name
-                  < ti.ti_size ->
-            note_pending t ctx e;
-            Hashtbl.replace ctx.batch_inserts ti.ti_name
-              (pending_inserts ctx ti.ti_name + 1);
-            updates := { update = Request.insert e; mutation = None } :: !updates;
-            pending := (Request.Insert, e) :: !pending
-        | _ -> ()
-      done;
-      flush_batch !updates !pending
-      end)
-    tables;
+  per_table (fun ctx (ti : P4info.table) ->
+      if not (skip_dead t ti) then
+        for _ = 1 to 3 do
+          match gen_entry t ctx ti with
+          | Some e
+            when Option.is_none (State.find t.mirror_ e)
+                 && claim ctx e
+                 && State.count t.mirror_ ti.ti_name + pending_inserts ctx ti.ti_name
+                    < ti.ti_size ->
+              add_valid t ctx Request.Insert e
+          | _ -> ()
+        done);
   (* Phase 2: one valid modify and one valid delete per table. *)
-  List.iter
-    (fun (ti : P4info.table) ->
-      let ctx = fresh_ctx () in
-      let updates = ref [] in
-      let pending = ref [] in
-      (match untaken ctx (State.entries_of_keyed t.mirror_ ti.ti_name) with
-       | e :: _ when claim ctx e -> (
-           match gen_action t ctx ti with
-           | Some action ->
-               let e' = Entry.with_action e action in
-               note_pending t ctx e';
-               updates := { update = Request.modify e'; mutation = None } :: !updates;
-               pending := (Request.Modify, e') :: !pending
-           | None -> ())
-       | _ -> ());
-      (match first_deletable t ~table:ti.ti_name (undeletable t ctx ~respect:true) with
-       | Some e when claim ctx e ->
-           tombstone ctx e;
-           updates := { update = Request.delete e; mutation = None } :: !updates;
-           pending := (Request.Delete, e) :: !pending
-       | _ -> ());
-      flush_batch !updates !pending)
-    tables;
+  per_table (fun ctx (ti : P4info.table) ->
+      (match first_unclaimed t ctx ~table:ti.ti_name with
+      | Some e when claim ctx e ->
+          Option.iter
+            (fun action -> add_valid t ctx Request.Modify (Entry.with_action e action))
+            (gen_action t ctx ti)
+      | _ -> ());
+      match
+        first_of t t.views.deletable ~table:ti.ti_name (undeletable t ctx ~respect:true)
+      with
+      | Some e when claim ctx e -> add_valid t ctx Request.Delete e
+      | _ -> ());
   (* Phase 3: every applicable mutation against every table. Each batch
      also carries one valid insert, so batch-level misbehaviour (e.g.
      aborting a whole batch over one bad delete) is observable as a
      spurious rejection of the valid update. *)
-  List.iter
-    (fun (ti : P4info.table) ->
-      let ctx = fresh_ctx () in
-      let updates = ref [] in
-      let pending = ref [] in
+  per_table (fun ctx (ti : P4info.table) ->
       (match gen_valid_insert t ctx 10 with
-      | Some e when claim ctx e ->
-          note_pending t ctx e;
-          updates := { update = Request.insert e; mutation = None } :: !updates;
-          pending := (Request.Insert, e) :: !pending
+      | Some e when claim ctx e -> add_valid t ctx Request.Insert e
       | _ -> ());
       List.iter
         (fun m ->
           let attempt =
             match m with
-            | "duplicate_insert" -> (
-                match untaken ctx (State.entries_of_keyed t.mirror_ ti.ti_name) with
-                | e :: _ -> Some (Request.insert e, m)
-                | [] -> None)
+            | "duplicate_insert" ->
+                first_unclaimed t ctx ~table:ti.ti_name
+                |> Option.map (fun e -> (Request.insert e, m))
             | "delete_nonexistent" -> (
                 match gen_entry t ctx ti with
                 | Some ghost when Option.is_none (State.find t.mirror_ ghost) ->
@@ -1102,57 +1077,30 @@ let sweep t =
                 with_bases 6
           in
           match attempt with
-          | Some (u, m) when claim ctx u.entry ->
-              updates := { update = u; mutation = Some m } :: !updates
+          | Some (u, m) when claim ctx u.entry -> add_invalid ctx u m
           | _ -> ())
-        mutations;
-      flush_batch !updates !pending)
-    tables;
+        mutations);
   List.rev !batches
 
 let next_batch t =
   Telemetry.with_span (Telemetry.get ()) "fuzzer.next_batch" @@ fun () ->
-  let ctx = fresh_ctx () in
-  let updates = ref [] in
-  let pending_valid = ref [] in
-  let n = t.config.updates_per_batch in
-  for _ = 1 to n do
-    let r = Rng.int t.rng 100 in
-    if r < t.config.invalid_percent then begin
+  let ctx = new_batch () in
+  for _ = 1 to updates_per_batch do
+    if Rng.int t.rng 100 < invalid_percent then begin
       match gen_invalid_update t ctx with
-      | Some (u, m) when claim ctx u.entry ->
-          updates := { update = u; mutation = Some m } :: !updates
+      | Some ((u : Request.update), m) when claim ctx u.entry -> add_invalid ctx u m
       | _ -> ()
     end
     else begin
-      let r' = Rng.int t.rng 100 in
-      if r' < t.config.delete_percent then begin
-        match gen_valid_delete t ctx with
-        | Some e when claim ctx e ->
-            tombstone ctx e;
-            updates := { update = Request.delete e; mutation = None } :: !updates;
-            pending_valid := (Request.Delete, e) :: !pending_valid
-        | _ -> ()
-      end
-      else if r' < t.config.delete_percent + t.config.modify_percent then begin
-        match gen_valid_modify t ctx with
-        | Some e when claim ctx e ->
-            note_pending t ctx e;
-            updates := { update = Request.modify e; mutation = None } :: !updates;
-            pending_valid := (Request.Modify, e) :: !pending_valid
-        | _ -> ()
-      end
-      else begin
-        match gen_valid_insert t ctx 10 with
-        | Some e when claim ctx e ->
-            note_pending t ctx e;
-            Hashtbl.replace ctx.batch_inserts e.e_table (pending_inserts ctx e.e_table + 1);
-            updates := { update = Request.insert e; mutation = None } :: !updates;
-            pending_valid := (Request.Insert, e) :: !pending_valid
-        | _ -> ()
-      end
+      let r = Rng.int t.rng 100 in
+      let op, gen =
+        if r < delete_percent then (Request.Delete, gen_valid_delete)
+        else if r < delete_percent + modify_percent then (Request.Modify, gen_valid_modify)
+        else (Request.Insert, fun t ctx -> gen_valid_insert t ctx 10)
+      in
+      match gen t ctx with
+      | Some e when claim ctx e -> add_valid t ctx op e
+      | _ -> ()
     end
   done;
-  (* Optimistically apply valid updates to the mirror. *)
-  apply_valid t (List.rev !pending_valid);
-  account_batch (List.rev !updates)
+  close t ctx

@@ -20,10 +20,6 @@ module State = Switchv_p4runtime.State
 module Rng = Switchv_bitvec.Rng
 
 type config = {
-  updates_per_batch : int;     (** ~50 in the paper's campaigns *)
-  invalid_percent : int;       (** share of mutated (invalid) updates *)
-  delete_percent : int;        (** share of valid updates that are deletes *)
-  modify_percent : int;        (** share of valid updates that are modifies *)
   respect_dependencies : bool;
       (** When false, batches may contain internal dependencies (deletes of
           entries referenced by same-batch inserts) — the ablation of the
@@ -32,6 +28,7 @@ type config = {
 }
 
 val default_config : config
+(** Dependencies respected. *)
 
 type t
 
@@ -64,7 +61,10 @@ type annotated_update = {
 }
 
 val next_batch : t -> annotated_update list
-(** Generate the next batch. The fuzzer optimistically applies its own
+(** Generate the next batch: 50 draws, as in the paper's campaigns, of
+    which 30% are mutated (invalid) updates and, of the valid ones, 25%
+    deletes, 10% modifies and the rest inserts (draws that find no
+    candidate add nothing). The fuzzer optimistically applies its own
     valid updates to [mirror] (the oracle reconciles against the switch's
     actual state). *)
 

@@ -39,12 +39,11 @@ type t = {
   mutable seeds : seed list;          (* corpus, newest first, bounded *)
   mutable n_seeds : int;
   mutable n_novel : int;              (* distinct edges first seen here *)
-  ports : int list;
 }
 
 let max_corpus = 256
 
-let create ?(ports = [ 1; 2; 3; 4 ]) ~program ~seed () =
+let create ~program ~seed () =
   { (* decorrelate from the fuzzer rng, which campaigns seed identically *)
     rng = Rng.create (seed lxor 0x67726579);
     edge_keys = Coverage.edge_keys program;
@@ -52,8 +51,7 @@ let create ?(ports = [ 1; 2; 3; 4 ]) ~program ~seed () =
     energy = Hashtbl.create 16;
     seeds = [];
     n_seeds = 0;
-    n_novel = 0;
-    ports }
+    n_novel = 0 }
 
 let novel_edges t = t.n_novel
 let corpus_size t = t.n_seeds
@@ -193,7 +191,7 @@ let mutate_bytes t bytes =
    stack maps unparseable bytes to a drop, so arbitrary mutations are
    safe. *)
 let probe_packet t =
-  let port = List.nth t.ports (Rng.int t.rng (List.length t.ports)) in
+  let port = 1 + Rng.int t.rng 4 in
   let packets =
     List.concat_map
       (fun s ->

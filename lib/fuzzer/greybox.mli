@@ -26,8 +26,7 @@ type seed_input =
 
 type t
 
-val create :
-  ?ports:int list -> program:Switchv_p4ir.Ast.program -> seed:int -> unit -> t
+val create : program:Switchv_p4ir.Ast.program -> seed:int -> unit -> t
 (** Fresh, empty feedback state over the program's full edge space
     ({!Coverage.edge_keys}). [seed] is decorrelated internally, so passing
     the campaign shard seed is fine. *)
@@ -59,8 +58,8 @@ val pick_seed_entry : t -> Entry.t option
     control-plane seeds. *)
 
 val probe_packet : t -> int * string
-(** [(ingress_port, bytes)] to inject after a batch: a fresh random IPv4
-    frame or a byte-mutated energy-weighted corpus packet. *)
+(** [(ingress_port, bytes)] to inject after a batch, on a port in 1–4: a
+    fresh random IPv4 frame or a byte-mutated energy-weighted corpus packet. *)
 
 val covered : t -> string -> bool
 (** Has this shard concretely covered the given edge key ([cov.…])? *)

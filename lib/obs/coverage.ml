@@ -9,13 +9,6 @@ type t = {
   total : int;
 }
 
-let branch_key id arm = Printf.sprintf "cov.branch.%d.%s" id arm
-
-let action_key table role aname =
-  Printf.sprintf "cov.action.%s.%s.%s" table
-    (match role with Cfg.Hit -> "hit" | Cfg.Miss -> "miss")
-    aname
-
 (* The full edge key space of a program, from the same CFG the analyses
    use: two keys per condition node (branch ids match Symexec/Interp
    numbering) and one per table-action edge. Sorted and deduplicated — a
@@ -37,9 +30,12 @@ let compute_edge_keys program =
     (fun n ->
       match n.Cfg.n_kind with
       | Cfg.N_cond (id, _) ->
-          keys := branch_key id "then" :: branch_key id "else" :: !keys
+          keys :=
+            Ast.coverage_key (Ast.branch_label id true)
+            :: Ast.coverage_key (Ast.branch_label id false)
+            :: !keys
       | Cfg.N_action (t, aname, role) ->
-          keys := action_key t.Ast.t_name role aname :: !keys
+          keys := Ast.action_key t.Ast.t_name ~hit:(role = Cfg.Hit) aname :: !keys
       | _ -> ())
     cfg;
   List.sort_uniq String.compare !keys

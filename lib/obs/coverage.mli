@@ -17,12 +17,6 @@ type t = {
   total : int;
 }
 
-val branch_key : int -> string -> string
-(** [branch_key id arm] = ["cov.branch.<id>.<arm>"], [arm] in
-    {["then"; "else"]} — the counter key the interpreter bumps. *)
-
-val action_key : string -> Switchv_analysis.Cfg.action_role -> string -> string
-
 val edge_keys : Switchv_p4ir.Ast.program -> string list
 (** Every edge key the program can ever produce, sorted, deduplicated. *)
 

@@ -45,16 +45,16 @@ let render tele ~coverage ~elapsed =
 
 type t = { mutable stopped : bool }
 
-let start ?(interval = 2.0) ?(out = stderr) tele ~coverage () =
+let start tele ~coverage =
   let started = Telemetry.Clock.now () in
   let state = { stopped = false } in
   let loop () =
     while not state.stopped do
-      Thread.delay interval;
+      Thread.delay 2.0;
       if not state.stopped then begin
         let elapsed = Telemetry.Clock.duration ~since:started in
-        output_string out (render tele ~coverage ~elapsed ^ "\n");
-        flush out
+        prerr_string (render tele ~coverage ~elapsed ^ "\n");
+        flush stderr
       end
     done
   in

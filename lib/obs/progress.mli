@@ -12,13 +12,7 @@ val render :
 type t
 
 val start :
-  ?interval:float ->
-  ?out:out_channel ->
-  Switchv_telemetry.Telemetry.t ->
-  coverage:(unit -> (int * int) option) ->
-  unit ->
-  t
-(** Emit a line every [interval] (default 2s) seconds on a background
-    thread until [stop]. *)
+  Switchv_telemetry.Telemetry.t -> coverage:(unit -> (int * int) option) -> t
+(** Emit a line on stderr every 2 s on a background thread until [stop]. *)
 
 val stop : t -> unit

@@ -68,6 +68,10 @@ let answer routes fd =
                 (http_response ~status:"500 Internal Server Error"
                    ~content_type:"text/plain"
                    (Printexc.to_string e ^ "\n")))));
+  (* A campaign worker forked while this request was answered holds a
+     copy of [fd]: closing ours alone would leave the client waiting for
+     end of stream until that worker exits. *)
+  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let start ?(host = "127.0.0.1") ~port routes =

@@ -124,39 +124,38 @@ exception Unsupported of string
    BDD variable index; MSB first. *)
 type cbit = Const of bool | Var of int
 
+(* [n] zero-extended to [width] bits: [lsr] by [Sys.int_size] or more is
+   unspecified (on amd64 it repeated the low bits past bit 63). *)
 let bits_of_int width n =
-  List.init width (fun i -> Const (n lsr (width - 1 - i) land 1 = 1))
+  List.init width (fun i ->
+      let shift = width - 1 - i in
+      Const (shift < Sys.int_size && (n lsr shift) land 1 = 1))
 
-let eq_bits m a b =
-  List.fold_left2
-    (fun acc x y ->
-      let bit_eq =
-        match (x, y) with
-        | Const p, Const q -> if p = q then tru else fls
-        | Var v, Const true | Const true, Var v -> bvar m v
-        | Var v, Const false | Const false, Var v -> bnot m (bvar m v)
-        | Var v, Var w -> bnot m (apply m "xor" ( <> ) (bvar m v) (bvar m w))
-      in
-      band m acc bit_eq)
-    tru a b
+(* Both builders below fold from the least significant bit, the highest
+   variable, up: each step then joins one bit above a BDD over the
+   variables below it in constant time. Folding from the MSB rebuilt the
+   whole BDD so far at every bit, quadratic in the key width. *)
+let bit_eq m x y =
+  match (x, y) with
+  | Const p, Const q -> if p = q then tru else fls
+  | Var v, Const true | Const true, Var v -> bvar m v
+  | Var v, Const false | Const false, Var v -> bnot m (bvar m v)
+  | Var v, Var w -> bnot m (apply m "xor" ( <> ) (bvar m v) (bvar m w))
 
-(* Unsigned a < b, MSB-first: lt = OR_i (prefix_eq(0..i-1) AND ~a_i AND b_i) *)
+let eq_bits m a b = List.fold_right2 (fun x y rest -> band m (bit_eq m x y) rest) a b tru
+
+(* Unsigned a < b, MSB-first: a_0 < b_0, or a_0 = b_0 and the rest of a
+   is below the rest of b. *)
 let lt_bits m a b =
   let to_bdd = function
     | Const true -> tru
     | Const false -> fls
     | Var v -> bvar m v
   in
-  let rec go prefix_eq = function
-    | [], [] -> fls
-    | x :: xs, y :: ys ->
-        let xa = to_bdd x and yb = to_bdd y in
-        let here = band m prefix_eq (band m (bnot m xa) yb) in
-        let eq_here = bnot m (apply m "xor" ( <> ) xa yb) in
-        bor m here (go (band m prefix_eq eq_here) (xs, ys))
-    | _ -> invalid_arg "lt_bits: width mismatch"
-  in
-  go tru (a, b)
+  List.fold_right2
+    (fun x y rest ->
+      bor m (band m (bnot m (to_bdd x)) (to_bdd y)) (band m (bit_eq m x y) rest))
+    a b fls
 
 let compile layouts constr =
   try
@@ -276,7 +275,7 @@ let compile layouts constr =
                 List.init (Array.length s.s_value_vars) (fun i ->
                     bor m (bnot m (bvar m s.s_value_vars.(i))) (bvar m mvars.(i)))
               in
-              List.fold_left (band m) acc per_bit)
+              band m acc (List.fold_right (band m) per_bit tru))
         tru slots
     in
     Ok
@@ -317,7 +316,13 @@ let rec models c u =
    skips are free. *)
 and weighted c v child =
   let next_v = if child < 2 then c.total_vars else var_of c.m child in
-  models c child *. (2. ** float_of_int (next_v - v - 1))
+  match models c child with
+  | 0. -> 0.
+  | n ->
+      (* Past 1023 skipped variables the factor is infinite, and 0 * inf
+         would be nan: the "not yet counted" mark, which made every visit
+         recount the whole DAG below. *)
+      n *. (2. ** float_of_int (next_v - v - 1))
 
 (* Satisfying assignments of all the variables under [root]. *)
 let count_from c root = weighted c (-1) root

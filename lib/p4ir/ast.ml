@@ -164,6 +164,12 @@ let rec count_ifs = function
   | C_seq (a, b) -> count_ifs a + count_ifs b
   | C_if (_, a, b) -> 1 + count_ifs a + count_ifs b
 
+let branch_label id arm = "branch." ^ string_of_int id ^ if arm then ".then" else ".else"
+let coverage_key label = "cov." ^ label
+
+let action_key table ~hit action =
+  coverage_key ("action." ^ table ^ (if hit then ".hit." else ".miss.") ^ action)
+
 let rec expr_width p action e =
   match e with
   | E_const c -> Bitvec.width c

@@ -201,6 +201,25 @@ val count_ifs : control -> int
     starts at [1 + count_ifs ingress]: the numbering [Symexec]'s branch
     goals, [Cfg], [Taint] and the evaluators' coverage counters share. *)
 
+(** {2 Edge names}
+
+    The one spelling of the edges that goals, analyses and coverage
+    counters talk about. *)
+
+val branch_label : int -> bool -> string
+(** [branch_label id arm] names an arm of the [if] numbered [id]:
+    [branch.<id>.then] when [arm], else [branch.<id>.else]. Symexec's
+    branch goals and the analyses' dead and tainted labels use it. *)
+
+val coverage_key : string -> string
+(** [cov.<label>]: the telemetry counter the evaluators bump each time
+    they take the edge [label] names. *)
+
+val action_key : string -> hit:bool -> string -> string
+(** [action_key table ~hit action] is the counter of a table-action edge:
+    [cov.action.<table>.hit.<action>], or [.miss.] for the default action
+    on a miss. *)
+
 val key_width : program -> table -> key -> int
 (** Width of the key expression. *)
 

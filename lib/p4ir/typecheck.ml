@@ -26,11 +26,17 @@ let check program =
       if String.equal h.Header.name "meta" || String.equal h.Header.name "std" then
         err "header name %s is reserved" h.Header.name;
       if h.Header.fields = [] then err "header %s has no fields" h.Header.name;
+      check_unique ("header " ^ h.Header.name ^ " field") (Header.field_names h);
       List.iter
         (fun (f : Header.field) ->
           if f.f_width < 1 then
             err "header %s: field %s has width %d" h.Header.name f.f_name f.f_width)
-        h.Header.fields)
+        h.Header.fields;
+      (* Packets are bytes: a header that is not a whole number of them
+         cannot be parsed into or deparsed from one. *)
+      if Header.width h mod 8 <> 0 then
+        err "header %s has width %d, not a whole number of bytes" h.Header.name
+          (Header.width h))
     program.p_headers;
   List.iter
     (fun (name, w) -> if w < 1 then err "metadata field %s has width %d" name w)

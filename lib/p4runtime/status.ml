@@ -30,8 +30,6 @@ let code_to_string = function
   | Unavailable -> "UNAVAILABLE"
   | Unknown -> "UNKNOWN"
 
-let equal_code (a : code) (b : code) = a = b
-
 let pp fmt t =
   if t.message = "" then Format.pp_print_string fmt (code_to_string t.code)
   else Format.fprintf fmt "%s: %s" (code_to_string t.code) t.message

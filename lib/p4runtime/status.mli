@@ -21,5 +21,4 @@ val makef : code -> ('a, unit, string, t) format4 -> 'a
 
 val is_ok : t -> bool
 val code_to_string : code -> string
-val equal_code : code -> code -> bool
 val pp : Format.formatter -> t -> unit

@@ -196,18 +196,6 @@ let ipv4_header ?(ttl = 64) ?(protocol = 17) ?(dscp = 0) ~src ~dst () =
       ("src_addr", ipv4_of_string src);
       ("dst_addr", ipv4_of_string dst) ]
 
-let ipv6_header ?(hop_limit = 64) ?(next_header = 17) ~src ~dst () =
-  instance Header.ipv6
-    [ ("version", Bitvec.of_int ~width:4 6);
-      ("dscp", Bitvec.zero 6);
-      ("ecn", Bitvec.zero 2);
-      ("flow_label", Bitvec.zero 20);
-      ("payload_length", Bitvec.of_int ~width:16 26);
-      ("next_header", Bitvec.of_int ~width:8 next_header);
-      ("hop_limit", Bitvec.of_int ~width:8 hop_limit);
-      ("src_addr", src);
-      ("dst_addr", dst) ]
-
 let udp_header ~src_port ~dst_port () =
   instance Header.udp
     [ ("src_port", Bitvec.of_int ~width:16 src_port);
@@ -215,29 +203,9 @@ let udp_header ~src_port ~dst_port () =
       ("hdr_length", Bitvec.of_int ~width:16 26);
       ("checksum", Bitvec.zero 16) ]
 
-let tcp_header ~src_port ~dst_port () =
-  instance Header.tcp
-    [ ("src_port", Bitvec.of_int ~width:16 src_port);
-      ("dst_port", Bitvec.of_int ~width:16 dst_port);
-      ("seq_no", Bitvec.zero 32);
-      ("ack_no", Bitvec.zero 32);
-      ("data_offset", Bitvec.of_int ~width:4 5);
-      ("res", Bitvec.zero 4);
-      ("flags", Bitvec.of_int ~width:8 0x02);
-      ("window", Bitvec.of_int ~width:16 1024);
-      ("checksum", Bitvec.zero 16);
-      ("urgent_ptr", Bitvec.zero 16) ]
-
 let simple_ipv4 ?(ttl = 64) ~src ~dst () =
   { headers =
       [ ethernet_frame ~ether_type:0x0800 ();
         ipv4_header ~ttl ~src ~dst ();
-        udp_header ~src_port:10000 ~dst_port:20000 () ];
-    payload = "switchv-test-payload" }
-
-let simple_ipv6 ?(hop_limit = 64) ~src ~dst () =
-  { headers =
-      [ ethernet_frame ~ether_type:0x86DD ();
-        ipv6_header ~hop_limit ~src ~dst ();
         udp_header ~src_port:10000 ~dst_port:20000 () ];
     payload = "switchv-test-payload" }

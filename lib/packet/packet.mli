@@ -50,16 +50,10 @@ val ipv4_header :
 (** IPs as dotted quads. Length/checksum fields are filled with plausible
     defaults (the validated pipelines do not verify checksums). *)
 
-val ipv6_header :
-  ?hop_limit:int -> ?next_header:int -> src:Bitvec.t -> dst:Bitvec.t -> unit -> instance
-
 val udp_header : src_port:int -> dst_port:int -> unit -> instance
-val tcp_header : src_port:int -> dst_port:int -> unit -> instance
 
 val simple_ipv4 : ?ttl:int -> src:string -> dst:string -> unit -> t
 (** Ethernet + IPv4 + UDP test packet. *)
-
-val simple_ipv6 : ?hop_limit:int -> src:Bitvec.t -> dst:Bitvec.t -> unit -> t
 
 val mac_of_string : string -> Bitvec.t
 val ipv4_of_string : string -> Bitvec.t

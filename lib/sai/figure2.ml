@@ -146,4 +146,3 @@ let i5 =
     ~action:(Single { ai_name = "set_nexthop_id"; ai_args = [ Bitvec.of_int ~width:16 10 ] })
 
 let figure3_valid = [ v1; i1; i5 ]
-let figure3_invalid = [ v2; v3; i2; i3; i4 ]

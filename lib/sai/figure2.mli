@@ -21,4 +21,3 @@ val i4 : Entry.t
 val i5 : Entry.t
 
 val figure3_valid : Entry.t list
-val figure3_invalid : Entry.t list

@@ -476,34 +476,3 @@ let scale_routes ?(seed = 7) ?(nexthops = 16) (program : Ast.program) n =
               [ bv16 (1 + (i mod List.length nh_ids)) ]))
     done;
   List.rev !out
-
-let scale_acls ?(seed = 7) (program : Ast.program) n =
-  let info = P4info.of_program program in
-  ignore (Rng.create seed);
-  let out = ref [] in
-  (match P4info.find_table info "acl_ingress_table" with
-  | None -> ()
-  | Some ti ->
-      let has_dst = P4info.find_match_field ti "dst_ip" <> None in
-      for i = 0 to n - 1 do
-        (* Unique fully-masked dst under 150.0.0.0/8; distinct priorities
-           keep every entry observable regardless of overlap. *)
-        let matches =
-          [ fm "is_ipv4"
-              (Entry.M_ternary (Ternary.exact (Bitvec.of_int ~width:1 1))) ]
-          @
-          if has_dst then
-            [ fm "dst_ip"
-                (Entry.M_ternary
-                   (Ternary.exact
-                      (Bitvec.logor
-                         (Bitvec.shift_left (Bitvec.of_int ~width:32 150) 24)
-                         (Bitvec.of_int ~width:32 (i land 0xFFFFFF))))) ]
-          else []
-        in
-        out :=
-          Entry.make ~table:"acl_ingress_table" ~priority:(i + 1) ~matches
-            (single (if i mod 2 = 0 then "no_action" else "drop") [])
-          :: !out
-      done);
-  List.rev !out

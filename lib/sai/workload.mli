@@ -57,6 +57,3 @@ val scale_routes : ?seed:int -> ?nexthops:int -> Ast.program -> int -> Entry.t l
     IPv4 routes (up to 2^20 before prefixes repeat), in dependency order.
     The scale workload for the indexed-match bench (`BENCH_scale.json`). *)
 
-val scale_acls : ?seed:int -> Ast.program -> int -> Entry.t list
-(** [n] ternary ACL ingress entries with unique fully-masked targets and
-    distinct priorities. *)

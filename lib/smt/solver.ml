@@ -326,8 +326,6 @@ let pop t =
       Sat.add_clause t.sat [ Lit.neg scope.sel ];
       t.scopes <- rest
 
-let scope_depth t = List.length t.scopes
-
 type model = {
   bv : string -> Bitvec.t option;
   bool : string -> bool option;

@@ -28,8 +28,6 @@ val pop : t -> unit
     clauses learned from them). Raises [Invalid_argument] when no scope is
     open. *)
 
-val scope_depth : t -> int
-
 type model = {
   bv : string -> Bitvec.t option;   (** value of a bitvector variable *)
   bool : string -> bool option;     (** value of a boolean variable *)

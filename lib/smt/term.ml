@@ -185,8 +185,6 @@ let ule a b =
   | Bv_const (_, x), Bv_const (_, y) -> if Bitvec.ule x y then B_true else B_false
   | _ -> if a == b then B_true else B_ule (fresh (), a, b)
 
-let ugt a b = ult b a
-let uge a b = ule b a
 let neq a b = not_ (eq a b)
 
 let and_ a b =
@@ -200,8 +198,6 @@ let or_ a b =
   | B_true, _ | _, B_true -> B_true
   | B_false, o | o, B_false -> o
   | _ -> if a == b then a else B_or (fresh (), a, b)
-
-let implies a b = or_ (not_ a) b
 
 let iff a b =
   match (a, b) with

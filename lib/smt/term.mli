@@ -79,13 +79,10 @@ val bvar : string -> boolean
 val eq : bv -> bv -> boolean
 val ult : bv -> bv -> boolean
 val ule : bv -> bv -> boolean
-val ugt : bv -> bv -> boolean
-val uge : bv -> bv -> boolean
 val neq : bv -> bv -> boolean
 val not_ : boolean -> boolean
 val and_ : boolean -> boolean -> boolean
 val or_ : boolean -> boolean -> boolean
-val implies : boolean -> boolean -> boolean
 val iff : boolean -> boolean -> boolean
 val bite : boolean -> boolean -> boolean -> boolean
 val conj : boolean list -> boolean

@@ -161,7 +161,7 @@ let prune_concretely_covered ~covered goals =
      detectors. *)
   let keep g =
     match g.goal_kind with
-    | G_branch label -> not (covered ("cov." ^ label))
+    | G_branch label -> not (covered (Ast.coverage_key label))
     | G_entry _ | G_trace _ | G_custom _ -> true
   in
   let kept = List.filter keep goals in

@@ -276,10 +276,8 @@ let rec exec_control sym context = function
       let then_guard = Term.and_ context c in
       let else_guard = Term.and_ context (Term.not_ c) in
       sym.trace <-
-        { tp_table = "<if>"; tp_label = Printf.sprintf "branch.%d.then" id;
-          tp_guard = then_guard }
-        :: { tp_table = "<if>"; tp_label = Printf.sprintf "branch.%d.else" id;
-             tp_guard = else_guard }
+        { tp_table = "<if>"; tp_label = Ast.branch_label id true; tp_guard = then_guard }
+        :: { tp_table = "<if>"; tp_label = Ast.branch_label id false; tp_guard = else_guard }
         :: sym.trace;
       exec_control sym then_guard a;
       exec_control sym else_guard b

@@ -95,7 +95,7 @@ let sid_block_bits = 30
 let sid_block sid = sid lsr sid_block_bits
 
 type t = {
-  mutable clock : clock;
+  clock : clock;
   mutable on : bool;
   mutable sink : sink option;
   counters : (string, int ref) Hashtbl.t;
@@ -136,7 +136,6 @@ let with_registry t f =
   current := t;
   Fun.protect ~finally:(fun () -> current := previous) f
 
-let set_clock t clock = t.clock <- clock
 let set_enabled t on = t.on <- on
 let enabled t = t.on
 

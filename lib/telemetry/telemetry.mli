@@ -10,8 +10,8 @@
     Everything hangs off a registry. A global default registry exists so
     instrumented libraries need no API changes ("global but injectable"):
     they call [Telemetry.get ()] at the instrumentation point, and tests or
-    embedders swap the registry with [with_registry] (and the clock with
-    [set_clock]) for determinism.
+    embedders swap the registry with [with_registry] (one built with
+    [create ~clock] for a deterministic clock).
 
     Cost model — what is safe on a hot path:
     - counters and histogram observations are a hashtable lookup plus an
@@ -58,7 +58,6 @@ val with_registry : t -> (unit -> 'a) -> 'a
 (** Run the thunk with [t] installed as the current registry; restores the
     previous registry afterwards (also on exceptions). *)
 
-val set_clock : t -> clock -> unit
 val set_enabled : t -> bool -> unit
 
 val enabled : t -> bool

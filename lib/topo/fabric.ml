@@ -13,32 +13,29 @@ let drop_behavior bytes =
   { Interp.b_egress = None; b_punted = false; b_mirrors = [];
     b_packet = bytes; b_trace = [ ("<fabric>", "parse-failure: dropped") ] }
 
-let cov_prefix = "cov."
+let cov_prefix = Switchv_p4ir.Ast.coverage_key ""
 
-let stack_node ?(coverage = true) id stack =
+let stack_node id stack =
   let inject ~ingress_port bytes =
-    if not coverage then Stack.inject stack ~ingress_port bytes
-    else begin
-      (* Run under a scratch registry so this hop's counters can be both
-         absorbed unchanged (global totals stay additive and fork-delta
-         compatible) and re-emitted under the per-switch namespace. *)
-      let ambient = Telemetry.get () in
-      let scratch = Telemetry.create () in
-      let b =
-        Telemetry.with_registry scratch (fun () ->
-            Stack.inject stack ~ingress_port bytes)
-      in
-      let ex = Telemetry.export scratch in
-      Telemetry.absorb ambient ex;
-      List.iter
-        (fun (name, n) ->
-          let pl = String.length cov_prefix in
-          if String.length name > pl && String.sub name 0 pl = cov_prefix then
-            Telemetry.incr ~n ambient
-              (Printf.sprintf "topo.sw.%d.%s" id name))
-        ex.Telemetry.ex_counters;
-      b
-    end
+    (* Run under a scratch registry so this hop's counters can be both
+       absorbed unchanged (global totals stay additive and fork-delta
+       compatible) and re-emitted under the per-switch namespace. *)
+    let ambient = Telemetry.get () in
+    let scratch = Telemetry.create () in
+    let b =
+      Telemetry.with_registry scratch (fun () ->
+          Stack.inject stack ~ingress_port bytes)
+    in
+    let ex = Telemetry.export scratch in
+    Telemetry.absorb ambient ex;
+    List.iter
+      (fun (name, n) ->
+        let pl = String.length cov_prefix in
+        if String.length name > pl && String.sub name 0 pl = cov_prefix then
+          Telemetry.incr ~n ambient
+            (Printf.sprintf "topo.sw.%d.%s" id name))
+      ex.Telemetry.ex_counters;
+    b
   in
   { n_id = id; n_crashed = (fun () -> Stack.crashed stack); n_inject = inject }
 
@@ -124,11 +121,3 @@ let pp_disposition ppf = function
   | Budget_exhausted sw ->
       Format.fprintf ppf "hop budget exhausted at sw%d (forwarding loop)" sw
 
-let pp_trace ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun h ->
-      Format.fprintf ppf "sw%d in:%d -> %a@," h.h_switch h.h_ingress
-        Interp.pp_behavior h.h_behavior)
-    t.t_hops;
-  Format.fprintf ppf "%a@]" pp_disposition t.t_disposition

@@ -22,12 +22,12 @@ type node = {
   n_inject : ingress_port:int -> string -> Interp.behavior;
 }
 
-val stack_node : ?coverage:bool -> int -> Stack.t -> node
-(** Wraps [Stack.inject]. When [coverage] (default true), each injection
-    runs under a scratch telemetry registry whose contents are absorbed
-    into the ambient registry unchanged, and additionally every [cov.*]
-    counter is re-emitted under [topo.sw.<id>.] — the per-switch coverage
-    namespace folded into the obs report. *)
+val stack_node : int -> Stack.t -> node
+(** Wraps [Stack.inject]. Each injection runs under a scratch telemetry
+    registry whose contents are absorbed into the ambient registry
+    unchanged, and additionally every [cov.*] counter is re-emitted under
+    [topo.sw.<id>.] — the per-switch coverage namespace folded into the obs
+    report. *)
 
 val model_node : int -> Interp.config -> node
 (** Wraps the staged evaluator ({!Switchv_bmv2.Compile}); never crashed; a
@@ -67,4 +67,3 @@ val forward_from :
     given [ingress_port] and [bytes]. *)
 
 val pp_disposition : Format.formatter -> disposition -> unit
-val pp_trace : Format.formatter -> trace -> unit

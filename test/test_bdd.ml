@@ -73,6 +73,25 @@ let test_oversized_constant () =
   let c2 = compile_exn [ exact "dscp" 6 ] "dscp == 64" in
   check_bool "unsat" true (Bdd.model_count c2 = 0.)
 
+(* Regressions for keys wider than a machine int. From the mutated-model
+   probe: a wide ternary key made compilation quadratic in its width and
+   model counting exponential (a count past the float range turned into
+   nan, the "not yet counted" mark), so lint on a 65535-bit key never
+   returned. And a constant compared with such a key lost its zero
+   extension past bit 63. *)
+let test_wide_keys () =
+  let c = compile_exn [ exact "k" 70 ] "k < 3" in
+  check_bool "k < 3 over 70 bits: 3 models" true (Bdd.model_count c = 3.);
+  let width = 600 in
+  let c = compile_exn [ ternary "k" width ] "k::mask == 0" in
+  check_bool "one model: value and mask zero" true (Bdd.model_count c = 1.);
+  (* About 10 nodes per bit; the quadratic build made 543301. *)
+  check_bool "nodes linear in the width" true (Bdd.size c <= 16 * width);
+  let c = compile_exn [ ternary "k" 700 ] "true" in
+  check_bool "3^700 canonical pairs: past the float range" true
+    (Bdd.model_count c = Float.infinity);
+  check_bool "sampling still returns" true (Bdd.sample_compliant c (Rng.create 1) <> None)
+
 let test_unsupported () =
   check_bool "prefix_length unsupported" true
     (Bdd.compile [ exact "k" 8 ] (parse "k::prefix_length >= 8") |> Result.is_error);
@@ -237,6 +256,7 @@ let () =
          Alcotest.test_case "comparisons" `Quick test_count_comparisons;
          Alcotest.test_case "ternary canonicality" `Quick test_count_ternary_canonical;
          Alcotest.test_case "oversized constants" `Quick test_oversized_constant;
+         Alcotest.test_case "wide keys" `Quick test_wide_keys;
          Alcotest.test_case "unsupported shapes" `Quick test_unsupported ]);
       ("sampling",
        [ Alcotest.test_case "compliant" `Quick test_sample_compliant;

@@ -47,7 +47,7 @@ let test_deterministic () =
   let stream seed ~respect =
     let f =
       make_fuzzer
-        ~config:{ Fuzzer.default_config with respect_dependencies = respect }
+        ~config:{ Fuzzer.respect_dependencies = respect }
         seed
     in
     let print batch =
@@ -264,7 +264,7 @@ let test_views_match_rebuild () =
         (fun respect ->
           let f =
             make_fuzzer
-              ~config:{ Fuzzer.default_config with respect_dependencies = respect }
+              ~config:{ Fuzzer.respect_dependencies = respect }
               seed
           in
           let check batch =
@@ -398,6 +398,21 @@ let test_greybox_mutation_bases () =
         (stats.Switchv_core.Report.cs_batches > 100))
     [ 5; 6; 7; 8; 14; 15; 21; 23; 99 ]
 
+(* Regression: a model without tables lints clean, and its first valid
+   insert raised drawing a table from the empty list. *)
+let test_no_tables () =
+  (* dune runtest runs in test/; `dune exec test/...` runs in the root *)
+  let path =
+    if Sys.file_exists "fixtures" then "fixtures/no_tables.p4" else "test/fixtures/no_tables.p4"
+  in
+  let program =
+    Switchv_p4ir.P4parser.parse_exn ~name:"no_tables"
+      (In_channel.with_open_bin path In_channel.input_all)
+  in
+  let f = Fuzzer.create (P4info.of_program program) (Rng.create 1) in
+  check_int "sweep batches" 0 (List.length (Fuzzer.sweep f));
+  check_int "batch updates" 0 (List.length (Fuzzer.next_batch f))
+
 let () =
   Alcotest.run "fuzzer"
     [ ("generation",
@@ -409,7 +424,8 @@ let () =
          Alcotest.test_case "negative weight strictly negative" `Quick
            test_negative_weight_strictly_negative;
          Alcotest.test_case "mirror tracks inserts" `Quick test_mirror_tracks_valid_inserts;
-         Alcotest.test_case "capacity respected" `Quick test_capacity_respected ]);
+         Alcotest.test_case "capacity respected" `Quick test_capacity_respected;
+         Alcotest.test_case "model without tables" `Quick test_no_tables ]);
       ("batching",
        [ Alcotest.test_case "no duplicate keys" `Quick test_batch_no_duplicate_keys;
          Alcotest.test_case "no internal dependencies" `Quick test_batch_no_internal_dependencies ]);

@@ -361,6 +361,34 @@ let test_serve_and_fetch () =
   check_bool "fetch after stop fails" true
     (Result.is_error (Serve.fetch ~port "/metrics"))
 
+(* Regression: a campaign worker forked while a request is answered keeps a
+   copy of the connection; the answer must still end it for the client,
+   which otherwise waited until that worker exited (make check-obs hung). *)
+let test_fetch_with_forked_holder () =
+  let child = ref None in
+  let srv =
+    Serve.start ~port:0
+      [ ( "/fork",
+          fun () ->
+            (match Unix.fork () with
+            | 0 ->
+                Unix.sleepf 20.;
+                Unix._exit 0
+            | pid -> child := Some pid);
+            ("text/plain", "ok\n") ) ]
+  in
+  let t0 = Unix.gettimeofday () in
+  let r = Serve.fetch ~port:(Serve.port srv) "/fork" in
+  let waited = Unix.gettimeofday () -. t0 in
+  Option.iter
+    (fun pid ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid))
+    !child;
+  Serve.stop srv;
+  check_bool "answered" true (r = Ok "ok\n");
+  check_bool "not held open by the forked copy" true (waited < 10.)
+
 (* --- progress line -------------------------------------------------------------- *)
 
 let test_progress_render () =
@@ -426,7 +454,8 @@ let () =
           Alcotest.test_case "control campaign library spans" `Quick
             test_control_campaign_spans ] );
       ( "serve",
-        [ Alcotest.test_case "endpoint + client" `Quick test_serve_and_fetch ] );
+        [ Alcotest.test_case "endpoint + client" `Quick test_serve_and_fetch;
+          Alcotest.test_case "fork during an answer" `Quick test_fetch_with_forked_holder ] );
       ( "progress",
         [ Alcotest.test_case "render" `Quick test_progress_render ] );
       ( "jsonp",

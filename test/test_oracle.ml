@@ -436,7 +436,7 @@ let test_differential () =
          change its verdict. *)
       let fuzzer =
         Fuzzer.create
-          ~config:{ Fuzzer.default_config with respect_dependencies = i mod 2 = 0 }
+          ~config:{ Fuzzer.respect_dependencies = i mod 2 = 0 }
           Mb.info (Rng.create (11 + i))
       in
       let rng = Rng.create (101 + i) in

@@ -116,6 +116,28 @@ let test_detects_select_label_width () =
   in
   expect_errors "select label narrower than its key" { base with p_parser = parser }
 
+let expect_error label msg program =
+  match Typecheck.check program with
+  | Ok () -> Alcotest.failf "%s should not typecheck" label
+  | Error msgs -> check_bool label true (List.mem msg msgs)
+
+(* Packets are bytes: packet generation and the deparser must turn each
+   header into whole bytes. *)
+let test_detects_unaligned_header () =
+  expect_error "58-bit source address" "header eth58 has width 122, not a whole number of bytes"
+    { base with
+      p_headers = Header.make "eth58" [ ("dst", 48); ("src", 58); ("type", 16) ] :: base.p_headers };
+  expect_error "4-bit header" "header tag has width 4, not a whole number of bytes"
+    { base with p_headers = Header.make "tag" [ ("id", 4) ] :: base.p_headers }
+
+(* Fields are found by name: with two of one name, packet building and
+   the evaluators can each pick a different one, of another width. *)
+let test_detects_duplicate_header_field () =
+  expect_error "ihl declared twice" "duplicate header ip field: ihl"
+    { base with
+      p_headers =
+        Header.make "ip" [ ("version", 4); ("ihl", 4); ("ihl", 8); ("ttl", 8) ] :: base.p_headers }
+
 let test_error_accumulation () =
   (* All problems are reported, not just the first. *)
   let program =
@@ -338,6 +360,8 @@ let () =
          Alcotest.test_case "unknown parser state" `Quick test_detects_unknown_parser_state;
          Alcotest.test_case "zero-width field" `Quick test_detects_zero_width_field;
          Alcotest.test_case "select label width" `Quick test_detects_select_label_width;
+         Alcotest.test_case "unaligned header" `Quick test_detects_unaligned_header;
+         Alcotest.test_case "duplicate header field" `Quick test_detects_duplicate_header_field;
          Alcotest.test_case "error accumulation" `Quick test_error_accumulation;
          Alcotest.test_case "error dedup" `Quick test_error_dedup ]);
       ("lookups",
