@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test bench bench-quick micro examples check-smt check-fuzz check-obs clean
+.PHONY: all build check test bench bench-quick examples check-smt check-fuzz check-obs clean
 
 all: build
 
@@ -109,9 +109,6 @@ bench:
 
 bench-quick:
 	dune exec bench/main.exe -- quick
-
-micro:
-	dune exec bench/main.exe -- micro
 
 examples:
 	dune exec examples/quickstart.exe

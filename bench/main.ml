@@ -1,8 +1,9 @@
 (* The SwitchV evaluation harness: regenerates every table and figure of
    the paper's evaluation (§6), plus ablation benches for the design
-   choices called out in DESIGN.md and a bechamel micro-benchmark suite.
+   choices called out in DESIGN.md. Per-layer kernel costs come from the
+   campaign benchmark in bench/perf, not from here.
 
-     dune exec bench/main.exe              # every artifact except micro
+     dune exec bench/main.exe              # every artifact
      dune exec bench/main.exe -- table1    # a single artifact
      dune exec bench/main.exe -- quick     # reduced scale (CI-sized)
 
@@ -1263,63 +1264,6 @@ let greybox () =
     @ [ check "faults lost to guidance = []" (Jsonp.Arr lost) (lost = []) ] )
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  banner "Bechamel micro-benchmarks (kernels behind each table)";
-  let open Bechamel in
-  let entries_small = Workload.generate ~seed:5 Middleblock.program Workload.small in
-  let state = State.create () in
-  List.iter (fun e -> ignore (State.insert state e)) entries_small;
-  let interp_cfg =
-    { Interp.program = Middleblock.program; state; hash_mode = Interp.Seeded 3;
-      mirror_map = [] }
-  in
-  let packet =
-    Switchv_packet.Packet.to_bytes
-      (Switchv_packet.Packet.simple_ipv4 ~src:"192.0.2.1" ~dst:"10.0.1.7" ())
-  in
-  let tests =
-    [ Test.make ~name:"table3.symbolic_generation_small"
-        (Staged.stage (fun () ->
-             let enc = Symexec.encode Middleblock.program entries_small in
-             ignore (Packetgen.generate enc (Packetgen.entry_coverage_goals enc))));
-      Test.make ~name:"table3.fuzzer_batch"
-        (let fuzzer = Fuzzer.create Middleblock.info (Rng.create 3) in
-         Staged.stage (fun () -> ignore (Fuzzer.next_batch fuzzer)));
-      Test.make ~name:"table1.interp_packet"
-        (Staged.stage (fun () -> ignore (Interp.run interp_cfg ~ingress_port:1 packet)));
-      Test.make ~name:"table1.oracle_classify"
-        (let oracle = Oracle.create Middleblock.info in
-         let u = Request.insert (List.hd entries_small) in
-         Staged.stage (fun () -> ignore (Oracle.classify oracle u)));
-      Test.make ~name:"table2.trivial_suite"
-        (Staged.stage (fun () ->
-             let s = Stack.create Middleblock.program in
-             ignore (Trivial_suite.run s)));
-      Test.make ~name:"core.bitvec_add_128"
-        (let a = Rng.bitvec (Rng.create 1) 128 and b = Rng.bitvec (Rng.create 2) 128 in
-         Staged.stage (fun () -> ignore (Bitvec.add a b))) ]
-  in
-  List.iter
-    (fun test ->
-      let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-      let clock = Toolkit.Instance.monotonic_clock in
-      let results = Benchmark.all cfg [ clock ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let analysis = Analyze.all ols clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-42s %14.0f ns/run\n%!" name est
-          | _ -> Printf.printf "%-42s (no estimate)\n%!" name)
-        analysis)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Scale: million-entry tables — indexed match structures + staged     *)
 (* evaluator vs. the tree-walking linear-scan interpreter              *)
 (* ------------------------------------------------------------------ *)
@@ -1413,7 +1357,6 @@ type run =
   | Print of (unit -> unit)  (** prints its own, paper-style tables *)
   | Gated of (unit -> Jsonp.t list * Jsonp.t list)
       (** rows and gate checks, through [publish] *)
-  | On_request of (unit -> unit)  (** runs only when named *)
 
 let registry =
   [ ("table1", Print table1); ("table2", Print table2); ("table3", Print table3);
@@ -1421,15 +1364,14 @@ let registry =
     ("triage", Print triage); ("parallel", Print parallel);
     ("smt_incremental", Gated smt_incremental); ("taint", Gated taint);
     ("obs_overhead", Gated obs_overhead); ("fabric", Gated fabric);
-    ("greybox", Gated greybox); ("scale", Gated scale);
-    ("micro", On_request micro) ]
+    ("greybox", Gated greybox); ("scale", Gated scale) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   quick := List.mem "quick" args;
   let selected =
     match List.filter (fun a -> a <> "quick") args with
-    | [] -> List.filter (function _, On_request _ -> false | _ -> true) registry
+    | [] -> registry
     | names ->
         List.map
           (fun name ->
@@ -1448,7 +1390,7 @@ let () =
          and emit it as one machine-readable JSON line for trend tracking. *)
       Telemetry.reset (Telemetry.get ());
       (match run with
-      | Print f | On_request f -> f ()
+      | Print f -> f ()
       | Gated f -> publish name (f ()));
       Printf.printf "\ntelemetry %s %s\n" name
         (Telemetry.snapshot_to_json (Telemetry.snapshot (Telemetry.get ()))))

@@ -25,14 +25,7 @@ let modify_percent = 10
 (* --- views of the mirror ------------------------------------------------------- *)
 
 (* (table, key, value) triples: references, and the values entries provide. *)
-module Refs = Hashtbl.Make (struct
-  type t = string * string * Bitvec.t
-
-  let equal (t1, k1, v1) (t2, k2, v2) =
-    String.equal t1 t2 && String.equal k1 k2 && Bitvec.equal v1 v2
-
-  let hash (t, k, v) = Hashtbl.hash (Hashtbl.hash t, Hashtbl.hash k, Bitvec.hash v)
-end)
+module Refs = State.Values
 
 (* A set of positions [0, capacity) under a Fenwick tree of membership
    counts, so that [rank] (members before a position) and [select] (the
@@ -146,16 +139,6 @@ let compact v =
   v.next <- live;
   v.keyed <- Ranked.init n (fun p -> p < live);
   v.deletable <- Ranked.init n (Array.get deletable)
-
-(* The values [e] provides: exact and present optional matches, in its own
-   table. *)
-let iter_provided (e : Entry.t) f =
-  List.iter
-    (fun (fm : Entry.field_match) ->
-      match fm.fm_value with
-      | Entry.M_exact v | Entry.M_optional (Some v) -> f (e.e_table, fm.fm_field, v)
-      | _ -> ())
-    e.e_matches
 
 (* Add the (table, key, value) references [e] makes to [set]. *)
 let add_references info set e =
@@ -287,9 +270,11 @@ let write_mirror t touched fresh (op, e) =
         v.at.(p) <- e;
         Hashtbl.replace v.pos key p;
         Ranked.set v.keyed p true;
-        iter_provided e (fun r ->
+        List.iter
+          (fun r ->
             Refs.replace v.provided r
-              (key :: Option.value ~default:[] (Refs.find_opt v.provided r)));
+              (key :: Option.value ~default:[] (Refs.find_opt v.provided r)))
+          (State.provided e);
         fresh := key :: !fresh;
         touch e
       end
@@ -309,11 +294,13 @@ let write_mirror t touched fresh (op, e) =
         Hashtbl.remove v.pos key;
         Ranked.set v.keyed p false;
         Ranked.set v.deletable p false;
-        iter_provided old (fun r ->
+        List.iter
+          (fun r ->
             let keys = Option.value ~default:[] (Refs.find_opt v.provided r) in
             match List.filter (fun k -> not (String.equal k key)) keys with
             | [] -> Refs.remove v.provided r
-            | keys -> Refs.replace v.provided r keys);
+            | keys -> Refs.replace v.provided r keys)
+          (State.provided old);
         touch old
       end
 
@@ -397,7 +384,7 @@ let add_valid t ctx op (e : Entry.t) =
   | Request.Delete -> Hashtbl.replace ctx.tombstoned (Entry.match_key e) e.e_table
   | Request.Insert | Request.Modify ->
       add_references t.info ctx.batch_refs e;
-      iter_provided e (fun r -> ctx.batch_provides := r :: !(ctx.batch_provides));
+      ctx.batch_provides := List.rev_append (State.provided e) !(ctx.batch_provides);
       if op = Request.Insert then
         Hashtbl.replace ctx.batch_inserts e.e_table (pending_inserts ctx e.e_table + 1));
   ctx.updates <- { update = { Request.op; entry = e }; mutation = None } :: ctx.updates;

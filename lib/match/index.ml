@@ -10,21 +10,20 @@
      rank = -priority                     (priority tables)
      rank = -sum of LPM prefix lengths    (everything else)
 
-   This module computes that minimum without scanning every entry:
+   This module computes that minimum by tuple-space search, for every
+   table. Once canonicalised, every match value is a masked compare
+   (exact = all ones, LPM = a prefix mask, optional = ones or zero,
+   omitted = zero), so entries are grouped by their concatenated mask
+   signature, each group a hash table from masked key bytes to
+   candidates, and a probe costs one hash lookup per distinct mask shape
+   instead of one compare per entry. An exact table holds one shape; a
+   routing table holds one per prefix length in use.
 
-   - priority tables use tuple-space search — entries grouped by their
-     concatenated mask signature, each group a hash table from masked key
-     bytes to candidates, so a probe costs one hash lookup per distinct
-     mask shape instead of one compare per entry;
-   - tables with one LPM key (plus exact keys) hash on the exact part and
-     keep a path-compressed binary trie ({!Trie}) over the LPM key;
-   - all-exact tables are a single hash map.
-
-   Entries whose match values do not fit the fast structure (and whole
-   tables with several LPM keys) fall back to a residual linear list that
-   reproduces the interpreter's scan exactly; the fast-path winner and the
-   residual winner are merged under the same (rank, seq) order, so lookup
-   is equivalent to the reference for every entry shape.
+   Entries whose widths disagree with the schema have no meaningful mask
+   signature; they live in a residual linear list that reproduces the
+   interpreter's scan exactly. The group winner and the residual winner
+   are merged under the same (rank, seq) order, so lookup is equivalent
+   to the reference for every entry shape.
 
    The module is deliberately independent of lib/p4runtime (which depends
    on it): match values are re-declared here and the payload type is
@@ -56,18 +55,11 @@ type 'a group = {
   g_buckets : (string, 'a entry list ref) Hashtbl.t;
 }
 
-type 'a mode =
-  | M_priority of (string, 'a group) Hashtbl.t    (* signature -> group *)
-  | M_lpm of int * (string, 'a entry Trie.t) Hashtbl.t  (* lpm key pos; exact part -> trie *)
-  | M_exact of (string, 'a entry list ref) Hashtbl.t
-  | M_generic                                      (* residual only *)
-
 type 'a t = {
   keys : key array;
   priority_mode : bool;
-  mode : 'a mode;
+  groups : (string, 'a group) Hashtbl.t;  (* mask signature -> group *)
   mutable residual : 'a entry list;
-  mutable count : int;
 }
 
 let canonical_mv = function
@@ -105,7 +97,7 @@ let entry_matches e values =
     e.e_mvs;
   !ok
 
-(* Mirrors interp.ml's [lpm_specificity]: only M_lpm values on LPM-kind
+(* Mirrors interp.ml's [lpm_specificity]: only Mlpm values on LPM-kind
    keys contribute, so an exact value on an LPM key ranks as /0. *)
 let specificity keys mvs =
   let acc = ref 0 in
@@ -121,27 +113,10 @@ let create keys =
   let priority_mode =
     Array.exists (fun k -> k.key_kind = Ternary || k.key_kind = Optional) keys
   in
-  let lpm_positions =
-    Array.to_list keys
-    |> List.mapi (fun i k -> (i, k))
-    |> List.filter_map (fun (i, k) -> if k.key_kind = Lpm then Some i else None)
-  in
-  let mode =
-    if priority_mode then M_priority (Hashtbl.create 16)
-    else
-      match lpm_positions with
-      | [] -> M_exact (Hashtbl.create 1024)
-      | [ pos ] -> M_lpm (pos, Hashtbl.create 64)
-      | _ :: _ :: _ -> M_generic
-  in
-  { keys; priority_mode; mode; residual = []; count = 0 }
-
-let size t = t.count
+  { keys; priority_mode; groups = Hashtbl.create 16; residual = [] }
 
 (* --- classification ------------------------------------------------------ *)
 
-(* Every match value is a masked compare once canonicalised, so any entry
-   of a priority table fits some tuple-space group. *)
 let mask_of w = function
   | None | Some (Moptional None) -> Bitvec.zero w
   | Some (Mexact _) | Some (Moptional (Some _)) -> Bitvec.ones w
@@ -173,131 +148,45 @@ let widths_ok keys mvs =
     mvs;
   !ok
 
-(* The exact-part bucket key of an LPM-mode entry, if every non-LPM value
-   pins its key exactly. *)
-let exact_part_of keys mvs ~skip =
-  let n = Array.length keys in
-  let vals = Array.make n (Bitvec.zero 1) in
-  let ok = ref true in
-  Array.iteri
-    (fun i mv ->
-      if i <> skip then
-        match mv with
-        | Some (Mexact v) | Some (Moptional (Some v)) -> vals.(i) <- v
-        | _ -> ok := false)
-    mvs;
-  if not !ok then None
-  else
-    Some
-      (hex_concat
-         (Array.of_list
-            (List.filteri (fun i _ -> i <> skip) (Array.to_list vals))))
+let masks_of t mvs = Array.mapi (fun i mv -> mask_of t.keys.(i).key_width mv) mvs
 
-let probe_exact_part values ~skip =
-  hex_concat
-    (Array.of_list (List.filteri (fun i _ -> i <> skip) (Array.to_list values)))
-
-(* The (value, len) the LPM key contributes to the trie, if prefix-shaped. *)
-let lpm_part_of w = function
-  | None | Some (Moptional None) -> Some (Bitvec.zero w, 0)
-  | Some (Mlpm (v, len)) -> Some (v, len)
-  | Some (Mexact v) -> Some (v, w)
-  | Some (Moptional (Some _)) | Some (Mternary _) -> None
-
-let all_exact mvs =
-  Array.for_all
-    (function Some (Mexact _) | Some (Moptional (Some _)) -> true | _ -> false)
-    mvs
+let bucket_of t mvs =
+  hex_concat (Array.mapi (fun i mv -> masked_value t.keys.(i).key_width mv) mvs)
 
 (* --- insert / remove ------------------------------------------------------ *)
-
-let bucket_add tbl key e =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := e :: !r
-  | None -> Hashtbl.add tbl key (ref [ e ])
-
-let bucket_remove tbl key seq =
-  match Hashtbl.find_opt tbl key with
-  | None -> ()
-  | Some r -> r := List.filter (fun e -> e.e_seq <> seq) !r
 
 let insert t ~mvs ~priority ~seq payload =
   let mvs = Array.map (Option.map canonical_mv) mvs in
   let rank = if t.priority_mode then -priority else -specificity t.keys mvs in
   let e = { e_mvs = mvs; e_rank = rank; e_seq = seq; e_payload = payload } in
-  t.count <- t.count + 1;
-  let to_residual () = t.residual <- e :: t.residual in
-  if not (widths_ok t.keys mvs) then to_residual ()
+  if not (widths_ok t.keys mvs) then t.residual <- e :: t.residual
   else
-    match t.mode with
-    | M_generic -> to_residual ()
-    | M_priority groups ->
-        let masks = Array.mapi (fun i mv -> mask_of t.keys.(i).key_width mv) mvs in
-        let signature = hex_concat masks in
-        let group =
-          match Hashtbl.find_opt groups signature with
-          | Some g -> g
-          | None ->
-              let g = { g_masks = masks; g_buckets = Hashtbl.create 64 } in
-              Hashtbl.add groups signature g;
-              g
-        in
-        let vals = Array.mapi (fun i mv -> masked_value t.keys.(i).key_width mv) mvs in
-        bucket_add group.g_buckets (hex_concat vals) e
-    | M_exact buckets ->
-        if all_exact mvs then
-          bucket_add buckets
-            (hex_concat
-               (Array.mapi (fun i mv -> masked_value t.keys.(i).key_width mv) mvs))
-            e
-        else to_residual ()
-    | M_lpm (pos, groups) -> (
-        match (exact_part_of t.keys mvs ~skip:pos, lpm_part_of t.keys.(pos).key_width mvs.(pos)) with
-        | Some part, Some (v, len) ->
-            let trie =
-              match Hashtbl.find_opt groups part with
-              | Some tr -> tr
-              | None ->
-                  let tr = Trie.create t.keys.(pos).key_width in
-                  Hashtbl.add groups part tr;
-                  tr
-            in
-            Trie.insert trie ~value:v ~len e
-        | _ -> to_residual ())
+    let masks = masks_of t mvs in
+    let signature = hex_concat masks in
+    let group =
+      match Hashtbl.find_opt t.groups signature with
+      | Some g -> g
+      | None ->
+          let g = { g_masks = masks; g_buckets = Hashtbl.create 64 } in
+          Hashtbl.add t.groups signature g;
+          g
+    in
+    let bucket = bucket_of t mvs in
+    match Hashtbl.find_opt group.g_buckets bucket with
+    | Some r -> r := e :: !r
+    | None -> Hashtbl.add group.g_buckets bucket (ref [ e ])
 
 let remove t ~mvs ~seq =
   let mvs = Array.map (Option.map canonical_mv) mvs in
-  let from_residual () =
-    t.residual <- List.filter (fun e -> e.e_seq <> seq) t.residual
-  in
-  t.count <- t.count - 1;
-  if not (widths_ok t.keys mvs) then from_residual ()
+  let keep e = e.e_seq <> seq in
+  if not (widths_ok t.keys mvs) then t.residual <- List.filter keep t.residual
   else
-    match t.mode with
-    | M_generic -> from_residual ()
-    | M_priority groups -> (
-        let masks = Array.mapi (fun i mv -> mask_of t.keys.(i).key_width mv) mvs in
-        match Hashtbl.find_opt groups (hex_concat masks) with
-        | None -> from_residual ()
-        | Some g ->
-            let vals =
-              Array.mapi (fun i mv -> masked_value t.keys.(i).key_width mv) mvs
-            in
-            bucket_remove g.g_buckets (hex_concat vals) seq)
-    | M_exact buckets ->
-        if all_exact mvs then
-          bucket_remove buckets
-            (hex_concat
-               (Array.mapi (fun i mv -> masked_value t.keys.(i).key_width mv) mvs))
-            seq
-        else from_residual ()
-    | M_lpm (pos, groups) -> (
-        match (exact_part_of t.keys mvs ~skip:pos, lpm_part_of t.keys.(pos).key_width mvs.(pos)) with
-        | Some part, Some (v, len) -> (
-            match Hashtbl.find_opt groups part with
-            | None -> ()
-            | Some trie -> Trie.remove trie ~value:v ~len (fun e -> e.e_seq = seq))
-        | _ -> from_residual ())
+    match Hashtbl.find_opt t.groups (hex_concat (masks_of t mvs)) with
+    | None -> ()
+    | Some g -> (
+        match Hashtbl.find_opt g.g_buckets (bucket_of t mvs) with
+        | None -> ()
+        | Some r -> r := List.filter keep !r)
 
 (* --- lookup --------------------------------------------------------------- *)
 
@@ -310,25 +199,12 @@ let better best e =
 
 let lookup t values =
   let best = ref None in
-  (match t.mode with
-  | M_generic -> ()
-  | M_priority groups ->
-      Hashtbl.iter
-        (fun _ g ->
-          let masked = Array.map2 Bitvec.logand values g.g_masks in
-          match Hashtbl.find_opt g.g_buckets (hex_concat masked) with
-          | None -> ()
-          | Some r -> List.iter (fun e -> best := better !best e) !r)
-        groups
-  | M_exact buckets -> (
-      match Hashtbl.find_opt buckets (hex_concat values) with
+  Hashtbl.iter
+    (fun _ g ->
+      let masked = Array.map2 Bitvec.logand values g.g_masks in
+      match Hashtbl.find_opt g.g_buckets (hex_concat masked) with
       | None -> ()
       | Some r -> List.iter (fun e -> best := better !best e) !r)
-  | M_lpm (pos, groups) -> (
-      match Hashtbl.find_opt groups (probe_exact_part values ~skip:pos) with
-      | None -> ()
-      | Some trie ->
-          best :=
-            Trie.fold_matches trie values.(pos) (fun acc e -> better acc e) !best));
+    t.groups;
   List.iter (fun e -> if entry_matches e values then best := better !best e) t.residual;
   Option.map (fun e -> e.e_payload) !best

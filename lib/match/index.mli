@@ -4,15 +4,12 @@
     minimising the lexicographic pair (rank, seq), where rank is
     [-priority] for tables with ternary/optional keys and minus the LPM
     specificity otherwise, and seq is insertion order (the documented
-    tie-break) — without scanning every entry:
+    tie-break) — without scanning every entry, by tuple-space search for
+    every table: entries grouped by mask signature (exact = all ones, LPM
+    = a prefix mask, optional = ones or zero, omitted = zero), one hash
+    probe per distinct mask shape.
 
-    - priority tables: tuple-space search (entries grouped by mask
-      signature, one hash probe per distinct mask shape);
-    - one-LPM-key tables: hash on the exact part, a path-compressed
-      binary {!Trie} over the LPM key;
-    - all-exact tables: a single hash map.
-
-    Entries that do not fit the fast structure fall back to a residual
+    Entries whose widths disagree with the schema fall back to a residual
     linear list with the interpreter's scan semantics, so lookup is
     equivalent to the reference for every entry shape. The module is
     independent of lib/p4runtime (which depends on it): match values are
@@ -44,8 +41,6 @@ val remove : 'a t -> mvs:mv option array -> seq:int -> unit
 val lookup : 'a t -> Bitvec.t array -> 'a option
 (** The payload of the matching entry that minimises (rank, seq), i.e.
     the interpreter's winner, for probe key values in schema order. *)
-
-val size : 'a t -> int
 
 val mv_matches : Bitvec.t -> mv -> bool
 (** Reference single-value match semantics (interp.ml's

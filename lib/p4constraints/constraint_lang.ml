@@ -81,8 +81,12 @@ let tokenize s =
         while !i < n && is_digit s.[!i] do incr i done;
         if !i = digits_start then
           raise (Lex_error (Printf.sprintf "bad number at offset %d" start));
-        let text = String.sub s start (!i - start) in
-        push (T_int (int_of_string text))
+        (* A literal has no sign, so a negative result is int_of_string
+           wrapping a 0x/0b literal of 63 bits. *)
+        (match int_of_string_opt (String.sub s start (!i - start)) with
+        | Some v when v >= 0 -> push (T_int v)
+        | _ ->
+            raise (Lex_error (Printf.sprintf "integer literal out of range at offset %d" start)))
     | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
         let start = !i in
         let is_ident ch =

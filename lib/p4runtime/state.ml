@@ -19,8 +19,9 @@ type key_spec = { ks_name : string; ks_width : int; ks_kind : Match.kind }
 
 type table_index = { ti_keys : key_spec array; ti_ix : slot Match.t }
 
-(* Counts keyed by (table, match field, value). *)
-module Counts = Hashtbl.Make (struct
+(* Keyed by (table, match field, value): a value an entry provides, or a
+   reference to one. *)
+module Values = Hashtbl.Make (struct
   type t = string * string * Bitvec.t
 
   let equal (t1, k1, v1) (t2, k2, v2) =
@@ -33,10 +34,10 @@ type t = {
   tables : (string, (string, slot) Hashtbl.t) Hashtbl.t;
   mutable next_seq : int;
   indexes : (string, table_index) Hashtbl.t;
-  mutable values : int Counts.t option;
+  mutable values : int Values.t option;
       (* installed entries providing each (table, field, value) through an
          exact or optional match: the [@refers_to] existence check *)
-  mutable refs : (P4info.t * int Counts.t) option;
+  mutable refs : (P4info.t * int Values.t) option;
       (* @refers_to references to each (table, key, value) from installed
          entries, as the P4info they were built with declares them *)
 }
@@ -60,7 +61,7 @@ let copy t =
      rebuilds its own lazily. *)
   let fresh =
     { tables = Hashtbl.create 16; next_seq = t.next_seq; indexes = Hashtbl.create 8;
-      values = Option.map Counts.copy t.values; refs = None }
+      values = Option.map Values.copy t.values; refs = None }
   in
   Hashtbl.iter (fun name tbl -> Hashtbl.add fresh.tables name (Hashtbl.copy tbl)) t.tables;
   fresh
@@ -75,30 +76,31 @@ let clear t =
 (* --- maintained counts ----------------------------------------------------- *)
 
 let bump counts k delta =
-  let c = delta + Option.value ~default:0 (Counts.find_opt counts k) in
-  if c = 0 then Counts.remove counts k else Counts.replace counts k c
+  let c = delta + Option.value ~default:0 (Values.find_opt counts k) in
+  if c = 0 then Values.remove counts k else Values.replace counts k c
 
-(* What [exists_value] sees of an entry: per field name, the first match's
-   value when it is exact or a present optional. *)
 let provided (e : Entry.t) =
-  let rec go seen acc = function
-    | [] -> acc
-    | (fm : Entry.field_match) :: rest when List.mem fm.fm_field seen -> go seen acc rest
-    | fm :: rest -> (
-        let seen = fm.fm_field :: seen in
-        match fm.fm_value with
-        | Entry.M_exact v | Entry.M_optional (Some v) ->
-            go seen ((e.e_table, fm.fm_field, v) :: acc) rest
-        | _ -> go seen acc rest)
-  in
-  go [] [] e.e_matches
+  List.filter_map
+    (fun (fm : Entry.field_match) ->
+      match fm.fm_value with
+      | Entry.M_exact v | Entry.M_optional (Some v) -> Some (e.e_table, fm.fm_field, v)
+      | _ -> None)
+    e.e_matches
 
 let count_refs info counts e delta =
   List.iter
     (fun (r : Validate.reference) -> bump counts (r.ref_table, r.ref_key, r.ref_value) delta)
     (Validate.references info e)
 
-let count_values counts e delta = List.iter (fun k -> bump counts k delta) (provided e)
+(* [exists_value] sees what a lookup sees: only each field's first match. *)
+let count_values counts e delta =
+  List.iter
+    (fun ((_, field, v) as k) ->
+      match Entry.find_match e field with
+      | Some (Entry.M_exact v') | Some (Entry.M_optional (Some v')) when Bitvec.equal v v' ->
+          bump counts k delta
+      | _ -> ())
+    (provided e)
 
 (* Every mutation funnels through here, once per entry gained or lost. *)
 let account t e delta =
@@ -106,7 +108,7 @@ let account t e delta =
   Option.iter (fun (info, counts) -> count_refs info counts e delta) t.refs
 
 let build t count =
-  let counts = Counts.create 64 in
+  let counts = Values.create 64 in
   Hashtbl.iter
     (fun _ tbl -> Hashtbl.iter (fun _ slot -> count counts slot.entry 1) tbl)
     t.tables;
@@ -243,32 +245,22 @@ let count t name =
 
 let total t = Hashtbl.fold (fun _ tbl acc -> acc + Hashtbl.length tbl) t.tables 0
 
-let exists_value t ~table ~key value = Counts.mem (value_counts t) (table, key, value)
-
-(* The values under which an entry can be referenced: its exact and
-   present optional match values, keyed by field name, in its own table. *)
-let targets (entry : Entry.t) =
-  List.filter_map
-    (fun (fm : Entry.field_match) ->
-      match fm.fm_value with
-      | Entry.M_exact v | Entry.M_optional (Some v) -> Some (entry.e_table, fm.fm_field, v)
-      | _ -> None)
-    entry.e_matches
+let exists_value t ~table ~key value = Values.mem (value_counts t) (table, key, value)
 
 let provides_referenced t info entry =
   let counts = ref_counts t info in
-  List.exists (Counts.mem counts) (targets entry)
+  List.exists (Values.mem counts) (provided entry)
 
 let is_referenced t info entry =
   let counts = ref_counts t info in
   (* The installed entry under this key does not count against itself. *)
-  let own = Counts.create 8 in
+  let own = Values.create 8 in
   Option.iter (fun installed -> count_refs info own installed 1) (find t entry);
   List.exists
     (fun k ->
-      Option.value ~default:0 (Counts.find_opt counts k)
-      > Option.value ~default:0 (Counts.find_opt own k))
-    (targets entry)
+      Option.value ~default:0 (Values.find_opt counts k)
+      > Option.value ~default:0 (Values.find_opt own k))
+    (provided entry)
 
 let find_keyed t table key =
   Option.bind (Hashtbl.find_opt t.tables table) (fun tbl -> Hashtbl.find_opt tbl key)

@@ -39,9 +39,20 @@ val all_keyed : t -> (string * Entry.t) list
 val count : t -> string -> int
 val total : t -> int
 
+module Values : Hashtbl.S with type key = string * string * Bitvec.t
+(** Hash tables keyed by a (table, match field, value) triple: a value an
+    entry provides, or a [@refers_to] reference to one. *)
+
+val provided : Entry.t -> Values.key list
+(** The values [entry] provides, in match order: each exact or present
+    optional match's value, in [entry]'s own table. {!is_referenced} and
+    {!provides_referenced} look them up among the references;
+    {!exists_value} counts those that are their field's first match. *)
+
 val exists_value : t -> table:string -> key:string -> Bitvec.t -> bool
 (** Does some installed entry of [table] match exactly [value] on [key]?
-    (The [@refers_to] existence check.) O(1): the first query counts the
+    (The [@refers_to] existence check.) Only an entry's first match on
+    [key] counts, as in a lookup. O(1): the first query counts the
     installed entries per (table, key, value), every later insert /
     modify / delete maintains the counts, and {!copy} carries them. *)
 

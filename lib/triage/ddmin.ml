@@ -24,7 +24,7 @@ let split xs n =
   in
   go 0 xs []
 
-let run_stats ?(max_probes = 512) ~check xs =
+let run_stats ~max_probes ~check xs =
   let tele = Telemetry.get () in
   Telemetry.incr ~n:0 tele "triage.ddmin_probes";
   let probes = ref 0 in
@@ -79,4 +79,4 @@ let run_stats ?(max_probes = 512) ~check xs =
   in
   (minimized, !probes)
 
-let run ?max_probes ~check xs = fst (run_stats ?max_probes ~check xs)
+let run ~max_probes ~check xs = fst (run_stats ~max_probes ~check xs)

@@ -13,18 +13,18 @@
     against freshly provisioned simulated stacks with fixed seeds, so a
     probe's verdict never flips between calls. *)
 
-val run : ?max_probes:int -> check:('a list -> bool) -> 'a list -> 'a list
-(** [run ~check xs] with [check xs = true] ("still fails") returns a
-    sublist [ys] of [xs], in original order, with [check ys = true].
+val run : max_probes:int -> check:('a list -> bool) -> 'a list -> 'a list
+(** [run ~max_probes ~check xs] with [check xs = true] ("still fails")
+    returns a sublist [ys] of [xs], in original order, with
+    [check ys = true].
 
-    If the probe budget ([max_probes], default 512) runs out, the best
-    failing sublist found so far is returned — still failing, possibly not
-    1-minimal. If [check xs] is [false] (the caller's reproducer is flaky
+    If the probe budget [max_probes] runs out, the best failing sublist
+    found so far is returned — still failing, possibly not 1-minimal. If [check xs] is [false] (the caller's reproducer is flaky
     or vacuous), [xs] is returned unchanged and no minimization happens.
 
     Every probe increments the [triage.ddmin_probes] telemetry counter;
     the counter is registered (created at 0) even when no probe runs. *)
 
 val run_stats :
-  ?max_probes:int -> check:('a list -> bool) -> 'a list -> 'a list * int
+  max_probes:int -> check:('a list -> bool) -> 'a list -> 'a list * int
 (** Like {!run}, also returning the number of probes spent. *)

@@ -18,12 +18,21 @@
 
    A failure names the seed and the source and prints the mutant.
 
+   The [parsers] cases hold the other external parsers to the same
+   totality: byte-level mutants of the entry restrictions found in the
+   sources and of the golden corpus lines go through
+   [Constraint_lang.parse], [Jsonp.parse] and [Corpus.record_of_json],
+   which must return [Ok] or [Error] and never raise.
+
    Environment knobs (shared with test_smt_diff; the Makefile's check-smt
    target uses them):
      SWITCHV_QGEN_SEED     base seed (default 1)
      SWITCHV_QGEN_SOAK_MS  extra randomized soak time (default 0) *)
 
 module Ast = Switchv_p4ir.Ast
+module Constraint_lang = Switchv_p4constraints.Constraint_lang
+module Jsonp = Switchv_telemetry.Jsonp
+module Corpus = Switchv_triage.Corpus
 module P4parser = Switchv_p4ir.P4parser
 module Typecheck = Switchv_p4ir.Typecheck
 module P4info = Switchv_p4ir.P4info
@@ -240,7 +249,114 @@ let test_soak () =
     ignore (probe_round ((seed * 1000) + 1000000 + !round))
   done
 
+(* --- external parsers ------------------------------------------------------------ *)
+
+(* Every @entry_restriction string in the sources (the role models print
+   theirs, one per line), and the golden corpus lines. *)
+let restrictions =
+  let prefix = "@entry_restriction(\"" in
+  let of_line line =
+    let line = String.trim line and a = String.length prefix in
+    if not (String.starts_with ~prefix line) then None
+    else Option.map (fun b -> String.sub line a (b - a)) (String.index_from_opt line a '"')
+  in
+  List.sort_uniq String.compare
+    (List.concat_map (fun (_, text) -> List.filter_map of_line (String.split_on_char '\n' text))
+       sources)
+
+let corpus_lines =
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' (read "test/fixtures/corpus.jsonl"))
+
+let parsers =
+  [ ("Constraint_lang.parse", restrictions, fun s -> Result.is_ok (Constraint_lang.parse s));
+    ("Jsonp.parse", corpus_lines, fun s -> Result.is_ok (Jsonp.parse s));
+    ("Corpus.record_of_json", corpus_lines, fun s -> Result.is_ok (Corpus.record_of_json s)) ]
+
+let tokens =
+  [| "99999999999999999999"; "4611686018427387904"; "0x123456789abcdef01234";
+     "0b" ^ String.make 80 '1'; "1e999"; "-0"; "0x"; "\\u"; "\\uD800"; "\\u00"; "\"";
+     "("; ")"; "["; "]"; "{"; "}" |]
+
+let syntax = "{}[]():,\"\\0123456789abcdefxu-+.eE&|!=<> "
+
+let byte_edit rng s =
+  let n = String.length s in
+  let at () = Rng.int rng (n + 1) in
+  match Rng.int rng 7 with
+  | 0 when n > 0 ->
+      let c =
+        if Rng.int rng 2 = 0 then Char.chr (Rng.int rng 256)
+        else syntax.[Rng.int rng (String.length syntax)]
+      in
+      let i = Rng.int rng n in
+      splice s (i, i + 1) (String.make 1 c)
+  | 1 when n > 0 ->
+      let i = Rng.int rng n in
+      splice s (i, i + 1) ""
+  | 2 when n > 0 ->
+      let i = Rng.int rng n in
+      splice s (i, i) (String.make 1 s.[i])
+  | 3 -> String.sub s 0 (at ())
+  | 4 ->
+      let a = at () in
+      splice s (a, a + Rng.int rng (n - a + 1)) ""
+  | _ ->
+      let i = at () in
+      splice s (i, i) (pick rng tokens)
+
+(* One round: eight mutants of every input of every parser, each one to
+   four edits, drawn from [round_seed]. Adds each parser's [Ok] count to
+   [oks]. *)
+let parser_round oks round_seed =
+  let rng = Rng.create round_seed in
+  List.iteri
+    (fun p (name, inputs, parse) ->
+      List.iter
+        (fun input ->
+          for _ = 1 to 8 do
+            let text = ref input in
+            for _ = 0 to Rng.int rng 3 do
+              text := byte_edit rng !text
+            done;
+            match parse !text with
+            | true -> oks.(p) <- oks.(p) + 1
+            | false -> ()
+            | exception e ->
+                Alcotest.failf "SWITCHV_QGEN_SEED=%d, round seed %d: %s raised %s on %S (mutant of %S)"
+                  seed round_seed name (Printexc.to_string e) !text input
+          done)
+        inputs)
+    parsers
+
+let test_parsers_fixed_seed () =
+  let oks = Array.make (List.length parsers) 0 in
+  for round = 0 to 999 do
+    parser_round oks ((seed * 1000) + round)
+  done;
+  (* Guard against a probe whose inputs went missing or whose every
+     mutant dies at the first byte. *)
+  List.iteri
+    (fun p (name, inputs, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d inputs, %d mutants parsed" name (List.length inputs) oks.(p))
+        true
+        (inputs <> [] && oks.(p) > 0))
+    parsers
+
+let test_parsers_soak () =
+  let deadline = Clock.now () +. (float_of_int soak_ms /. 1000.) in
+  let oks = Array.make (List.length parsers) 0 in
+  let round = ref 0 in
+  while Clock.now () < deadline do
+    incr round;
+    parser_round oks ((seed * 1000) + 1000000 + !round)
+  done
+
 let () =
   Alcotest.run "mutants"
-    [ ("mutants", [ Alcotest.test_case "fixed seed" `Quick test_fixed_seed ]);
-      ("soak", [ Alcotest.test_case "fresh mutants" `Slow test_soak ]) ]
+    [ ("mutants",
+       [ Alcotest.test_case "fixed seed" `Quick test_fixed_seed;
+         Alcotest.test_case "parsers" `Quick test_parsers_fixed_seed ]);
+      ("soak",
+       [ Alcotest.test_case "fresh mutants" `Slow test_soak;
+         Alcotest.test_case "parsers" `Slow test_parsers_soak ]) ]

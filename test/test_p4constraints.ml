@@ -43,6 +43,27 @@ let test_parse_errors () =
   check_bool "bad ::field" true (C.parse "a::bogus == 1" |> Result.is_error);
   check_bool "empty" true (C.parse "" |> Result.is_error)
 
+(* Literals past the native int range are bad input, not an exception:
+   entry restrictions come from user-supplied model files. *)
+let rejects_out_of_range label s =
+  match C.parse s with
+  | Ok _ -> Alcotest.failf "%s: %S parsed" label s
+  | Error msg ->
+      check_bool (label ^ " names the literal") true
+        (String.starts_with ~prefix:"integer literal out of range" msg)
+
+let test_out_of_range_decimal () =
+  rejects_out_of_range "20 digits" "vrf_id != 99999999999999999999";
+  rejects_out_of_range "max_int + 1" "vrf_id != 4611686018427387904"
+
+let test_out_of_range_hex () =
+  rejects_out_of_range "20 hex digits" "addr == 0x123456789abcdef01234";
+  rejects_out_of_range "63 bits" "addr == 0x7fffffffffffffff"
+
+let test_out_of_range_binary () =
+  rejects_out_of_range "80 bits" ("flags == 0b1" ^ String.make 79 '0');
+  rejects_out_of_range "63 bits" ("flags == 0b" ^ String.make 63 '1')
+
 let test_roundtrip () =
   let inputs =
     [ "vrf_id != 0"; "(a == 1 && b == 2)"; "!(x == 1)"; "a < b || c >= 4" ]
@@ -155,6 +176,9 @@ let () =
     [ ("parsing",
        [ Alcotest.test_case "simple" `Quick test_parse_simple;
          Alcotest.test_case "errors" `Quick test_parse_errors;
+         Alcotest.test_case "decimal literal out of range" `Quick test_out_of_range_decimal;
+         Alcotest.test_case "hex literal out of range" `Quick test_out_of_range_hex;
+         Alcotest.test_case "binary literal out of range" `Quick test_out_of_range_binary;
          Alcotest.test_case "roundtrip" `Quick test_roundtrip;
          Alcotest.test_case "precedence" `Quick test_precedence ]);
       ("evaluation",

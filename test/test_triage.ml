@@ -38,7 +38,7 @@ let test_ddmin_hidden_sets () =
   List.iter
     (fun hidden ->
       let check = hidden_set_check hidden in
-      let result = Ddmin.run ~check input in
+      let result = Ddmin.run ~max_probes:512 ~check input in
       check_int_list
         (Printf.sprintf "finds exactly the hidden set (size %d)"
            (List.length hidden))
@@ -48,7 +48,7 @@ let test_ddmin_hidden_sets () =
 let test_ddmin_still_fails_and_subsequence () =
   let input = List.init 60 (fun i -> i) in
   let check xs = List.mem 17 xs && List.length xs >= 1 in
-  let result = Ddmin.run ~check input in
+  let result = Ddmin.run ~max_probes:512 ~check input in
   check_bool "result still fails" true (check result);
   (* result is a subsequence of the input *)
   let rec subseq = function
@@ -61,7 +61,7 @@ let test_ddmin_still_fails_and_subsequence () =
 let test_ddmin_one_minimality () =
   let input = List.init 30 (fun i -> i) in
   let check xs = List.mem 4 xs && List.mem 25 xs in
-  let result = Ddmin.run ~check input in
+  let result = Ddmin.run ~max_probes:512 ~check input in
   check_bool "result fails" true (check result);
   (* 1-minimal: removing any single element makes the failure disappear *)
   List.iteri
@@ -75,17 +75,18 @@ let test_ddmin_one_minimality () =
 let test_ddmin_determinism () =
   let input = List.init 50 (fun i -> i * 3) in
   let check xs = List.mem 21 xs && List.mem 99 xs && List.mem 141 xs in
-  let a = Ddmin.run ~check input in
-  let b = Ddmin.run ~check input in
+  let a = Ddmin.run ~max_probes:512 ~check input in
+  let b = Ddmin.run ~max_probes:512 ~check input in
   check_int_list "two runs agree" a b
 
 let test_ddmin_edge_cases () =
   let passing_check xs = List.mem 999 xs in
   check_int_list "non-failing input returned unchanged" [ 1; 2; 3 ]
-    (Ddmin.run ~check:passing_check [ 1; 2; 3 ]);
+    (Ddmin.run ~max_probes:512 ~check:passing_check [ 1; 2; 3 ]);
   check_int_list "empty failing input minimizes to []" []
-    (Ddmin.run ~check:(fun _ -> true) [ 1; 2; 3 ]);
-  check_int_list "empty input stays empty" [] (Ddmin.run ~check:(fun _ -> true) [])
+    (Ddmin.run ~max_probes:512 ~check:(fun _ -> true) [ 1; 2; 3 ]);
+  check_int_list "empty input stays empty" []
+    (Ddmin.run ~max_probes:512 ~check:(fun _ -> true) [])
 
 let test_ddmin_probe_budget () =
   let input = List.init 80 (fun i -> i) in
@@ -93,14 +94,14 @@ let test_ddmin_probe_budget () =
   let result, probes = Ddmin.run_stats ~max_probes:5 ~check input in
   check_bool "probes within budget" true (probes <= 5);
   check_bool "budget-exhausted result still fails" true (check result);
-  let minimal, _ = Ddmin.run_stats ~check input in
+  let minimal, _ = Ddmin.run_stats ~max_probes:512 ~check input in
   check_int "unbounded run reaches the minimum" 2 (List.length minimal)
 
 let test_ddmin_telemetry () =
   let tele = Telemetry.get () in
   let before = Telemetry.counter tele "triage.ddmin_probes" in
   let _, probes =
-    Ddmin.run_stats ~check:(fun xs -> List.mem 2 xs) [ 0; 1; 2; 3; 4; 5 ]
+    Ddmin.run_stats ~max_probes:512 ~check:(fun xs -> List.mem 2 xs) [ 0; 1; 2; 3; 4; 5 ]
   in
   check_int "counter advanced by the reported probe count" probes
     (Telemetry.counter tele "triage.ddmin_probes" - before)
