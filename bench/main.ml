@@ -704,8 +704,8 @@ let smt_incremental () =
      every goal into a fresh solver. Canonical model extraction makes the\n\
      verdicts AND packet bytes byte-identical; the win is solver work.\n";
   let tm = Telemetry.get () in
-  let conflicts (r : Packetgen.result) =
-    Option.value ~default:0 (List.assoc_opt "conflicts" r.solver_stats)
+  let stat name (r : Packetgen.result) =
+    Option.value ~default:0 (List.assoc_opt name r.solver_stats)
   in
   let fixtures =
     let entry_goals enc = Packetgen.entry_coverage_goals enc in
@@ -744,8 +744,10 @@ let smt_incremental () =
         in
         Jsonp.Obj
           [ ("fixture", str name); ("goals", int (List.length goals));
-            ("scratch_conflicts", int (conflicts scratch));
-            ("incremental_conflicts", int (conflicts inc));
+            ("scratch_conflicts", int (stat "conflicts" scratch));
+            ("incremental_conflicts", int (stat "conflicts" inc));
+            ("scratch_propagations", int (stat "propagations" scratch));
+            ("incremental_propagations", int (stat "propagations" inc));
             ("scratch_time_s", num ~digits:3 t_scr);
             ("incremental_time_s", num ~digits:3 t_inc);
             ("identical_packets", bool (List.equal same scratch.packets inc.packets));

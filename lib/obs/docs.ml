@@ -57,9 +57,10 @@ let catalog =
     ("smt.sat", "SMT checks that returned sat.");
     ("smt.unsat", "SMT checks that returned unsat.");
     ("smt.clauses_reused", "Learned clauses carried across incremental checks.");
-    ("smt.incremental_hits", "Checks served from an incrementally-reused solver state.");
-    ("smt.preprocess_eliminated", "Clauses eliminated by solver preprocessing.");
-    ("smt.solver_reseeds", "Solver restarts after an incremental state went stale.");
+    ("smt.incremental_hits", "Checks whose assumptions added no SAT variable (already bit-blasted).");
+    ("smt.levels_kept", "Assumption levels a check resumed from the previous check's trail instead of re-deciding.");
+    ("smt.preprocess_eliminated", "DAG nodes (and dropped conjuncts) removed by preprocessing asserted formulas.");
+    ("smt.solver_reseeds", "Fresh solvers started because the shared one outgrew 3 x base + 8192 SAT variables.");
     ("switch.inject", "Duration of injecting one packet into the switch stack.");
     ("switch.packets_injected", "Test packets injected into the switch stack.");
     ("switch.packet_out", "Duration of one controller packet-out.");
@@ -67,7 +68,7 @@ let catalog =
     ("switch.server.validate", "Duration of P4Runtime server-side validation of one request.");
     ("switch.syncd.sync", "Duration of one syncd state synchronisation.");
     ("switch.write", "Duration of one P4Runtime write request.");
-    ("symbolic.attempts_skipped", "Goal attempts skipped because a cached packet already covered the goal.");
+    ("symbolic.attempts_skipped", "Fallback goal attempts skipped unsolved because their assumptions contain a known unsat core.");
     ("topo.campaign", "Duration of one fabric campaign (setup to merged report).");
     ("topo.flows", "End-to-end fabric flows executed (edge injections and packet-outs).");
     ("topo.hops", "Switch-side hops traversed by fabric flows.");

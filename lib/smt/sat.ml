@@ -2,9 +2,15 @@
    positive phase, 2*var+1 for the negative phase.
 
    The search loops allocate nothing: clauses are bare literal arrays,
-   "no reason" is the [no_reason] sentinel rather than an option, the
-   activity heap compares unboxed floats, and watch lists and the trail
-   are int-typed arrays. *)
+   "no reason" is the [no_reason] sentinel rather than an option, and
+   watch lists and the trail are int-typed arrays.
+
+   A solve resumes from the trail the last one left. Levels 1..k decide
+   the assumptions in order, so the levels deciding the prefix a query
+   shares with the last one are kept. Clauses join at level 0
+   ([add_clause] drops the trail first), so a kept level is always the
+   propagation closure of its assumption prefix under the current
+   database. *)
 
 module Lit = struct
   type t = int
@@ -22,82 +28,12 @@ type clause = int array
 (* The reason of decisions and of facts without one. *)
 let no_reason : clause = [||]
 
-(* Variable order: binary max-heap on activity, with position index. *)
-module Heap = struct
-  type t = {
-    mutable heap : int array;       (* heap of variable indices *)
-    mutable size : int;
-    mutable pos : int array;        (* pos.(v) = index in heap, or -1 *)
-  }
-
-  let create () = { heap = Array.make 16 0; size = 0; pos = Array.make 16 (-1) }
-
-  let ensure_var t v =
-    if v >= Array.length t.pos then begin
-      let pos = Array.make (max (2 * Array.length t.pos) (v + 1)) (-1) in
-      Array.blit t.pos 0 pos 0 (Array.length t.pos);
-      t.pos <- pos
-    end
-
-  let in_heap t v = v < Array.length t.pos && t.pos.(v) >= 0
-
-  let swap t i j =
-    let vi = t.heap.(i) and vj = t.heap.(j) in
-    t.heap.(i) <- vj; t.heap.(j) <- vi;
-    t.pos.(vj) <- i; t.pos.(vi) <- j
-
-  let rec up t (act : float array) i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if act.(t.heap.(i)) > act.(t.heap.(p)) then begin
-        swap t i p; up t act p
-      end
-    end
-
-  let rec down t (act : float array) i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let best = if l < t.size && act.(t.heap.(l)) > act.(t.heap.(i)) then l else i in
-    let best = if r < t.size && act.(t.heap.(r)) > act.(t.heap.(best)) then r else best in
-    if best <> i then begin swap t i best; down t act best end
-
-  let insert t (act : float array) v =
-    ensure_var t v;
-    if not (in_heap t v) then begin
-      if t.size = Array.length t.heap then begin
-        let heap = Array.make (2 * Array.length t.heap) 0 in
-        Array.blit t.heap 0 heap 0 t.size;
-        t.heap <- heap
-      end;
-      t.heap.(t.size) <- v;
-      t.pos.(v) <- t.size;
-      t.size <- t.size + 1;
-      up t act t.pos.(v)
-    end
-
-  let decrease t (act : float array) v = if in_heap t v then up t act t.pos.(v)
-
-  let pop_max t (act : float array) =
-    let v = t.heap.(0) in
-    t.size <- t.size - 1;
-    t.pos.(v) <- -1;
-    if t.size > 0 then begin
-      let last = t.heap.(t.size) in
-      t.heap.(0) <- last;
-      t.pos.(last) <- 0;
-      down t act 0
-    end;
-    v
-
-  let is_empty t = t.size = 0
-end
-
 type t = {
   mutable nvars : int;
   mutable assigns : int array;      (* -1 unassigned / 0 false / 1 true *)
   mutable level : int array;
   mutable reason : clause array;    (* [no_reason] for decisions *)
   mutable phase : bool array;       (* saved phase *)
-  mutable activity : float array;
   mutable seen : bool array;
   mutable mark : int array;         (* [add_clause] scratch: lit + 1 per var *)
   mutable watches : clause array array;  (* indexed by literal *)
@@ -108,9 +44,9 @@ type t = {
   mutable nlevels : int;
   mutable qhead : int;
   mutable cursor : int;             (* [order] positions below are assigned *)
+  mutable next_var : int;           (* variables below are assigned *)
+  mutable assumed : int array;      (* level i + 1 decides assumed.(i) *)
   mutable scratch : int array;      (* [add_clause] literal buffer *)
-  order : Heap.t;
-  mutable var_inc : float;
   mutable ok : bool;                (* false once a top-level conflict found *)
   (* statistics *)
   mutable n_conflicts : int;
@@ -118,6 +54,7 @@ type t = {
   mutable n_propagations : int;
   mutable n_restarts : int;
   mutable n_learned : int;
+  mutable n_levels_kept : int;
 }
 
 let create () =
@@ -126,7 +63,6 @@ let create () =
     level = Array.make 16 0;
     reason = Array.make 16 no_reason;
     phase = Array.make 16 false;
-    activity = Array.make 16 0.0;
     seen = Array.make 16 false;
     mark = Array.make 16 0;
     watches = Array.make 32 [||];
@@ -137,15 +73,16 @@ let create () =
     nlevels = 0;
     qhead = 0;
     cursor = 0;
+    next_var = 0;
+    assumed = [||];
     scratch = Array.make 16 0;
-    order = Heap.create ();
-    var_inc = 1.0;
     ok = true;
     n_conflicts = 0;
     n_decisions = 0;
     n_propagations = 0;
     n_restarts = 0;
-    n_learned = 0 }
+    n_learned = 0;
+    n_levels_kept = 0 }
 
 let num_vars t = t.nvars
 
@@ -162,14 +99,12 @@ let new_var t =
     t.level <- grow t.level 0;
     t.reason <- grow t.reason no_reason;
     t.phase <- grow t.phase false;
-    t.activity <- grow t.activity 0.0;
     t.seen <- grow t.seen false;
     t.mark <- grow t.mark 0;
     t.trail <- grow t.trail 0;
     t.watches <- grow t.watches [||];
     t.nwatches <- grow t.nwatches 0
   end;
-  Heap.insert t.order t.activity v;
   v
 
 let lit_value t l =
@@ -183,18 +118,6 @@ let enqueue t l reason =
   t.reason.(v) <- reason;
   t.trail.(t.trail_size) <- l;
   t.trail_size <- t.trail_size + 1
-
-let var_bump t v =
-  t.activity.(v) <- t.activity.(v) +. t.var_inc;
-  if t.activity.(v) > 1e100 then begin
-    for i = 0 to t.nvars - 1 do
-      t.activity.(i) <- t.activity.(i) *. 1e-100
-    done;
-    t.var_inc <- t.var_inc *. 1e-100
-  end;
-  Heap.decrease t.order t.activity v
-
-let var_decay t = t.var_inc <- t.var_inc /. 0.95
 
 let watch t l (c : clause) =
   let n = t.nwatches.(l) in
@@ -217,51 +140,31 @@ let attach_clause t (c : clause) =
   watch t (Lit.neg c.(1)) c
 
 (* Copy [lits] into [t.scratch] from position [n] on, dropping duplicates
-   and, at level 0, false literals; returns the count kept, or -1 when the
-   clause is a tautology or already true at level 0. [t.mark] remembers
+   and false literals (the trail is at level 0); returns the count kept, or
+   -1 when the clause is a tautology or already true. [t.mark] remembers
    the literal seen per variable (plus one); the caller clears it. *)
-let rec collect t at_top n = function
+let rec collect t n = function
   | [] -> n
   | l :: rest ->
       let v = l lsr 1 in
       let m = t.mark.(v) in
-      if m = l + 1 then collect t at_top n rest
+      if m = l + 1 then collect t n rest
       else if m <> 0 then -1
       else begin
         t.mark.(v) <- l + 1;
-        let value = if at_top then lit_value t l else -1 in
+        let value = lit_value t l in
         if value = 1 then -1
-        else if value = 0 then collect t at_top n rest
+        else if value = 0 then collect t n rest
         else begin
           if n = Array.length t.scratch then t.scratch <- grow t.scratch 0;
           t.scratch.(n) <- l;
-          collect t at_top (n + 1) rest
+          collect t (n + 1) rest
         end
       end
 
 let rec clear_marks mark = function
   | [] -> ()
   | l :: rest -> mark.(l lsr 1) <- 0; clear_marks mark rest
-
-let add_clause t (lits : Lit.t list) =
-  if t.ok then begin
-    (* Simplify: drop duplicate/false literals, detect tautologies. Only
-       sound at level 0; callers add clauses before/between solves, where we
-       restart from level 0 anyway, but literal values at level > 0 must be
-       ignored. *)
-    let at_top = t.nlevels = 0 in
-    let lits = (lits :> int list) in
-    let n = collect t at_top 0 lits in
-    clear_marks t.mark lits;
-    if n = 0 then t.ok <- false
-    else if n = 1 && at_top then enqueue t t.scratch.(0) no_reason
-    else if n >= 1 then begin
-      (* A unit above level 0 shouldn't happen in our usage; store it as a
-         clause with a duplicated watch to stay safe. *)
-      let c = if n = 1 then [| t.scratch.(0); t.scratch.(0) |] else Array.sub t.scratch 0 n in
-      attach_clause t c
-    end
-  end
 
 (* Propagate all enqueued facts. Returns the conflicting clause, or
    [no_reason] when there is none. *)
@@ -339,7 +242,6 @@ let analyze t confl =
       let q = c.(k) in
       let v = Lit.var q in
       if (not seen.(v)) && t.level.(v) > 0 then begin
-        var_bump t v;
         seen.(v) <- true;
         if t.level.(v) >= t.nlevels then incr path
         else begin
@@ -372,7 +274,7 @@ let cancel_until t lvl =
       t.phase.(v) <- Lit.sign l;
       t.assigns.(v) <- -1;
       t.reason.(v) <- no_reason;
-      Heap.insert t.order t.activity v
+      if v < t.next_var then t.next_var <- v
     done;
     t.trail_size <- bound;
     t.nlevels <- lvl;
@@ -387,13 +289,17 @@ let new_decision_level t =
   t.trail_lim.(t.nlevels) <- t.trail_size;
   t.nlevels <- t.nlevels + 1
 
-(* The unassigned variable of highest activity, or -1 when all are
-   assigned. *)
-let rec pick_branch_var t =
-  if Heap.is_empty t.order then -1
-  else begin
-    let v = Heap.pop_max t.order t.activity in
-    if t.assigns.(v) < 0 then v else pick_branch_var t
+let add_clause t (lits : Lit.t list) =
+  if t.ok then begin
+    (* Clauses join at the root: a kept trail may already falsify this one,
+       and dropping false literals is sound only under level-0 values. *)
+    cancel_until t 0;
+    let lits = (lits :> int list) in
+    let n = collect t 0 lits in
+    clear_marks t.mark lits;
+    if n = 0 then t.ok <- false
+    else if n = 1 then enqueue t t.scratch.(0) no_reason
+    else if n > 1 then attach_clause t (Array.sub t.scratch 0 n)
   end
 
 (* Luby sequence (1 1 2 1 1 2 4 ...): luby i with i >= 1. *)
@@ -443,38 +349,54 @@ let analyze_final t p =
   end;
   !core
 
-(* The first literal of [order] whose variable is still unassigned, or -1.
-   Decisions taken from [order] always use the literal's own polarity (no
-   saved-phase override): together with the fixed scan order this makes the
-   model found a pure function of the clause set's meaning — the
-   lexicographically preferred model w.r.t. [order] — independent of learned
-   clauses, VSIDS state, and restart timing. Positions before [t.cursor]
-   are known to be assigned; only backtracking unassigns, and
-   [cancel_until] resets the cursor. *)
-let pick_ordered t (order : int array) =
+(* The one decision rule past the assumptions: the first literal of
+   [order] whose variable is unassigned, else the lowest-index unassigned
+   variable in its saved phase, else -1 (all assigned). Decisions taken
+   from [order] always use the literal's own polarity: together with the
+   fixed scan order this makes the model found a pure function of the
+   clause set's meaning — the lexicographically preferred model w.r.t.
+   [order] — independent of learned clauses, the kept trail, and restart
+   timing; any completion of the rest leaves the ordered variables as they
+   are. Positions before [t.cursor] and variables before [t.next_var] are
+   known to be assigned; only backtracking unassigns, and [cancel_until]
+   moves both back. *)
+let pick t (order : int array) =
   let n = Array.length order in
   let i = ref t.cursor in
   while !i < n && t.assigns.(Lit.var order.(!i)) >= 0 do incr i done;
   t.cursor <- !i;
-  if !i < n then order.(!i) else -1
+  if !i < n then order.(!i)
+  else begin
+    let v = ref t.next_var in
+    while !v < t.nvars && t.assigns.(!v) >= 0 do incr v done;
+    t.next_var <- !v;
+    if !v < t.nvars then Lit.make !v t.phase.(!v) else -1
+  end
 
 let decide t l =
   t.n_decisions <- t.n_decisions + 1;
   new_decision_level t;
   enqueue t l no_reason
 
+(* The number of leading levels that decide the same assumptions for
+   [assumptions] as for the last solve. *)
+let shared_levels t (assumptions : int array) =
+  let n = min t.nlevels (min (Array.length t.assumed) (Array.length assumptions)) in
+  let k = ref 0 in
+  while !k < n && t.assumed.(!k) = assumptions.(!k) do incr k done;
+  !k
+
 let solve_with_assumptions ?(order = [||]) t assumptions =
   if not t.ok then A_unsat []
   else begin
-    cancel_until t 0;
-    t.cursor <- 0;
     let assumptions = Array.of_list (assumptions :> int list) in
+    let kept = shared_levels t assumptions in
+    cancel_until t kept;
+    t.n_levels_kept <- t.n_levels_kept + kept;
+    t.assumed <- assumptions;
+    t.cursor <- 0;
     let core = ref [] in
     try
-      if propagate t != no_reason then begin
-        t.ok <- false;
-        raise Unsat_exn
-      end;
       let restart_n = ref 0 in
       let rec search_forever () =
         incr restart_n;
@@ -498,7 +420,6 @@ let solve_with_assumptions ?(order = [||]) t assumptions =
                   attach_clause t learnt;
                   enqueue t learnt.(0) learnt
                 end);
-               var_decay t;
                if !conflicts_here >= budget then begin
                  t.n_restarts <- t.n_restarts + 1;
                  cancel_until t 0;
@@ -506,8 +427,7 @@ let solve_with_assumptions ?(order = [||]) t assumptions =
                end
              end
              else if t.nlevels < Array.length assumptions then begin
-               (* Decide next: assumptions first, then the canonical order
-                  if given, then VSIDS. *)
+               (* Decide next: assumptions first, then [pick]. *)
                let p = assumptions.(t.nlevels) in
                match lit_value t p with
                | 1 -> new_decision_level t
@@ -518,13 +438,9 @@ let solve_with_assumptions ?(order = [||]) t assumptions =
                | _ -> decide t p
              end
              else begin
-               let l = pick_ordered t order in
-               if l >= 0 then decide t l
-               else begin
-                 let v = pick_branch_var t in
-                 if v < 0 then raise Exit (* all assigned: SAT *)
-                 else decide t (Lit.make v t.phase.(v))
-               end
+               let l = pick t order in
+               if l < 0 then raise Exit (* all assigned: SAT *)
+               else decide t l
              end
            done
          with Restart -> ());
@@ -533,10 +449,11 @@ let solve_with_assumptions ?(order = [||]) t assumptions =
       (try search_forever () with Exit -> ());
       A_sat
     with Unsat_exn ->
-      cancel_until t 0;
       (* Distinguish global unsat from assumption-relative unsat: if [ok]
          was cleared, the instance is globally unsat (empty core); otherwise
-         only the assumptions failed and the solver stays usable. *)
+         only the assumptions failed, the levels below the failed one stay
+         for the next solve, and the solver stays usable. *)
+      if not t.ok then cancel_until t 0;
       A_unsat !core
   end
 
@@ -547,11 +464,11 @@ let solve ?(assumptions = []) t =
 
 let value t v = if t.assigns.(v) >= 0 then t.assigns.(v) = 1 else t.phase.(v)
 let num_learned t = t.n_learned
-let cancel_to_root t = cancel_until t 0
 
 let stats t =
   [ ("conflicts", t.n_conflicts);
     ("decisions", t.n_decisions);
     ("propagations", t.n_propagations);
     ("restarts", t.n_restarts);
-    ("learned", t.n_learned) ]
+    ("learned", t.n_learned);
+    ("levels_kept", t.n_levels_kept) ]

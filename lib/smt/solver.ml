@@ -33,6 +33,8 @@ end)
    the pre-preprocessing source formulas for the self-check mode. *)
 type scope = { sel : Lit.t; mutable originals : Term.boolean list }
 
+type canonical_var = C_bool of string | C_bv of string
+
 type t = {
   sat : Sat.t;
   true_lit : Lit.t;
@@ -46,6 +48,11 @@ type t = {
   mutable n_gates : int;
   mutable scopes : scope list;           (* innermost first *)
   mutable root_originals : Term.boolean list;
+  (* The last canonical order built: for which list, and how many names
+     were blasted then. *)
+  mutable order_of : canonical_var list;
+  mutable order_names : int;
+  mutable order : Lit.t array;
 }
 
 let check_models = ref false
@@ -67,7 +74,10 @@ let create () =
     mux_memo = Triple_tbl.create 1024;
     n_gates = 0;
     scopes = [];
-    root_originals = [] }
+    root_originals = [];
+    order_of = [];
+    order_names = 0;
+    order = [||] }
 
 let lit_true t = t.true_lit
 let lit_false t = Lit.neg t.true_lit
@@ -304,7 +314,6 @@ let preprocess_counted formula =
   pre
 
 let assert_formula t formula =
-  Sat.cancel_to_root t.sat;
   let l = blast_bool t (preprocess_counted formula) in
   match t.scopes with
   | [] ->
@@ -315,14 +324,12 @@ let assert_formula t formula =
       scope.originals <- formula :: scope.originals
 
 let push t =
-  Sat.cancel_to_root t.sat;
   t.scopes <- { sel = fresh t; originals = [] } :: t.scopes
 
 let pop t =
   match t.scopes with
   | [] -> invalid_arg "Solver.pop: no open scope"
   | scope :: rest ->
-      Sat.cancel_to_root t.sat;
       Sat.add_clause t.sat [ Lit.neg scope.sel ];
       t.scopes <- rest
 
@@ -368,14 +375,12 @@ let publish_effort before after =
 
 type verdict = V_sat of model | V_unsat of int list
 
-type canonical_var = C_bool of string | C_bv of string
-
 (* Decision order realizing the lexicographically minimal model over the
    named variables: booleans prefer false, bitvectors prefer 0 with the most
    significant bit decided first. Names the solver has never blasted are
    skipped — such variables are unconstrained and read back as absent, which
    extraction treats as zero, so the skip agrees with the preference. *)
-let canonical_order t canonical =
+let build_order t canonical =
   let lits = ref [] in
   List.iter
     (fun c ->
@@ -395,6 +400,18 @@ let canonical_order t canonical =
           | None -> ()))
     canonical;
   Array.of_list (List.rev !lits)
+
+(* The order depends only on which names are blasted, and names are never
+   unblasted: reuse the last one built for the same list until a name is
+   blasted for the first time. *)
+let canonical_order t canonical =
+  let names = Hashtbl.length t.bv_vars + Hashtbl.length t.bool_vars in
+  if canonical != t.order_of || names <> t.order_names then begin
+    t.order <- build_order t canonical;
+    t.order_of <- canonical;
+    t.order_names <- names
+  end;
+  t.order
 
 (* Evaluate an original (pre-preprocessing) formula under a model, reading
    absent variables as zero/false — the same completion extraction uses. *)
@@ -428,7 +445,6 @@ let self_check t model assumptions =
 let check_verdict ?(assumptions = []) ?canonical t =
   let tele = Telemetry.get () in
   Telemetry.with_span tele "smt.check" (fun () ->
-      Sat.cancel_to_root t.sat;
       Telemetry.incr ~n:(Sat.num_learned t.sat) tele "smt.clauses_reused";
       let vars_before = Sat.num_vars t.sat in
       (* Assumptions are blasted as-is, without the preprocessing pass:

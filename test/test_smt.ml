@@ -69,6 +69,33 @@ let test_sat_assumptions () =
   (* Solver still usable after assumption failure. *)
   check_bool "still sat without assumptions" true (Sat.solve s = Sat.Sat)
 
+(* A solve keeps its trail for the next one, back to the first assumption
+   that differs; a clause added in between must still be seen. *)
+let test_sat_kept_trail () =
+  let s = Sat.create () in
+  let a = Sat.new_var s and b = Sat.new_var s and c = Sat.new_var s in
+  let x = Sat.new_var s in
+  let kept () = List.assoc "levels_kept" (Sat.stats s) in
+  Sat.add_clause s [ lit s a false; lit s x true ];
+  (* a -> x *)
+  check_bool "sat under a" true
+    (Sat.solve_with_assumptions s [ lit s a true ] = Sat.A_sat);
+  check_bool "x forced" true (Sat.value s x);
+  Sat.add_clause s [ lit s a false; lit s x false ];
+  (* a -> ~x: the kept trail already falsifies it *)
+  check_bool "unsat under a once a -> ~x joins" true
+    (Sat.solve_with_assumptions s [ lit s a true ] = Sat.A_unsat [ lit s a true ]);
+  check_bool "sat under b" true
+    (Sat.solve_with_assumptions s [ lit s b true; lit s c true ] = Sat.A_sat);
+  let before = kept () in
+  check_bool "sat under b, ~c" true
+    (Sat.solve_with_assumptions s [ lit s b true; lit s c false ] = Sat.A_sat);
+  check_int "the level deciding b is kept" (before + 1) (kept ());
+  check_bool "c follows its assumption" false (Sat.value s c);
+  check_bool "still unsat under a" true
+    (Sat.solve_with_assumptions s [ lit s b true; lit s a true ]
+    = Sat.A_unsat [ lit s a true ])
+
 let test_sat_random_3sat_vs_bruteforce () =
   (* Cross-check on many small random 3-SAT instances. *)
   let rng = Rng.create 2022 in
@@ -225,6 +252,91 @@ let test_solver_assumptions_incremental () =
   | Solver.Sat _ -> ()
   | Solver.Unsat -> Alcotest.fail "99 < 100 should be sat")
 
+(* One solver answers a sequence of canonical checks that share, extend,
+   repeat and shorten their assumption lists, so most checks resume from
+   the trail the last one left. Each verdict and model must equal a fresh
+   solver's, and each core must be unsat on its own. *)
+let test_solver_kept_trail_sequence () =
+  let x = Term.var "x" 8 and y = Term.var "y" 8 in
+  let base = Term.eq (Term.bvadd x y) (c8 100) in
+  let p = Term.ult (c8 10) x and q = Term.ult y (c8 50) in
+  let r = Term.bvar "b" and s = Term.eq x (c8 5) in
+  let canonical = [ Solver.C_bool "b"; Solver.C_bv "x"; Solver.C_bv "y" ] in
+  let fresh assumptions =
+    let f = Solver.create () in
+    Solver.assert_formula f base;
+    Solver.check_verdict ~assumptions ~canonical f
+  in
+  let shared = Solver.create () in
+  Solver.assert_formula shared base;
+  (* A name the solver never blasted reads back absent: false or zero. *)
+  let same (m : Solver.model) (m' : Solver.model) =
+    let b (m : Solver.model) = Option.value ~default:false (m.bool "b") in
+    let bv (m : Solver.model) n = Option.value ~default:(Bitvec.zero 8) (m.bv n) in
+    b m = b m' && List.for_all (fun n -> Bitvec.equal (bv m n) (bv m' n)) [ "x"; "y" ]
+  in
+  List.iter
+    (fun (name, assumptions, expect_sat) ->
+      match (Solver.check_verdict ~assumptions ~canonical shared, fresh assumptions) with
+      | Solver.V_sat m, Solver.V_sat m' ->
+          check_bool (name ^ " sat") true expect_sat;
+          check_bool (name ^ " model = fresh model") true (same m m')
+      | Solver.V_unsat core, Solver.V_unsat _ ->
+          check_bool (name ^ " unsat") false expect_sat;
+          let implicated = List.filteri (fun i _ -> List.mem i core) assumptions in
+          check_bool (name ^ " core is unsat") true
+            (match fresh implicated with Solver.V_unsat _ -> true | Solver.V_sat _ -> false)
+      | _ -> Alcotest.failf "%s: shared and fresh verdicts differ" name)
+    [ ("[p;q]", [ p; q ], true);
+      ("[p;q;r]", [ p; q; r ], true);
+      ("[p;s]", [ p; s ], false);
+      ("[p;q] again", [ p; q ], true);
+      ("[p]", [ p ], true) ];
+  check_bool "levels were kept" true
+    (List.assoc "levels_kept" (Solver.stats shared) > 0)
+
+(* An order naming only some variables: the model is the lex-min over the
+   named ones, whatever the completion of the rest, and satisfies the
+   asserted formula (the self-check is on). *)
+let test_solver_ordered_completion () =
+  let w4 n = Term.of_int ~width:4 n in
+  let x = Term.var "x" 4 and y = Term.var "y" 4 and z = Term.var "z" 4 in
+  let f =
+    Term.and_
+      (Term.eq (Term.bvadd x y) (w4 9))
+      (Term.and_ (Term.ult y (w4 5)) (Term.ult z x))
+  in
+  let sat_at vx vz =
+    List.exists
+      (fun vy ->
+        let env =
+          { Term.bv_of =
+              (fun n ->
+                Bitvec.of_int ~width:4 (match n with "x" -> vx | "y" -> vy | _ -> vz));
+            bool_of = (fun _ -> false) }
+        in
+        Term.eval_bool env f)
+      (List.init 16 Fun.id)
+  in
+  let all = List.init 16 Fun.id in
+  let min_x = List.find (fun vx -> List.exists (sat_at vx) all) all in
+  let min_z = List.find (sat_at min_x) all in
+  let value (m : Solver.model) n = Bitvec.to_int_exn (Option.get (m.bv n)) in
+  Solver.check_models := true;
+  Fun.protect
+    ~finally:(fun () -> Solver.check_models := false)
+    (fun () ->
+      let s = Solver.create () in
+      Solver.assert_formula s f;
+      (match Solver.check ~canonical:[ Solver.C_bv "x" ] s with
+      | Solver.Sat m -> check_int "lex-min x" min_x (value m "x")
+      | Solver.Unsat -> Alcotest.fail "expected sat");
+      match Solver.check ~canonical:[ Solver.C_bv "x"; Solver.C_bv "z" ] s with
+      | Solver.Sat m ->
+          check_int "lex-min x first" min_x (value m "x");
+          check_int "then lex-min z" min_z (value m "z")
+      | Solver.Unsat -> Alcotest.fail "expected sat")
+
 let test_solver_ternary_match () =
   let key = Term.var "key" 32 in
   let value = Bitvec.of_int64 ~width:32 0x0A000000L in
@@ -331,6 +443,7 @@ let () =
          Alcotest.test_case "forced assignment" `Quick test_sat_three_coloring_like;
          Alcotest.test_case "pigeonhole unsat" `Quick test_sat_pigeonhole_3_2;
          Alcotest.test_case "assumptions" `Quick test_sat_assumptions;
+         Alcotest.test_case "kept trail" `Quick test_sat_kept_trail;
          Alcotest.test_case "random vs brute force" `Slow test_sat_random_3sat_vs_bruteforce ]);
       ("term",
        [ Alcotest.test_case "constant folding" `Quick test_term_const_fold;
@@ -343,6 +456,8 @@ let () =
          Alcotest.test_case "ult bounds" `Quick test_solver_ult_bounds;
          Alcotest.test_case "multiplication" `Quick test_solver_mul;
          Alcotest.test_case "incremental assumptions" `Quick test_solver_assumptions_incremental;
+         Alcotest.test_case "kept trail sequence" `Quick test_solver_kept_trail_sequence;
+         Alcotest.test_case "ordered completion" `Quick test_solver_ordered_completion;
          Alcotest.test_case "ternary match" `Quick test_solver_ternary_match;
          Alcotest.test_case "model soundness (random)" `Slow test_solver_model_soundness;
          Alcotest.test_case "completeness (small)" `Slow test_solver_completeness_small ]) ]

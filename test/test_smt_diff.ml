@@ -212,9 +212,13 @@ let prop_canonical f =
    goals assumes the remaining conjuncts plus goal-specific ones, under a
    cascade of soft preferences that is relaxed when unsat; the scope is
    popped after the group. One solver serves every formula, so each group
-   also runs against everything the earlier ones learned and blasted. Every
-   model must be the enumerated lexicographic minimum of prefix and
-   assumptions, and every unsat core must be unsat with the prefix. *)
+   also runs against everything the earlier ones learned and blasted. Each
+   goal's cascade is followed by checks that repeat its last assumption
+   list and then extend it, and every failed check by one over the prefix
+   before its failed assumption: the solver resumes each from the trail
+   the previous check left. Every model must be the enumerated
+   lexicographic minimum of prefix and assumptions, and every unsat core
+   must be unsat with the prefix. *)
 let shared_grouped = Solver.create ()
 
 let goal_suffixes, soft_prefer, soft_port =
@@ -230,7 +234,7 @@ let prop_grouped f =
   let prefix, rest =
     match Term.flatten_conj f with [] -> ([], []) | c :: cs -> ([ c ], cs)
   in
-  let check_attempt assumptions =
+  let rec check_attempt ~retry assumptions =
     let whole = Term.conj (prefix @ assumptions) in
     match Solver.check_verdict ~assumptions ~canonical shared_grouped with
     | Solver.V_sat m -> (
@@ -243,15 +247,22 @@ let prop_grouped f =
           Some
             (Printf.sprintf "grouped unsat core (positions %s) is satisfiable"
                (String.concat "," (List.map string_of_int core)))
+        else if retry && core <> [] then
+          (* The failed assumption is the core's last position, unless a
+             later position repeats an implicated literal. *)
+          let failed = List.fold_left max 0 core in
+          check_attempt ~retry:false (List.filteri (fun i _ -> i < failed) assumptions)
         else None
   in
   let check_goal extra =
     let suffix = rest @ extra in
-    List.find_map check_attempt
+    List.find_map (check_attempt ~retry:true)
       [ suffix @ [ soft_prefer; soft_port ];
         suffix @ [ soft_prefer ];
         suffix @ [ soft_port ];
-        suffix ]
+        suffix;
+        suffix;
+        suffix @ [ soft_port; soft_prefer ] ]
   in
   Solver.push shared_grouped;
   Fun.protect
