@@ -748,6 +748,8 @@ let smt_incremental () =
             ("incremental_conflicts", int (stat "conflicts" inc));
             ("scratch_propagations", int (stat "propagations" scratch));
             ("incremental_propagations", int (stat "propagations" inc));
+            ("scratch_sat_vars", int (stat "sat_vars" scratch));
+            ("incremental_sat_vars", int (stat "sat_vars" inc));
             ("scratch_time_s", num ~digits:3 t_scr);
             ("incremental_time_s", num ~digits:3 t_inc);
             ("identical_packets", bool (List.equal same scratch.packets inc.packets));

@@ -55,10 +55,19 @@ type 'a group = {
   g_buckets : (string, 'a entry list ref) Hashtbl.t;
 }
 
+(* Groups are keyed by their mask array, so a write builds one string:
+   its bucket key. *)
+module Masks_tbl = Hashtbl.Make (struct
+  type t = Bitvec.t array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 Bitvec.equal a b
+  let hash a = Array.fold_left (fun h m -> (h * 31) + Bitvec.hash m) 0 a
+end)
+
 type 'a t = {
   keys : key array;
   priority_mode : bool;
-  groups : (string, 'a group) Hashtbl.t;  (* mask signature -> group *)
+  groups : 'a group Masks_tbl.t;
   mutable residual : 'a entry list;
 }
 
@@ -113,7 +122,7 @@ let create keys =
   let priority_mode =
     Array.exists (fun k -> k.key_kind = Ternary || k.key_kind = Optional) keys
   in
-  { keys; priority_mode; groups = Hashtbl.create 16; residual = [] }
+  { keys; priority_mode; groups = Masks_tbl.create 16; residual = [] }
 
 (* --- classification ------------------------------------------------------ *)
 
@@ -162,13 +171,12 @@ let insert t ~mvs ~priority ~seq payload =
   if not (widths_ok t.keys mvs) then t.residual <- e :: t.residual
   else
     let masks = masks_of t mvs in
-    let signature = hex_concat masks in
     let group =
-      match Hashtbl.find_opt t.groups signature with
+      match Masks_tbl.find_opt t.groups masks with
       | Some g -> g
       | None ->
           let g = { g_masks = masks; g_buckets = Hashtbl.create 64 } in
-          Hashtbl.add t.groups signature g;
+          Masks_tbl.add t.groups masks g;
           g
     in
     let bucket = bucket_of t mvs in
@@ -181,7 +189,7 @@ let remove t ~mvs ~seq =
   let keep e = e.e_seq <> seq in
   if not (widths_ok t.keys mvs) then t.residual <- List.filter keep t.residual
   else
-    match Hashtbl.find_opt t.groups (hex_concat (masks_of t mvs)) with
+    match Masks_tbl.find_opt t.groups (masks_of t mvs) with
     | None -> ()
     | Some g -> (
         match Hashtbl.find_opt g.g_buckets (bucket_of t mvs) with
@@ -199,7 +207,7 @@ let better best e =
 
 let lookup t values =
   let best = ref None in
-  Hashtbl.iter
+  Masks_tbl.iter
     (fun _ g ->
       let masked = Array.map2 Bitvec.logand values g.g_masks in
       match Hashtbl.find_opt g.g_buckets (hex_concat masked) with

@@ -5,7 +5,8 @@ module Lit = Sat.Lit
 module Id_tbl = Term.Id_tbl
 
 (* Gate memo keys: two literals packed into one int ([fresh] keeps
-   literals below 2^31); the mux memo pairs its condition with such a key. *)
+   literals below 2^31); the mux memo pairs its condition with such a key,
+   and the n-ary AND memo keys on its sorted input literals. *)
 let pack x y = (x lsl 31) lor y
 
 module Pair_tbl = Hashtbl.Make (struct
@@ -20,6 +21,15 @@ module Triple_tbl = Hashtbl.Make (struct
 
   let equal ((a : int), (b : int)) (c, d) = a = c && b = d
   let hash = Hashtbl.hash
+end)
+
+module Lits_tbl = Hashtbl.Make (struct
+  type t = Lit.t array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
+
+  (* [Hashtbl.hash] looks at the first 10 literals only. *)
+  let hash a = Array.fold_left (fun h (l : Lit.t) -> (h * 31) + (l :> int)) 0 a
 end)
 
 (* A push scope: formulas asserted while the scope is active are guarded by
@@ -45,6 +55,7 @@ type t = {
   and_memo : Lit.t Pair_tbl.t;
   xor_memo : Lit.t Pair_tbl.t;
   mux_memo : Lit.t Triple_tbl.t;
+  nary_memo : Lit.t Lits_tbl.t;
   mutable n_gates : int;
   mutable scopes : scope list;           (* innermost first *)
   mutable root_originals : Term.boolean list;
@@ -72,6 +83,7 @@ let create () =
     and_memo = Pair_tbl.create 4096;
     xor_memo = Pair_tbl.create 1024;
     mux_memo = Triple_tbl.create 1024;
+    nary_memo = Lits_tbl.create 1024;
     n_gates = 0;
     scopes = [];
     root_originals = [];
@@ -142,13 +154,16 @@ let xor_gate t a b =
 
 let xnor_gate t a b = Lit.neg (xor_gate t a b)
 
-(* mux c a b = if c then a else b *)
+(* mux c a b = if c then a else b. A constant arm makes it an AND or an
+   OR gate, which shares the binary memo. *)
 let mux_gate t c a b =
   if is_true t c then a
   else if is_false t c then b
   else if a = b then a
-  else if is_true t a && is_false t b then c
-  else if is_false t a && is_true t b then Lit.neg c
+  else if is_true t a then or_gate t c b
+  else if is_false t a then and_gate t (Lit.neg c) b
+  else if is_true t b then or_gate t (Lit.neg c) a
+  else if is_false t b then and_gate t c a
   else
     let key = (li c, pack (li a) (li b)) in
     match Triple_tbl.find_opt t.mux_memo key with
@@ -165,7 +180,35 @@ let mux_gate t c a b =
         Triple_tbl.add t.mux_memo key o;
         o
 
-let and_reduce t lits = Array.fold_left (and_gate t) (lit_true t) lits
+(* The conjunction of [lits] as one gate [o]: a clause [~o \/ x] per input
+   and one clause [o \/ ~x1 \/ ... \/ ~xn]. On the inputs, unit
+   propagation derives from it what it derives from a chain of binary
+   gates, with one variable instead of n - 1. *)
+let and_reduce t lits =
+  if Array.exists (is_false t) lits then lit_false t
+  else
+    let xs =
+      Array.to_list lits
+      |> List.filter (fun l -> not (is_true t l))
+      |> List.sort_uniq (fun a b -> Int.compare (li a) (li b))
+      |> Array.of_list
+    in
+    let n = Array.length xs in
+    (* Sorted, a complementary pair is adjacent: 2v, then 2v + 1. *)
+    let rec clash i = i + 1 < n && (xs.(i + 1) = Lit.neg xs.(i) || clash (i + 1)) in
+    if clash 0 then lit_false t
+    else if n = 0 then lit_true t
+    else if n = 1 then xs.(0)
+    else if n = 2 then and_gate t xs.(0) xs.(1)
+    else
+      match Lits_tbl.find_opt t.nary_memo xs with
+      | Some o -> o
+      | None ->
+          let o = new_gate t in
+          Array.iter (fun x -> Sat.add_clause t.sat [ Lit.neg o; x ]) xs;
+          Sat.add_clause t.sat (o :: Array.to_list (Array.map Lit.neg xs));
+          Lits_tbl.add t.nary_memo xs o;
+          o
 
 (* Vectors are LSB-first literal arrays. *)
 
@@ -349,12 +392,8 @@ let extract_model t =
   let bvs = Hashtbl.create 64 in
   Hashtbl.iter
     (fun name lits ->
-      (* Bit 0 is the least significant: the last digit of the string. *)
-      let w = Array.length lits in
-      let digits =
-        String.init w (fun i -> if lit_model_value t lits.(w - 1 - i) then '1' else '0')
-      in
-      Hashtbl.replace bvs name (Bitvec.of_bin_string digits))
+      Hashtbl.replace bvs name
+        (Bitvec.init (Array.length lits) (fun i -> lit_model_value t lits.(i))))
     t.bv_vars;
   let bools = Hashtbl.create 16 in
   Hashtbl.iter (fun name l -> Hashtbl.replace bools name (lit_model_value t l)) t.bool_vars;

@@ -463,14 +463,17 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
              base encoding bounds the accumulation; canonical witness
              extraction makes the reset points invisible in the results.
 
-             The slack is measured on middleblock, whose base is 246 vars.
+             The slack is measured on middleblock, whose base is 116 vars.
              At inst1 x0.1 one solver serves every group and peaks near
-             3.7k vars; re-encoding a group's prefix costs more than the
-             gates it sheds, so the bound must not fire there (a slack of
-             512 or 2048 re-seeded before most groups and solved 1.5-2x
-             slower than 4096 and up). At x1.0 the first table's group
-             alone adds ~23k vars, and any slack up to 16k re-seeds at the
-             same groups, while never re-seeding is 35-50% slower. *)
+             1.6k vars; re-encoding a group's prefix costs more than the
+             gates it sheds, so the bound must not fire there (with the
+             base at 246 vars and the peak near 3.8k, a slack of 512 or
+             2048 re-seeded before most groups and solved 1.5-2x slower
+             than 4096 and up). At x1.0 the first table's group adds
+             ~7.9k vars, just under the bound, and two later groups add
+             33k and 41k, so the bound fires after each of those. Never
+             re-seeding generated middleblock in 3.7 s against 3.1 s, and
+             WAN in 8.5 s against 8.7 s (table3, medians of three). *)
           let solver = ref (Solver.create ()) in
           assert_base !solver enc ports;
           let sat_vars s =

@@ -348,6 +348,108 @@ let test_solver_ternary_match () =
         (Bitvec.equal (Bitvec.logand v mask) value)
   | Solver.Unsat -> Alcotest.fail "expected sat"
 
+(* --- gate encoding ----------------------------------------------------------
+   Each query below is an assumption, which [Term.preprocess] never sees,
+   so its shape reaches the bit-blaster as built. *)
+
+let gates s = List.assoc "gates" (Solver.stats s)
+
+let canonical_verdict s assumptions canonical =
+  Solver.check_models := true;
+  Fun.protect
+    ~finally:(fun () -> Solver.check_models := false)
+    (fun () -> Solver.check ~assumptions ~canonical s)
+
+(* A w-bit equality is one gate over its w bit literals, whichever side
+   the constant is on. *)
+let test_solver_equality_gate () =
+  let x = Term.var "x" 48 in
+  let c = Bitvec.of_int64 ~width:48 0xA1B2C3D4E5F6L in
+  let s = Solver.create () in
+  let g0 = gates s in
+  (match canonical_verdict s [ Term.eq x (Term.const c) ] [ Solver.C_bv "x" ] with
+  | Solver.Sat m -> check_bool "model is the constant" true (Bitvec.equal c (Option.get (m.bv "x")))
+  | Solver.Unsat -> Alcotest.fail "expected sat");
+  check_int "one gate" 1 (gates s - g0);
+  let g1 = gates s in
+  (match canonical_verdict s [ Term.eq (Term.const c) x ] [ Solver.C_bv "x" ] with
+  | Solver.Sat m -> check_bool "same model" true (Bitvec.equal c (Option.get (m.bv "x")))
+  | Solver.Unsat -> Alcotest.fail "expected sat");
+  check_int "constant on the left: no new gate" 0 (gates s - g1)
+
+(* The AND's inputs are deduplicated, and a complementary pair is false. *)
+let test_solver_equality_repeated_literal () =
+  let x = Term.var "x" 4 in
+  let x0 = Term.extract ~hi:0 ~lo:0 x in
+  let ones = Term.of_int ~width:2 3 in
+  (match canonical_verdict (Solver.create ()) [ Term.eq (Term.concat x0 x0) ones ] [ Solver.C_bv "x" ] with
+  | Solver.Sat m -> check_int "x = 1" 1 (Bitvec.to_int_exn (Option.get (m.bv "x")))
+  | Solver.Unsat -> Alcotest.fail "x0 x0 = 11 is sat");
+  check_bool "x0 ~x0 = 11 unsat" true
+    (canonical_verdict (Solver.create ())
+       [ Term.eq (Term.concat x0 (Term.bvnot x0)) ones ]
+       [ Solver.C_bv "x" ]
+    = Solver.Unsat)
+
+(* [ite b k y = x] with a constant arm k, on either side: each bit's mux
+   folds to an AND or an OR gate. Verdicts and canonical models must match
+   enumeration over (b, x, y), in a fresh solver and in one shared across
+   every query. *)
+let test_solver_constant_arm_mux () =
+  let w4 n = Term.of_int ~width:4 n in
+  let b = Term.bvar "b" and x = Term.var "x" 4 and y = Term.var "y" 4 in
+  let canonical = [ Solver.C_bool "b"; Solver.C_bv "x"; Solver.C_bv "y" ] in
+  let all = List.init 16 Fun.id in
+  let lex_min assumptions =
+    let env vb vx vy =
+      { Term.bv_of = (fun n -> Bitvec.of_int ~width:4 (if n = "x" then vx else vy));
+        bool_of = (fun _ -> vb) }
+    in
+    List.find_map
+      (fun vb ->
+        List.find_map
+          (fun vx ->
+            List.find_map
+              (fun vy ->
+                if List.for_all (Term.eval_bool (env vb vx vy)) assumptions then
+                  Some (vb, vx, vy)
+                else None)
+              all)
+          all)
+      [ false; true ]
+  in
+  let of_model (m : Solver.model) =
+    let bv n = Option.fold ~none:0 ~some:Bitvec.to_int_exn (m.bv n) in
+    (Option.value ~default:false (m.bool "b"), bv "x", bv "y")
+  in
+  let shared = Solver.create () in
+  List.iter
+    (fun (name, mux) ->
+      List.iter
+        (fun (side_name, side) ->
+          let assumptions = Term.eq mux x :: side in
+          let expect = lex_min assumptions in
+          List.iter
+            (fun (solver_name, s) ->
+              let got =
+                match canonical_verdict s assumptions canonical with
+                | Solver.Sat m -> Some (of_model m)
+                | Solver.Unsat -> None
+              in
+              check_bool
+                (Printf.sprintf "%s, %s, %s solver = enumeration" name side_name solver_name)
+                true (got = expect))
+            [ ("fresh", Solver.create ()); ("shared", shared) ])
+        [ ("alone", []);
+          ("x <> y", [ Term.not_ (Term.eq x y) ]);
+          ("x = 5", [ Term.eq x (w4 5) ]);
+          ("b, x = 5", [ b; Term.eq x (w4 5) ]) ])
+    [ ("ite b 1111 y", Term.ite b (w4 15) y);
+      ("ite b 0000 y", Term.ite b (w4 0) y);
+      ("ite b y 1111", Term.ite b y (w4 15));
+      ("ite b y 0000", Term.ite b y (w4 0));
+      ("ite b 0110 y", Term.ite b (w4 6) y) ]
+
 (* Property: the solver's model satisfies the formula per reference
    evaluation, on randomly generated formulas. *)
 
@@ -459,5 +561,9 @@ let () =
          Alcotest.test_case "kept trail sequence" `Quick test_solver_kept_trail_sequence;
          Alcotest.test_case "ordered completion" `Quick test_solver_ordered_completion;
          Alcotest.test_case "ternary match" `Quick test_solver_ternary_match;
+         Alcotest.test_case "equality is one gate" `Quick test_solver_equality_gate;
+         Alcotest.test_case "equality with repeated literals" `Quick
+           test_solver_equality_repeated_literal;
+         Alcotest.test_case "constant-arm mux" `Quick test_solver_constant_arm_mux;
          Alcotest.test_case "model soundness (random)" `Slow test_solver_model_soundness;
          Alcotest.test_case "completeness (small)" `Slow test_solver_completeness_small ]) ]
