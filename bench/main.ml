@@ -699,10 +699,11 @@ let smt_incremental () =
   banner "SMT: incremental packet generation vs. per-goal scratch solving";
   print_string
     "Each fixture campaign's coverage goals are solved twice: once with the\n\
-     incremental pipeline (one solver, prefix push/pop scopes, assumption\n\
-     deltas, learned clauses carried across goals) and once re-bit-blasting\n\
-     every goal into a fresh solver. Canonical model extraction makes the\n\
-     verdicts AND packet bytes byte-identical; the win is solver work.\n";
+     incremental pipeline (one solver, each goal's conjuncts passed as\n\
+     assumptions, learned clauses carried across goals) and once\n\
+     re-bit-blasting every goal into a fresh solver. Canonical model\n\
+     extraction makes the verdicts AND packet bytes byte-identical; the\n\
+     win is solver work.\n";
   let tm = Telemetry.get () in
   let stat name (r : Packetgen.result) =
     Option.value ~default:0 (List.assoc_opt name r.solver_stats)

@@ -101,9 +101,20 @@ let model_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic RNG seed.")
 
+(* A factor scales every Inst1 count, each at most the profile's total,
+   and a scaled count must still be an int. *)
+let scale_conv =
+  let limit = float_of_int max_int /. float_of_int (Workload.total Workload.inst1) in
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f >= 0. && f < limit -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a scale (need 0 <= F < %g)" s limit))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let scale_arg =
   let doc = "Workload scale factor relative to the Inst1 profile (798 entries at 1.0)." in
-  Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"F" ~doc)
+  Arg.(value & opt scale_conv 0.1 & info [ "scale" ] ~docv:"F" ~doc)
 
 let faults_arg =
   let doc =
@@ -486,6 +497,17 @@ let fuzz_cmd =
 
 let genpackets_cmd =
   let run program seed scale cache_dir verbose trace_tables =
+    let has_table name =
+      List.exists (fun (t : Ast.table) -> t.t_name = name) program.Ast.p_tables
+    in
+    let* () =
+      match List.filter (fun t -> not (has_table t)) trace_tables with
+      | [] -> Ok ()
+      | missing ->
+          Error
+            (Printf.sprintf "--trace: model %s has no table %s" program.Ast.p_name
+               (String.concat ", " missing))
+    in
     let entries = workload program scale seed in
     let t0 = Telemetry.Clock.now () in
     let encoding = Symexec.encode program entries in
@@ -513,7 +535,8 @@ let genpackets_cmd =
               Printf.printf "%-70s port %d, %d bytes\n" tp.tp_goal tp.tp_port
                 (String.length bytes)
           | None -> Printf.printf "%-70s UNSAT\n" tp.tp_goal)
-        result.packets
+        result.packets;
+    Ok ()
   in
   let doc = "Generate test packets with p4-symbolic (entry coverage)." in
   let verbose =
@@ -532,8 +555,9 @@ let genpackets_cmd =
   Cmd.v
     (Cmd.info "genpackets" ~doc)
     Term.(
-      const run $ model_arg $ seed_arg $ scale_arg $ cache_dir_arg $ verbose
-      $ trace_tables)
+      term_result' ~usage:false
+        (const run $ model_arg $ seed_arg $ scale_arg $ cache_dir_arg $ verbose
+       $ trace_tables))
 
 (* --- lint ------------------------------------------------------------------------ *)
 

@@ -2,8 +2,8 @@ module Telemetry = Switchv_telemetry.Telemetry
 
 (* One entry per metric name, or per stable dotted prefix for dynamic
    families (fault ids, coverage edges, per-kind incident counters,
-   solver-internal stat deltas). [Telemetry.doc_for] resolves a concrete
-   name through its longest documented prefix, so [fault.PINS-042] is
+   solver-internal stat deltas). [doc_for] resolves a concrete name
+   through its longest documented prefix, so [fault.PINS-042] is
    covered by the ["fault"] entry. The obs test suite fails when a counter
    observed during a campaign resolves to no entry here — add the metric
    to this table when you instrument a new one. *)
@@ -59,8 +59,6 @@ let catalog =
     ("smt.clauses_reused", "Learned clauses carried across incremental checks.");
     ("smt.incremental_hits", "Checks whose assumptions added no SAT variable (already bit-blasted).");
     ("smt.levels_kept", "Assumption levels a check resumed from the previous check's trail instead of re-deciding.");
-    ("smt.preprocess_eliminated", "DAG nodes (and dropped conjuncts) removed by preprocessing asserted formulas.");
-    ("smt.solver_reseeds", "Fresh solvers started because the shared one outgrew 3 x base + 8192 SAT variables.");
     ("switch.inject", "Duration of injecting one packet into the switch stack.");
     ("switch.packets_injected", "Test packets injected into the switch stack.");
     ("switch.packet_out", "Duration of one controller packet-out.");
@@ -89,13 +87,23 @@ let catalog =
     ("triage.minimize", "Duration of minimizing one reproducer.");
     ("triage.updates_removed", "Updates removed from reproducers by minimization.") ]
 
-let install () = List.iter (fun (n, h) -> Telemetry.document n h) catalog
+let by_name = Hashtbl.of_seq (List.to_seq catalog)
+
+let doc_for name =
+  let rec up s =
+    match Hashtbl.find_opt by_name s with
+    | Some h -> Some h
+    | None -> (
+        match String.rindex_opt s '.' with
+        | None -> None
+        | Some i -> up (String.sub s 0 i))
+  in
+  up name
 
 let undocumented (snap : Telemetry.snapshot) =
-  install ();
   let names =
     List.map fst snap.Telemetry.snap_counters
     @ List.map fst snap.Telemetry.snap_histograms
   in
   List.sort_uniq String.compare
-    (List.filter (fun n -> not (Telemetry.documented n)) names)
+    (List.filter (fun n -> doc_for n = None) names)

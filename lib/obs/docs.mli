@@ -4,10 +4,10 @@
 
 val catalog : (string * string) list
 
-val install : unit -> unit
-(** Register the catalog with {!Switchv_telemetry.Telemetry.document}.
-    Idempotent; called by the exposition renderer and the test suite. *)
+val doc_for : string -> string option
+(** The help string of a metric: its own catalog entry, else that of its
+    longest dotted prefix in the catalog. *)
 
 val undocumented : Switchv_telemetry.Telemetry.snapshot -> string list
-(** Metric names present in the snapshot that resolve to no catalog entry
-    (after [install]). The obs test fails when this is non-empty. *)
+(** Metric names present in the snapshot that resolve to no catalog entry.
+    The obs test fails when this is non-empty. *)

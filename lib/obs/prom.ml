@@ -38,14 +38,13 @@ let header buf name help typ =
   Printf.bprintf buf "# TYPE %s %s\n" name typ
 
 let help_for raw_name =
-  Option.value ~default:"(undocumented)" (Telemetry.doc_for raw_name)
+  Option.value ~default:"(undocumented)" (Docs.doc_for raw_name)
 
 (* Render the registry (plus computed gauges, e.g. live coverage) in the
    Prometheus text exposition format. Counters keep their dotted name
    mapped through [metric_name]; span histograms get a [_seconds] suffix
    and explicit [le] bucket edges from the shared bounds. *)
 let render ?(gauges = []) tele =
-  Docs.install ();
   let buf = Buffer.create 4096 in
   List.iter
     (fun g ->

@@ -14,8 +14,8 @@ type gauge = {
 
 val render : ?gauges:gauge list -> Switchv_telemetry.Telemetry.t -> string
 (** Gauges (e.g. live coverage) first, then counters, then histograms
-    with explicit [le] bucket edges. [# HELP] text comes from the
-    {!Docs} catalog via {!Switchv_telemetry.Telemetry.doc_for};
+    with explicit [le] bucket edges. [# HELP] text comes from
+    {!Docs.doc_for};
     undocumented metrics render as ["(undocumented)"] (and fail the
     hygiene test). *)
 

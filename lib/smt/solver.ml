@@ -32,19 +32,13 @@ module Lits_tbl = Hashtbl.Make (struct
   let hash a = Array.fold_left (fun h (l : Lit.t) -> (h * 31) + (l :> int)) 0 a
 end)
 
-(* A push scope: formulas asserted while the scope is active are guarded by
-   its selector literal (clause [~sel \/ lit]), and every [check] assumes the
-   selectors of all active scopes. [pop] retires the scope by asserting the
-   unit [~sel], which permanently satisfies the guarded clauses — and any
-   clauses learned from them, since those must mention [~sel] too. The
-   Tseitin environment (variable maps, term memos keyed by node id, gate
-   memos keyed by literals) is never rolled back: shared subterms
-   bit-blast exactly once for the life of the solver. [originals] keeps
-   the pre-preprocessing source formulas for the self-check mode. *)
-type scope = { sel : Lit.t; mutable originals : Term.boolean list }
-
 type canonical_var = C_bool of string | C_bv of string
 
+(* The Tseitin environment (variable maps, term memos keyed by node id,
+   gate memos keyed by literals) lives as long as the solver: a subterm
+   shared between assertions and assumptions, or between the assumptions
+   of successive checks, bit-blasts exactly once. [originals] keeps the
+   asserted formulas for the self-check mode. *)
 type t = {
   sat : Sat.t;
   true_lit : Lit.t;
@@ -57,8 +51,7 @@ type t = {
   mux_memo : Lit.t Triple_tbl.t;
   nary_memo : Lit.t Lits_tbl.t;
   mutable n_gates : int;
-  mutable scopes : scope list;           (* innermost first *)
-  mutable root_originals : Term.boolean list;
+  mutable originals : Term.boolean list;
   (* The last canonical order built: for which list, and how many names
      were blasted then. *)
   mutable order_of : canonical_var list;
@@ -85,8 +78,7 @@ let create () =
     mux_memo = Triple_tbl.create 1024;
     nary_memo = Lits_tbl.create 1024;
     n_gates = 0;
-    scopes = [];
-    root_originals = [];
+    originals = [];
     order_of = [];
     order_names = 0;
     order = [||] }
@@ -348,33 +340,9 @@ and blast_bool t (term : Term.boolean) : Lit.t =
           Id_tbl.add t.bool_memo id l;
           l)
 
-let preprocess_counted formula =
-  let pre, eliminated = Term.preprocess formula in
-  if eliminated > 0 then begin
-    let tele = Telemetry.get () in
-    Telemetry.incr ~n:eliminated tele "smt.preprocess_eliminated"
-  end;
-  pre
-
 let assert_formula t formula =
-  let l = blast_bool t (preprocess_counted formula) in
-  match t.scopes with
-  | [] ->
-      Sat.add_clause t.sat [ l ];
-      t.root_originals <- formula :: t.root_originals
-  | scope :: _ ->
-      Sat.add_clause t.sat [ Lit.neg scope.sel; l ];
-      scope.originals <- formula :: scope.originals
-
-let push t =
-  t.scopes <- { sel = fresh t; originals = [] } :: t.scopes
-
-let pop t =
-  match t.scopes with
-  | [] -> invalid_arg "Solver.pop: no open scope"
-  | scope :: rest ->
-      Sat.add_clause t.sat [ Lit.neg scope.sel ];
-      t.scopes <- rest
+  Sat.add_clause t.sat [ blast_bool t formula ];
+  t.originals <- formula :: t.originals
 
 type model = {
   bv : string -> Bitvec.t option;
@@ -452,8 +420,8 @@ let canonical_order t canonical =
   end;
   t.order
 
-(* Evaluate an original (pre-preprocessing) formula under a model, reading
-   absent variables as zero/false — the same completion extraction uses. *)
+(* Evaluate a source formula under a model, reading absent variables as
+   zero/false — the same completion extraction uses. *)
 let eval_original model formula =
   let widths = Hashtbl.create 16 in
   List.iter (fun (name, w) -> Hashtbl.replace widths name w) (Term.bv_vars formula);
@@ -475,10 +443,7 @@ let self_check t model assumptions =
            (Format.asprintf "%s not satisfied by returned model: %a" what
               Term.pp_bool formula))
   in
-  List.iter (check_one "asserted formula") t.root_originals;
-  List.iter
-    (fun scope -> List.iter (check_one "scoped formula") scope.originals)
-    t.scopes;
+  List.iter (check_one "asserted formula") t.originals;
   List.iter (check_one "assumption") assumptions
 
 let check_verdict ?(assumptions = []) ?canonical t =
@@ -486,33 +451,27 @@ let check_verdict ?(assumptions = []) ?canonical t =
   Telemetry.with_span tele "smt.check" (fun () ->
       Telemetry.incr ~n:(Sat.num_learned t.sat) tele "smt.clauses_reused";
       let vars_before = Sat.num_vars t.sat in
-      (* Assumptions are blasted as-is, without the preprocessing pass:
-         the Tseitin environment memoizes by node id, so a conjunct
+      (* The Tseitin environment memoizes by node id, so a conjunct
          already seen by an earlier check (or by an asserted formula)
-         costs a hash lookup here, while preprocessing would re-walk its
-         whole DAG on every query. Folding only ever pays off on the big
-         asserted formulas. *)
+         costs a hash lookup here. *)
       let assumption_lits = List.map (fun a -> blast_bool t a) assumptions in
       if Sat.num_vars t.sat = vars_before then
         Telemetry.incr tele "smt.incremental_hits";
-      let selector_lits = List.rev_map (fun s -> s.sel) t.scopes in
-      let sat_assumptions = List.rev_append selector_lits assumption_lits in
       (* A canonical check is one ordered search: it is complete, so it
          gives the verdict a plain search would, and on [Sat] its model is
          already the lexicographic minimum (see [Sat.solve_with_assumptions]). *)
       let order = Option.map (canonical_order t) canonical in
       let before = Sat.stats t.sat in
       let result =
-        match Sat.solve_with_assumptions ?order t.sat sat_assumptions with
+        match Sat.solve_with_assumptions ?order t.sat assumption_lits with
         | Sat.A_sat ->
             let model = extract_model t in
             if !check_models then self_check t model assumptions;
             V_sat model
         | Sat.A_unsat core ->
-            (* Report which of the caller's assumptions were implicated;
-               scope selectors are part of the asserted state, not of the
-               query, so they are filtered out. An empty list means the
-               asserted state alone (or the clause database) is unsat. *)
+            (* Report which of the caller's assumptions were implicated.
+               An empty list means the asserted state alone (or the clause
+               database) is unsat. *)
             let core_indices =
               List.mapi (fun i l -> (i, l)) assumption_lits
               |> List.filter_map (fun (i, l) ->
@@ -532,5 +491,4 @@ let check ?(assumptions = []) ?canonical t =
   | V_unsat _ -> Unsat
 
 let stats t =
-  ("gates", t.n_gates) :: ("sat_vars", Sat.num_vars t.sat)
-  :: ("scopes", List.length t.scopes) :: Sat.stats t.sat
+  ("gates", t.n_gates) :: ("sat_vars", Sat.num_vars t.sat) :: Sat.stats t.sat

@@ -13,20 +13,9 @@ type t
 val create : unit -> t
 
 val assert_formula : t -> Term.boolean -> unit
-(** Constrain the instance. Formulas are preprocessed ({!Term.preprocess})
-    before bit-blasting. Inside a {!push} scope the constraint lives until
-    the matching {!pop}; at the root it is permanent. *)
-
-val push : t -> unit
-(** Open a scope. Formulas asserted until the matching [pop] are guarded by
-    a fresh selector literal and retractable. The Tseitin environment is
-    persistent across scopes: subterms shared with anything blasted earlier
-    are not re-blasted. *)
-
-val pop : t -> unit
-(** Close the innermost scope, retracting its assertions (and disabling the
-    clauses learned from them). Raises [Invalid_argument] when no scope is
-    open. *)
+(** Constrain the instance permanently. The formula is bit-blasted as
+    given; the Tseitin environment persists, so subterms shared with
+    anything blasted earlier (asserted or assumed) are not re-blasted. *)
 
 type model = {
   bv : string -> Bitvec.t option;   (** value of a bitvector variable *)
@@ -78,9 +67,9 @@ val check_verdict :
 val check_models : bool ref
 (** Self-check mode (off by default; tests switch it on): every model
     returned by [check]/[check_verdict] is re-evaluated against the
-    original, pre-preprocessing asserted and assumed formulas, and a
-    mismatch raises {!Model_mismatch} — preprocessing or blasting bugs fail
-    loudly instead of corrupting generated packets. *)
+    asserted and assumed formulas, and a mismatch raises
+    {!Model_mismatch} — blasting bugs fail loudly instead of corrupting
+    generated packets. *)
 
 exception Model_mismatch of string
 

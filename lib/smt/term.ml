@@ -264,40 +264,16 @@ and eval_bool env = function
   | B_or (_, a, b) -> eval_bool env a || eval_bool env b
   | B_ite (_, c, a, b) -> if eval_bool env c then eval_bool env a else eval_bool env b
 
-(* Visit each distinct node reachable from [formula] once, a node before
-   its children, so shared DAGs cost their size rather than their tree
-   size. *)
-let iter_nodes ~on_bv ~on_bool formula =
+(* Each distinct node reachable from [formula] is visited once, so shared
+   DAGs cost their size rather than their tree size. *)
+let bv_vars formula =
   let seen = Id_tbl.create 64 in
   let first id = if Id_tbl.mem seen id then false else (Id_tbl.add seen id (); true) in
-  let rec go_bv t =
-    if first (bv_id t) then begin
-      on_bv t;
-      match t with
-      | Bv_const _ | Bv_var _ -> ()
-      | Bv_not (_, a) | Bv_neg (_, a) | Bv_extract (_, _, _, a) | Bv_zero_ext (_, _, a) ->
-          go_bv a
-      | Bv_and (_, a, b) | Bv_or (_, a, b) | Bv_xor (_, a, b) | Bv_add (_, a, b)
-      | Bv_sub (_, a, b) | Bv_mul (_, a, b) | Bv_concat (_, a, b) -> go_bv a; go_bv b
-      | Bv_ite (_, c, a, b) -> go_bool c; go_bv a; go_bv b
-    end
-  and go_bool t =
-    if first (bool_id t) then begin
-      on_bool t;
-      match t with
-      | B_true | B_false | B_var _ -> ()
-      | B_eq (_, a, b) | B_ult (_, a, b) | B_ule (_, a, b) -> go_bv a; go_bv b
-      | B_not (_, a) -> go_bool a
-      | B_and (_, a, b) | B_or (_, a, b) -> go_bool a; go_bool b
-      | B_ite (_, c, a, b) -> go_bool c; go_bool a; go_bool b
-    end
-  in
-  go_bool formula
-
-let bv_vars formula =
   let tbl : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
-  let on_bv = function
+  let rec go_bv t =
+    match t with
+    | Bv_const _ -> ()
     | Bv_var (_, name, w) -> (
         match Hashtbl.find_opt tbl name with
         | None ->
@@ -307,29 +283,23 @@ let bv_vars formula =
             if w <> w' then
               invalid_arg
                 (Printf.sprintf "Term.bv_vars: %s used at widths %d and %d" name w w'))
-    | _ -> ()
+    | _ when not (first (bv_id t)) -> ()
+    | Bv_not (_, a) | Bv_neg (_, a) | Bv_extract (_, _, _, a) | Bv_zero_ext (_, _, a) ->
+        go_bv a
+    | Bv_and (_, a, b) | Bv_or (_, a, b) | Bv_xor (_, a, b) | Bv_add (_, a, b)
+    | Bv_sub (_, a, b) | Bv_mul (_, a, b) | Bv_concat (_, a, b) -> go_bv a; go_bv b
+    | Bv_ite (_, c, a, b) -> go_bool c; go_bv a; go_bv b
+  and go_bool t =
+    match t with
+    | B_true | B_false | B_var _ -> ()
+    | _ when not (first (bool_id t)) -> ()
+    | B_eq (_, a, b) | B_ult (_, a, b) | B_ule (_, a, b) -> go_bv a; go_bv b
+    | B_not (_, a) -> go_bool a
+    | B_and (_, a, b) | B_or (_, a, b) -> go_bool a; go_bool b
+    | B_ite (_, c, a, b) -> go_bool c; go_bool a; go_bool b
   in
-  iter_nodes ~on_bv ~on_bool:ignore formula;
+  go_bool formula;
   List.rev !order
-
-let bool_vars formula =
-  let tbl : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let on_bool = function
-    | B_var (_, name) when not (Hashtbl.mem tbl name) ->
-        Hashtbl.add tbl name ();
-        order := name :: !order
-    | _ -> ()
-  in
-  iter_nodes ~on_bv:ignore ~on_bool formula;
-  List.rev !order
-
-(* Distinct nodes reachable from [formula]; the DAG size that the
-   bit-blaster's memo tables see. *)
-let size formula =
-  let n = ref 0 in
-  iter_nodes ~on_bv:(fun _ -> incr n) ~on_bool:(fun _ -> incr n) formula;
-  !n
 
 let flatten_conj formula =
   let rec go acc = function
@@ -415,196 +385,6 @@ let fingerprint roots =
   in
   List.iter (fun root -> go_bool root; Buffer.add_char buf ';') roots;
   Digest.string (Buffer.contents buf)
-
-(* --- preprocessing ---------------------------------------------------------------- *)
-
-(* Lift a comparison against a constant through an if-then-else mux:
-   [ite(c,a,b) OP k] becomes [if c then a OP k else b OP k], which folds
-   whenever a branch is constant. p4-symbolic's match guards compare
-   [ite(valid, field, 0)] muxes against entry constants, so this is the
-   transformation that lets the constant entry data reach the folding smart
-   constructors before bit-blasting spends mux gates on it. Only fires when
-   one side is a constant, so no subterm is duplicated. *)
-let rec lift_cmp mk a b =
-  match (a, b) with
-  | Bv_ite (_, c, x, y), Bv_const _ -> bite c (lift_cmp mk x b) (lift_cmp mk y b)
-  | Bv_const _, Bv_ite (_, c, x, y) -> bite c (lift_cmp mk a x) (lift_cmp mk a y)
-  | _ -> mk a b
-
-let needs_lift a b =
-  match (a, b) with
-  | Bv_ite _, Bv_const _ | Bv_const _, Bv_ite _ -> true
-  | _ -> false
-
-(* Rebuild a term bottom-up through the smart constructors, substituting
-   bound variables and lifting constant comparisons. Shared subterms are
-   rewritten once (memo on node id, shared across all terms passed to the
-   returned function), and a node whose children are unchanged is returned
-   as-is, so sharing survives the pass — the blaster's memo tables keep
-   hitting across formulas that share structure. *)
-let rewriter ~bv_bind ~bool_bind =
-  let memo_bv = Id_tbl.create 64 in
-  let memo_bool = Id_tbl.create 64 in
-  let rec rw_bv t =
-    let id = bv_id t in
-    match Id_tbl.find_opt memo_bv id with
-    | Some r -> r
-    | None ->
-        let r =
-          match t with
-          | Bv_const _ -> t
-          | Bv_var (_, name, w) -> (
-              match bv_bind name with
-              | Some c when Bitvec.width c = w -> const c
-              | _ -> t)
-          | Bv_not (_, a) -> let a' = rw_bv a in if a' == a then t else bvnot a'
-          | Bv_neg (_, a) -> let a' = rw_bv a in if a' == a then t else bvneg a'
-          | Bv_and (_, a, b) -> bin t bvand a b
-          | Bv_or (_, a, b) -> bin t bvor a b
-          | Bv_xor (_, a, b) -> bin t bvxor a b
-          | Bv_add (_, a, b) -> bin t bvadd a b
-          | Bv_sub (_, a, b) -> bin t bvsub a b
-          | Bv_mul (_, a, b) -> bin t bvmul a b
-          | Bv_concat (_, a, b) -> bin t concat a b
-          | Bv_extract (_, hi, lo, a) ->
-              let a' = rw_bv a in
-              if a' == a then t else extract ~hi ~lo a'
-          | Bv_zero_ext (_, w, a) ->
-              let a' = rw_bv a in
-              if a' == a then t else zero_ext w a'
-          | Bv_ite (_, c, a, b) ->
-              let c' = rw_bool c and a' = rw_bv a and b' = rw_bv b in
-              if c' == c && a' == a && b' == b then t else ite c' a' b'
-        in
-        Id_tbl.add memo_bv id r;
-        r
-  and bin t mk a b =
-    let a' = rw_bv a and b' = rw_bv b in
-    if a' == a && b' == b then t else mk a' b'
-  and cmp t mk a b =
-    let a' = rw_bv a and b' = rw_bv b in
-    if a' == a && b' == b && not (needs_lift a' b') then t
-    else lift_cmp mk a' b'
-  and rw_bool t =
-    let id = bool_id t in
-    match Id_tbl.find_opt memo_bool id with
-    | Some r -> r
-    | None ->
-        let r =
-          match t with
-          | B_true | B_false -> t
-          | B_var (_, name) -> (
-              match bool_bind name with
-              | Some v -> if v then B_true else B_false
-              | None -> t)
-          | B_eq (_, a, b) -> cmp t eq a b
-          | B_ult (_, a, b) -> cmp t ult a b
-          | B_ule (_, a, b) -> cmp t ule a b
-          | B_not (_, a) -> let a' = rw_bool a in if a' == a then t else not_ a'
-          | B_and (_, a, b) ->
-              let a' = rw_bool a and b' = rw_bool b in
-              if a' == a && b' == b then t else and_ a' b'
-          | B_or (_, a, b) ->
-              let a' = rw_bool a and b' = rw_bool b in
-              if a' == a && b' == b then t else or_ a' b'
-          | B_ite (_, c, a, b) ->
-              let c' = rw_bool c and a' = rw_bool a and b' = rw_bool b in
-              if c' == c && a' == a && b' == b then t else bite c' a' b'
-        in
-        Id_tbl.add memo_bool id r;
-        r
-  in
-  rw_bool
-
-(* Top-level conjuncts of the forms [x = const] / [b] / [!b] define their
-   variable. The defining conjunct is kept verbatim (so models are
-   preserved) while every other occurrence of the variable is replaced by
-   the constant. Conflicting definitions keep the first; the substituted
-   second then folds to [false] on its own. *)
-let collect_bindings conjuncts =
-  let bv_tbl : (string, Bitvec.t) Hashtbl.t = Hashtbl.create 8 in
-  let bool_tbl : (string, bool) Hashtbl.t = Hashtbl.create 8 in
-  let definers = Id_tbl.create 8 in
-  let define tbl name v definer =
-    if not (Hashtbl.mem tbl name) then begin
-      Hashtbl.add tbl name v;
-      Id_tbl.replace definers (bool_id definer) ()
-    end
-  in
-  List.iter
-    (fun conjunct ->
-      match conjunct with
-      | B_eq (_, Bv_var (_, name, w), Bv_const (_, c))
-      | B_eq (_, Bv_const (_, c), Bv_var (_, name, w)) ->
-          if Bitvec.width c = w then define bv_tbl name c conjunct
-      | B_var (_, name) -> define bool_tbl name true conjunct
-      | B_not (_, B_var (_, name)) -> define bool_tbl name false conjunct
-      | _ -> ())
-    conjuncts;
-  (bv_tbl, bool_tbl, definers)
-
-(* Cone-of-influence: drop top-level conjuncts whose variable-connectivity
-   component is disjoint from [roots]. Sound for models and for SAT
-   verdicts only when every dropped conjunct group is independently
-   satisfiable (e.g. constraints over auxiliary free variables); the caller
-   owns that invariant — packet generation never passes [roots] for the
-   formulas it extracts models from. *)
-let restrict_cone ~roots conjuncts =
-  let n = List.length conjuncts in
-  let arr = Array.of_list conjuncts in
-  let vars_of i =
-    List.map fst (bv_vars arr.(i)) @ bool_vars arr.(i)
-  in
-  (* Union-find over conjunct indices, joined through shared variable names. *)
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else (parent.(i) <- find parent.(i); parent.(i)) in
-  let union i j = let ri = find i and rj = find j in if ri <> rj then parent.(ri) <- rj in
-  let owner : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  Array.iteri
-    (fun i _ ->
-      List.iter
-        (fun v ->
-          match Hashtbl.find_opt owner v with
-          | None -> Hashtbl.add owner v i
-          | Some j -> union i j)
-        (vars_of i))
-    arr;
-  let live = Hashtbl.create 8 in
-  List.iter
-    (fun r ->
-      match Hashtbl.find_opt owner r with
-      | Some i -> Hashtbl.replace live (find i) ()
-      | None -> ())
-    roots;
-  let kept = ref [] and dropped = ref 0 in
-  Array.iteri
-    (fun i c ->
-      if Hashtbl.mem live (find i) then kept := c :: !kept else incr dropped)
-    arr;
-  (List.rev !kept, !dropped)
-
-let preprocess ?roots formula =
-  let before = size formula in
-  let conjuncts = flatten_conj formula in
-  let bv_tbl, bool_tbl, definers = collect_bindings conjuncts in
-  let rw =
-    rewriter ~bv_bind:(Hashtbl.find_opt bv_tbl)
-      ~bool_bind:(Hashtbl.find_opt bool_tbl)
-  in
-  let conjuncts =
-    List.map
-      (fun conjunct ->
-        if Id_tbl.mem definers (bool_id conjunct) then conjunct else rw conjunct)
-      conjuncts
-  in
-  let conjuncts, dropped =
-    match roots with
-    | None -> (conjuncts, 0)
-    | Some roots -> restrict_cone ~roots conjuncts
-  in
-  let result = conj conjuncts in
-  let eliminated = max 0 (before - size result) + dropped in
-  (result, eliminated)
 
 let rec pp_bv fmt = function
   | Bv_const (_, c) -> Bitvec.pp fmt c

@@ -109,13 +109,6 @@ val bv_vars : boolean -> (string * int) list
 (** All bitvector variables (name, width), each reported once. Raises
     [Invalid_argument] if one name occurs at two widths. *)
 
-val bool_vars : boolean -> string list
-(** All boolean variables, each reported once, in first-occurrence order. *)
-
-val size : boolean -> int
-(** Distinct nodes reachable from the formula — the DAG size the
-    bit-blaster's memo tables see, not the tree size. *)
-
 val fingerprint : boolean list -> Digest.t
 (** A digest of the formulas' DAG: each root in order, its node kinds,
     leaves, payloads and the sharing of inner nodes within and across
@@ -129,29 +122,6 @@ val fingerprint : boolean list -> Digest.t
 val flatten_conj : boolean -> boolean list
 (** Top-level conjuncts of a (nested) conjunction, left to right, with
     [tru] units dropped. [conj (flatten_conj f)] is logically [f]. *)
-
-(** {1 Preprocessing}
-
-    A semantics-preserving simplification pass run before bit-blasting:
-    constant folding (terms are rebuilt through the folding smart
-    constructors), if-lifting of comparisons against constants (so entry
-    constants reach the folder through [ite(valid, field, 0)] muxes), and
-    equality propagation (a top-level conjunct [x = const] substitutes the
-    constant for [x] everywhere else; the defining conjunct itself is kept,
-    so the model set is unchanged). *)
-
-val preprocess : ?roots:string list -> boolean -> boolean * int
-(** [preprocess f] returns the simplified formula and the number of DAG
-    nodes (plus dropped conjuncts) eliminated. Without [roots] the result
-    is logically equivalent to [f] — same models, bit for bit.
-
-    With [roots], a cone-of-influence restriction additionally drops
-    top-level conjuncts whose variable-connectivity component does not reach
-    any root name. Dropping weakens the formula: it preserves satisfiability
-    and models over the root cone only when every dropped component is
-    independently satisfiable — the caller owns that invariant, so the
-    packet-generation pipeline never passes [roots] for formulas it
-    extracts witness models from. *)
 
 val pp_bv : Format.formatter -> bv -> unit
 val pp_bool : Format.formatter -> boolean -> unit

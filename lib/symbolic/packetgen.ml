@@ -280,8 +280,8 @@ let cache_key (enc : Symexec.encoding) goals ~ports ~index_offset =
 (* Canonical model order: both the incremental and the scratch pipeline
    extract the lexicographically minimal witness over the program's input
    variables, so the packet a goal yields is a pure function of the
-   encoding and the goal — not of solver state, goal grouping, or what was
-   learned from earlier goals. That invariant is what keeps cached, sharded
+   encoding and the goal — not of solver state or of what was learned
+   from earlier goals. That invariant is what keeps cached, sharded
    (--jobs N), and incremental-vs-scratch campaigns byte-identical. *)
 let canonical_vars (enc : Symexec.encoding) =
   List.map
@@ -345,35 +345,6 @@ let solve_cascade solver ~canonical ~cond_conjuncts ~prefer ~pport =
         end
   in
   go attempts
-
-(* Group consecutive goals sharing a common prefix of top-level conjuncts
-   (physical equality — symexec builds all guards of one table onto the
-   same shared context/mismatch chain). Consecutive-only grouping preserves
-   goal order, which [prune_goals] and the --jobs shard slicer rely on.
-   Each group's prefix is asserted once inside a push scope; members then
-   differ only in their assumption suffix. *)
-type 'a group = { gr_prefix : Term.boolean list; gr_members : 'a list }
-
-let common_prefix xs ys =
-  let rec go acc = function
-    | x :: xs, y :: ys when x == y -> go (x :: acc) (xs, ys)
-    | _ -> List.rev acc
-  in
-  go [] (xs, ys)
-
-let group_goals goals =
-  let close (prefix, members) = { gr_prefix = prefix; gr_members = List.rev members } in
-  let rec go groups current = function
-    | [] -> List.rev (match current with None -> groups | Some c -> close c :: groups)
-    | ((_, _, conjuncts) as item) :: rest -> (
-        match current with
-        | None -> go groups (Some (conjuncts, [ item ])) rest
-        | Some (prefix, members) -> (
-            match common_prefix prefix conjuncts with
-            | [] -> go (close (prefix, members) :: groups) (Some (conjuncts, [ item ])) rest
-            | lcp -> go groups (Some (lcp, item :: members)) rest))
-  in
-  go [] None goals
 
 let sum_stats acc stats =
   List.fold_left
@@ -452,73 +423,22 @@ let generate ?(ports = [ 1; 2; 3; 4 ]) ?(index_offset = 0) ?cache ?(incremental 
       let packets, solver_stats =
         if incremental then begin
           (* One solver for the whole goal list: the encoding bit-blasts
-             once, learned clauses persist across goals, and each group's
-             shared guard prefix is asserted once in a push scope.
-
-             The shared solver accumulates Tseitin gates for every goal's
-             unique guard structure, and a solve assigns every variable in
-             the database — so an unboundedly shared solver makes each
-             check dearer than the last (quadratic over a long campaign).
-             Re-seeding a fresh solver once the variable count outgrows the
-             base encoding bounds the accumulation; canonical witness
-             extraction makes the reset points invisible in the results.
-
-             The slack is measured on middleblock, whose base is 116 vars.
-             At inst1 x0.1 one solver serves every group and peaks near
-             1.6k vars; re-encoding a group's prefix costs more than the
-             gates it sheds, so the bound must not fire there (with the
-             base at 246 vars and the peak near 3.8k, a slack of 512 or
-             2048 re-seeded before most groups and solved 1.5-2x slower
-             than 4096 and up). At x1.0 the first table's group adds
-             ~7.9k vars, just under the bound, and two later groups add
-             33k and 41k, so the bound fires after each of those. Never
-             re-seeding generated middleblock in 3.7 s against 3.1 s, and
-             WAN in 8.5 s against 8.7 s (table3, medians of three). *)
-          let solver = ref (Solver.create ()) in
-          assert_base !solver enc ports;
-          let sat_vars s =
-            Option.value ~default:0 (List.assoc_opt "sat_vars" (Solver.stats s))
-          in
-          let base_vars = sat_vars !solver in
-          let retired = ref [] in
-          let reseed_if_grown () =
-            if sat_vars !solver > (3 * base_vars) + 8192 then begin
-              Telemetry.incr tele "smt.solver_reseeds";
-              retired := sum_stats !retired (Solver.stats !solver);
-              solver := Solver.create ();
-              assert_base !solver enc ports
-            end
-          in
-          let items =
-            List.mapi (fun i goal -> (i, goal, Term.flatten_conj goal.goal_cond)) goals
-          in
+             once, and each goal's conjuncts ride as assumptions. A
+             conjunct several goals share bit-blasts once (the gate
+             memos), and the SAT core resumes each check from the trail
+             levels of the leading assumptions it shares with the
+             previous check. *)
+          let solver = Solver.create () in
+          assert_base solver enc ports;
           let packets =
-            List.concat_map
-              (fun { gr_prefix; gr_members } ->
-                reseed_if_grown ();
-                let solver = !solver in
-                Solver.push solver;
-                Fun.protect
-                  ~finally:(fun () -> Solver.pop solver)
-                  (fun () ->
-                    Solver.assert_formula solver (Term.conj gr_prefix);
-                    List.map
-                      (fun (i, goal, conjuncts) ->
-                        let suffix =
-                          (* The group prefix may be shorter than this
-                             goal's own: the rest rides as assumptions. *)
-                          let rec drop n l =
-                            if n = 0 then l
-                            else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-                          in
-                          drop (List.length gr_prefix) conjuncts
-                        in
-                        solve_member solver goal ~cond_conjuncts:suffix
-                          ~pport:(preferred_port i))
-                      gr_members))
-              (group_goals items)
+            List.mapi
+              (fun i goal ->
+                solve_member solver goal
+                  ~cond_conjuncts:(Term.flatten_conj goal.goal_cond)
+                  ~pport:(preferred_port i))
+              goals
           in
-          (packets, sum_stats !retired (Solver.stats !solver))
+          (packets, Solver.stats solver)
         end
         else begin
           (* Scratch mode (the bench baseline, and the reference for the

@@ -126,16 +126,15 @@ val generate :
     offset participates in the cache key.
 
     [incremental] (default [true]) selects the solving pipeline. When on,
-    one solver instance serves the whole goal list: consecutive goals are
-    grouped by their longest shared prefix of guard conjuncts (symexec
-    builds every guard of a table onto one physically shared context), the
-    prefix is asserted once inside a push scope, and each goal solves as an
-    assumption delta with learned clauses carried across goals; unsat cores
-    prune the soft-constraint cascade. When off, every goal re-bit-blasts
-    the encoding into a fresh solver (the bench baseline). Both pipelines
-    extract {e canonical} (lexicographically minimal) witness models, so
-    they return identical packets and identical verdicts — [incremental]
-    is deliberately absent from the cache key. *)
+    one solver instance serves the whole goal list: the encoding is
+    asserted once, and each goal passes its top-level guard conjuncts and
+    soft preferences as assumptions, with learned clauses carried across
+    goals; unsat cores prune the soft-constraint cascade. When off, every
+    goal re-bit-blasts the encoding into a fresh solver (the bench
+    baseline). Both pipelines extract {e canonical} (lexicographically
+    minimal) witness models, so they return identical packets and
+    identical verdicts — [incremental] is deliberately absent from the
+    cache key. *)
 
 val cache_key :
   Symexec.encoding -> goal list -> ports:int list -> index_offset:int -> string

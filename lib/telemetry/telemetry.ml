@@ -516,34 +516,6 @@ let diff_export t ~base =
   in
   { ex_counters = counters; ex_histograms = histograms }
 
-(* --- metric documentation ------------------------------------------------------ *)
-
-(* A process-wide (not per-registry) name -> help-string table: metric
-   names are global vocabulary, so their documentation is too. Dynamic
-   families ([fault.PINS-042], [cov.branch.7.then]) are documented once
-   under their stable dotted prefix; [doc_for] falls back to the longest
-   documented prefix. *)
-let docs : (string, string) Hashtbl.t = Hashtbl.create 64
-
-let document name help = Hashtbl.replace docs name help
-
-let doc_for name =
-  match Hashtbl.find_opt docs name with
-  | Some h -> Some h
-  | None ->
-      let rec up s =
-        match String.rindex_opt s '.' with
-        | None -> None
-        | Some i -> (
-            let s = String.sub s 0 i in
-            match Hashtbl.find_opt docs s with
-            | Some h -> Some h
-            | None -> up s)
-      in
-      up name
-
-let documented name = doc_for name <> None
-
 let snapshot_to_json snap =
   Json.obj
     [ ( "counters",

@@ -216,23 +216,6 @@ val default_bounds : float array
 (** The histogram bucket upper bounds (seconds), exposed for exposition
     formats that need explicit bucket edges (Prometheus [le] labels). *)
 
-(** {1 Metric documentation}
-
-    A process-wide registry of metric name -> one-line help string,
-    surfaced as [# HELP] in the Prometheus exposition and enforced by the
-    obs test suite (an instrumented counter without documentation fails
-    CI). Dynamic metric families are documented once under their stable
-    dotted prefix ([fault], [cov.branch], ...). *)
-
-val document : string -> string -> unit
-(** [document name help] registers (or replaces) the help string for a
-    metric name or dotted prefix. *)
-
-val doc_for : string -> string option
-(** Exact-name lookup, then longest documented dotted-prefix fallback. *)
-
-val documented : string -> bool
-
 (** {1 JSON helpers}
 
     A hand-rolled, dependency-free JSON emitter (and a validity checker for

@@ -79,7 +79,8 @@ and gen_bool rng ~depth =
     | 7 -> Term.bite (sub ()) (sub ()) (sub ())
     | 8 ->
         (* A top-level-style conjunction with an equality against a
-           constant, to exercise the preprocessor's binding collector. *)
+           constant, the shape of a guard over an installed entry's
+           match value. *)
         let name, w = Rng.choose rng bv_universe in
         Term.and_ (Term.eq (Term.var name w) (gen_const rng w)) (sub ())
     | _ -> Term.tru

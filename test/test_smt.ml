@@ -349,8 +349,8 @@ let test_solver_ternary_match () =
   | Solver.Unsat -> Alcotest.fail "expected sat"
 
 (* --- gate encoding ----------------------------------------------------------
-   Each query below is an assumption, which [Term.preprocess] never sees,
-   so its shape reaches the bit-blaster as built. *)
+   The solver bit-blasts every formula as built, so each query's shape
+   reaches the gate encoder unchanged. *)
 
 let gates s = List.assoc "gates" (Solver.stats s)
 

@@ -6,20 +6,17 @@
 
      - a fresh solver per formula (assert + check),
      - a shared solver taking the formula as an assumption,
-     - a shared solver using push / assert / pop scopes,
      - a shared solver assuming the formula conjunct-by-conjunct, with the
        reported unsat core re-checked against enumeration,
-     - a shared solver in the packet pipeline's shape: a group prefix
-       asserted inside push / pop, several goals' remaining conjuncts and
-       soft preferences passed as assumptions, unsat cores re-checked.
+     - a shared solver in the packet pipeline's shape: a leading conjunct
+       shared by several goals, each goal's own conjuncts and soft
+       preferences, all passed as assumptions, unsat cores re-checked.
 
    Satisfying models are re-evaluated concretely (and [Solver.check_models]
    is on for the whole suite, so the solver additionally self-checks every
    model against the original terms). Canonical models must match the
    enumerated lexicographic minimum, and must agree between fresh and
-   shared solvers, scoped or not. The preprocessor must preserve the value
-   of the formula on every assignment, and cone-of-influence restriction
-   must be implied by the original.
+   shared solvers.
 
    Failures shrink to a locally minimal reproducer and report the seed.
 
@@ -95,7 +92,6 @@ let verdict_to_string = function true -> "SAT" | false -> "UNSAT"
    learned clauses and Tseitin memos across unrelated queries is exactly
    the surface the incremental pipeline relies on. *)
 let shared_assume = Solver.create ()
-let shared_scoped = Solver.create ()
 let shared_conjuncts = Solver.create ()
 
 let prop_verdicts f =
@@ -118,41 +114,28 @@ let prop_verdicts f =
       | Solver.Unsat -> false
     in
     if assumed <> brute then complain "shared solver (assumption)" assumed
-    else begin
-      Solver.push shared_scoped;
-      let scoped =
-        Fun.protect
-          ~finally:(fun () -> Solver.pop shared_scoped)
-          (fun () ->
-            Solver.assert_formula shared_scoped f;
-            match Solver.check shared_scoped with
-            | Solver.Sat _ -> true
-            | Solver.Unsat -> false)
-      in
-      if scoped <> brute then complain "shared solver (push/pop)" scoped
-      else
-        let conjuncts = Term.flatten_conj f in
-        match Solver.check_verdict ~assumptions:conjuncts shared_conjuncts with
-        | Solver.V_sat m ->
-            if not brute then complain "shared solver (conjuncts)" true
-            else if not (eval_under_model m f) then
-              Some "conjunct-assumption model does not satisfy the formula"
+    else
+      let conjuncts = Term.flatten_conj f in
+      match Solver.check_verdict ~assumptions:conjuncts shared_conjuncts with
+      | Solver.V_sat m ->
+          if not brute then complain "shared solver (conjuncts)" true
+          else if not (eval_under_model m f) then
+            Some "conjunct-assumption model does not satisfy the formula"
+          else None
+      | Solver.V_unsat core ->
+          if brute then complain "shared solver (conjuncts)" false
+          else
+            (* The implicated conjunct subset must itself be unsat — that
+               is the contract packetgen's cascade skipping relies on. *)
+            let implicated =
+              List.filteri (fun i _ -> List.mem i core) conjuncts
+            in
+            if Qgen.brute_sat (Term.conj implicated) then
+              Some
+                (Printf.sprintf
+                   "unsat core (positions %s) is satisfiable by enumeration"
+                   (String.concat "," (List.map string_of_int core)))
             else None
-        | Solver.V_unsat core ->
-            if brute then complain "shared solver (conjuncts)" false
-            else
-              (* The implicated conjunct subset must itself be unsat — that
-                 is the contract packetgen's cascade skipping relies on. *)
-              let implicated =
-                List.filteri (fun i _ -> List.mem i core) conjuncts
-              in
-              if Qgen.brute_sat (Term.conj implicated) then
-                Some
-                  (Printf.sprintf
-                     "unsat core (positions %s) is satisfiable by enumeration"
-                     (String.concat "," (List.map string_of_int core)))
-              else None
-    end
 
 (* Variables the solver never blasted (the formula folded them away, or
    never mentioned them) are unconstrained; their lexicographically minimal
@@ -208,17 +191,17 @@ let prop_canonical f =
           | None -> canonical_mismatch "shared" m_shared best))
 
 (* The shape packet generation drives a solver in: the formula's first
-   conjunct is a group prefix asserted inside a push scope; each of several
-   goals assumes the remaining conjuncts plus goal-specific ones, under a
-   cascade of soft preferences that is relaxed when unsat; the scope is
-   popped after the group. One solver serves every formula, so each group
-   also runs against everything the earlier ones learned and blasted. Each
-   goal's cascade is followed by checks that repeat its last assumption
-   list and then extend it, and every failed check by one over the prefix
-   before its failed assumption: the solver resumes each from the trail
-   the previous check left. Every model must be the enumerated
-   lexicographic minimum of prefix and assumptions, and every unsat core
-   must be unsat with the prefix. *)
+   conjunct is the leading assumption of several goals, as a table's
+   shared guard context is; each goal assumes it, then the remaining
+   conjuncts plus goal-specific ones, under a cascade of soft preferences
+   that is relaxed when unsat. One solver serves every formula, so each
+   goal also runs against everything the earlier ones learned and
+   blasted. Each goal's cascade is followed by checks that repeat its last
+   assumption list and then extend it, and every failed check by one over
+   the assumptions before its failed one: the solver resumes each from the
+   trail the previous check left. Every model must be the enumerated
+   lexicographic minimum of the assumptions, and every unsat core (whose
+   positions count the leading conjunct) must be unsat on its own. *)
 let shared_grouped = Solver.create ()
 
 let goal_suffixes, soft_prefer, soft_port =
@@ -231,19 +214,15 @@ let goal_suffixes, soft_prefer, soft_port =
     Term.eq x (Term.of_int ~width:4 3) )
 
 let prop_grouped f =
-  let prefix, rest =
-    match Term.flatten_conj f with [] -> ([], []) | c :: cs -> ([ c ], cs)
-  in
   let rec check_attempt ~retry assumptions =
-    let whole = Term.conj (prefix @ assumptions) in
     match Solver.check_verdict ~assumptions ~canonical shared_grouped with
     | Solver.V_sat m -> (
-        match Qgen.brute_canonical whole with
+        match Qgen.brute_canonical (Term.conj assumptions) with
         | None -> Some "grouped solver says SAT, enumeration says UNSAT"
         | Some best -> canonical_mismatch "grouped" m best)
     | Solver.V_unsat core ->
         let implicated = List.filteri (fun i _ -> List.mem i core) assumptions in
-        if Qgen.brute_sat (Term.conj (prefix @ implicated)) then
+        if Qgen.brute_sat (Term.conj implicated) then
           Some
             (Printf.sprintf "grouped unsat core (positions %s) is satisfiable"
                (String.concat "," (List.map string_of_int core)))
@@ -254,54 +233,18 @@ let prop_grouped f =
           check_attempt ~retry:false (List.filteri (fun i _ -> i < failed) assumptions)
         else None
   in
+  let conjuncts = Term.flatten_conj f in
   let check_goal extra =
-    let suffix = rest @ extra in
+    let goal = conjuncts @ extra in
     List.find_map (check_attempt ~retry:true)
-      [ suffix @ [ soft_prefer; soft_port ];
-        suffix @ [ soft_prefer ];
-        suffix @ [ soft_port ];
-        suffix;
-        suffix;
-        suffix @ [ soft_port; soft_prefer ] ]
+      [ goal @ [ soft_prefer; soft_port ];
+        goal @ [ soft_prefer ];
+        goal @ [ soft_port ];
+        goal;
+        goal;
+        goal @ [ soft_port; soft_prefer ] ]
   in
-  Solver.push shared_grouped;
-  Fun.protect
-    ~finally:(fun () -> Solver.pop shared_grouped)
-    (fun () ->
-      List.iter (Solver.assert_formula shared_grouped) prefix;
-      List.find_map check_goal goal_suffixes)
-
-let prop_preprocess f =
-  let f', _ = Term.preprocess f in
-  let differs =
-    List.find_opt
-      (fun a ->
-        let env = Qgen.env_of a in
-        Term.eval_bool env f <> Term.eval_bool env f')
-      (Lazy.force Qgen.assignments)
-  in
-  match differs with
-  | None -> None
-  | Some _ ->
-      Some
-        (Printf.sprintf "preprocess changed the formula's value: %s"
-           (Qgen.to_string f'))
-
-let prop_cone f =
-  let f', _ = Term.preprocess ~roots:[ "x" ] f in
-  let violating =
-    List.find_opt
-      (fun a ->
-        let env = Qgen.env_of a in
-        Term.eval_bool env f && not (Term.eval_bool env f'))
-      (Lazy.force Qgen.assignments)
-  in
-  match violating with
-  | None -> None
-  | Some _ ->
-      Some
-        (Printf.sprintf "cone restriction not implied by the original: %s"
-           (Qgen.to_string f'))
+  List.find_map check_goal goal_suffixes
 
 (* --- Alcotest wiring ------------------------------------------------------ *)
 
@@ -315,13 +258,6 @@ let test_canonical () =
 let test_grouped () =
   run_property ~name:"grouped canonical models" ~seed:(seed + 4)
     ~count:(max 1 (count / 5)) prop_grouped
-
-let test_preprocess () =
-  run_property ~name:"preprocess equivalence" ~seed:(seed + 2) ~count
-    prop_preprocess
-
-let test_cone () =
-  run_property ~name:"cone of influence" ~seed:(seed + 3) ~count prop_cone
 
 (* Time-boxed randomized soak: keeps drawing fresh seeds until the budget
    runs out. Off by default (SWITCHV_QGEN_SOAK_MS=0) so dune runtest stays
@@ -348,8 +284,5 @@ let () =
           Alcotest.test_case "canonical models vs enumeration" `Quick
             test_canonical;
           Alcotest.test_case "grouped shared solver vs enumeration" `Quick
-            test_grouped;
-          Alcotest.test_case "preprocess preserves every assignment" `Quick
-            test_preprocess;
-          Alcotest.test_case "cone restriction is implied" `Quick test_cone ] );
+            test_grouped ] );
       ("soak", [ Alcotest.test_case "randomized soak" `Slow test_soak ]) ]

@@ -485,8 +485,8 @@ let test_port_cycling () =
   in
   check_bool "all four ingress ports used" true (List.length ports = 4)
 
-(* The incremental pipeline (shared solver, push/pop prefix scopes,
-   assumption deltas) and the per-goal scratch pipeline must produce the
+(* The incremental pipeline (one shared solver, every goal's conjuncts as
+   assumptions) and the per-goal scratch pipeline must produce the
    byte-identical result — ports, bytes, verdicts, order. Canonical
    (lexicographically minimal) witness models are what make this hold; it
    is also why [incremental] needs no spot in the cache key. *)
@@ -515,6 +515,38 @@ let test_incremental_matches_scratch () =
       check_int "covered identical" scr.covered inc.covered;
       check_int "uncoverable identical" scr.uncoverable inc.uncoverable)
 
+(* One shared solver across a long goal list: middleblock at half the
+   Inst1 scale, with the entry and branch goals the data campaign builds,
+   preferring forwarded packets. Every 8th goal, solved alone in a fresh
+   solver at its campaign position, must give the packet the shared solver
+   gave it after all the goals before. *)
+let test_incremental_long_run () =
+  let program = Middleblock.program in
+  let entries =
+    Workload.generate ~seed:5 program (Workload.scaled 0.5 Workload.inst1)
+  in
+  let enc = Symexec.encode program entries in
+  let prefer = Term.not_ enc.enc_dropped in
+  let goals =
+    Packetgen.entry_coverage_goals ~prefer enc
+    @ Packetgen.branch_coverage_goals ~prefer enc
+  in
+  check_int "goals" 428 (List.length goals);
+  let inc = Packetgen.generate enc goals in
+  List.iteri
+    (fun i (goal, (tp : Packetgen.test_packet)) ->
+      if i mod 8 = 0 then
+        match
+          (Packetgen.generate ~incremental:false ~index_offset:i enc [ goal ]).packets
+        with
+        | [ alone ] ->
+            check_bool
+              (Printf.sprintf "%s (goal %d) port and bytes" tp.tp_goal i)
+              true
+              (alone.tp_port = tp.tp_port && alone.tp_bytes = tp.tp_bytes)
+        | _ -> Alcotest.fail "one goal gives one packet")
+    (List.combine goals inc.packets)
+
 let () =
   Alcotest.run "symbolic"
     [ ("agreement",
@@ -542,4 +574,6 @@ let () =
          Alcotest.test_case "port cycling" `Quick test_port_cycling ]);
       ("incremental",
        [ Alcotest.test_case "matches scratch byte-for-byte" `Quick
-           test_incremental_matches_scratch ]) ]
+           test_incremental_matches_scratch;
+         Alcotest.test_case "long run matches per-goal scratch" `Quick
+           test_incremental_long_run ]) ]
