@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test bench bench-quick examples check-smt check-fuzz check-obs clean
+.PHONY: all build check test bench bench-quick examples check-smt check-fuzz check-match check-obs clean
 
 all: build
 
@@ -14,7 +14,8 @@ build:
 # and test/dune pins the CLI's exit contract (golden-corpus replay, the
 # clean and seeded taint campaigns, clean fabrics on every shape, a
 # lint-clean example model and the README's textual model validating
-# clean). check-smt and check-fuzz rerun soaks at a fresh seed, and
+# clean). check-smt, check-fuzz and check-match rerun soaks at a fresh
+# seed, and
 # check-obs needs live processes. The last step runs the quick bench
 # artifacts for their built-in gates: telemetry overhead within budget,
 # incremental and scratch SMT solving yielding identical packets, taint
@@ -27,6 +28,7 @@ check:
 	dune runtest
 	$(MAKE) check-smt
 	$(MAKE) check-fuzz
+	$(MAKE) check-match
 	$(MAKE) check-obs
 	dune exec bench/main.exe -- quick obs_overhead smt_incremental taint fabric greybox scale
 
@@ -45,6 +47,13 @@ check-smt:
 # this reruns that case at a fresh seed (printed on failure).
 check-fuzz:
 	SWITCHV_FUZZ_SEED=$$$$ dune exec test/test_fuzzer.exe -- test views
+
+# Packet-path soak: `dune runtest` runs test_match's index-vs-linear-scan
+# differential and its compiled-vs-interpreted soak at fixed base seeds;
+# this reruns both groups at a fresh base seed (printed on failure).
+check-match:
+	SWITCHV_MATCH_SEED=$$$$ dune exec test/test_match.exe -- test index
+	SWITCHV_MATCH_SEED=$$$$ dune exec test/test_match.exe -- test compiled
 
 # Observability gate, three legs. (1) Live exposition: a sharded campaign
 # serves /metrics while running; poll (with switchv top, the

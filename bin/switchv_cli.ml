@@ -101,14 +101,25 @@ let model_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic RNG seed.")
 
-(* A factor scales every Inst1 count, each at most the profile's total,
-   and a scaled count must still be an int. *)
+(* A factor scales every Inst1 count. The scaled profile may hold at most
+   the largest tier BENCH_scale runs: past it a factor still parses, but
+   no run finishes generating its entries. The first bound keeps the
+   scaled counts ints. *)
+let max_scaled_entries = 1_000_000
+
 let scale_conv =
-  let limit = float_of_int max_int /. float_of_int (Workload.total Workload.inst1) in
   let parse s =
     match float_of_string_opt s with
-    | Some f when Float.is_finite f && f >= 0. && f < limit -> Ok f
-    | _ -> Error (`Msg (Printf.sprintf "%S is not a scale (need 0 <= F < %g)" s limit))
+    | Some f
+      when Float.is_finite f && f >= 0.
+           && f <= float_of_int max_scaled_entries
+           && Workload.total (Workload.scaled f Workload.inst1) <= max_scaled_entries ->
+        Ok f
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "%S is not a scale (need 0 <= F and at most %d scaled Inst1 entries)"
+               s max_scaled_entries))
   in
   Arg.conv (parse, Format.pp_print_float)
 

@@ -175,6 +175,28 @@ let ule a b = compare a b <= 0
 
 let hash t = Hashtbl.hash (t.width, t.limbs)
 
+(* The masked kernels read [v land m] limb by limb and build nothing, so a
+   table probe can hash and compare masked keys without allocating. *)
+let check_masked name v m =
+  if v.width <> m.width then invalid_arg ("Bitvec." ^ name ^ ": width mismatch")
+
+let hash_masked h v m =
+  check_masked "hash_masked" v m;
+  let h = ref h in
+  for i = 0 to Array.length v.limbs - 1 do
+    (* FNV-1a's 64-bit prime, one limb at a time. *)
+    h := (!h lxor (v.limbs.(i) land m.limbs.(i))) * 0x100000001b3
+  done;
+  !h
+
+let equal_masked v m k =
+  check_masked "equal_masked" v m;
+  k.width = v.width
+  &&
+  let n = Array.length v.limbs and i = ref 0 in
+  while !i < n && v.limbs.(!i) land m.limbs.(!i) = k.limbs.(!i) do incr i done;
+  !i = n
+
 let map2 name f a b =
   if a.width <> b.width then invalid_arg ("Bitvec." ^ name ^ ": width mismatch");
   normalize a.width (Array.init (Array.length a.limbs) (fun i -> f a.limbs.(i) b.limbs.(i)))
@@ -281,6 +303,50 @@ let of_bytes_be s =
   let byte j = if j < n then Char.code s.[n - 1 - j] else 0 in
   { width = 8 * n;
     limbs = Array.init ((n + 1) / 2) (fun i -> byte (2 * i) lor (byte ((2 * i) + 1) lsl 8)) }
+
+(* Bits [pos, pos + len) of [limbs], for [len <= 8]: at most two limbs. *)
+let bits_at limbs pos len =
+  let q = pos lsr 4 and r = pos land (limb_bits - 1) in
+  let v = limbs.(q) lsr r in
+  let v = if r + len > limb_bits then v lor (limbs.(q + 1) lsl (limb_bits - r)) else v in
+  v land ((1 lsl len) - 1)
+
+(* Each step fills what is left of one byte with the next bits down from
+   the top of [t]. *)
+let blit_be t b off =
+  let pos = ref off and rest = ref t.width in
+  while !rest > 0 do
+    let used = !pos land 7 in
+    let take = if 8 - used < !rest then 8 - used else !rest in
+    let byte = !pos lsr 3 in
+    let chunk = bits_at t.limbs (!rest - take) take lsl (8 - used - take) in
+    Bytes.set b byte (Char.unsafe_chr (Char.code (Bytes.get b byte) lor chunk));
+    pos := !pos + take;
+    rest := !rest - take
+  done
+
+(* Stream bits [start, start + len) of [s], for [len <= 16]: at most three
+   bytes, read most significant first. *)
+let stream_bits s start len =
+  let first = start lsr 3 and last = (start + len - 1) lsr 3 in
+  let acc = ref 0 in
+  for b = first to last do
+    acc := (!acc lsl 8) lor Char.code (String.unsafe_get s b)
+  done;
+  (!acc lsr (((last + 1) * 8) - (start + len))) land ((1 lsl len) - 1)
+
+(* Limb [j] holds the value's bits [16 j, 16 j + 16), which end [16 j]
+   bits before the field's last stream bit. *)
+let read_be s off w =
+  check_width "Bitvec.read_be" w;
+  if off < 0 || off + w > 8 * String.length s then invalid_arg "Bitvec.read_be: out of range";
+  let limbs = Array.make (limbs_for w) 0 in
+  for j = 0 to Array.length limbs - 1 do
+    let stop = off + w - (j * limb_bits) in
+    let len = if stop - off < limb_bits then stop - off else limb_bits in
+    limbs.(j) <- stream_bits s (stop - len) len
+  done;
+  { width = w; limbs }
 
 let to_bytes_be t =
   if t.width mod 8 <> 0 then invalid_arg "Bitvec.to_bytes_be: width not a byte multiple";

@@ -65,6 +65,20 @@ val ule : t -> t -> bool
 
 val hash : t -> int
 
+(** {1 Masked kernels}
+
+    Table probes compare a key under a mask. These read [v land m] limb by
+    limb and allocate nothing. [v] and [m] must have equal widths. *)
+
+val hash_masked : int -> t -> t -> int
+(** [hash_masked h v m] folds the limbs of [v land m] into the hash [h].
+    Equal masked values fold equally, so [hash_masked h k m] for an
+    already-masked [k] equals [hash_masked h v m] for every [v] with
+    [v land m = k]. *)
+
+val equal_masked : t -> t -> t -> bool
+(** [equal_masked v m k] is [equal (logand v m) k]. *)
+
 (** {1 Bitwise operations} *)
 
 val logand : t -> t -> t
@@ -115,3 +129,15 @@ val of_bytes_be : string -> t
 
 val to_bytes_be : t -> string
 (** Big-endian bytes; width must be a multiple of 8. *)
+
+val read_be : string -> int -> int -> t
+(** [read_be s off w] is the [w] bits of [s] from bit [off] on, where bit
+    0 is the top bit of byte 0: a header field read in place, without
+    converting the whole packet. Raises [Invalid_argument] past the end of
+    [s]. *)
+
+val blit_be : t -> Bytes.t -> int -> unit
+(** [blit_be v b off] writes the bits of [v], most significant first, into
+    [b] from bit [off] on, where bit 0 is the top bit of byte 0. The bits
+    are or-ed in, so the target bits must be zero. Any width and offset;
+    raises [Invalid_argument] past the end of [b]. *)

@@ -9,15 +9,18 @@
    - the per-packet runtime state is [Interp.rt] itself, and the shared
      entry points build and finish it, so metadata setup, deparsing,
      drop/punt/mirror resolution and trace assembly are the reference
-     code path;
+     code path. Its fields and validity bits are arrays indexed by the
+     program's one [Interp.layout]; staging resolves every field and
+     header name to its slot, where the walk resolves it on each access;
    - coverage counters are emitted with the same keys — branch ids are
      baked at staging with {!Ast.count_ifs}'s pre-order numbering, which
-     [Interp.exec_control] uses too, and action-edge keys are memoized
-     strings equal to [Interp.cov_action]'s — so greybox
-     scheduling, taint accounting and the coverage map observe nothing
-     different;
-   - hash calls go through [Interp.hash_value] on the shared [rt], so
-     [ri_hash_calls] and seeded/fixed hash semantics are unchanged;
+     [Interp.exec_control] uses too, and action-edge keys are
+     [Telemetry.handle]s on the names [Interp.cov_action] bumps — so
+     greybox scheduling, taint accounting and the coverage map observe
+     nothing different;
+   - hash calls go through [Interp.hash_value] on the shared [rt], and a
+     WCMP member is picked by [Interp.pick_weighted], so [ri_hash_calls]
+     and seeded/fixed hash semantics are unchanged;
    - table lookups are served by {!State.index_lookup} (the lib/match
      indexed structures), which implements the same (rank, seq) precedence
      as [Interp.ordered_entries] + first-match — see that comment for the
@@ -36,7 +39,7 @@ module State = Switchv_p4runtime.State
 module Match = Switchv_match.Index
 module Telemetry = Switchv_telemetry.Telemetry
 
-type ctx = { program : Ast.program; pnames : string array }
+type ctx = { program : Ast.program; layout : Interp.layout; pnames : string array }
 
 (* --- expressions ---------------------------------------------------------- *)
 
@@ -44,18 +47,11 @@ let rec cexpr ctx (e : Ast.expr) : Interp.rt -> Bitvec.t array -> Bitvec.t =
   match e with
   | E_const c -> fun _ _ -> c
   | E_field fr -> (
-      let key = Interp.fkey fr.fr_header fr.fr_field in
-      match Ast.field_width ctx.program fr with
-      | w ->
-          let zero = Bitvec.zero w in
-          fun rt _ -> (
-            match Hashtbl.find_opt rt.Interp.fields key with
-            | Some v -> v
-            | None -> zero)
-      | exception _ ->
-          (* Unknown field: defer to the reference reader so the failure
-             surfaces at evaluation time, exactly like the interpreter. *)
-          fun rt _ -> Interp.read_field rt fr)
+      match Interp.field_slot ctx.layout fr with
+      | slot -> fun rt _ -> rt.Interp.fields.(slot)
+      | exception Not_found ->
+          (* Unknown field: fail at evaluation time, like the interpreter. *)
+          fun _ _ -> raise Not_found)
   | E_param name -> (
       let rec find i =
         if i >= Array.length ctx.pnames then None
@@ -98,7 +94,10 @@ let rec cbexpr ctx (b : Ast.bexpr) : Interp.rt -> Bitvec.t array -> bool =
   match b with
   | B_true -> fun _ _ -> true
   | B_false -> fun _ _ -> false
-  | B_is_valid h -> fun rt _ -> Interp.is_valid rt h
+  | B_is_valid h -> (
+      match Interp.header_index ctx.layout h with
+      | Some i -> fun rt _ -> rt.Interp.valid.(i)
+      | None -> fun _ _ -> false)
   | B_eq (a, b) ->
       let ca = cexpr ctx a and cb = cexpr ctx b in
       fun rt args -> Bitvec.equal (ca rt args) (cb rt args)
@@ -125,33 +124,20 @@ let rec cbexpr ctx (b : Ast.bexpr) : Interp.rt -> Bitvec.t array -> bool =
 
 (* --- statements and actions ----------------------------------------------- *)
 
+(* Unknown fields and headers fail when the statement runs, like the
+   interpreter. *)
 let cstmt ctx (s : Ast.stmt) : Interp.rt -> Bitvec.t array -> unit =
   match s with
   | S_nop -> fun _ _ -> ()
-  | S_assign (fr, e) ->
-      let key = Interp.fkey fr.fr_header fr.fr_field in
+  | S_assign (fr, e) -> (
       let ce = cexpr ctx e in
-      fun rt args -> Hashtbl.replace rt.Interp.fields key (ce rt args)
-  | S_set_valid (h, b) ->
-      let zeros =
-        if not b then []
-        else
-          match Ast.find_header ctx.program h with
-          | None -> []
-          | Some hdr ->
-              List.map
-                (fun (f : Header.field) ->
-                  (Interp.fkey h f.f_name, Bitvec.zero f.f_width))
-                hdr.Header.fields
-      in
-      fun rt _ ->
-        Hashtbl.replace rt.Interp.valid h b;
-        if b then
-          List.iter
-            (fun (k, z) ->
-              if not (Hashtbl.mem rt.Interp.fields k) then
-                Hashtbl.replace rt.Interp.fields k z)
-            zeros
+      match Interp.field_slot ctx.layout fr with
+      | slot -> fun rt args -> rt.Interp.fields.(slot) <- ce rt args
+      | exception Not_found -> fun _ _ -> raise Not_found)
+  | S_set_valid (h, b) -> (
+      match Interp.header_index ctx.layout h with
+      | Some i -> fun rt _ -> rt.Interp.valid.(i) <- b
+      | None -> fun _ _ -> raise Not_found)
 
 type caction = { ca_params : int; ca_body : (Interp.rt -> Bitvec.t array -> unit) list }
 
@@ -174,50 +160,44 @@ let kind_of = function
   | Ast.Ternary -> Match.Ternary
   | Ast.Optional -> Match.Optional
 
+(* A hit's counter key, its two trace labels and the action it runs,
+   memoized per (table, action) on first use. *)
+type hit = {
+  h_cov : Telemetry.handle;      (* cov.action.<t>.hit.<a> *)
+  h_trace : string * string;     (* (table, action) *)
+  h_wcmp_trace : string * string;(* (table, "wcmp:" ^ action) *)
+  h_action : caction;
+}
+
 type ctable = {
   ct_name : string;
   ct_keys : (Interp.rt -> Bitvec.t) array;
   ct_specs : State.key_spec array;
-  ct_default : caction * Bitvec.t array * string;  (* action, args, name *)
-  ct_default_cov : string;                          (* cov.action.<t>.miss.<d> *)
-  ct_hit_cov : (string, string) Hashtbl.t;          (* action -> memoized key *)
+  ct_default : caction * Bitvec.t array;
+  ct_default_cov : Telemetry.handle;     (* cov.action.<t>.miss.<d> *)
+  ct_default_trace : string * string;    (* (table, "<default>" ^ d) *)
+  ct_hits : (string, hit) Hashtbl.t;
 }
 
-let hit_cov ct aname =
-  match Hashtbl.find_opt ct.ct_hit_cov aname with
-  | Some k -> k
-  | None ->
-      let k = Ast.action_key ct.ct_name ~hit:true aname in
-      Hashtbl.add ct.ct_hit_cov aname k;
-      k
-
-(* Flow-dependent WCMP selector inputs, mirroring
-   [Interp.selector_hash_inputs]: every field of every currently valid
-   header, in program header order. Field keys and default zeros are
-   precomputed at staging. *)
-let cselector_inputs program =
-  let headers =
-    List.map
-      (fun (h : Header.t) ->
-        ( h.Header.name,
-          List.map
-            (fun (f : Header.field) ->
-              (Interp.fkey h.Header.name f.f_name, Bitvec.zero f.f_width))
-            h.Header.fields ))
-      program.Ast.p_headers
-  in
-  fun rt ->
-    List.concat_map
-      (fun (hname, fields) ->
-        if Interp.is_valid rt hname then
-          List.map
-            (fun (key, zero) ->
-              match Hashtbl.find_opt rt.Interp.fields key with
-              | Some v -> v
-              | None -> zero)
-            fields
-        else [])
-      headers
+let hit ctx actions ct aname =
+  match Hashtbl.find_opt ct.ct_hits aname with
+  | Some h -> h
+  | None -> (
+      match Hashtbl.find_opt actions aname with
+      | None ->
+          (* Not memoized: raises [Invalid_argument] with the interpreter's
+             message on every use. *)
+          ignore (Ast.find_action_exn ctx.program aname);
+          assert false
+      | Some ca ->
+          let h =
+            { h_cov = Telemetry.handle (Ast.action_key ct.ct_name ~hit:true aname);
+              h_trace = (ct.ct_name, aname);
+              h_wcmp_trace = (ct.ct_name, "wcmp:" ^ aname);
+              h_action = ca }
+          in
+          Hashtbl.add ct.ct_hits aname h;
+          h)
 
 let ctable ctx (table : Ast.table) =
   let specs =
@@ -242,52 +222,42 @@ let ctable ctx (table : Ast.table) =
   { ct_name = table.t_name;
     ct_keys = keys;
     ct_specs = specs;
-    ct_default = (daction, Array.of_list dargs, dname);
-    ct_default_cov = Ast.action_key table.t_name ~hit:false dname;
-    ct_hit_cov = Hashtbl.create 8 }
+    ct_default = (daction, Array.of_list dargs);
+    ct_default_cov = Telemetry.handle (Ast.action_key table.t_name ~hit:false dname);
+    ct_default_trace = (table.t_name, "<default>" ^ dname);
+    ct_hits = Hashtbl.create 8 }
 
-let apply_ctable ctx actions selector_inputs ct rt =
-  let n = Array.length ct.ct_keys in
-  let values = Array.init n (fun i -> ct.ct_keys.(i) rt) in
-  let invoke label (ai : Entry.action_invocation) =
-    let ca =
-      match Hashtbl.find_opt actions ai.Entry.ai_name with
-      | Some ca -> ca
-      | None ->
-          (* Raises [Invalid_argument] with the interpreter's message. *)
-          ignore (Ast.find_action_exn ctx.program ai.Entry.ai_name);
-          assert false
-    in
-    rt.Interp.trace <- (ct.ct_name, label ^ ai.Entry.ai_name) :: rt.Interp.trace;
-    Telemetry.incr (Telemetry.get ()) (hit_cov ct ai.Entry.ai_name);
-    run_caction ca rt (Array.of_list ai.Entry.ai_args)
-  in
+let invoke rt (h : hit) trace (ai : Entry.action_invocation) =
+  rt.Interp.trace <- trace :: rt.Interp.trace;
+  Telemetry.bump h.h_cov;
+  run_caction h.h_action rt (Array.of_list ai.Entry.ai_args)
+
+let apply_ctable ctx actions ct rt =
+  let values = Array.map (fun key -> key rt) ct.ct_keys in
   match
     State.index_lookup rt.Interp.cfg.Interp.state ~table:ct.ct_name ~keys:ct.ct_specs
       values
   with
   | Some e -> (
       match e.Entry.e_action with
-      | Entry.Single ai -> invoke "" ai
+      | Entry.Single ai ->
+          let h = hit ctx actions ct ai.Entry.ai_name in
+          invoke rt h h.h_trace ai
       | Entry.Weighted members ->
-          let total = List.fold_left (fun acc (_, w) -> acc + w) 0 members in
-          let h = Interp.hash_value rt (selector_inputs rt) mod total in
-          let rec pick h = function
-            | [] -> assert false
-            | (ai, w) :: rest -> if h < w then ai else pick (h - w) rest
-          in
-          invoke "wcmp:" (pick h members))
+          let ai = Interp.pick_weighted rt members in
+          let h = hit ctx actions ct ai.Entry.ai_name in
+          invoke rt h h.h_wcmp_trace ai)
   | None ->
-      let daction, dargs, dname = ct.ct_default in
-      rt.Interp.trace <- (ct.ct_name, "<default>" ^ dname) :: rt.Interp.trace;
-      Telemetry.incr (Telemetry.get ()) ct.ct_default_cov;
+      let daction, dargs = ct.ct_default in
+      rt.Interp.trace <- ct.ct_default_trace :: rt.Interp.trace;
+      Telemetry.bump ct.ct_default_cov;
       run_caction daction rt dargs
 
 (* --- controls -------------------------------------------------------------- *)
 
 (* Branch ids are baked at staging in {!Ast.count_ifs}'s pre-order
    numbering, so cov.branch.N.* counters line up with Symexec goals. *)
-let rec ccontrol ctx actions tables selector_inputs next (c : Ast.control) :
+let rec ccontrol ctx actions tables next (c : Ast.control) :
     Interp.rt -> unit =
   match c with
   | C_nop -> fun _ -> ()
@@ -295,30 +265,30 @@ let rec ccontrol ctx actions tables selector_inputs next (c : Ast.control) :
       let cs = cstmt ctx s in
       fun rt -> cs rt [||]
   | C_seq (a, b) ->
-      let ca = ccontrol ctx actions tables selector_inputs next a in
+      let ca = ccontrol ctx actions tables next a in
       let cb =
-        ccontrol ctx actions tables selector_inputs (next + Ast.count_ifs a) b
+        ccontrol ctx actions tables (next + Ast.count_ifs a) b
       in
       fun rt ->
         ca rt;
         cb rt
   | C_table name -> (
       match Hashtbl.find_opt tables name with
-      | Some ct -> fun rt -> apply_ctable ctx actions selector_inputs ct rt
+      | Some ct -> fun rt -> apply_ctable ctx actions ct rt
       | None ->
           (* Unknown table: fail at application time like the interpreter. *)
           fun rt -> Interp.apply_table rt name)
   | C_if (cond, a, b) ->
       let cc = cbexpr ctx cond in
-      let kt = Ast.coverage_key (Ast.branch_label next true) in
-      let ke = Ast.coverage_key (Ast.branch_label next false) in
-      let ca = ccontrol ctx actions tables selector_inputs (next + 1) a in
+      let kt = Telemetry.handle (Ast.coverage_key (Ast.branch_label next true)) in
+      let ke = Telemetry.handle (Ast.coverage_key (Ast.branch_label next false)) in
+      let ca = ccontrol ctx actions tables (next + 1) a in
       let cb =
-        ccontrol ctx actions tables selector_inputs (next + 1 + Ast.count_ifs a) b
+        ccontrol ctx actions tables (next + 1 + Ast.count_ifs a) b
       in
       fun rt ->
         let taken = cc rt [||] in
-        Telemetry.incr (Telemetry.get ()) (if taken then kt else ke);
+        Telemetry.bump (if taken then kt else ke);
         if taken then ca rt else cb rt
 
 (* --- parser ---------------------------------------------------------------- *)
@@ -328,34 +298,28 @@ type ctrans =
   | CT_select of (Interp.rt -> Bitvec.t) * (Bitvec.t * string) list * string
 
 type cstate = {
-  cs_extract : (Interp.rt -> Bitvec.t option -> int -> int ref -> unit) option;
+  cs_extract : (Interp.rt -> string -> int ref -> unit) option;
   cs_next : ctrans;
 }
 
 let cextract ctx hdr_name =
   match Ast.find_header ctx.program hdr_name with
-  | None -> fun _ _ _ _ -> raise (Interp.Parse_failure ("unknown header " ^ hdr_name))
+  | None -> fun _ _ _ -> raise (Interp.Parse_failure ("unknown header " ^ hdr_name))
   | Some hdr ->
       let w = Header.width hdr in
-      let fields =
-        List.map
-          (fun (f : Header.field) -> (Interp.fkey hdr_name f.f_name, f.f_width))
-          hdr.Header.fields
-      in
-      fun rt all total_bits offset ->
-        if !offset + w > total_bits then
+      let h = Option.get (Interp.header_index ctx.layout hdr_name) in
+      let first = Interp.first_slot ctx.layout h in
+      let widths = Array.of_list (List.map (fun (f : Header.field) -> f.f_width) hdr.fields) in
+      fun rt bytes offset ->
+        if !offset + w > 8 * String.length bytes then
           raise
             (Interp.Parse_failure
                (Printf.sprintf "truncated packet: need %d bits for %s" w hdr_name));
-        let all = Option.get all in
-        List.iter
-          (fun (key, fw) ->
-            let hi = total_bits - 1 - !offset in
-            let lo = hi - fw + 1 in
-            Hashtbl.replace rt.Interp.fields key (Bitvec.extract ~hi ~lo all);
-            offset := !offset + fw)
-          fields;
-        Hashtbl.replace rt.Interp.valid hdr_name true
+        for k = 0 to Array.length widths - 1 do
+          rt.Interp.fields.(first + k) <- Bitvec.read_be bytes !offset widths.(k);
+          offset := !offset + widths.(k)
+        done;
+        rt.Interp.valid.(h) <- true
 
 let cparse ctx =
   let states = Hashtbl.create 16 in
@@ -374,8 +338,6 @@ let cparse ctx =
     ctx.program.p_parser.states;
   let start = ctx.program.p_parser.start in
   fun rt bytes ->
-    let total_bits = 8 * String.length bytes in
-    let all = if bytes = "" then None else Some (Bitvec.of_bytes_be bytes) in
     let offset = ref 0 in
     let rec step name fuel =
       if fuel = 0 then raise (Interp.Parse_failure "parser did not terminate")
@@ -383,7 +345,7 @@ let cparse ctx =
         match Hashtbl.find_opt states name with
         | None -> raise (Interp.Parse_failure ("unknown parser state " ^ name))
         | Some st -> (
-            Option.iter (fun ex -> ex rt all total_bits offset) st.cs_extract;
+            Option.iter (fun ex -> ex rt bytes offset) st.cs_extract;
             match st.cs_next with
             | CT_accept -> ()
             | CT_select (ce, cases, default) ->
@@ -405,7 +367,7 @@ let cparse ctx =
 (* --- staging --------------------------------------------------------------- *)
 
 let build program =
-  let ctx = { program; pnames = [||] } in
+  let ctx = { program; layout = Interp.layout program; pnames = [||] } in
   let actions = Hashtbl.create 32 in
   List.iter
     (fun (a : Ast.action) ->
@@ -417,11 +379,11 @@ let build program =
     (fun (t : Ast.table) ->
       if not (Hashtbl.mem tables t.t_name) then Hashtbl.add tables t.t_name (ctable ctx t))
     program.p_tables;
-  let selector_inputs = cselector_inputs program in
-  { Interp.parse = cparse ctx;
-    ingress = ccontrol ctx actions tables selector_inputs 1 program.p_ingress;
+  { Interp.layout = ctx.layout;
+    parse = cparse ctx;
+    ingress = ccontrol ctx actions tables 1 program.p_ingress;
     egress =
-      ccontrol ctx actions tables selector_inputs
+      ccontrol ctx actions tables
         (1 + Ast.count_ifs program.p_ingress)
         program.p_egress }
 

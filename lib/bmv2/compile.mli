@@ -6,7 +6,10 @@
 
     It only stages: {!stage} is an {!Interp.evaluator}, and every entry
     point ([Interp.run_with], [run_info_with], [run_packet_out_with],
-    [behavior_set]) is the interpreter's own. Behavior-identical to
+    [behavior_set]) is the interpreter's own, over the same
+    slot-indexed runtime state ({!Interp.rt}, laid out by
+    {!Interp.layout}); staging resolves every field and header name to
+    its slot once. Behavior-identical to
     {!Interp.walk}: same [behavior] (trace included), same
     coverage-counter keys (branch ids baked in [Ast.count_ifs]'s
     pre-order numbering), same hash-call accounting, same [Parse_failure]

@@ -47,29 +47,104 @@ let pp_behavior_set fmt bs =
 
 exception Parse_failure of string
 
+(* --- runtime layout ------------------------------------------------------
+
+   Every field a program can name has a slot in one per-program layout:
+   the standard metadata first, then the user metadata, then each
+   header's fields in program header order. Headers are indexed by their
+   position in [p_headers]. The staged evaluator resolves names to slots
+   once, at staging; the walk resolves them on each access. Either way a
+   packet's fields live in one array and its validity bits in another. *)
+
+type layout = {
+  l_slots : (string, int) Hashtbl.t;    (* "hdr.field" -> slot *)
+  l_headers : (string, int) Hashtbl.t;  (* header name -> index *)
+  l_names : string array;               (* header index -> name *)
+  l_first : int array;
+      (* header index -> its first field's slot; one more element closes
+         the last header's range *)
+  l_zeros : Bitvec.t array;             (* slot -> zero of the field's width *)
+}
+
+let fkey hdr field = hdr ^ "." ^ field
+
+let build_layout (program : Ast.program) =
+  let headers = Array.of_list program.p_headers in
+  let fields =
+    List.map (fun (n, w) -> ("std", n, w)) Ast.standard_metadata
+    @ List.map (fun (n, w) -> ("meta", n, w)) program.p_metadata
+    @ List.concat_map
+        (fun (h : Header.t) ->
+          List.map (fun (f : Header.field) -> (h.name, f.f_name, f.f_width)) h.fields)
+        program.p_headers
+  in
+  let l_slots = Hashtbl.create 64 and l_headers = Hashtbl.create 8 in
+  (* First definition wins, like [Ast.find_header]; only programs the
+     typechecker rejects repeat a name. *)
+  let add tbl k v = if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k v in
+  List.iteri (fun slot (h, f, _) -> add l_slots (fkey h f) slot) fields;
+  Array.iteri (fun i (h : Header.t) -> add l_headers h.name i) headers;
+  let l_first = Array.make (Array.length headers + 1) 0 in
+  l_first.(0) <- List.length Ast.standard_metadata + List.length program.p_metadata;
+  Array.iteri
+    (fun i (h : Header.t) -> l_first.(i + 1) <- l_first.(i) + List.length h.fields)
+    headers;
+  { l_slots;
+    l_headers;
+    l_names = Array.map (fun (h : Header.t) -> h.name) headers;
+    l_first;
+    l_zeros = Array.of_list (List.map (fun (_, _, w) -> Bitvec.zero w) fields) }
+
+(* Layouts are memoized per program by physical equality with a small
+   bound, like {!Compile.stage}'s pipelines. *)
+let layouts : (Ast.program * layout) list ref = ref []
+let layouts_bound = 8
+
+let layout program =
+  match List.find_opt (fun (p, _) -> p == program) !layouts with
+  | Some (_, l) -> l
+  | None ->
+      let l = build_layout program in
+      layouts := (program, l) :: List.filteri (fun i _ -> i < layouts_bound - 1) !layouts;
+      l
+
+(* An unknown field or header raises [Not_found] when the access runs,
+   as [Ast.field_width] does: only programs the typechecker rejects name
+   one. *)
+let field_slot l (fr : Ast.field_ref) = Hashtbl.find l.l_slots (fkey fr.fr_header fr.fr_field)
+let header_index l h = Hashtbl.find_opt l.l_headers h
+let first_slot l i = l.l_first.(i)
+
+let std_slot name =
+  let rec go i = function
+    | [] -> invalid_arg ("Interp: no standard metadata field " ^ name)
+    | (n, _) :: rest -> if String.equal n name then i else go (i + 1) rest
+  in
+  go 0 Ast.standard_metadata
+
+let s_ingress_port = std_slot "ingress_port"
+let s_egress_port = std_slot "egress_port"
+let s_drop = std_slot "drop"
+let s_punt = std_slot "punt"
+let s_submit_to_ingress = std_slot "submit_to_ingress"
+let s_mirror_session = std_slot "mirror_session"
+
 (* Mutable per-packet execution state. *)
 type rt = {
   cfg : config;
-  fields : (string, Bitvec.t) Hashtbl.t;    (* "hdr.field" -> value *)
-  valid : (string, bool) Hashtbl.t;         (* header name -> validity *)
+  layout : layout;
+  fields : Bitvec.t array;  (* slot -> value *)
+  valid : bool array;       (* header index -> validity *)
   mutable payload : string;
   mutable trace : (string * string) list;
   mutable hash_calls : int;
 }
 
-let fkey hdr field = hdr ^ "." ^ field
+let read_field rt fr = rt.fields.(field_slot rt.layout fr)
+let write_field rt fr v = rt.fields.(field_slot rt.layout fr) <- v
 
-let field_width rt (fr : Ast.field_ref) = Ast.field_width rt.cfg.program fr
-
-let read_field rt (fr : Ast.field_ref) =
-  match Hashtbl.find_opt rt.fields (fkey fr.fr_header fr.fr_field) with
-  | Some v -> v
-  | None -> Bitvec.zero (field_width rt fr)
-
-let write_field rt (fr : Ast.field_ref) v =
-  Hashtbl.replace rt.fields (fkey fr.fr_header fr.fr_field) v
-
-let is_valid rt hdr = Option.value ~default:false (Hashtbl.find_opt rt.valid hdr)
+let is_valid rt hdr =
+  match header_index rt.layout hdr with Some i -> rt.valid.(i) | None -> false
 
 (* FNV-1a over the big-endian bytes of the argument values, plus seed. *)
 let concrete_hash seed values =
@@ -125,7 +200,6 @@ let rec eval_bexpr rt params (b : Ast.bexpr) : bool =
 
 let parse_packet rt bytes =
   let total_bits = 8 * String.length bytes in
-  let all = if bytes = "" then None else Some (Bitvec.of_bytes_be bytes) in
   let offset = ref 0 in
   let extract_header hdr_name =
     let hdr =
@@ -136,15 +210,13 @@ let parse_packet rt bytes =
     let w = Header.width hdr in
     if !offset + w > total_bits then
       raise (Parse_failure (Printf.sprintf "truncated packet: need %d bits for %s" w hdr_name));
-    let all = Option.get all in
-    List.iter
-      (fun (f : Header.field) ->
-        let hi = total_bits - 1 - !offset in
-        let lo = hi - f.f_width + 1 in
-        Hashtbl.replace rt.fields (fkey hdr_name f.f_name) (Bitvec.extract ~hi ~lo all);
+    let h = Option.get (header_index rt.layout hdr_name) in
+    List.iteri
+      (fun k (f : Header.field) ->
+        rt.fields.(first_slot rt.layout h + k) <- Bitvec.read_be bytes !offset f.f_width;
         offset := !offset + f.f_width)
       hdr.Header.fields;
-    Hashtbl.replace rt.valid hdr_name true
+    rt.valid.(h) <- true
   in
   let find_state name =
     match
@@ -179,28 +251,40 @@ let parse_packet rt bytes =
 
 (* --- deparsing ----------------------------------------------------------- *)
 
+(* The valid headers in program header order, then the payload, written
+   into one buffer. A header's size comes from its field values, so an
+   action argument of the wrong width shows on the wire; a header that is
+   not then a whole number of bytes cannot be emitted. *)
 let deparse rt =
-  let bufs =
-    List.filter_map
-      (fun (h : Header.t) ->
-        if is_valid rt h.name then begin
-          let bits =
-            List.fold_left
-              (fun acc (f : Header.field) ->
-                let v =
-                  match Hashtbl.find_opt rt.fields (fkey h.name f.f_name) with
-                  | Some v -> v
-                  | None -> Bitvec.zero f.f_width
-                in
-                match acc with None -> Some v | Some acc -> Some (Bitvec.concat acc v))
-              None h.fields
-          in
-          Option.map Bitvec.to_bytes_be bits
-        end
-        else None)
-      rt.cfg.program.p_headers
-  in
-  String.concat "" bufs ^ rt.payload
+  let l = rt.layout in
+  let bits = ref 0 in
+  for h = 0 to Array.length rt.valid - 1 do
+    if rt.valid.(h) then begin
+      let header_bits = ref 0 in
+      for s = l.l_first.(h) to l.l_first.(h + 1) - 1 do
+        header_bits := !header_bits + Bitvec.width rt.fields.(s)
+      done;
+      if !header_bits mod 8 <> 0 then
+        invalid_arg "Bitvec.to_bytes_be: width not a byte multiple";
+      bits := !bits + !header_bits
+    end
+  done;
+  let n = !bits / 8 in
+  let out = Bytes.make (n + String.length rt.payload) '\000' in
+  let off = ref 0 in
+  for h = 0 to Array.length rt.valid - 1 do
+    if rt.valid.(h) then
+      for s = l.l_first.(h) to l.l_first.(h + 1) - 1 do
+        Bitvec.blit_be rt.fields.(s) out !off;
+        off := !off + Bitvec.width rt.fields.(s)
+      done
+  done;
+  Bytes.blit_string rt.payload 0 out n (String.length rt.payload);
+  Bytes.unsafe_to_string out
+
+(* The names of the valid headers, in program header order. *)
+let valid_headers rt =
+  List.filteri (fun h _ -> rt.valid.(h)) (Array.to_list rt.layout.l_names)
 
 (* --- table application --------------------------------------------------- *)
 
@@ -257,21 +341,15 @@ let select_winner rt (table : Ast.table) key_values =
   let entries = ordered_entries table (State.entries_of rt.cfg.state table.t_name) in
   List.find_opt (entry_matches table key_values) entries
 
+(* Header fields start zero, so a header made valid reads zero on every
+   field nothing assigned, and one made valid again keeps its values. *)
 let exec_stmt rt params = function
   | Ast.S_nop -> ()
   | Ast.S_assign (fr, e) -> write_field rt fr (eval_expr rt params e)
-  | Ast.S_set_valid (h, b) ->
-      Hashtbl.replace rt.valid h b;
-      if b then
-        (* Newly added headers start zero-filled unless assigned. *)
-        Option.iter
-          (fun (hdr : Header.t) ->
-            List.iter
-              (fun (f : Header.field) ->
-                if not (Hashtbl.mem rt.fields (fkey h f.f_name)) then
-                  Hashtbl.replace rt.fields (fkey h f.f_name) (Bitvec.zero f.f_width))
-              hdr.fields)
-          (Ast.find_header rt.cfg.program h)
+  | Ast.S_set_valid (h, b) -> (
+      match header_index rt.layout h with
+      | Some i -> rt.valid.(i) <- b
+      | None -> raise Not_found)
 
 let exec_action rt (action : Ast.action) args =
   let params =
@@ -279,19 +357,18 @@ let exec_action rt (action : Ast.action) args =
   in
   List.iter (exec_stmt rt params) action.a_body
 
+(* Flow-dependent WCMP selector inputs: every field of every currently
+   valid header, in program header order. *)
 let selector_hash_inputs rt =
-  (* Flow-dependent inputs: every field of every currently valid header. *)
-  List.concat_map
-    (fun (h : Header.t) ->
-      if is_valid rt h.name then
-        List.map
-          (fun (f : Header.field) ->
-            match Hashtbl.find_opt rt.fields (fkey h.name f.f_name) with
-            | Some v -> v
-            | None -> Bitvec.zero f.f_width)
-          h.fields
-      else [])
-    rt.cfg.program.p_headers
+  let l = rt.layout in
+  let acc = ref [] in
+  for h = Array.length rt.valid - 1 downto 0 do
+    if rt.valid.(h) then
+      for s = l.l_first.(h + 1) - 1 downto l.l_first.(h) do
+        acc := rt.fields.(s) :: !acc
+      done
+  done;
+  !acc
 
 let pick_weighted rt members =
   let total = List.fold_left (fun acc (_, w) -> acc + w) 0 members in
@@ -354,40 +431,32 @@ let rec exec_control rt next = function
 
 (* --- top level ------------------------------------------------------------ *)
 
-let fresh_rt cfg =
-  let rt =
-    { cfg;
-      fields = Hashtbl.create 64;
-      valid = Hashtbl.create 8;
-      payload = "";
-      trace = [];
-      hash_calls = 0 }
-  in
-  (* Standard and user metadata start zeroed. *)
-  List.iter
-    (fun (n, w) -> Hashtbl.replace rt.fields (fkey "std" n) (Bitvec.zero w))
-    Ast.standard_metadata;
-  List.iter
-    (fun (n, w) -> Hashtbl.replace rt.fields (fkey "meta" n) (Bitvec.zero w))
-    cfg.program.p_metadata;
-  rt
+(* Every slot starts at its field's zero and every header invalid. *)
+let fresh_rt cfg layout =
+  { cfg;
+    layout;
+    fields = Array.copy layout.l_zeros;
+    valid = Array.make (Array.length layout.l_names) false;
+    payload = "";
+    trace = [];
+    hash_calls = 0 }
 
 let finish rt =
-  let std name = read_field rt (Ast.std name) in
+  let std slot = rt.fields.(slot) in
   let out_bytes = deparse rt in
   let dropped =
-    (not (Bitvec.is_zero (std "drop"))) || Bitvec.is_zero (std "egress_port")
+    (not (Bitvec.is_zero (std s_drop))) || Bitvec.is_zero (std s_egress_port)
   in
-  let punted = not (Bitvec.is_zero (std "punt")) in
+  let punted = not (Bitvec.is_zero (std s_punt)) in
   let mirrors =
-    let session = Bitvec.to_int_exn (std "mirror_session") in
+    let session = Bitvec.to_int_exn (std s_mirror_session) in
     if session = 0 then []
     else
       match List.assoc_opt session rt.cfg.mirror_map with
       | Some port -> [ (port, out_bytes) ]
       | None -> []
   in
-  { b_egress = (if dropped then None else Some (Bitvec.to_int_exn (std "egress_port")));
+  { b_egress = (if dropped then None else Some (Bitvec.to_int_exn (std s_egress_port)));
     b_punted = punted;
     b_mirrors = mirrors;
     b_packet = out_bytes;
@@ -401,6 +470,7 @@ let finish rt =
    {!Compile}'s staged closures alike. *)
 
 type pipeline = {
+  layout : layout;
   parse : rt -> string -> unit;
   ingress : rt -> unit;
   egress : rt -> unit;
@@ -410,22 +480,23 @@ type evaluator = Ast.program -> pipeline
 
 let walk (p : Ast.program) =
   let egress_base = 1 + Ast.count_ifs p.p_ingress in
-  { parse = parse_packet;
+  { layout = layout p;
+    parse = parse_packet;
     ingress = (fun rt -> exec_control rt 1 p.p_ingress);
     egress = (fun rt -> exec_control rt egress_base p.p_egress) }
 
 (* One packet through the pipeline, after setting the standard metadata
-   field that says how it arrived. *)
-let exec eval cfg (field, value) bytes =
+   slot that says how it arrived. *)
+let exec eval cfg (slot, value) bytes =
   let p = eval cfg.program in
-  let rt = fresh_rt cfg in
-  write_field rt (Ast.std field) value;
+  let rt = fresh_rt cfg p.layout in
+  rt.fields.(slot) <- value;
   p.parse rt bytes;
   p.ingress rt;
   p.egress rt;
   rt
 
-let arrival ingress_port = ("ingress_port", Bitvec.of_int ~width:16 ingress_port)
+let arrival ingress_port = (s_ingress_port, Bitvec.of_int ~width:16 ingress_port)
 
 let run_with eval cfg ~ingress_port bytes =
   finish (exec eval cfg (arrival ingress_port) bytes)
@@ -440,10 +511,7 @@ let run_info_with eval cfg ~ingress_port bytes =
   let rt = exec eval cfg (arrival ingress_port) bytes in
   { ri_behavior = finish rt;
     ri_hash_calls = rt.hash_calls;
-    ri_valid =
-      List.filter_map
-        (fun (h : Header.t) -> if is_valid rt h.name then Some h.name else None)
-        cfg.program.p_headers }
+    ri_valid = valid_headers rt }
 
 let run_packet_out_with eval cfg ~egress_port packet =
   match egress_port with
@@ -456,7 +524,7 @@ let run_packet_out_with eval cfg ~egress_port packet =
   | None ->
       finish
         (exec eval cfg
-           ("submit_to_ingress", Bitvec.of_int ~width:1 1)
+           (s_submit_to_ingress, Bitvec.of_int ~width:1 1)
            (Packet.to_bytes packet))
 
 let run = run_with walk

@@ -67,30 +67,55 @@ val ordered_entries : Ast.table -> Entry.t list -> Entry.t list
 (** {2 Evaluator internals}
 
     The per-packet runtime state and the pieces of the AST walk the staged
-    evaluator ({!Compile}) shares: field access, hash accounting and
-    coverage emission, so the two are behavior-identical by construction.
-    Differential tests also use {!entry_matches} as the linear-scan
-    reference. *)
+    evaluator ({!Compile}) shares: the slot layout, hash accounting, the
+    WCMP pick and coverage emission, so the two are behavior-identical by
+    construction. Differential tests also use {!entry_matches} as the
+    linear-scan reference. *)
 
-(** Mutable per-packet execution state. *)
+type layout
+(** Where a program's packet state lives: one slot per field (the
+    standard metadata, then the user metadata, then each header's fields
+    in program header order) and one index per header (its position in
+    [p_headers]). *)
+
+val layout : Ast.program -> layout
+(** The program's layout, built on first use and memoized per program
+    value (physical equality, bounded), so both evaluators share it. *)
+
+val field_slot : layout -> Ast.field_ref -> int
+(** Raises [Not_found] for a field the program does not declare, as
+    [Ast.field_width] does. *)
+
+val header_index : layout -> string -> int option
+
+val first_slot : layout -> int -> int
+(** [first_slot l i] is the slot of the first field of header [i]; its
+    other fields follow in declaration order. *)
+
+(** Mutable per-packet execution state. Every slot starts at its field's
+    zero and every header invalid, so a header made valid reads zero on
+    the fields nothing assigned, and one made valid again keeps its
+    values. Only programs the typechecker rejects name an unknown field
+    or header: reading or writing such a field, or [setValid] on such a
+    header, raises [Not_found] when it runs; [isValid] on it is false. *)
 type rt = {
   cfg : config;
-  fields : (string, Bitvec.t) Hashtbl.t;    (** "hdr.field" -> value *)
-  valid : (string, bool) Hashtbl.t;         (** header name -> validity *)
+  layout : layout;
+  fields : Bitvec.t array;  (** slot -> value *)
+  valid : bool array;       (** header index -> validity *)
   mutable payload : string;
   mutable trace : (string * string) list;
   mutable hash_calls : int;
 }
 
-val fkey : string -> string -> string
-(** [fkey hdr field] is the [fields] key ["hdr.field"]. *)
-
-val read_field : rt -> Ast.field_ref -> Bitvec.t
-val write_field : rt -> Ast.field_ref -> Bitvec.t -> unit
-val is_valid : rt -> string -> bool
-
 val hash_value : rt -> Bitvec.t list -> int
 (** Apply the configured hash, counting the call in [hash_calls]. *)
+
+val pick_weighted :
+  rt -> (Entry.action_invocation * int) list -> Entry.action_invocation
+(** The WCMP member a selector table runs: {!hash_value} over every field
+    of every valid header, in program header order, modulo the total
+    weight. *)
 
 val apply_table : rt -> string -> unit
 (** Reference table application (linear scan), including trace and
@@ -108,6 +133,7 @@ val entry_matches : Ast.table -> (string * Bitvec.t) list -> Entry.t -> bool
     split, so the two evaluators differ only in how a stage runs. *)
 
 type pipeline = {
+  layout : layout;  (** the program's {!layout} *)
   parse : rt -> string -> unit;
       (** extract headers and the payload, or raise {!Parse_failure} *)
   ingress : rt -> unit;

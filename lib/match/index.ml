@@ -14,10 +14,14 @@
    table. Once canonicalised, every match value is a masked compare
    (exact = all ones, LPM = a prefix mask, optional = ones or zero,
    omitted = zero), so entries are grouped by their concatenated mask
-   signature, each group a hash table from masked key bytes to
-   candidates, and a probe costs one hash lookup per distinct mask shape
-   instead of one compare per entry. An exact table holds one shape; a
-   routing table holds one per prefix length in use.
+   signature, each group a hash table from an int hash of the masked key
+   to candidates, and a probe costs one hash lookup per distinct mask
+   shape instead of one compare per entry. An exact table holds one
+   shape; a routing table holds one per prefix length in use. Writes and
+   probes fold the same hash ([Bitvec.hash_masked]) over the key limbs in
+   place, and a probe re-checks each candidate's masked key
+   ([Bitvec.equal_masked]), so a probe allocates nothing per group and a
+   hash collision never returns a wrong winner.
 
    Entries whose widths disagree with the schema have no meaningful mask
    signature; they live in a residual linear list that reproduces the
@@ -27,7 +31,7 @@
 
    The module is deliberately independent of lib/p4runtime (which depends
    on it): match values are re-declared here and the payload type is
-   abstract. Values are canonicalised (masked) on insert, so bucket
+   abstract. Values are canonicalised (masked) on insert, so masked-key
    equality coincides with match semantics. *)
 
 module Bitvec = Switchv_bitvec.Bitvec
@@ -44,19 +48,31 @@ type key = { key_width : int; key_kind : kind }
 
 type 'a entry = {
   e_mvs : mv option array;  (* per key; None = omitted = wildcard *)
+  e_key : Bitvec.t array;   (* grouped entries: masked value per key *)
   e_rank : int;
   e_seq : int;
   e_payload : 'a;
 }
 
-(* One mask-signature group of the tuple-space search. *)
+(* Bucket keys are [Bitvec.hash_masked] folds; the final mix brings the
+   high bits the limb multiplications build down to the low bits the
+   table indexes by. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash h = h lxor (h lsr 32) lxor (h lsr 17)
+end)
+
+(* One mask-signature group of the tuple-space search. A bucket holds
+   every entry whose masked key folds to its hash, so a probe re-checks
+   each candidate's key: a collision never returns a wrong winner. *)
 type 'a group = {
   g_masks : Bitvec.t array;
-  g_buckets : (string, 'a entry list ref) Hashtbl.t;
+  g_buckets : 'a entry list Int_tbl.t;
 }
 
-(* Groups are keyed by their mask array, so a write builds one string:
-   its bucket key. *)
+(* Writes find a group by its mask array; probes walk [group_list]. *)
 module Masks_tbl = Hashtbl.Make (struct
   type t = Bitvec.t array
 
@@ -68,6 +84,7 @@ type 'a t = {
   keys : key array;
   priority_mode : bool;
   groups : 'a group Masks_tbl.t;
+  mutable group_list : 'a group list;
   mutable residual : 'a entry list;
 }
 
@@ -96,15 +113,17 @@ let mv_matches kv = function
   | Mternary (v, m) ->
       Bitvec.width m = Bitvec.width kv && Bitvec.equal v (Bitvec.logand kv m)
 
+(* The residual scan's match test, written as a loop so a probe builds
+   no closure. *)
 let entry_matches e values =
-  let ok = ref true in
-  Array.iteri
-    (fun i mv ->
-      match mv with
-      | None -> ()
-      | Some mv -> if not (mv_matches values.(i) mv) then ok := false)
-    e.e_mvs;
-  !ok
+  let n = Array.length e.e_mvs and i = ref 0 in
+  while
+    !i < n
+    && match e.e_mvs.(!i) with None -> true | Some mv -> mv_matches values.(!i) mv
+  do
+    incr i
+  done;
+  !i = n
 
 (* Mirrors interp.ml's [lpm_specificity]: only Mlpm values on LPM-kind
    keys contribute, so an exact value on an LPM key ranks as /0. *)
@@ -122,7 +141,7 @@ let create keys =
   let priority_mode =
     Array.exists (fun k -> k.key_kind = Ternary || k.key_kind = Optional) keys
   in
-  { keys; priority_mode; groups = Masks_tbl.create 16; residual = [] }
+  { keys; priority_mode; groups = Masks_tbl.create 16; group_list = []; residual = [] }
 
 (* --- classification ------------------------------------------------------ *)
 
@@ -137,10 +156,7 @@ let masked_value w = function
   | Some (Mexact v) | Some (Moptional (Some v)) -> v
   | Some (Mlpm (v, _)) | Some (Mternary (v, _)) -> v
 
-let hex_concat vs =
-  String.concat "," (Array.to_list (Array.map Bitvec.to_hex_string vs))
-
-(* Widths must agree with the schema for bucket keys to be meaningful;
+(* Widths must agree with the schema for masked keys to be meaningful;
    anything off-schema is handled by the residual scan. *)
 let widths_ok keys mvs =
   let ok = ref true in
@@ -158,31 +174,39 @@ let widths_ok keys mvs =
   !ok
 
 let masks_of t mvs = Array.mapi (fun i mv -> mask_of t.keys.(i).key_width mv) mvs
+let key_of t mvs = Array.mapi (fun i mv -> masked_value t.keys.(i).key_width mv) mvs
 
-let bucket_of t mvs =
-  hex_concat (Array.mapi (fun i mv -> masked_value t.keys.(i).key_width mv) mvs)
+(* The bucket hash of [values] under a group's masks. A stored key is
+   already masked, so it folds to the bucket of every probe it matches. *)
+let bucket_hash masks values =
+  let h = ref 0 in
+  for i = 0 to Array.length masks - 1 do
+    h := Bitvec.hash_masked !h values.(i) masks.(i)
+  done;
+  !h
 
 (* --- insert / remove ------------------------------------------------------ *)
 
 let insert t ~mvs ~priority ~seq payload =
   let mvs = Array.map (Option.map canonical_mv) mvs in
   let rank = if t.priority_mode then -priority else -specificity t.keys mvs in
-  let e = { e_mvs = mvs; e_rank = rank; e_seq = seq; e_payload = payload } in
-  if not (widths_ok t.keys mvs) then t.residual <- e :: t.residual
+  let e key = { e_mvs = mvs; e_key = key; e_rank = rank; e_seq = seq; e_payload = payload } in
+  if not (widths_ok t.keys mvs) then t.residual <- e [||] :: t.residual
   else
     let masks = masks_of t mvs in
     let group =
       match Masks_tbl.find_opt t.groups masks with
       | Some g -> g
       | None ->
-          let g = { g_masks = masks; g_buckets = Hashtbl.create 64 } in
+          let g = { g_masks = masks; g_buckets = Int_tbl.create 64 } in
           Masks_tbl.add t.groups masks g;
+          t.group_list <- g :: t.group_list;
           g
     in
-    let bucket = bucket_of t mvs in
-    match Hashtbl.find_opt group.g_buckets bucket with
-    | Some r -> r := e :: !r
-    | None -> Hashtbl.add group.g_buckets bucket (ref [ e ])
+    let key = key_of t mvs in
+    let h = bucket_hash masks key in
+    let bucket = Option.value ~default:[] (Int_tbl.find_opt group.g_buckets h) in
+    Int_tbl.replace group.g_buckets h (e key :: bucket)
 
 let remove t ~mvs ~seq =
   let mvs = Array.map (Option.map canonical_mv) mvs in
@@ -192,12 +216,18 @@ let remove t ~mvs ~seq =
     match Masks_tbl.find_opt t.groups (masks_of t mvs) with
     | None -> ()
     | Some g -> (
-        match Hashtbl.find_opt g.g_buckets (bucket_of t mvs) with
+        let h = bucket_hash g.g_masks (key_of t mvs) in
+        match Int_tbl.find_opt g.g_buckets h with
         | None -> ()
-        | Some r -> r := List.filter keep !r)
+        | Some bucket -> (
+            match List.filter keep bucket with
+            | [] -> Int_tbl.remove g.g_buckets h
+            | rest -> Int_tbl.replace g.g_buckets h rest))
 
 (* --- lookup --------------------------------------------------------------- *)
 
+(* Probes are written as loops over plain values, so the only allocation
+   is the option of each improvement and the answer. *)
 let better best e =
   match best with
   | None -> Some e
@@ -205,14 +235,35 @@ let better best e =
       if e.e_rank < b.e_rank || (e.e_rank = b.e_rank && e.e_seq < b.e_seq) then Some e
       else best
 
+let rec key_matches masks values key i =
+  i < 0
+  || (Bitvec.equal_masked values.(i) masks.(i) key.(i) && key_matches masks values key (i - 1))
+
+let rec best_in_bucket masks values best = function
+  | [] -> best
+  | e :: rest ->
+      let best =
+        if key_matches masks values e.e_key (Array.length masks - 1) then better best e else best
+      in
+      best_in_bucket masks values best rest
+
+let rec best_in_groups values best = function
+  | [] -> best
+  | g :: rest ->
+      let best =
+        match Int_tbl.find_opt g.g_buckets (bucket_hash g.g_masks values) with
+        | None -> best
+        | Some bucket -> best_in_bucket g.g_masks values best bucket
+      in
+      best_in_groups values best rest
+
+let rec best_in_residual values best = function
+  | [] -> best
+  | e :: rest ->
+      best_in_residual values (if entry_matches e values then better best e else best) rest
+
 let lookup t values =
-  let best = ref None in
-  Masks_tbl.iter
-    (fun _ g ->
-      let masked = Array.map2 Bitvec.logand values g.g_masks in
-      match Hashtbl.find_opt g.g_buckets (hex_concat masked) with
-      | None -> ()
-      | Some r -> List.iter (fun e -> best := better !best e) !r)
-    t.groups;
-  List.iter (fun e -> if entry_matches e values then best := better !best e) t.residual;
-  Option.map (fun e -> e.e_payload) !best
+  let best = best_in_groups values None t.group_list in
+  match best_in_residual values best t.residual with
+  | None -> None
+  | Some e -> Some e.e_payload

@@ -17,7 +17,9 @@ type t = {
   dp_taint : Taint.summary;
   dp_rounds : int;
   dp_candidates : int list;
-  dp_masked : SSet.t;
+  dp_egress_masked : bool;  (* std.egress_port reaches the exit tainted *)
+  dp_header_masks : (string, (int * int) list * int) Hashtbl.t;
+      (* header -> (offset, width) of each exit-tainted field, header width *)
 }
 
 type verdict = Admitted | Diverged of Interp.behavior list
@@ -94,15 +96,36 @@ let model program entries =
   { Interp.program; state; hash_mode = Interp.Fixed 0;
     mirror_map = Workload.mirror_map entries }
 
+(* The exit-tainted fields of every header, as bit ranges within it, so a
+   byte compare walks ranges instead of naming fields. *)
+let header_masks (program : Ast.program) masked =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (h : Header.t) ->
+      let _, ranges =
+        List.fold_left
+          (fun (off, ranges) (f : Header.field) ->
+            ( off + f.Header.f_width,
+              if SSet.mem (h.Header.name ^ "." ^ f.Header.f_name) masked then
+                (off, f.Header.f_width) :: ranges
+              else ranges ))
+          (0, []) h.Header.fields
+      in
+      if not (Hashtbl.mem tbl h.Header.name) then
+        Hashtbl.add tbl h.Header.name (ranges, Header.width h))
+    program.Ast.p_headers;
+  tbl
+
 let create ?(compile = true) (cfg : Interp.config) ~taint =
   let cfg = { cfg with Interp.hash_mode = Interp.Fixed 0 } in
+  let masked = SSet.of_list (List.map fst taint.Taint.s_exit_fields) in
   { dp_cfg = cfg;
     dp_eval = Compile.select ~compile;
     dp_taint = taint;
     dp_rounds = Interp.hash_rounds cfg;
     dp_candidates = candidates cfg taint;
-    dp_masked =
-      SSet.of_list (List.map fst taint.Taint.s_exit_fields) }
+    dp_egress_masked = SSet.mem "std.egress_port" masked;
+    dp_header_masks = header_masks cfg.Interp.program masked }
 
 let candidate_ports t = t.dp_candidates
 
@@ -114,25 +137,24 @@ let masked_equal t (info : Interp.run_info) a b =
   && begin
        let n = String.length a in
        let mask = Bytes.make n '\xff' in
-       let bit = ref 0 in
+       let base = ref 0 in
        List.iter
          (fun hname ->
-           match Ast.find_header t.dp_cfg.Interp.program hname with
+           match Hashtbl.find_opt t.dp_header_masks hname with
            | None -> ()
-           | Some h ->
+           | Some (ranges, width) ->
                List.iter
-                 (fun (f : Header.field) ->
-                   if SSet.mem (hname ^ "." ^ f.Header.f_name) t.dp_masked then
-                     for k = !bit to !bit + f.Header.f_width - 1 do
-                       let byte = k / 8 and b_in = 7 - (k mod 8) in
-                       if byte < n then
-                         Bytes.set mask byte
-                           (Char.chr
-                              (Char.code (Bytes.get mask byte)
-                              land (lnot (1 lsl b_in) land 0xff)))
-                     done;
-                   bit := !bit + f.Header.f_width)
-                 h.Header.fields)
+                 (fun (off, w) ->
+                   for k = !base + off to !base + off + w - 1 do
+                     let byte = k / 8 and b_in = 7 - (k mod 8) in
+                     if byte < n then
+                       Bytes.set mask byte
+                         (Char.chr
+                            (Char.code (Bytes.get mask byte)
+                            land (lnot (1 lsl b_in) land 0xff)))
+                   done)
+                 ranges;
+               base := !base + width)
          info.Interp.ri_valid;
        let ok = ref true in
        for i = 0 to n - 1 do
@@ -154,7 +176,7 @@ let set_admits t (info : Interp.run_info) (switch : Interp.behavior) =
   && t.dp_taint.Taint.s_valid_tainted = []
   && (match (switch.Interp.b_egress, model.Interp.b_egress) with
      | Some p, Some q ->
-         (if SSet.mem "std.egress_port" t.dp_masked then
+         (if t.dp_egress_masked then
             p = q || List.mem p t.dp_candidates
           else p = q)
          && switch.Interp.b_punted = model.Interp.b_punted

@@ -99,6 +99,7 @@ type t = {
   mutable on : bool;
   mutable sink : sink option;
   counters : (string, int ref) Hashtbl.t;
+  mutable generation : int;      (* bumped by [reset], which drops the cells *)
   histograms : (string, histogram) Hashtbl.t;
   mutable span_stack : (string * int) list;  (* innermost first: name, sid *)
   mutable seq : int;
@@ -115,6 +116,7 @@ let create ?(clock = Unix.gettimeofday) () =
     on = true;
     sink = None;
     counters = Hashtbl.create 64;
+    generation = 0;
     histograms = Hashtbl.create 32;
     span_stack = [];
     seq = 0;
@@ -141,6 +143,7 @@ let enabled t = t.on
 
 let reset t =
   Hashtbl.reset t.counters;
+  t.generation <- t.generation + 1;
   Hashtbl.reset t.histograms;
   t.span_stack <- [];
   t.seq <- 0;
@@ -181,6 +184,38 @@ let incr ?(n = 1) t name =
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+
+(* A handle remembers the cell it last bumped and which registry, at which
+   reset generation, owns it. Only [incr] creates cells and only [reset]
+   drops them, so while the registry and its generation are unchanged the
+   cell is still the one [incr] would find. *)
+type handle = {
+  h_name : string;
+  mutable h_owner : t;
+  mutable h_generation : int;
+  mutable h_cell : int ref;
+}
+
+let handle name = { h_name = name; h_owner = default; h_generation = -1; h_cell = ref 0 }
+
+let bump h =
+  let t = !current in
+  if t.on then begin
+    if h.h_owner != t || h.h_generation <> t.generation then begin
+      let cell =
+        match Hashtbl.find_opt t.counters h.h_name with
+        | Some r -> r
+        | None ->
+            let r = ref 0 in
+            Hashtbl.replace t.counters h.h_name r;
+            r
+      in
+      h.h_owner <- t;
+      h.h_generation <- t.generation;
+      h.h_cell <- cell
+    end;
+    h.h_cell := !(h.h_cell) + 1
+  end
 
 (* --- histograms (registry level) --------------------------------------------- *)
 

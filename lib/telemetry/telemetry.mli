@@ -15,7 +15,8 @@
 
     Cost model — what is safe on a hot path:
     - counters and histogram observations are a hashtable lookup plus an
-      integer/float update; disabled registries short-circuit on one bool;
+      integer/float update ({!bump} on a {!handle} skips the lookup);
+      disabled registries short-circuit on one bool;
     - spans read the clock twice and observe one histogram; JSON is only
       formatted when a trace sink is installed ([tracing] is the cheap
       enabled check);
@@ -110,6 +111,15 @@ val incr : ?n:int -> t -> string -> unit
 
 val counter : t -> string -> int
 (** Current value; 0 for a counter never incremented. *)
+
+type handle
+(** A named counter for a hot path: bumping it skips the hashtable lookup
+    while the current registry and its {!reset} generation stay the same. *)
+
+val handle : string -> handle
+
+val bump : handle -> unit
+(** [bump h] is [incr (get ()) name] for [h]'s name. *)
 
 (** {1 Histograms}
 

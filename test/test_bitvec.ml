@@ -472,11 +472,57 @@ let prop_diff_of_hex =
         (fun () -> Bitvec.of_hex_string ~width:w s)
         (fun () -> Reference.of_hex_string ~width:w s))
 
+(* A packet cut into fields of widths 1..40: each field read in place is
+   the slice [extract] takes of the whole packet, and writing every field
+   back into a zeroed buffer rebuilds the packet. *)
+let prop_diff_read_blit =
+  QCheck.Test.make ~name:"differential read_be / blit_be" ~count:diff_count
+    (QCheck.make
+       ~print:(fun (s, ws) ->
+         Printf.sprintf "%S cut at %s" s (String.concat "," (List.map string_of_int ws)))
+       QCheck.Gen.(
+         string_size ~gen:char (int_range 1 24) >>= fun s ->
+         list_size (int_range 1 60) (int_range 1 40) >>= fun ws -> return (s, ws)))
+    (fun (s, ws) ->
+      let total = 8 * String.length s in
+      let all = Bitvec.of_bytes_be s in
+      let out = Bytes.make (String.length s) '\000' in
+      let rec go off = function
+        | w :: rest when off < total ->
+            let w = min w (total - off) in
+            let v = Bitvec.read_be s off w in
+            Bitvec.blit_be v out off;
+            Bitvec.equal v (Bitvec.extract ~hi:(total - 1 - off) ~lo:(total - off - w) all)
+            && go (off + w) rest
+        | _ :: _ | [] ->
+            (* Whatever the cuts left unread is copied whole. *)
+            if off < total then Bitvec.blit_be (Bitvec.read_be s off (total - off)) out off;
+            true
+      in
+      go 0 ws && String.equal (Bytes.to_string out) s)
+
+let prop_diff_masked =
+  QCheck.Test.make ~name:"differential masked kernels" ~count:diff_count
+    (QCheck.make
+       ~print:(fun (v, m, k) -> String.concat " " (List.map print_bv [ v; m; k ]))
+       QCheck.Gen.(
+         gen_wide >>= fun v ->
+         let w = Bitvec.width v in
+         gen_wide_of w >>= fun m ->
+         (* Half the keys are [v]'s masked value, so both answers show up. *)
+         gen_wide_of w >>= fun k ->
+         bool >>= fun hit -> return (v, m, if hit then Bitvec.logand v m else k)))
+    (fun (v, m, k) ->
+      let masked = Bitvec.logand v m in
+      Bool.equal (Bitvec.equal_masked v m k) (Bitvec.equal masked k)
+      && Bitvec.hash_masked 7 v m = Bitvec.hash_masked 7 masked m
+      && (not (Bitvec.equal masked k) || Bitvec.hash_masked 7 v m = Bitvec.hash_masked 7 k m))
+
 let differential =
   List.map QCheck_alcotest.to_alcotest
     [ prop_diff_extract; prop_diff_concat; prop_diff_shift_left; prop_diff_shift_right;
       prop_diff_prefix_mask; prop_diff_bytes; prop_diff_to_bytes_any_width; prop_diff_hex;
-      prop_diff_of_hex ]
+      prop_diff_of_hex; prop_diff_read_blit; prop_diff_masked ]
 
 let () =
   Alcotest.run "bitvec"

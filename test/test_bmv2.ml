@@ -1,6 +1,7 @@
 (* Tests for the reference P4 interpreter: parsing, matching semantics
    (exact / LPM / ternary / priority), action execution, TTL handling,
-   punt/mirror, WCMP enumeration, and parse-deparse consistency. *)
+   punt/mirror, WCMP enumeration, runtime-state semantics (pinned through
+   both evaluators), and parse-deparse consistency. *)
 
 module Bitvec = Switchv_bitvec.Bitvec
 module Prefix = Switchv_bitvec.Prefix
@@ -370,6 +371,137 @@ let test_non_ip_passes_parser () =
   let b = Interp.run (cfg ()) ~ingress_port:1 (arp_like ^ "payload") in
   check_bool "unknown ether type accepted and dropped" true (b.b_egress = None)
 
+(* --- runtime-state semantics, pinned ----------------------------------------------------
+
+   Golden bytes and values for what the per-packet state does, through both
+   evaluators. The two share one runtime state, so comparing them cannot
+   catch a regression in it; these expectations can. The program puts a
+   never-parsed header [outer] before [ethernet] in header order, parses
+   [inner] behind ethernet type 0x1234, and in ingress sets [outer] valid
+   with one of its two fields assigned, invalidates and revalidates
+   [inner], then applies a WCMP selector table. *)
+
+module Ast = Switchv_p4ir.Ast
+module Header = Switchv_packet.Header
+module Compile = Switchv_bmv2.Compile
+
+let outer_h = Header.make "outer" [ ("a", 8); ("b", 8) ]
+let inner_h = Header.make "inner" [ ("x", 4); ("y", 4); ("z", 8) ]
+
+let state_program =
+  let open Ast in
+  let table name ~selector default =
+    { t_name = name;
+      t_id = (if selector then 2 else 1);
+      t_keys =
+        [ { k_name = "ether_type"; k_expr = E_field (field "ethernet" "ether_type");
+            k_kind = Exact; k_refers_to = None } ];
+      t_actions = [ fst default; "set_port" ];
+      t_default_action = default;
+      t_size = 16;
+      t_entry_restriction = None;
+      t_selector = selector }
+  in
+  let program =
+    { p_name = "runtime_state";
+      p_headers = [ outer_h; Header.ethernet; inner_h ];
+      p_metadata = [];
+      p_parser =
+        { start = "start";
+          states =
+            [ { ps_name = "start"; ps_extract = Some "ethernet";
+                ps_next =
+                  T_select
+                    ( E_field (field "ethernet" "ether_type"),
+                      [ (Bitvec.of_int ~width:16 0x1234, "parse_inner") ],
+                      "accept" ) };
+              { ps_name = "parse_inner"; ps_extract = Some "inner"; ps_next = T_accept } ] };
+      p_actions =
+        [ { a_name = "push_outer"; a_params = [ param "a" 8 ];
+            a_body =
+              [ S_set_valid ("outer", true);
+                S_assign (field "outer" "a", E_param "a");
+                (* [outer.b] is never assigned: the port shows what it reads. *)
+                S_assign
+                  (std "egress_port",
+                   E_concat (E_field (field "outer" "b"), E_field (field "outer" "a"))) ] };
+          { a_name = "set_port"; a_params = [ param "port" 16 ];
+            a_body = [ S_assign (std "egress_port", E_param "port") ] };
+          { a_name = "no_action"; a_params = []; a_body = [] } ];
+      p_tables =
+        [ table "push_table" ~selector:false ("push_outer", [ Bitvec.of_int ~width:8 0x5a ]);
+          table "wcmp_table" ~selector:true ("no_action", []) ];
+      p_ingress =
+        seq
+          [ C_table "push_table";
+            C_stmt (S_set_valid ("inner", false));
+            C_stmt (S_set_valid ("inner", true));
+            C_table "wcmp_table" ];
+      p_egress = C_nop }
+  in
+  Switchv_p4ir.Typecheck.check_exn program;
+  program
+
+let eth_bytes ether_type =
+  Packet.serialize
+    (Packet.ethernet_frame ~dst:"02:00:00:00:aa:01" ~src:"02:00:00:00:aa:02" ~ether_type ())
+  |> Bitvec.to_bytes_be
+
+let with_inner = eth_bytes 0x1234 ^ "\xa5\xc3" ^ "pl"
+let without_inner = eth_bytes 0x0800 ^ "pl"
+
+(* One run through each evaluator; both must give [expect]. *)
+let both_evaluators msg ?(state = State.create ()) bytes expect =
+  List.iter
+    (fun (name, eval) ->
+      let c =
+        { Interp.program = state_program; state; hash_mode = Interp.Seeded 7; mirror_map = [] }
+      in
+      expect (msg ^ " (" ^ name ^ ")") (Interp.run_with eval c ~ingress_port:1 bytes))
+    [ ("walk", Interp.walk); ("staged", Compile.stage) ]
+
+let test_set_valid_zero_fields () =
+  both_evaluators "setValid" with_inner (fun msg (b : Interp.behavior) ->
+      (* outer.b reads zero, so the port is 0x00 ++ 0x5a. *)
+      check_bool (msg ^ ": port from unassigned field") true (b.b_egress = Some 0x5a);
+      Alcotest.(check string)
+        (msg ^ ": outer bytes") "\x5a\x00" (String.sub b.b_packet 0 2))
+
+let test_revalidated_header_keeps_fields () =
+  both_evaluators "revalidated" with_inner (fun msg (b : Interp.behavior) ->
+      Alcotest.(check string)
+        (msg ^ ": inner keeps its parsed bytes") "\xa5\xc3"
+        (String.sub b.b_packet 16 2));
+  (* Never parsed, then made valid: zero bytes where the header sits. *)
+  both_evaluators "validated unparsed" without_inner (fun msg (b : Interp.behavior) ->
+      Alcotest.(check string)
+        (msg ^ ": unparsed inner is zero") ("\x5a\x00" ^ eth_bytes 0x0800 ^ "\x00\x00pl")
+        b.b_packet)
+
+let test_deparse_header_order () =
+  both_evaluators "deparse" with_inner (fun msg (b : Interp.behavior) ->
+      Alcotest.(check string)
+        (msg ^ ": outer, ethernet, inner, payload")
+        ("\x5a\x00" ^ eth_bytes 0x1234 ^ "\xa5\xc3" ^ "pl")
+        b.b_packet)
+
+let test_selector_hash_inputs () =
+  let state = State.create () in
+  (* Thirteen members: hashing the same fields in any other header order,
+     or without [outer], picks another one. *)
+  let members =
+    List.init 13 (fun i -> ({ Entry.ai_name = "set_port"; ai_args = [ bv16 (20 + i) ] }, 1))
+  in
+  check_bool "wcmp entry installed" true
+    (State.insert state
+       (Entry.make ~table:"wcmp_table"
+          ~matches:[ fm "ether_type" (Entry.M_exact (bv16 0x1234)) ]
+          (Entry.Weighted members))
+     = Ok ());
+  (* Seeded 7 over outer, ethernet and inner's fields, in header order. *)
+  both_evaluators "selector" ~state with_inner (fun msg (b : Interp.behavior) ->
+      check_int (msg ^ ": member port") 25 (Option.value ~default:(-1) b.b_egress))
+
 (* Parse-deparse roundtrip: an unmodified pipeline must emit the very bytes
    it parsed. Use the figure2 program with no entries: default drop but
    b_packet still reflects the deparsed packet. *)
@@ -440,6 +572,13 @@ let () =
       ("parsing",
        [ Alcotest.test_case "truncated packet" `Quick test_parse_failure_on_truncated;
          Alcotest.test_case "non-ip accepted" `Quick test_non_ip_passes_parser ]);
+      ("runtime state",
+       [ Alcotest.test_case "setValid zeroes unassigned fields" `Quick test_set_valid_zero_fields;
+         Alcotest.test_case "revalidated header keeps fields" `Quick
+           test_revalidated_header_keeps_fields;
+         Alcotest.test_case "deparse in header order" `Quick test_deparse_header_order;
+         Alcotest.test_case "selector hashes valid headers in order" `Quick
+           test_selector_hash_inputs ]);
       ("properties",
        [ QCheck_alcotest.to_alcotest prop_parse_deparse_identity;
          QCheck_alcotest.to_alcotest prop_seeded_within_enumerated ]) ]

@@ -242,9 +242,15 @@ let shrink_ops schema ops =
   in
   pass ops
 
+(* The two soaks' base seed: SWITCHV_MATCH_SEED when it is set (`make
+   check-match` sets a fresh one), else each soak's fixed default. *)
+let base_seed default =
+  Option.value ~default (Option.bind (Sys.getenv_opt "SWITCHV_MATCH_SEED") int_of_string_opt)
+
 let test_index_differential () =
+  let base = base_seed 0xD1FF in
   for seed = 0 to 149 do
-    let rng = Rng.create (0xD1FF + seed) in
+    let rng = Rng.create (base + seed) in
     let schema = rand_schema rng in
     let ops = rand_ops rng schema in
     match replay schema ops with
@@ -255,9 +261,9 @@ let test_index_differential () =
           match replay schema ops with Some d -> d | None -> assert false
         in
         Alcotest.failf
-          "seed %d: index disagrees with linear reference at step %d on \
-           probe [%s]: want %s, got %s; shrunk ops:@.%a"
-          seed step
+          "SWITCHV_MATCH_SEED=%d, seed %d: index disagrees with linear reference \
+           at step %d on probe [%s]: want %s, got %s; shrunk ops:@.%a"
+          base seed step
           (String.concat "; "
              (Array.to_list (Array.map Bitvec.to_hex_string values)))
           (match want with None -> "miss" | Some s -> "seq " ^ string_of_int s)
@@ -391,6 +397,43 @@ let test_ternary_tiebreak_pinned () =
   check_bool "re-inserted entry moved to the back of the tie" true
     (match won with Some e -> Entry.equal_key e b | None -> false)
 
+(* A probe allocates nothing per mask group: over a /32 LPM table with 24
+   prefix lengths (24 groups), a lookup may allocate at most 32 words, for
+   the buckets it hits and the answer. Half the probes fall under an
+   installed prefix, half are uniform. *)
+let test_probe_allocation () =
+  let ix = Index.create [| { Index.key_width = 32; key_kind = Index.Lpm } |] in
+  let rng = Rng.create 0xA110C in
+  let prefixes =
+    List.concat_map
+      (fun len ->
+        List.init 8 (fun _ ->
+            (Bitvec.logand (Rng.bitvec rng 32) (Bitvec.prefix_mask ~width:32 len), len)))
+      (List.init 24 (fun i -> 9 + i))
+  in
+  List.iteri
+    (fun seq (v, len) -> Index.insert ix ~mvs:[| Some (Index.Mlpm (v, len)) |] ~priority:0 ~seq seq)
+    prefixes;
+  let under = Array.of_list prefixes in
+  let probes =
+    Array.init 10_000 (fun i ->
+        let noise = Rng.bitvec rng 32 in
+        if i mod 2 = 0 then [| noise |]
+        else
+          let v, len = under.(Rng.int rng (Array.length under)) in
+          let low = Bitvec.lognot (Bitvec.prefix_mask ~width:32 len) in
+          [| Bitvec.logor v (Bitvec.logand noise low) |])
+  in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length probes - 1 do
+    match Index.lookup ix probes.(i) with Some _ -> incr hits | None -> ()
+  done;
+  let per_lookup = (Gc.minor_words () -. before) /. float_of_int (Array.length probes) in
+  check_bool "half the probes hit" true (!hits >= Array.length probes / 2);
+  if per_lookup > 32. then
+    Alcotest.failf "a lookup allocated %.1f minor words (at most 32)" per_lookup
+
 (* --- part 3: compiled vs interpreted --------------------------------------- *)
 
 let provisioned () =
@@ -506,8 +549,9 @@ let test_compiled_behavior_cases () =
 let test_compiled_fuzz_soak () =
   (* 200 seeds: workload-provisioned state, a structured packet with
      randomised fields, and a raw random byte string per seed. *)
+  let base = base_seed 0x50AC in
   for seed = 0 to 199 do
-    let rng = Rng.create (0x50AC + seed) in
+    let rng = Rng.create (base + seed) in
     let state = State.create () in
     List.iter
       (fun e -> ignore (State.insert state e))
@@ -530,10 +574,9 @@ let test_compiled_fuzz_soak () =
     let structured = packet ~dst_mac ~ttl:(Rng.int rng 256) ~dst () in
     let raw = String.init (Rng.int rng 64) (fun _ -> Char.chr (Rng.int rng 256)) in
     let port = 1 + Rng.int rng 4 in
-    check_same_outcome (Printf.sprintf "soak %d structured" seed) cfg
-      ~ingress_port:port structured;
-    check_same_outcome (Printf.sprintf "soak %d raw" seed) cfg
-      ~ingress_port:port raw
+    let msg kind = Printf.sprintf "SWITCHV_MATCH_SEED=%d, soak %d %s" base seed kind in
+    check_same_outcome (msg "structured") cfg ~ingress_port:port structured;
+    check_same_outcome (msg "raw") cfg ~ingress_port:port raw
   done
 
 let test_compiled_packet_out () =
@@ -561,7 +604,9 @@ let () =
           Alcotest.test_case "state-level differential" `Quick
             test_state_index_differential;
           Alcotest.test_case "equal-priority ternary tie-break" `Quick
-            test_ternary_tiebreak_pinned ] );
+            test_ternary_tiebreak_pinned;
+          Alcotest.test_case "probes allocate nothing per group" `Quick
+            test_probe_allocation ] );
       ( "compiled",
         [ Alcotest.test_case "behavior cases" `Quick test_compiled_behavior_cases;
           Alcotest.test_case "fuzz soak (200 seeds)" `Quick test_compiled_fuzz_soak;
