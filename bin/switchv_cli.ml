@@ -385,7 +385,7 @@ let replay_cmd =
 
 let fabric_cmd =
   let run program shape switches spines seed fault_ids fault_switch budget
-      no_packet_out jobs shards minimize trace_file corpus_file =
+      jobs shards minimize trace_file corpus_file =
     let* topo =
       try Ok (Topo.build ?spines shape switches) with Invalid_argument m -> Error m
     in
@@ -406,7 +406,6 @@ let fabric_cmd =
           seed;
           budget;
           shards;
-          packet_out = not no_packet_out;
           faults = (if faults = [] then [] else [ (fault_switch, faults) ]);
           minimize }
       in
@@ -459,10 +458,6 @@ let fabric_cmd =
     in
     Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"H" ~doc)
   in
-  let no_packet_out_arg =
-    let doc = "Skip the per-switch packet-out injection flows." in
-    Arg.(value & flag & info [ "no-packet-out" ] ~doc)
-  in
   let doc =
     "Run a multi-switch fabric campaign: wire N simulated stacks into a \
      topology, program routes on every switch, drive end-to-end flows \
@@ -475,7 +470,7 @@ let fabric_cmd =
     Term.(
       term_result' ~usage:false
         (const run $ model_arg $ topo_arg $ switches_arg $ spines_arg $ seed_arg
-        $ faults_arg $ fault_switch_arg $ budget_arg $ no_packet_out_arg $ jobs_arg
+        $ faults_arg $ fault_switch_arg $ budget_arg $ jobs_arg
         $ shards_arg $ minimize_arg $ trace_file_arg $ save_corpus_arg))
 
 (* --- fuzz ------------------------------------------------------------------- *)
@@ -573,10 +568,8 @@ let genpackets_cmd =
 (* --- lint ------------------------------------------------------------------------ *)
 
 let lint_cmd =
-  let run program min_severity no_restrictions json =
-    let report =
-      Analysis.run ~check_restrictions:(not no_restrictions) program
-    in
+  let run program min_severity json =
+    let report = Analysis.run program in
     let all = report.Analysis.r_diagnostics in
     if json then print_endline (Analysis.to_json ~min_severity program report)
     else begin
@@ -614,14 +607,6 @@ let lint_cmd =
           Diagnostics.Info
       & info [ "severity" ] ~docv:"SEVERITY" ~doc)
   in
-  let no_restrictions =
-    Arg.(
-      value & flag
-      & info [ "no-restrictions" ]
-          ~doc:
-            "Skip the BDD entry-restriction satisfiability check (the only \
-             non-linear pass).")
-  in
   let doc =
     "Statically analyse a P4 model: CFG + dataflow diagnostics (header \
      validity, reachability, constant propagation) and entry-restriction \
@@ -631,7 +616,7 @@ let lint_cmd =
     (Cmd.info "lint" ~doc)
     Term.(
       term_result' ~usage:false
-        (const run $ model_arg $ severity_arg $ no_restrictions $ json_arg))
+        (const run $ model_arg $ severity_arg $ json_arg))
 
 (* --- trivial --------------------------------------------------------------------- *)
 

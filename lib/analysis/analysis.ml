@@ -1,4 +1,6 @@
 module Ast = Switchv_p4ir.Ast
+module P4info = Switchv_p4ir.P4info
+module Bdd = Switchv_p4constraints.Bdd
 module Telemetry = Switchv_telemetry.Telemetry
 
 type facts = {
@@ -141,9 +143,18 @@ let run ?(check_restrictions = true) (program : Ast.program) =
                 (%s); the oracle uses set-valued verdicts here"
                (String.concat ", " srcs))
       | None -> ());
-      (* Entry-restriction satisfiability (P4A004). *)
+      (* Entry-restriction satisfiability (P4A004): a restriction whose
+         BDD (the fuzzer's sampling encoding) has no model admits no
+         entry. Restrictions the BDD engine cannot encode are skipped. *)
       let unsat =
-        if check_restrictions then Restriction.unsat_tables program else []
+        if not check_restrictions then []
+        else
+          List.filter_map
+            (fun (ti : P4info.table) ->
+              match P4info.restriction_bdd ti with
+              | Some bdd when Bdd.model_count bdd = 0. -> Some ti.ti_name
+              | _ -> None)
+            (P4info.of_program program).pi_tables
       in
       List.iter
         (fun name ->

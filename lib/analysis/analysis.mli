@@ -39,9 +39,14 @@ type report = { r_diagnostics : Diagnostics.t list; r_facts : facts }
 
 val run : ?check_restrictions:bool -> Ast.program -> report
 (** [check_restrictions] (default [true]) controls the BDD satisfiability
-    pre-check — the one pass that is not linear in the program, so callers
-    that only want reachability facts (e.g. goal pruning on a hot path)
-    can turn it off. *)
+    pre-check ([P4A004]): each table's [@entry_restriction] is compiled to
+    a BDD over its keys (the encoding the fuzzer samples entries from) and
+    model-counted; a count of zero means no entry can ever be installed.
+    Restrictions the BDD engine cannot encode (LPM keys,
+    [::prefix_length], keys missing from the table) are skipped, never
+    reported. It is the one pass that is not linear in the program, so
+    callers that only want reachability facts (e.g. goal pruning on a hot
+    path) can turn it off. *)
 
 val facts : ?check_restrictions:bool -> Ast.program -> facts
 (** [r_facts] of {!run}, for consumers that ignore diagnostics. *)

@@ -221,15 +221,10 @@ let rec refine program pol cond fact =
 
 (* ---- the pass ---- *)
 
-type t = {
-  res : fact Dataflow.result;
-  verdicts : (int, bool option) Hashtbl.t;
-}
-
-let result t = t.res
+type t = (int, bool option) Hashtbl.t  (* branch id -> verdict *)
 
 let verdict t id =
-  match Hashtbl.find_opt t.verdicts id with Some v -> v | None -> None
+  match Hashtbl.find_opt t id with Some v -> v | None -> None
 
 let header_fields program h =
   match Ast.find_header program h with
@@ -327,4 +322,4 @@ let analyze (cfg : Cfg.t) ~(validity : Validity.fact Dataflow.result) =
           Hashtbl.replace verdicts id v
       | _ -> ())
     cfg;
-  { res; verdicts }
+  verdicts

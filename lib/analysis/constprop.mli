@@ -14,24 +14,12 @@
     The per-branch verdicts ([Some true]/[Some false] when one arm can
     never run) drive the [P4A006] diagnostic and {!Reachability}. *)
 
-module Ast = Switchv_p4ir.Ast
-
-type value = Top | Range of int * int  (** inclusive unsigned bounds *)
-
-type fact
-
 type t
 
 val analyze : Cfg.t -> validity:Validity.fact Dataflow.result -> t
-
-val result : t -> fact Dataflow.result
 
 val verdict : t -> int -> bool option
 (** [verdict t branch_id] is [Some b] when the condition of that branch
     (Symexec numbering) always evaluates to [b] — considering only
     reachable paths — and [None] when both arms can run (or the branch is
     itself unreachable). *)
-
-val value_of : fact -> Ast.field_ref -> value
-(** Fields never assigned and absent from the fact are [Top] (except at
-    program entry, where [analyze] seeds metadata at zero). *)

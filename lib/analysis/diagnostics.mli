@@ -44,9 +44,6 @@ val severity_to_string : severity -> string
 val severity_of_string : string -> severity option
 (** Accepts ["error"], ["warning"] (or ["warn"]), ["info"]. *)
 
-val severity_rank : severity -> int
-(** [Error] > [Warning] > [Info]; for ordering and filtering. *)
-
 type t = {
   d_code : string;      (** stable code, e.g. ["P4A003"] *)
   d_severity : severity;

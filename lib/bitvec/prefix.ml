@@ -24,12 +24,6 @@ let subsumes a b =
 
 let equal a b = a.len = b.len && Bitvec.equal a.value b.value
 
-let compare a b =
-  let c = Int.compare a.len b.len in
-  if c <> 0 then c else Bitvec.compare a.value b.value
-
-let pp fmt t = Format.fprintf fmt "%a/%d" Bitvec.pp t.value t.len
-
 let of_ipv4_string s =
   let base, plen =
     match String.index_opt s '/' with

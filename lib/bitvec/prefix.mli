@@ -29,8 +29,6 @@ val subsumes : t -> t -> bool
     (i.e. [a] is a shorter-or-equal prefix of [b]). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 
 val of_ipv4_string : string -> t
 (** Parse dotted-quad with optional "/len", e.g. "10.0.0.0/8". Wildcard

@@ -11,8 +11,6 @@ let mask t = t.mask
 
 let matches t v = Bitvec.equal t.value (Bitvec.logand v t.mask)
 
-let is_canonical ~value ~mask = Bitvec.equal value (Bitvec.logand value mask)
-
 let exact v = { value = v; mask = Bitvec.ones (Bitvec.width v) }
 let wildcard w = { value = Bitvec.zero w; mask = Bitvec.zero w }
 let is_wildcard t = Bitvec.is_zero t.mask
@@ -20,11 +18,3 @@ let is_wildcard t = Bitvec.is_zero t.mask
 let of_prefix p =
   let mask = Bitvec.prefix_mask ~width:(Prefix.width p) (Prefix.len p) in
   { value = Prefix.value p; mask }
-
-let equal a b = Bitvec.equal a.value b.value && Bitvec.equal a.mask b.mask
-
-let compare a b =
-  let c = Bitvec.compare a.mask b.mask in
-  if c <> 0 then c else Bitvec.compare a.value b.value
-
-let pp fmt t = Format.fprintf fmt "%a &&& %a" Bitvec.pp t.value Bitvec.pp t.mask

@@ -13,8 +13,6 @@ val mask : t -> Bitvec.t
 
 val matches : t -> Bitvec.t -> bool
 
-val is_canonical : value:Bitvec.t -> mask:Bitvec.t -> bool
-
 val exact : Bitvec.t -> t
 (** Full mask: matches only the given value. *)
 
@@ -24,7 +22,3 @@ val wildcard : int -> t
 val is_wildcard : t -> bool
 
 val of_prefix : Prefix.t -> t
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,4 @@
 module Stack = Switchv_switch.Stack
-module Greybox = Switchv_fuzzer.Greybox
 module Entry = Switchv_p4runtime.Entry
 module Request = Switchv_p4runtime.Request
 module Status = Switchv_p4runtime.Status
@@ -27,8 +26,7 @@ type config = {
   incremental : bool;
   taint : bool;
   greybox : bool;
-      (* per-packet coverage-delta capture + corpus admission (slice-local,
-         jobs-deterministic); feeds the fuzzer.greybox.* totals *)
+      (* ignored: data slices keep no greybox state (see data_campaign.mli) *)
   compile : bool;
       (* staged evaluator for every model execution (table lookups served
          from indexed match structures); [false] is the linear-scan
@@ -133,14 +131,6 @@ let install stack entries add_incident =
 
 let run_slice stack config ~oracle ~encoding sink (offset, goals) =
   let tele = Telemetry.get () in
-  (* Slice-local feedback state (empty novelty map, seed derived from the
-     slice's global offset): what a packet's execution contributes depends
-     only on (config, slice), never on which process ran it. *)
-  let greybox =
-    if config.greybox then
-      Some (Greybox.create ~program:(Stack.program stack) ~seed:(0x5eed + offset) ())
-    else None
-  in
   let cache_total f = match config.cache with Some c -> float (f c) | None -> 0. in
   let hits_before = cache_total Cache.hits in
   let misses_before = cache_total Cache.misses in
@@ -173,23 +163,7 @@ let run_slice stack config ~oracle ~encoding sink (offset, goals) =
                   { dr_entries = config.entries; dr_port = tp.tp_port;
                     dr_bytes = bytes }
               in
-              let before =
-                Option.map (fun gb -> Greybox.snapshot gb tele) greybox
-              in
               let switch_b = Stack.inject stack ~ingress_port:tp.tp_port bytes in
-              (* Delta capture before the oracle runs, so the model's own
-                 counter bumps don't pollute the switch-side observation. *)
-              (match (greybox, before) with
-              | Some gb, Some before ->
-                  let tables =
-                    match tp.tp_kind with
-                    | Packetgen.G_entry { ge_table; _ } -> [ ge_table ]
-                    | _ -> []
-                  in
-                  ignore
-                    (Greybox.observe gb tele ~before ~tables
-                       ~seed:(Greybox.Packet (tp.tp_port, bytes)) ())
-              | _ -> ());
               match
                 Dataplane.judge oracle ~ingress_port:tp.tp_port ~bytes
                   ~switch:switch_b

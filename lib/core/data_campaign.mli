@@ -54,12 +54,12 @@ type config = {
           output are byte-identical either way ([false] is a test
           oracle). *)
   greybox : bool;
-      (** Capture the coverage-counter delta of every injected test packet
-          into a slice-local {!Switchv_fuzzer.Greybox} novelty map and
-          admit coverage-novel packets to its corpus (on by default).
-          Observation only — it never alters which packets are generated
-          or injected — and slice-local, so results stay byte-identical at
-          any [jobs]. *)
+      (** Ignored by the library: data slices keep no
+          {!Switchv_fuzzer.Greybox} state, since the feedback is built and
+          spent on the control side. The field survives only because
+          bench/perf's traced replica (bench/perf/traced.ml) still reads it
+          to run a greybox of its own; the benchmark change of ROADMAP
+          item 1 drops that use, and then this field. *)
   compile : bool;
       (** Run every model execution through the staged evaluator
           ({!Switchv_bmv2.Compile}: one-time closure compilation + indexed

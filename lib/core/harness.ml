@@ -185,7 +185,6 @@ let validate mk_stack config =
       max_incidents = config.max_incidents;
       incremental = config.incremental;
       taint = config.taint;
-      greybox = config.greybox;
       compile = config.compile;
       covered_edges }
   in

@@ -62,13 +62,14 @@ type config = {
           Applies to the main and the fuzzed-entry data passes; [false]
           is a test oracle. *)
   greybox : bool;
-      (** Coverage-guided feedback across both campaigns (on by default):
-          the control fuzzer runs its probe/corpus/power-schedule loop
-          (overrides [control.greybox]), and the data campaigns observe
-          per-packet deltas and skip branch goals the control phase
-          already covered concretely ([covered_edges] computed here from
-          the registry delta, jobs-invariant). [false] reproduces the
-          blind pre-feedback pipeline byte-identically. *)
+      (** Coverage-guided feedback (on by default): the control fuzzer
+          runs its probe/corpus/power-schedule loop (overrides
+          [control.greybox]), and the data campaigns skip branch goals
+          the control phase already covered concretely
+          ([covered_edges] computed here from the registry delta,
+          jobs-invariant). The data campaigns keep no feedback state of
+          their own. [false] reproduces the blind pre-feedback pipeline
+          byte-identically. *)
   compile : bool;
       (** Staged-evaluator model execution in the data campaigns (on by
           default; see {!Data_campaign.config}[.compile]). The caller's

@@ -132,7 +132,6 @@ type t = {
 
 val empty : string -> t
 
-val incidents : t -> incident list
 val clean : t -> bool
 (** No incidents at all. *)
 

@@ -7,20 +7,20 @@ module Packet = Switchv_packet.Packet
 module Coverage = Switchv_obs.Coverage
 module Telemetry = Switchv_telemetry.Telemetry
 
-(* FP4-style greybox feedback state. One instance per campaign shard:
-   the novelty map starts empty and is fed exclusively by before/after
-   counter *deltas* around executions this shard performed, so its
-   content — and every scheduling decision derived from it — depends
-   only on (config, shard), never on which process the shard ran in or
-   what the ambient registry accumulated before it. That is the whole
+(* FP4-style greybox feedback state. One instance per control-campaign
+   shard: the novelty map starts empty and is fed exclusively by
+   before/after counter *deltas* around the probes this shard injected,
+   so its content — and every scheduling decision derived from it —
+   depends only on (config, shard), never on which process the shard ran
+   in or what the ambient registry accumulated before it. That is the whole
    determinism argument: shard-local novelty + delta capture makes
    greybox runs byte-identical at any --jobs, and the parent absorbing
    worker telemetry deltas additively is what "merges" the maps into
    the campaign-wide fuzzer.greybox.* totals. *)
 
 type seed_input =
-  | Batch of Entry.t list   (* control-plane: entries of an admitted batch *)
-  | Packet of int * string  (* data-plane: (ingress port, wire bytes) *)
+  | Batch of Entry.t list   (* entries of an admitted batch *)
+  | Packet of int * string  (* probe packet: (ingress port, wire bytes) *)
 
 type seed = {
   sd_input : seed_input;
@@ -34,11 +34,10 @@ type t = {
          blind fuzzer's stream — and output — is bit-identical to a build
          without the feature. *)
   edge_keys : string list;  (* memoized full edge space, Coverage order *)
-  novelty : (string, int) Hashtbl.t;  (* edge key -> hits seen by this shard *)
-  energy : (string, int) Hashtbl.t;   (* table name -> accumulated energy *)
-  mutable seeds : seed list;          (* corpus, newest first, bounded *)
+  novelty : (string, unit) Hashtbl.t;  (* edge keys this shard reached *)
+  energy : (string, int) Hashtbl.t;    (* table name -> accumulated energy *)
+  mutable seeds : seed list;           (* corpus, newest first, bounded *)
   mutable n_seeds : int;
-  mutable n_novel : int;              (* distinct edges first seen here *)
 }
 
 let max_corpus = 256
@@ -50,10 +49,9 @@ let create ~program ~seed () =
     novelty = Hashtbl.create 64;
     energy = Hashtbl.create 16;
     seeds = [];
-    n_seeds = 0;
-    n_novel = 0 }
+    n_seeds = 0 }
 
-let novel_edges t = t.n_novel
+let novel_edges t = Hashtbl.length t.novelty
 let corpus_size t = t.n_seeds
 
 let covered t key = Hashtbl.mem t.novelty key
@@ -96,14 +94,9 @@ let observe t tele ~before ~tables ?seed () =
   let novel = ref 0 in
   List.iteri
     (fun i key ->
-      let delta = after.(i) - before.(i) in
-      if delta > 0 then begin
-        if not (Hashtbl.mem t.novelty key) then begin
-          incr novel;
-          t.n_novel <- t.n_novel + 1
-        end;
-        Hashtbl.replace t.novelty key
-          (delta + Option.value ~default:0 (Hashtbl.find_opt t.novelty key))
+      if after.(i) > before.(i) && not (Hashtbl.mem t.novelty key) then begin
+        incr novel;
+        Hashtbl.replace t.novelty key ()
       end)
     t.edge_keys;
   if !novel > 0 then begin

@@ -1,14 +1,15 @@
 (** FP4-style coverage-guided greybox scheduling (feedback loop).
 
-    One instance per campaign shard. After each execution (update batch's
-    probe packets on the control side, each generated test packet on the
-    data side) the campaign folds the [cov.branch.*]/[cov.action.*]
-    counter delta into this shard's novelty map; executions that reached
-    edges new to the shard enter a bounded corpus and assign energy to the
-    tables they touched. The fuzzer then draws mutation targets through
-    {!pick_table}/{!pick_seed_entry} — a power schedule favoring rare-edge
-    reachers — and the campaign injects {!probe_packet}s derived from the
-    corpus.
+    One instance per control-campaign shard; the feedback is built and
+    spent on the control side only (data-campaign slices keep none). After
+    each update batch the campaign injects {!probe_packet}s and folds each
+    probe's [cov.branch.*]/[cov.action.*] counter delta into this shard's
+    novelty map; probes that reached edges new to the shard enter a
+    bounded corpus, with the batch that set up the state, and assign
+    energy to the tables the batch touched. The fuzzer then draws mutation
+    targets through {!pick_table}/{!pick_seed_entry} — a power schedule
+    favoring rare-edge reachers — and later probes mutate the corpus
+    packets.
 
     Determinism: novelty is shard-local and fed only by deltas around this
     shard's own executions, so scheduling is a pure function of
@@ -21,8 +22,8 @@ module Entry = Switchv_p4runtime.Entry
 module Telemetry = Switchv_telemetry.Telemetry
 
 type seed_input =
-  | Batch of Entry.t list   (** control-plane seed: an admitted batch *)
-  | Packet of int * string  (** data-plane seed: (ingress port, bytes) *)
+  | Batch of Entry.t list   (** an admitted update batch *)
+  | Packet of int * string  (** a probe packet: (ingress port, bytes) *)
 
 type t
 

@@ -33,9 +33,9 @@ let catalog =
     ("fuzzer.updates", "Total updates produced by the control-plane fuzzer.");
     ("fuzzer.mutated_updates", "Fuzzer updates that went through a mutation pass.");
     ("fuzzer.greybox.probes", "Probe packets injected after control batches to harvest coverage deltas.");
-    ("fuzzer.greybox.novel_edges", "Coverage edges first reached by a shard's greybox observations (summed over shards).");
-    ("fuzzer.greybox.corpus_admitted", "Coverage-novel inputs (batches and packets) admitted to greybox corpora.");
-    ("fuzzer.greybox.energy_assigned", "Energy units credited to tables whose state reached novel edges.");
+    ("fuzzer.greybox.novel_edges", "Coverage edges first reached by a control shard's probe packets (summed over shards; equals the report's greybox line).");
+    ("fuzzer.greybox.corpus_admitted", "Coverage-novel probe packets, and the control batches behind them, admitted to greybox corpora.");
+    ("fuzzer.greybox.energy_assigned", "Energy units credited to tables written by control batches whose probes reached novel edges.");
     ("fuzzer.greybox.weighted_picks", "Valid-insert table choices made by the energy-weighted power schedule.");
     ("fuzzer.greybox.seeded_bases", "Mutation bases drawn from the greybox corpus instead of generated fresh.");
     ("goals.total", "Symbolic coverage goals planned for this campaign.");

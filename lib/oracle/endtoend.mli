@@ -26,5 +26,3 @@ val check :
   expectation -> Fabric.trace -> (unit, string) result
 (** [Error detail] describes the mismatch (expected vs observed
     disposition) for incident messages. *)
-
-val pp : Format.formatter -> expectation -> unit

@@ -204,8 +204,6 @@ let rec to_string = function
   | C_and (a, b) -> Printf.sprintf "(%s && %s)" (to_string a) (to_string b)
   | C_or (a, b) -> Printf.sprintf "(%s || %s)" (to_string a) (to_string b)
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 (* --- evaluation ---------------------------------------------------------- *)
 
 type key_value =

@@ -46,7 +46,6 @@ val parse : string -> (t, string) result
 (** Parse the textual form. Errors carry a human-readable position. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 (** {1 Evaluation} *)
 

@@ -6,12 +6,4 @@
     but it follows P4-16 surface syntax closely (tables, keys with match
     kinds, [@refers_to] / [@entry_restriction] annotations, apply blocks). *)
 
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_bexpr : Format.formatter -> Ast.bexpr -> unit
-val pp_action : Format.formatter -> Ast.action -> unit
-val pp_table : Ast.program -> Format.formatter -> Ast.table -> unit
-val pp_control : Format.formatter -> Ast.control -> unit
-val pp_parser : Format.formatter -> Ast.parser -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
-
 val program_to_string : Ast.program -> string

@@ -78,4 +78,3 @@ val equal_action : action_choice -> action_choice -> bool
     match key, [equal a b = equal_action a.e_action b.e_action]. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_match_value : Format.formatter -> match_value -> unit

@@ -20,5 +20,4 @@ val make : code -> string -> t
 val makef : code -> ('a, unit, string, t) format4 -> 'a
 
 val is_ok : t -> bool
-val code_to_string : code -> string
 val pp : Format.formatter -> t -> unit

@@ -110,17 +110,6 @@ let compare a b =
 
 let hash t = Hashtbl.hash (List.map (fun i -> i.header.Header.name) t.headers, to_bytes t)
 
-let pp fmt t =
-  let pp_inst fmt inst =
-    Format.fprintf fmt "@[<hov 2>%s {" inst.header.Header.name;
-    List.iter (fun (f, v) -> Format.fprintf fmt "@ %s=%a" f Bitvec.pp v) inst.values;
-    Format.fprintf fmt "@ }@]"
-  in
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_inst)
-    t.headers;
-  if t.payload <> "" then Format.fprintf fmt "@ payload(%d bytes)" (String.length t.payload)
-
 (* --- address parsing --------------------------------------------------- *)
 
 let mac_of_string s =

@@ -18,7 +18,6 @@ val push : t -> instance -> t
 (** Append as the innermost header. *)
 
 val has_header : t -> string -> bool
-val find_header : t -> string -> instance option
 
 val get : t -> header:string -> field:string -> Bitvec.t option
 val get_exn : t -> header:string -> field:string -> Bitvec.t
@@ -37,7 +36,6 @@ val to_bytes : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-val pp : Format.formatter -> t -> unit
 
 (** {1 Builders for common test packets} *)
 

@@ -9,9 +9,6 @@ val counts : total:int -> shards:int -> int array
 (** Even contiguous split of [total] items into [shards] parts; earlier
     shards absorb the remainder. [shards] is clamped to [>= 1]. *)
 
-val offsets : total:int -> shards:int -> (int * int) array
-(** Per-shard [(offset, length)] for the same split. *)
-
 val partition : shards:int -> 'a list -> (int * 'a list) array
 (** Contiguous slices of the list, each with its global start offset.
     Concatenating the slices in shard order rebuilds the input exactly. *)

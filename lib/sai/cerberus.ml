@@ -3,7 +3,6 @@
     after routing, plus the standard SAI routing core. *)
 
 module Ast = Switchv_p4ir.Ast
-module P4info = Switchv_p4ir.P4info
 module Bitvec = Switchv_bitvec.Bitvec
 module C = Components
 open Ast
@@ -45,7 +44,5 @@ let program =
           C.ttl_guard;
           C_table "acl_ingress_table" ];
     p_egress = seq [ C_table "egress_router_interface_table"; C_table "acl_egress_table" ] }
-
-let info = P4info.of_program program
 
 let () = Switchv_p4ir.Typecheck.check_exn program

@@ -3,4 +3,3 @@
     after routing on top of the SAI routing core. *)
 
 val program : Switchv_p4ir.Ast.program
-val info : Switchv_p4ir.P4info.t

@@ -31,27 +31,15 @@ val headers_with_gre : Switchv_packet.Header.t list
 
 (** {1 Actions}
 
-    [trap] = punt + drop; [acl_copy] = punt while forwarding; [set_vrf]
-    writes meta.vrf_id; [set_ip_nexthop] takes RIF + neighbor parameters;
-    [mirror] writes std.mirror_session; [set_gre_encap]/[gre_decap] are the
-    Cerberus/WAN tunnel actions. *)
+    [drop] drops; [set_vrf] writes meta.vrf_id. The other actions are
+    reached through {!common_actions} and {!tunnel_actions}: [trap] (punt +
+    drop), [acl_copy] (punt while forwarding), [set_ip_nexthop] (RIF +
+    neighbor parameters), [mirror] (writes std.mirror_session), and the
+    Cerberus/WAN tunnel actions [set_gre_encap]/[gre_decap]. *)
 
 val no_action : Ast.action
 val drop : Ast.action
-val trap : Ast.action
-val acl_copy : Ast.action
 val set_vrf : Ast.action
-val l3_admit_action : Ast.action
-val set_nexthop_id : Ast.action
-val set_wcmp_group_id : Ast.action
-val set_ip_nexthop : Ast.action
-val set_port_and_src_mac : Ast.action
-val set_dst_mac : Ast.action
-val mirror : Ast.action
-val egress_set_src_mac : Ast.action
-val set_gre_encap : Ast.action
-val gre_decap : Ast.action
-val set_tunnel_id : Ast.action
 
 val common_actions : Ast.action list
 (** All actions except the tunnel ones (usable by programs without a GRE

@@ -4,7 +4,6 @@
     Specific Instantiations"). *)
 
 module Ast = Switchv_p4ir.Ast
-module P4info = Switchv_p4ir.P4info
 module C = Components
 open Ast
 
@@ -39,7 +38,5 @@ let program =
           C.ttl_guard;
           C_table "acl_ingress_table" ];
     p_egress = seq [ C_table "egress_router_interface_table"; C_table "acl_egress_table" ] }
-
-let info = P4info.of_program program
 
 let () = Switchv_p4ir.Typecheck.check_exn program

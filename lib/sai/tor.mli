@@ -3,4 +3,3 @@
     §3 "Role Specific Instantiations". *)
 
 val program : Switchv_p4ir.Ast.program
-val info : Switchv_p4ir.P4info.t

@@ -123,5 +123,4 @@ val flatten_conj : boolean -> boolean list
 (** Top-level conjuncts of a (nested) conjunction, left to right, with
     [tru] units dropped. [conj (flatten_conj f)] is logically [f]. *)
 
-val pp_bv : Format.formatter -> bv -> unit
 val pp_bool : Format.formatter -> boolean -> unit

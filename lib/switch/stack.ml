@@ -88,7 +88,6 @@ let create ?(faults = []) ?(hash_seed = 0x5EED) ?(compile = true) program =
     p4info_ok = false;
     is_crashed = false }
 
-let faults t = t.s_faults
 let program t = t.s_program
 let info t = t.s_info
 let server_state t = t.server

@@ -31,7 +31,6 @@ val create :
     test oracle, checked by the determinism matrix in
     test/test_parallel.ml). *)
 
-val faults : t -> Fault.t list
 val program : t -> Ast.program
 val info : t -> P4info.t
 

@@ -2,8 +2,8 @@
 
     Addressing plan: host [i] hangs off switch [i]'s {!Topo.edge_port}
     with address [10.i.0.1] (prefix [10.i.0.0/24]) and MAC {!host_mac};
-    switch [i]'s router MAC is {!router_mac}. Every switch gets one VRF,
-    one router-interface/neighbor/nexthop triple per forwarding target
+    switch [i]'s router MAC is {!router_mac_string}. Every switch gets one
+    VRF, one router-interface/neighbor/nexthop triple per forwarding target
     (its own host plus each fabric neighbor), an L3-admit entry for its
     own router MAC, a mirror session pointed at the edge port (with an
     ingress-ACL mirror rule for DSCP {!mirror_dscp} traffic when the model
@@ -18,11 +18,6 @@
 module Ast = Switchv_p4ir.Ast
 module Entry = Switchv_p4runtime.Entry
 module Bitvec = Switchv_bitvec.Bitvec
-module Prefix = Switchv_bitvec.Prefix
-
-val router_mac : int -> Bitvec.t
-(** 48-bit MAC owned by switch [i]; routed traffic must be addressed to
-    it to pass the L3-admit table. *)
 
 val host_mac : int -> Bitvec.t
 (** 48-bit MAC of the host behind switch [i]'s edge port. *)
@@ -33,9 +28,6 @@ val host_mac_string : int -> string
 
 val host_ip : int -> string
 (** ["10.<i>.0.1"] (dotted quad). *)
-
-val host_prefix : int -> Prefix.t
-(** [10.<i>.0.0/24]. *)
 
 val mirror_dscp : int
 (** DSCP value (46) whose IPv4 traffic the ingress ACL mirrors to the

@@ -142,12 +142,3 @@ let next_hop t ~src ~dst =
   match path t ~src ~dst with
   | Some (_ :: hop :: _) -> Some hop
   | Some _ | None -> None
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s fabric: %d switches, %d links"
-    (shape_to_string t.t_shape) t.t_switches (link_count t);
-  List.iter
-    (fun ((a, pa), (b, pb)) ->
-      Format.fprintf ppf "@,  sw%d.%d <-> sw%d.%d" a pa b pb)
-    t.t_links;
-  Format.fprintf ppf "@]"

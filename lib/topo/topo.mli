@@ -64,5 +64,3 @@ val next_hop : t -> src:int -> dst:int -> int option
 val path : t -> src:int -> dst:int -> int list option
 (** Inclusive switch sequence [src; ...; dst] along the same deterministic
     shortest path. [Some [src]] when [src = dst]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
 (* Tests for the coverage-guided greybox feedback loop: novelty-map
    folding + corpus admission, the energy-weighted power schedule, probe
    determinism, campaign-level determinism (repeat runs, jobs=1 vs
-   jobs=4), the blind-mode off-switch, and concretely-covered goal
-   skipping in the data campaign. *)
+   jobs=4), the blind-mode off-switch, the control-side-only footprint,
+   and concretely-covered goal skipping in the data campaign. *)
 
 module Telemetry = Switchv_telemetry.Telemetry
 module Coverage = Switchv_obs.Coverage
@@ -16,6 +16,7 @@ module Catalogue = Switchv_switch.Catalogue
 module Report = Switchv_core.Report
 module Control_campaign = Switchv_core.Control_campaign
 module Data_campaign = Switchv_core.Data_campaign
+module Harness = Switchv_core.Harness
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -28,6 +29,11 @@ let fault_where pred =
     (Catalogue.pins Middleblock.program entries)
 
 let incident_json incidents = List.map Report.incident_ipc_to_json incidents
+
+let greybox_counters counters =
+  List.filter
+    (fun (name, _) -> String.starts_with ~prefix:"fuzzer.greybox." name)
+    counters
 
 (* --- unit: novelty + corpus --------------------------------------------------- *)
 
@@ -196,13 +202,9 @@ let test_blind_mode_runs_no_feedback () =
   check_int "no probes" 0 (Telemetry.counter tele "fuzzer.greybox.probes");
   check_int "no packets injected" 0
     (Telemetry.counter tele "switch.packets_injected");
-  let snap = Telemetry.snapshot tele in
   List.iter
-    (fun (name, _) ->
-      if
-        String.length name >= 15 && String.sub name 0 15 = "fuzzer.greybox."
-      then Alcotest.failf "blind mode created greybox counter %s" name)
-    snap.Telemetry.snap_counters
+    (fun (name, _) -> Alcotest.failf "blind mode created greybox counter %s" name)
+    (greybox_counters (Telemetry.snapshot tele).Telemetry.snap_counters)
 
 let test_guided_out_covers_blind_control () =
   (* The feedback loop's probes drive concrete edge coverage during the
@@ -222,6 +224,44 @@ let test_guided_out_covers_blind_control () =
     (Telemetry.counter tele "fuzzer.greybox.seeded_bases" > 0);
   check_bool "power schedule engaged" true
     (Telemetry.counter tele "fuzzer.greybox.weighted_picks" > 0)
+
+(* --- footprint ------------------------------------------------------------------- *)
+
+let test_data_campaign_keeps_no_feedback () =
+  (* The feedback is built and spent on the control side: a data campaign
+     drives coverage but keeps no greybox state, so it leaves no
+     [fuzzer.greybox.*] counter behind. *)
+  let tele = Telemetry.create () in
+  Telemetry.with_registry tele (fun () ->
+      let stack = Stack.create Middleblock.program in
+      ignore (Data_campaign.run stack (Data_campaign.default_config entries)));
+  let counters = (Telemetry.snapshot tele).Telemetry.snap_counters in
+  check_bool "coverage counters bumped" true
+    (List.exists
+       (fun (name, n) -> String.starts_with ~prefix:"cov." name && n > 0)
+       counters);
+  List.iter
+    (fun (name, _) -> Alcotest.failf "data campaign created greybox counter %s" name)
+    (greybox_counters counters)
+
+let test_report_counter_matches_control_stats () =
+  (* Only the control campaign finds novel edges, so the report's counter
+     and its control statistics tell the same story. *)
+  let report =
+    Telemetry.with_registry (Telemetry.create ()) (fun () ->
+        Harness.validate
+          (fun () -> Stack.create Middleblock.program)
+          { (Harness.default_config entries) with
+            control = { control_config with shards = 2 } })
+  in
+  let counter =
+    List.assoc_opt "fuzzer.greybox.novel_edges"
+      (Option.get report.Report.telemetry).Telemetry.snap_counters
+  in
+  let stats = Option.get report.Report.control_stats in
+  check_bool "control campaign found novel edges" true (stats.Report.cs_novel_edges > 0);
+  check_int "fuzzer.greybox.novel_edges = cs_novel_edges" stats.Report.cs_novel_edges
+    (Option.value ~default:0 counter)
 
 (* --- concretely-covered goal skipping ------------------------------------------- *)
 
@@ -269,6 +309,11 @@ let () =
             test_blind_mode_runs_no_feedback;
           Alcotest.test_case "guided out-covers blind control" `Quick
             test_guided_out_covers_blind_control ] );
+      ( "footprint",
+        [ Alcotest.test_case "data campaign keeps no feedback" `Quick
+            test_data_campaign_keeps_no_feedback;
+          Alcotest.test_case "report counter matches control stats" `Quick
+            test_report_counter_matches_control_stats ] );
       ( "goal skipping",
         [ Alcotest.test_case "covered branch goals skipped" `Quick
             test_covered_edges_skip_branch_goals ] ) ]

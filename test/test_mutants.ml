@@ -8,6 +8,8 @@
    another from the source; delete or duplicate a range of lines.
 
    Parsing and typechecking must never raise. A mutant that typechecks
+   must survive pretty-printing and re-parsing unchanged (modulo
+   [Ast.normalize_control], as test_p4ir's round-trip case compares), and
    then goes through P4Info derivation, the static analysis, the
    role-model workload generator, a fuzzer sweep plus one batch,
    symbolic execution over the fuzzer's entries with packet generation
@@ -23,6 +25,14 @@
    sources and of the golden corpus lines go through
    [Constraint_lang.parse], [Jsonp.parse] and [Corpus.record_of_json],
    which must return [Ok] or [Error] and never raise.
+
+   The [p4runtime requests] cases send arbitrary write batches to a clean
+   stack of each role model and to its oracle: unknown tables, actions
+   and fields, widths from 1 to 128, missing and extra arguments,
+   repeated fields, priorities -1, 0 and 1, weighted actions with empty
+   member lists and weights from -2 to 2, as inserts, modifies and
+   deletes. [Stack.write], [Stack.read] and the oracle's batch judgement
+   must return one status per update and never raise.
 
    Environment knobs (shared with test_smt_diff; the Makefile's check-smt
    target uses them):
@@ -47,6 +57,13 @@ module Symexec = Switchv_symbolic.Symexec
 module Packetgen = Switchv_symbolic.Packetgen
 module Interp = Switchv_bmv2.Interp
 module Compile = Switchv_bmv2.Compile
+module Bitvec = Switchv_bitvec.Bitvec
+module Prefix = Switchv_bitvec.Prefix
+module Ternary = Switchv_bitvec.Ternary
+module Entry = Switchv_p4runtime.Entry
+module Request = Switchv_p4runtime.Request
+module Stack = Switchv_switch.Stack
+module Oracle = Switchv_oracle.Oracle
 module Clock = Switchv_telemetry.Telemetry.Clock
 
 let env_int name default =
@@ -173,8 +190,22 @@ let outcome run cfg ~ingress_port bytes =
   | b -> Ok b
   | exception Interp.Parse_failure m -> Error m
 
+let normalize (p : Ast.program) =
+  { p with
+    p_ingress = Ast.normalize_control p.p_ingress;
+    p_egress = Ast.normalize_control p.p_egress }
+
 (* Every stage after the typechecker, on one well-typed program. *)
 let run_stages rng (program : Ast.program) =
+  stage "P4parser.roundtrip" (fun () ->
+      match P4parser.roundtrip program with
+      | Ok p when normalize p = normalize program -> ()
+      | Ok p ->
+          raise
+            (Finding
+               (Printf.sprintf "re-parsing the pretty-printed program changes it:\n%s"
+                  (Pretty.program_to_string p)))
+      | Error m -> raise (Finding ("the pretty-printed program does not re-parse: " ^ m)));
   let info = stage "P4info.of_program" (fun () -> P4info.of_program program) in
   ignore (stage "Analysis.run" (fun () -> Analysis.run program));
   ignore (stage "Workload.generate" (fun () -> Workload.generate ~seed:1 program Workload.small));
@@ -352,11 +383,167 @@ let test_parsers_soak () =
     parser_round oks ((seed * 1000) + 1000000 + !round)
   done
 
+(* --- P4Runtime requests ------------------------------------------------------------ *)
+
+let role_models =
+  [ Switchv_sai.Figure2.program; Switchv_sai.Middleblock.program; Switchv_sai.Wan.program;
+    Switchv_sai.Tor.program; Switchv_sai.Cerberus.program ]
+
+(* Mostly the schema's width, so that some updates are valid and build
+   state for modifies and deletes to find; otherwise anything from 1 to
+   128. Values are mostly small for the same reason. *)
+let width rng w = if Rng.int rng 4 = 0 then 1 + Rng.int rng 128 else w
+
+let bits rng w = if Rng.bool rng then Bitvec.of_int ~width:w (Rng.int rng 4) else Rng.bitvec rng w
+let value rng w = bits rng (width rng w)
+
+let match_value rng kind w =
+  let w = width rng w in
+  let kind =
+    if Rng.int rng 6 = 0 then pick rng [| Ast.Exact; Lpm; Ternary; Optional |] else kind
+  in
+  match kind with
+  | Ast.Exact -> Entry.M_exact (bits rng w)
+  | Lpm -> Entry.M_lpm (Prefix.make (Rng.bitvec rng w) (Rng.int rng (w + 1)))
+  | Ternary -> Entry.M_ternary (Ternary.make ~value:(Rng.bitvec rng w) ~mask:(Rng.bitvec rng w))
+  | Optional -> Entry.M_optional (if Rng.bool rng then Some (bits rng w) else None)
+
+let invocation rng (ti : P4info.table) =
+  let ar = Rng.choose rng ti.ti_actions in
+  let args = List.map (fun (p : Ast.param) -> value rng p.p_width) ar.ar_params in
+  let args =
+    match (Rng.int rng 8, args) with
+    | 0, _ :: rest -> rest
+    | 1, _ -> args @ [ value rng 8 ]
+    | _ -> args
+  in
+  { Entry.ai_name = (if Rng.int rng 8 = 0 then "no_such_action" else ar.ar_name);
+    ai_args = args }
+
+let arbitrary_matches rng (ti : P4info.table) =
+  let matches =
+    List.filter_map
+      (fun (mf : P4info.match_field) ->
+        if Rng.int rng 8 = 0 then None
+        else Some { Entry.fm_field = mf.mf_name; fm_value = match_value rng mf.mf_kind mf.mf_width })
+      ti.ti_match_fields
+  in
+  match (Rng.int rng 8, matches) with
+  | 0, _ -> { Entry.fm_field = "no_such_field"; fm_value = match_value rng Ast.Exact 8 } :: matches
+  | 1, m :: _ -> m :: matches
+  | _ -> matches
+
+let arbitrary_action rng ti =
+  if Rng.int rng 4 = 0 then
+    Entry.Weighted (List.init (Rng.int rng 4) (fun _ -> (invocation rng ti, Rng.int rng 5 - 2)))
+  else Entry.Single (invocation rng ti)
+
+let arbitrary_entry rng (info : P4info.t) =
+  let ti = Rng.choose rng info.pi_tables in
+  Entry.make ~priority:(Rng.int rng 3 - 1)
+    ~table:(if Rng.int rng 16 = 0 then "no_such_table" else ti.ti_name)
+    ~matches:(arbitrary_matches rng ti) (arbitrary_action rng ti)
+
+(* A valid entry with one part made arbitrary. *)
+let perturb rng info (e : Entry.t) =
+  let ti = Option.get (P4info.find_table info e.e_table) in
+  match Rng.int rng 4 with
+  | 0 -> Entry.with_table e "no_such_table"
+  | 1 -> Entry.with_priority e (Rng.int rng 3 - 1)
+  | 2 -> Entry.with_matches e (arbitrary_matches rng ti)
+  | _ -> Entry.with_action e (arbitrary_action rng ti)
+
+(* A quarter of the updates carry the next entry of a valid,
+   dependency-ordered entry set, and a quarter that entry with one part
+   perturbed, so that the switch accepts some and its state grows. A
+   quarter resend an entry sent before, so that modifies and deletes find
+   installed entries and inserts meet duplicates. *)
+let arbitrary_update rng info ~valid ~sent =
+  let entry =
+    match (Rng.int rng 4, !valid, !sent) with
+    | 0, e :: rest, _ ->
+        valid := rest;
+        e
+    | 1, e :: rest, _ ->
+        valid := rest;
+        perturb rng info e
+    | 2, _, (_ :: _ as s) -> Rng.choose rng s
+    | _ -> arbitrary_entry rng info
+  in
+  sent := entry :: !sent;
+  { Request.op = pick rng [| Request.Insert; Insert; Modify; Delete |]; entry }
+
+let valid_entries =
+  List.map (fun p -> Workload.generate ~seed:1 p Workload.small) role_models
+
+(* One round: four batches of one to eight updates to a clean stack of
+   every role model, each judged by that model's oracle, drawn from
+   [round_seed]. Returns how many updates the switch accepted. *)
+let request_round round_seed =
+  let rng = Rng.create round_seed in
+  List.fold_left2
+    (fun accepted (program : Ast.program) entries ->
+      let stack = Stack.create program in
+      ignore (Stack.push_p4info stack);
+      let info = Stack.info stack in
+      let oracle = Oracle.create info in
+      let valid = ref entries and sent = ref [] and accepted = ref accepted in
+      for _ = 1 to 4 do
+        let updates =
+          List.init (1 + Rng.int rng 8) (fun _ -> arbitrary_update rng info ~valid ~sent)
+        in
+        let fail msg =
+          Alcotest.failf "SWITCHV_QGEN_SEED=%d, round seed %d, %s: %s@.--- batch ---@.%a" seed
+            round_seed program.p_name msg
+            (Format.pp_print_list Request.pp_update)
+            updates
+        in
+        let call name f =
+          try f () with e -> fail (Printf.sprintf "%s raised %s" name (Printexc.to_string e))
+        in
+        let n = List.length updates in
+        let resp = call "Stack.write" (fun () -> Stack.write stack { Request.updates }) in
+        if List.length resp.statuses <> n then
+          fail (Printf.sprintf "Stack.write returned %d statuses" (List.length resp.statuses));
+        let read_back = call "Stack.read" (fun () -> Stack.read stack) in
+        (* [Oracle.judge_batch] is this judgement's incident list. *)
+        let judged =
+          call "Oracle.judge_batch" (fun () ->
+              Oracle.judge_batch_detailed oracle updates resp ~read_back)
+        in
+        if List.length judged.per_update_ok <> n then
+          fail
+            (Printf.sprintf "the oracle judged %d of %d updates"
+               (List.length judged.per_update_ok) n);
+        accepted :=
+          !accepted + List.length (List.filter Switchv_p4runtime.Status.is_ok resp.statuses)
+      done;
+      !accepted)
+    0 role_models valid_entries
+
+let test_requests_fixed_seed () =
+  let accepted = ref 0 in
+  for round = 0 to 399 do
+    accepted := !accepted + request_round ((seed * 1000) + round)
+  done;
+  (* Guard against a generator whose every update is rejected at once. *)
+  Alcotest.(check bool) (Printf.sprintf "updates accepted (%d)" !accepted) true (!accepted >= 1000)
+
+let test_requests_soak () =
+  let deadline = Clock.now () +. (float_of_int soak_ms /. 1000.) in
+  let round = ref 0 in
+  while Clock.now () < deadline do
+    incr round;
+    ignore (request_round ((seed * 1000) + 1000000 + !round))
+  done
+
 let () =
   Alcotest.run "mutants"
     [ ("mutants",
        [ Alcotest.test_case "fixed seed" `Quick test_fixed_seed;
-         Alcotest.test_case "parsers" `Quick test_parsers_fixed_seed ]);
+         Alcotest.test_case "parsers" `Quick test_parsers_fixed_seed;
+         Alcotest.test_case "p4runtime requests" `Quick test_requests_fixed_seed ]);
       ("soak",
        [ Alcotest.test_case "fresh mutants" `Slow test_soak;
-         Alcotest.test_case "parsers" `Slow test_parsers_soak ]) ]
+         Alcotest.test_case "parsers" `Slow test_parsers_soak;
+         Alcotest.test_case "p4runtime requests" `Slow test_requests_soak ]) ]
